@@ -48,6 +48,13 @@ echo "==> load: open-loop load-harness smoke (deterministic, throttled)"
 # The label is anchored because plain "load" also matches "overload".
 ctest --test-dir build -L '^load$' --output-on-failure
 
+echo "==> perfbench: end-to-end benchmark smoke test"
+# perfbench compiles against the scheme clients and the plug-in interfaces
+# (SchemeAdapter, SchemeShard, Channel, ...), so a change to either must
+# keep it building and its three workloads correct. Builds into
+# .bench_build/ and runs every workload briefly in traced mode.
+python3 perfbench/run.py --smoke
+
 echo "==> scheme3: forward-private dynamic scheme suite"
 # Covers the hash-chain client/server pair, the descriptor-driven engine
 # integration, and the forward-privacy property test (stale trapdoors must

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sse/crypto/hkdf.h"
 #include "sse/crypto/stream_cipher.h"
 #include "sse/util/serde.h"
 
@@ -53,9 +52,6 @@ constexpr size_t kHeadSize = 4 + kNodeKeySize;
 
 // ---------------------------------------------------------------- server --
 
-CgkoServer::CgkoServer(bool use_hash_index, size_t btree_order)
-    : table_(use_hash_index, btree_order) {}
-
 Result<net::Message> CgkoServer::Handle(const net::Message& request) {
   switch (request.type) {
     case kMsgCgkoBuild:
@@ -77,7 +73,7 @@ Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
   if (table_count > r.remaining()) {
     return Status::Corruption("table count exceeds payload");
   }
-  core::TokenMap<Bytes> table(table_.uses_hash_backend());
+  core::TokenMap<Bytes> table;
   for (uint64_t i = 0; i < table_count; ++i) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
@@ -181,7 +177,7 @@ Status CgkoServer::RestoreState(BytesView data) {
   SSE_ASSIGN_OR_RETURN(array, core::GetBytesList(r));
   uint64_t table_count = 0;
   SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
-  core::TokenMap<Bytes> table(table_.uses_hash_backend());
+  core::TokenMap<Bytes> table;
   for (uint64_t i = 0; i < table_count; ++i) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
@@ -212,10 +208,10 @@ bool CgkoServer::IsMutating(uint16_t msg_type) const {
 
 // ---------------------------------------------------------------- client --
 
-CgkoClient::CgkoClient(crypto::Prf prf, crypto::Aead aead,
+CgkoClient::CgkoClient(crypto::Prf prf, core::DataCipher data,
                        net::Channel* channel, RandomSource* rng)
     : prf_(std::move(prf)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       channel_(channel),
       rng_(rng) {}
 
@@ -226,13 +222,10 @@ Result<std::unique_ptr<CgkoClient>> CgkoClient::Create(
   }
   Result<crypto::Prf> prf = crypto::Prf::Create(key.keyword_key());
   if (!prf.ok()) return prf.status();
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<core::DataCipher> data = core::DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<CgkoClient>(new CgkoClient(
-      std::move(prf).value(), std::move(aead).value(), channel, rng));
+      std::move(prf).value(), std::move(data).value(), channel, rng));
 }
 
 Result<Bytes> CgkoClient::TableToken(std::string_view keyword) const {
@@ -252,12 +245,7 @@ Result<Bytes> CgkoClient::TableMask(std::string_view keyword) const {
 }
 
 Status CgkoClient::Store(const std::vector<core::Document>& docs) {
-  for (const core::Document& doc : docs) {
-    if (used_ids_.count(doc.id) > 0) {
-      return Status::AlreadyExists("document id " + std::to_string(doc.id) +
-                                   " was already stored");
-    }
-  }
+  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
   // Update the client-side plaintext inverted index.
   for (const core::Document& doc : docs) {
     for (const std::string& kw : doc.keywords) {
@@ -323,22 +311,14 @@ Status CgkoClient::Store(const std::vector<core::Document>& docs) {
   core::PutBytesList(w, array);
   w.PutRaw(table_w.data());
   std::vector<core::WireDocument> wire_docs;
-  wire_docs.reserve(docs.size());
-  for (const core::Document& doc : docs) {
-    core::WireDocument wire;
-    wire.id = doc.id;
-    SSE_ASSIGN_OR_RETURN(
-        wire.ciphertext,
-        aead_.Seal(doc.content, core::EncodeDocId(doc.id), *rng_));
-    wire_docs.push_back(std::move(wire));
-  }
+  SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(docs, *rng_));
   core::PutWireDocuments(w, wire_docs);
 
   net::Message ack;
   SSE_ASSIGN_OR_RETURN(
       ack, channel_->Call(net::Message{kMsgCgkoBuild, w.TakeData()}));
   SSE_RETURN_IF_ERROR(CheckType(ack, kMsgCgkoBuildAck));
-  for (const core::Document& doc : docs) used_ids_.insert(doc.id);
+  used_ids_.Add(docs);
   return Status::OK();
 }
 
@@ -360,12 +340,7 @@ Result<core::SearchOutcome> CgkoClient::Search(std::string_view keyword) {
   std::vector<core::WireDocument> wire_docs;
   SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  for (const core::WireDocument& wire : wire_docs) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(
-        plain, aead_.Open(wire.ciphertext, core::EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
   return outcome;
 }
 

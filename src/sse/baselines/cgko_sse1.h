@@ -8,11 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "sse/core/client_updates.h"
 #include "sse/core/persistable.h"
 #include "sse/core/token_map.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
-#include "sse/crypto/aead.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
@@ -43,8 +43,6 @@ inline constexpr uint16_t kMsgCgkoSearchResult = net::kMsgRangeBaseline + 24;
 
 class CgkoServer : public core::PersistableHandler {
  public:
-  explicit CgkoServer(bool use_hash_index = false, size_t btree_order = 64);
-
   Result<net::Message> Handle(const net::Message& request) override;
   Result<Bytes> SerializeState() const override;
   Status RestoreState(BytesView data) override;
@@ -81,20 +79,20 @@ class CgkoClient : public core::SseClientInterface {
   std::string name() const override { return "cgko-sse1"; }
 
  private:
-  CgkoClient(crypto::Prf prf, crypto::Aead aead, net::Channel* channel,
+  CgkoClient(crypto::Prf prf, core::DataCipher data, net::Channel* channel,
              RandomSource* rng);
 
   Result<Bytes> TableToken(std::string_view keyword) const;
   Result<Bytes> TableMask(std::string_view keyword) const;
 
   crypto::Prf prf_;
-  crypto::Aead aead_;
+  core::DataCipher data_;
   net::Channel* channel_;
   RandomSource* rng_;
 
   /// The client-side plaintext inverted index SSE-1 needs for rebuilds.
   std::map<std::string, std::set<uint64_t>> postings_;
-  std::set<uint64_t> used_ids_;
+  core::UsedIds used_ids_;
 };
 
 }  // namespace sse::baselines

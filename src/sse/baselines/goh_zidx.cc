@@ -162,11 +162,11 @@ bool GohServer::IsMutating(uint16_t msg_type) const {
 
 // ---------------------------------------------------------------- client --
 
-GohClient::GohClient(std::vector<crypto::Prf> keys, crypto::Aead aead,
+GohClient::GohClient(std::vector<crypto::Prf> keys, core::DataCipher data,
                      const GohOptions& options, net::Channel* channel,
                      RandomSource* rng)
     : keys_(std::move(keys)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       options_(options),
       channel_(channel),
       rng_(rng) {}
@@ -192,13 +192,10 @@ Result<std::unique_ptr<GohClient>> GohClient::Create(
     if (!prf.ok()) return prf.status();
     keys.push_back(std::move(prf).value());
   }
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<core::DataCipher> data = core::DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<GohClient>(new GohClient(std::move(keys),
-                                                  std::move(aead).value(),
+                                                  std::move(data).value(),
                                                   options, channel, rng));
 }
 
@@ -221,8 +218,7 @@ Status GohClient::Store(const std::vector<core::Document>& docs) {
   for (const core::Document& doc : docs) {
     w.PutVarint(doc.id);
     Bytes blob;
-    SSE_ASSIGN_OR_RETURN(
-        blob, aead_.Seal(doc.content, core::EncodeDocId(doc.id), *rng_));
+    SSE_ASSIGN_OR_RETURN(blob, data_.Seal(doc, *rng_));
     w.PutBytes(blob);
 
     BitVec filter(options_.bloom_bits);
@@ -260,12 +256,7 @@ Result<core::SearchOutcome> GohClient::Search(std::string_view keyword) {
   std::vector<core::WireDocument> wire_docs;
   SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  for (const core::WireDocument& wire : wire_docs) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(
-        plain, aead_.Open(wire.ciphertext, core::EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
   return outcome;
 }
 

@@ -9,7 +9,6 @@
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
-#include "sse/crypto/aead.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
@@ -77,12 +76,12 @@ class GohClient : public core::SseClientInterface {
   Result<std::vector<Bytes>> MakeTrapdoor(std::string_view keyword) const;
 
  private:
-  GohClient(std::vector<crypto::Prf> keys, crypto::Aead aead,
+  GohClient(std::vector<crypto::Prf> keys, core::DataCipher data,
             const GohOptions& options, net::Channel* channel,
             RandomSource* rng);
 
   std::vector<crypto::Prf> keys_;  // k_1 .. k_r
-  crypto::Aead aead_;
+  core::DataCipher data_;
   GohOptions options_;
   net::Channel* channel_;
   RandomSource* rng_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sse/crypto/hkdf.h"
 #include "sse/util/serde.h"
 
 namespace sse::baselines {
@@ -166,11 +165,11 @@ bool SwpServer::IsMutating(uint16_t msg_type) const {
 // ---------------------------------------------------------------- client --
 
 SwpClient::SwpClient(crypto::Prf word_prf, crypto::Prf check_prf,
-                     crypto::Aead aead, net::Channel* channel,
+                     core::DataCipher data, net::Channel* channel,
                      RandomSource* rng)
     : word_prf_(std::move(word_prf)),
       check_prf_(std::move(check_prf)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       channel_(channel),
       rng_(rng) {}
 
@@ -187,14 +186,11 @@ Result<std::unique_ptr<SwpClient>> SwpClient::Create(
                                           StringToBytes("swp.check")));
   Result<crypto::Prf> check_prf = crypto::Prf::Create(check_key);
   if (!check_prf.ok()) return check_prf.status();
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<core::DataCipher> data = core::DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<SwpClient>(
       new SwpClient(std::move(word_prf).value(), std::move(check_prf).value(),
-                    std::move(aead).value(), channel, rng));
+                    std::move(data).value(), channel, rng));
 }
 
 Result<Bytes> SwpClient::WordCiphertext(std::string_view keyword) const {
@@ -208,8 +204,7 @@ Status SwpClient::Store(const std::vector<core::Document>& docs) {
   for (const core::Document& doc : docs) {
     w.PutVarint(doc.id);
     Bytes blob;
-    SSE_ASSIGN_OR_RETURN(
-        blob, aead_.Seal(doc.content, core::EncodeDocId(doc.id), *rng_));
+    SSE_ASSIGN_OR_RETURN(blob, data_.Seal(doc, *rng_));
     w.PutBytes(blob);
 
     Bytes blocks;
@@ -263,12 +258,7 @@ Result<core::SearchOutcome> SwpClient::Search(std::string_view keyword) {
   std::vector<core::WireDocument> wire_docs;
   SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  for (const core::WireDocument& wire : wire_docs) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(
-        plain, aead_.Open(wire.ciphertext, core::EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
   return outcome;
 }
 

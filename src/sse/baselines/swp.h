@@ -10,7 +10,6 @@
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
-#include "sse/crypto/aead.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
@@ -73,14 +72,14 @@ class SwpClient : public core::SseClientInterface {
   std::string name() const override { return "swp"; }
 
  private:
-  SwpClient(crypto::Prf word_prf, crypto::Prf check_prf, crypto::Aead aead,
+  SwpClient(crypto::Prf word_prf, crypto::Prf check_prf, core::DataCipher data,
             net::Channel* channel, RandomSource* rng);
 
   Result<Bytes> WordCiphertext(std::string_view keyword) const;
 
   crypto::Prf word_prf_;
   crypto::Prf check_prf_;
-  crypto::Aead aead_;
+  core::DataCipher data_;
   net::Channel* channel_;
   RandomSource* rng_;
 };

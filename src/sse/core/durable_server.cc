@@ -302,7 +302,6 @@ Result<net::Message> DurableServer::HandleNew(const net::Message& request) {
   if (!reply.ok()) return reply;
   uint64_t my_seq = 0;
   uint64_t my_wal_seq = 0;
-  bool synced_inline = false;
   {
     obs::ScopedSpan append_span("wal.append", obs::ParentFor(request));
     std::lock_guard<std::mutex> lock(wal_mutex_);
@@ -317,24 +316,12 @@ Result<net::Message> DurableServer::HandleNew(const net::Message& request) {
       options_.shipper->OnAppend(my_wal_seq, encoded);
     }
     append_span.Annotate("wal_seq", my_seq);
-    if (options_.sync_every_append && !options_.group_commit) {
-      // Per-append-fsync baseline: sync inline under the WAL mutex.
-      const auto sync_t0 = std::chrono::steady_clock::now();
-      const Status synced = wal_->Sync();
-      wal_fsync_hist_.Record(NanosSince(sync_t0));
-      if (!synced.ok()) return EnterDegraded(synced);
-      synced_seq_ = appended_seq_;
-      ++syncs_performed_;
-      synced_inline = true;
-    }
   }
-  if (!synced_inline && options_.sync_every_append) {
-    const Status synced = SyncUpTo(my_seq);
-    if (!synced.ok()) return EnterDegraded(synced);
-  }
+  const Status synced = SyncUpTo(my_seq);
+  if (!synced.ok()) return EnterDegraded(synced);
   // Ack-mode gate: in wait-one mode the shipper blocks (bounded) until a
   // follower acknowledged this sequence, so the reply implies replication.
-  if (options_.shipper != nullptr && options_.sync_every_append) {
+  if (options_.shipper != nullptr) {
     options_.shipper->WaitReplicated(my_wal_seq);
   }
   return reply;
@@ -443,9 +430,9 @@ Result<net::Message> DurableServer::HandleBatch(const net::Message& request) {
     if (dedup) pending.push_back(PendingCommit{i, batch.ops[i].seq});
   }
 
-  if (need_sync && options_.sync_every_append) {
-    // Even with group_commit off, a batch pays one fsync — amortizing the
-    // sync across the envelope is the point of the batch path.
+  if (need_sync) {
+    // A batch pays one fsync — amortizing the sync across the envelope is
+    // the point of the batch path.
     Status synced = SyncUpTo(max_wal_seq);
     if (!synced.ok()) {
       // Durability is unknown: withdraw the claims so retries re-resolve

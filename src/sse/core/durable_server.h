@@ -85,12 +85,6 @@ class WalShipper {
 class DurableServer : public net::MessageHandler {
  public:
   struct Options {
-    /// fsync the WAL before replying to a mutating request (safest).
-    bool sync_every_append = true;
-    /// Batch concurrent fsyncs (leader/follower group commit). With a
-    /// single client this degenerates to one fsync per append; turn it off
-    /// only to benchmark the per-append-fsync baseline.
-    bool group_commit = true;
     /// Dedup session-stamped requests through a crash-surviving ReplyCache.
     bool enable_reply_cache = true;
     ReplyCache::Options reply_cache;

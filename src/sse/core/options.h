@@ -40,13 +40,6 @@ struct SchemeOptions {
   /// Scheme 1: group for the ElGamal instantiation of F.
   crypto::ElGamalGroupId elgamal_group = crypto::ElGamalGroupId::kModp2048;
 
-  /// Fan-out of the server's B+-tree over search tokens.
-  size_t btree_order = 64;
-
-  /// Ablation: replace the B+-tree with a hash table (O(1) lookups but no
-  /// ordered scans; the paper's complexity story assumes the tree).
-  bool use_hash_index = false;
-
   /// When non-empty, the server keeps document ciphertexts in an on-disk
   /// LogStore at this path instead of in memory, so the encrypted corpus
   /// can exceed RAM (paper schemes only; the searchable index stays in

@@ -1,12 +1,10 @@
 #include "sse/core/scheme1_client.h"
 
 #include <algorithm>
-#include <map>
 
 #include "sse/core/scheme1_messages.h"
 #include "sse/crypto/hkdf.h"
 #include "sse/crypto/prg.h"
-#include "sse/index/posting.h"
 #include "sse/util/bitvec.h"
 #include "sse/util/serde.h"
 
@@ -18,11 +16,11 @@ constexpr const char* kTokenLabel = "s1.token";
 }  // namespace
 
 Scheme1Client::Scheme1Client(crypto::Prf prf, crypto::ElGamal elgamal,
-                             crypto::Aead aead, const SchemeOptions& options,
+                             DataCipher data, const SchemeOptions& options,
                              net::Channel* channel, RandomSource* rng)
     : prf_(std::move(prf)),
       elgamal_(std::move(elgamal)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       options_(options),
       channel_(channel),
       rng_(rng) {}
@@ -42,14 +40,11 @@ Result<std::unique_ptr<Scheme1Client>> Scheme1Client::Create(
   Result<crypto::ElGamal> elgamal =
       crypto::ElGamal::FromSecret(options.elgamal_group, elgamal_secret);
   if (!elgamal.ok()) return elgamal.status();
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<DataCipher> data = DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<Scheme1Client>(new Scheme1Client(
       std::move(prf).value(), std::move(elgamal).value(),
-      std::move(aead).value(), options, channel, rng));
+      std::move(data).value(), options, channel, rng));
 }
 
 Result<Bytes> Scheme1Client::Trapdoor(std::string_view keyword) const {
@@ -65,60 +60,35 @@ Status Scheme1Client::Store(const std::vector<Document>& docs) {
                                 " exceeds bitmap capacity " +
                                 std::to_string(options_.max_documents));
     }
-    if (used_ids_.count(doc.id) > 0) {
-      return Status::AlreadyExists("document id " + std::to_string(doc.id) +
-                                   " was already stored");
-    }
   }
-  // Gather the per-keyword update sets U(w) = {i | w ∈ W_i}.
-  std::map<std::string, std::vector<uint64_t>> by_keyword;
-  for (const Document& doc : docs) {
-    for (const std::string& kw : doc.keywords) {
-      by_keyword[kw].push_back(doc.id);
-    }
-  }
-  std::vector<PendingUpdate> updates;
-  updates.reserve(by_keyword.size());
-  for (auto& [kw, ids] : by_keyword) {
-    updates.push_back(PendingUpdate{kw, index::Canonicalize(std::move(ids))});
-  }
-  SSE_RETURN_IF_ERROR(RunUpdateProtocol(updates, docs));
-  for (const Document& doc : docs) used_ids_.insert(doc.id);
+  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
+  SSE_RETURN_IF_ERROR(RunUpdateProtocol(GroupByKeyword(docs), docs));
+  used_ids_.Add(docs);
   return Status::OK();
 }
 
 Status Scheme1Client::FakeUpdate(const std::vector<std::string>& keywords) {
-  // Deduplicate: two entries for one keyword in a single protocol run
-  // would both be built from the same stale nonce and corrupt the mask.
-  const std::set<std::string> unique(keywords.begin(), keywords.end());
-  std::vector<PendingUpdate> updates;
-  updates.reserve(unique.size());
-  for (const std::string& kw : unique) {
-    updates.push_back(PendingUpdate{kw, {}});  // U(w) = ∅: re-mask only
-  }
-  return RunUpdateProtocol(updates, /*documents=*/{});
+  // U(w) = ∅: re-mask only.
+  return RunUpdateProtocol(PerKeyword(keywords, /*ids=*/{}),
+                           /*documents=*/{});
 }
 
 Status Scheme1Client::RemoveDocument(uint64_t id,
                                      const std::vector<std::string>& keywords) {
-  if (used_ids_.count(id) == 0) {
+  if (!used_ids_.Contains(id)) {
     return Status::NotFound("document id " + std::to_string(id) +
                             " is not stored");
   }
-  // Deduplicate: toggling the same keyword twice would re-add the id.
-  const std::set<std::string> unique(keywords.begin(), keywords.end());
-  std::vector<PendingUpdate> updates;
-  updates.reserve(unique.size());
-  for (const std::string& kw : unique) {
-    updates.push_back(PendingUpdate{kw, {id}});  // XOR toggles the bit off
-  }
-  SSE_RETURN_IF_ERROR(RunUpdateProtocol(updates, /*documents=*/{}));
-  used_ids_.erase(id);
+  // XOR toggles the bit off; one entry per keyword, since toggling the
+  // same keyword twice would re-add the id.
+  SSE_RETURN_IF_ERROR(
+      RunUpdateProtocol(PerKeyword(keywords, {id}), /*documents=*/{}));
+  used_ids_.Erase(id);
   return Status::OK();
 }
 
 Status Scheme1Client::RunUpdateProtocol(
-    const std::vector<PendingUpdate>& updates,
+    const std::vector<KeywordUpdate>& updates,
     const std::vector<Document>& documents) {
   const size_t bitmap_bits = options_.max_documents;
   // Batched mode sends each keyword as its own op through MultiCall (a
@@ -131,7 +101,7 @@ Status Scheme1Client::RunUpdateProtocol(
   // Round 1 (Fig. 1, first exchange): request F(r) for every keyword.
   std::vector<Bytes> tokens;
   tokens.reserve(updates.size());
-  for (const PendingUpdate& u : updates) {
+  for (const KeywordUpdate& u : updates) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, Trapdoor(u.keyword));
     tokens.push_back(std::move(token));
@@ -173,7 +143,7 @@ Status Scheme1Client::RunUpdateProtocol(
   std::vector<S1UpdateEntry> entries;
   entries.reserve(updates.size());
   for (size_t i = 0; i < updates.size(); ++i) {
-    const PendingUpdate& u = updates[i];
+    const KeywordUpdate& u = updates[i];
     const S1NonceEntry& nonce_entry = nonce_entries[i];
 
     BitVec delta;
@@ -208,75 +178,25 @@ Status Scheme1Client::RunUpdateProtocol(
 
   // Encrypted data items ride along in the same round.
   std::vector<WireDocument> wire_docs;
-  wire_docs.reserve(documents.size());
-  for (const Document& doc : documents) {
-    WireDocument wire;
-    wire.id = doc.id;
-    SSE_ASSIGN_OR_RETURN(
-        wire.ciphertext,
-        aead_.Seal(doc.content, EncodeDocId(doc.id), *rng_));
-    wire_docs.push_back(std::move(wire));
-  }
-
-  if (batched) {
-    // One op per keyword; the document payload rides with the first op
-    // (the server extracts documents before routing, so placement within
-    // the round is arbitrary).
-    std::vector<net::Message> round2;
-    round2.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      S1UpdateRequest one;
-      one.entries.push_back(std::move(entries[i]));
-      if (i == 0) one.documents = std::move(wire_docs);
-      round2.push_back(one.ToMessage());
-    }
-    std::vector<Result<net::Message>> replies = channel_->MultiCall(round2);
-    for (Result<net::Message>& ack_msg : replies) {
-      if (!ack_msg.ok()) return ack_msg.status();
-      S1UpdateAck ack;
-      SSE_ASSIGN_OR_RETURN(ack, S1UpdateAck::FromMessage(*ack_msg));
-      if (ack.keywords_updated != 1) {
-        return Status::ProtocolError("server acknowledged wrong keyword count");
-      }
-    }
-    return Status::OK();
-  }
-
-  S1UpdateRequest update_req;
-  update_req.entries = std::move(entries);
-  update_req.documents = std::move(wire_docs);
-  net::Message ack_msg;
-  SSE_ASSIGN_OR_RETURN(ack_msg, channel_->Call(update_req.ToMessage()));
-  S1UpdateAck ack;
-  SSE_ASSIGN_OR_RETURN(ack, S1UpdateAck::FromMessage(ack_msg));
-  if (ack.keywords_updated != update_req.entries.size()) {
-    return Status::ProtocolError("server acknowledged wrong keyword count");
-  }
-  return Status::OK();
+  SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(documents, *rng_));
+  return SendUpdateRound<S1UpdateRequest>(*channel_, options_.batch_ops,
+                                          std::move(entries),
+                                          std::move(wire_docs),
+                                          &S1UpdateAck::keywords_updated);
 }
 
 Bytes Scheme1Client::SerializeState() const {
   BufferWriter w;
-  w.PutVarint(used_ids_.size());
-  for (uint64_t id : used_ids_) w.PutVarint(id);
+  used_ids_.Serialize(w);
   return w.TakeData();
 }
 
 Status Scheme1Client::RestoreState(BytesView data) {
   BufferReader r(data);
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > data.size()) {
-    return Status::Corruption("used-id count exceeds payload");
-  }
-  std::set<uint64_t> used_ids;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    used_ids.insert(id);
-  }
+  Result<UsedIds> used_ids = UsedIds::Read(r);
+  if (!used_ids.ok()) return used_ids.status();
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  used_ids_ = std::move(used_ids);
+  used_ids_ = std::move(used_ids).value();
   return Status::OK();
 }
 
@@ -309,13 +229,7 @@ Result<SearchOutcome> Scheme1Client::ParseSearchResult(
   SearchOutcome outcome;
   outcome.ids = result.ids;
   std::sort(outcome.ids.begin(), outcome.ids.end());
-  outcome.documents.reserve(result.documents.size());
-  for (const WireDocument& wire : result.documents) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain,
-                         aead_.Open(wire.ciphertext, EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(result.documents, outcome));
   return outcome;
 }
 

@@ -2,14 +2,13 @@
 #define SSE_CORE_SCHEME1_CLIENT_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sse/core/client_updates.h"
 #include "sse/core/options.h"
 #include "sse/core/types.h"
-#include "sse/crypto/aead.h"
 #include "sse/crypto/elgamal.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
@@ -63,21 +62,16 @@ class Scheme1Client : public SseClientInterface {
   Status RestoreState(BytesView data) override;
 
  private:
-  Scheme1Client(crypto::Prf prf, crypto::ElGamal elgamal, crypto::Aead aead,
+  Scheme1Client(crypto::Prf prf, crypto::ElGamal elgamal, DataCipher data,
                 const SchemeOptions& options, net::Channel* channel,
                 RandomSource* rng);
 
-  /// One keyword's pending posting delta.
-  struct PendingUpdate {
-    std::string keyword;
-    std::vector<uint64_t> ids;  // positions to toggle in I(w)
-  };
-
-  /// Runs the two-round Fig. 1 protocol for `updates` plus `documents`.
-  /// With SchemeOptions::batch_ops each round is K per-keyword ops through
-  /// the channel's MultiCall (batched + pipelined over a RetryingChannel);
+  /// Runs the two-round Fig. 1 protocol for `updates` (each entry's ids
+  /// are the positions to toggle in I(w)) plus `documents`. With
+  /// SchemeOptions::batch_ops each round is K per-keyword ops through the
+  /// channel's MultiCall (batched + pipelined over a RetryingChannel);
   /// otherwise each round is one monolithic message.
-  Status RunUpdateProtocol(const std::vector<PendingUpdate>& updates,
+  Status RunUpdateProtocol(const std::vector<KeywordUpdate>& updates,
                            const std::vector<Document>& documents);
 
   /// Decodes an S1SearchResult message into ids + decrypted documents.
@@ -85,11 +79,11 @@ class Scheme1Client : public SseClientInterface {
 
   crypto::Prf prf_;
   crypto::ElGamal elgamal_;
-  crypto::Aead aead_;
+  DataCipher data_;
   SchemeOptions options_;
   net::Channel* channel_;
   RandomSource* rng_;
-  std::set<uint64_t> used_ids_;
+  UsedIds used_ids_;
 };
 
 }  // namespace sse::core

@@ -7,8 +7,7 @@
 namespace sse::core {
 
 Scheme1Server::Scheme1Server(const SchemeOptions& options)
-    : options_(options),
-      index_(options.use_hash_index, options.btree_order) {}
+    : options_(options) {}
 
 Result<net::Message> Scheme1Server::Handle(const net::Message& request) {
   switch (request.type) {
@@ -142,7 +141,7 @@ Result<Bytes> Scheme1Server::SerializeState() const {
 }
 
 Status Scheme1Server::RestoreState(BytesView data) {
-  TokenMap<Entry> index(options_.use_hash_index, options_.btree_order);
+  TokenMap<Entry> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 

@@ -1,12 +1,8 @@
 #include "sse/core/scheme2_client.h"
 
 #include <algorithm>
-#include <map>
 
-#include "sse/crypto/hash_chain.h"
-#include "sse/crypto/hkdf.h"
-#include "sse/crypto/stream_cipher.h"
-#include "sse/index/posting.h"
+#include "sse/core/segment.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
@@ -16,11 +12,11 @@ constexpr const char* kTokenLabel = "s2.token";
 constexpr const char* kChainLabel = "s2.chain";
 }  // namespace
 
-Scheme2Client::Scheme2Client(crypto::Prf prf, crypto::Aead aead,
+Scheme2Client::Scheme2Client(crypto::Prf prf, DataCipher data,
                              const SchemeOptions& options,
                              net::Channel* channel, RandomSource* rng)
     : prf_(std::move(prf)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       options_(options),
       channel_(channel),
       rng_(rng) {}
@@ -36,13 +32,10 @@ Result<std::unique_ptr<Scheme2Client>> Scheme2Client::Create(
   }
   Result<crypto::Prf> prf = crypto::Prf::Create(key.keyword_key());
   if (!prf.ok()) return prf.status();
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<DataCipher> data = DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<Scheme2Client>(
-      new Scheme2Client(std::move(prf).value(), std::move(aead).value(),
+      new Scheme2Client(std::move(prf).value(), std::move(data).value(),
                         options, channel, rng));
 }
 
@@ -50,45 +43,25 @@ Result<Bytes> Scheme2Client::Token(std::string_view keyword) const {
   return prf_.EvalLabeled(kTokenLabel, StringToBytes(keyword));
 }
 
-Result<Bytes> Scheme2Client::ChainSeed(BytesView token, uint32_t epoch) const {
+Result<crypto::ChainCursor> Scheme2Client::NewCursor(BytesView token,
+                                                     uint32_t epoch) const {
   BufferWriter w;
   w.PutU32(epoch);
   w.PutRaw(token);
-  return prf_.EvalLabeled(kChainLabel, w.data());
+  Bytes seed;
+  SSE_ASSIGN_OR_RETURN(seed, prf_.EvalLabeled(kChainLabel, w.data()));
+  return crypto::ChainCursor::Create(seed, options_.chain_length);
 }
 
-Result<Bytes> Scheme2Client::ChainKeyAt(BytesView token, uint32_t epoch,
-                                        uint32_t ctr) const {
-  if (ctr == 0 || ctr > options_.chain_length) {
-    return Status::ResourceExhausted(
-        "chain counter " + std::to_string(ctr) + " outside [1, " +
-        std::to_string(options_.chain_length) + "]");
+Result<Bytes> Scheme2Client::ChainKey(BytesView token, uint32_t ctr) const {
+  const std::string hex = HexEncode(token);
+  auto it = cursors_.find(hex);
+  if (it == cursors_.end()) {
+    Result<crypto::ChainCursor> cursor = NewCursor(token, epoch_);
+    if (!cursor.ok()) return cursor.status();
+    it = cursors_.emplace(hex, std::move(cursor).value()).first;
   }
-  // Memo fast paths. Element index is l - ctr, so a *smaller* requested
-  // counter lies forward (more hash applications) of the memoized element.
-  const std::string memo_key = HexEncode(token);
-  auto it = chain_memo_.find(memo_key);
-  if (it != chain_memo_.end() && it->second.epoch == epoch) {
-    const ChainMemo& memo = it->second;
-    if (memo.ctr == ctr) return memo.element;
-    if (ctr < memo.ctr) {
-      Bytes element = memo.element;
-      for (uint32_t c = memo.ctr; c > ctr; --c) {
-        SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(element));
-      }
-      return element;
-    }
-    // ctr > memo.ctr: deeper toward the seed; fall through to recompute
-    // (and refresh the memo, since counters only grow over time).
-  }
-  Bytes seed;
-  SSE_ASSIGN_OR_RETURN(seed, ChainSeed(token, epoch));
-  crypto::HashChain chain =
-      crypto::HashChain::Create(seed, options_.chain_length).value();
-  Bytes element;
-  SSE_ASSIGN_OR_RETURN(element, chain.KeyForCounter(ctr));
-  chain_memo_[memo_key] = ChainMemo{epoch, ctr, element};
-  return element;
+  return it->second.KeyAt(ctr);
 }
 
 Result<Scheme2Client::Trapdoor> Scheme2Client::MakeTrapdoor(
@@ -98,8 +71,7 @@ Result<Scheme2Client::Trapdoor> Scheme2Client::MakeTrapdoor(
   // Before any counted update the chain is untouched; use the ctr=1
   // element, which is the deepest any future segment key can sit.
   const uint32_t effective_ctr = ctr_ == 0 ? 1 : ctr_;
-  SSE_ASSIGN_OR_RETURN(t.chain_element,
-                       ChainKeyAt(t.token, epoch_, effective_ctr));
+  SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKey(t.token, effective_ctr));
   return t;
 }
 
@@ -123,109 +95,38 @@ Result<uint32_t> Scheme2Client::NextUpdateCounter() {
 
 Status Scheme2Client::Store(const std::vector<Document>& docs) {
   if (docs.empty()) return Status::OK();
-  for (const Document& doc : docs) {
-    if (used_ids_.count(doc.id) > 0) {
-      return Status::AlreadyExists("document id " + std::to_string(doc.id) +
-                                   " was already stored");
-    }
-  }
-  std::map<std::string, std::vector<uint64_t>> by_keyword;
-  for (const Document& doc : docs) {
-    for (const std::string& kw : doc.keywords) {
-      by_keyword[kw].push_back(doc.id);
-    }
-  }
-  std::vector<PendingUpdate> updates;
-  updates.reserve(by_keyword.size());
-  for (auto& [kw, ids] : by_keyword) {
-    updates.push_back(PendingUpdate{kw, index::Canonicalize(std::move(ids))});
-  }
-  SSE_RETURN_IF_ERROR(RunUpdateProtocol(updates, docs));
-  for (const Document& doc : docs) used_ids_.insert(doc.id);
+  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
+  SSE_RETURN_IF_ERROR(RunUpdateProtocol(GroupByKeyword(docs), docs));
+  used_ids_.Add(docs);
   return Status::OK();
 }
 
 Status Scheme2Client::FakeUpdate(const std::vector<std::string>& keywords) {
-  // Deduplicate for wire economy (duplicates would be harmless here, but
-  // mirror Scheme 1's contract: one entry per keyword per protocol run).
-  const std::set<std::string> unique(keywords.begin(), keywords.end());
-  std::vector<PendingUpdate> updates;
-  updates.reserve(unique.size());
-  for (const std::string& kw : unique) {
-    updates.push_back(PendingUpdate{kw, {}});  // empty I_j(w)
-  }
-  return RunUpdateProtocol(updates, /*documents=*/{});
+  return RunUpdateProtocol(PerKeyword(keywords, /*ids=*/{}),
+                           /*documents=*/{});
 }
 
 Status Scheme2Client::RunUpdateProtocol(
-    const std::vector<PendingUpdate>& updates,
+    const std::vector<KeywordUpdate>& updates,
     const std::vector<Document>& documents) {
   uint32_t update_ctr = 0;
   SSE_ASSIGN_OR_RETURN(update_ctr, NextUpdateCounter());
-  const bool batched = options_.batch_ops && !updates.empty();
-
   std::vector<S2UpdateEntry> entries;
   entries.reserve(updates.size());
-  for (const PendingUpdate& u : updates) {
+  for (const KeywordUpdate& u : updates) {
     S2UpdateEntry entry;
     SSE_ASSIGN_OR_RETURN(entry.token, Token(u.keyword));
     Bytes key;
-    SSE_ASSIGN_OR_RETURN(key, ChainKeyAt(entry.token, epoch_, update_ctr));
-
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain, index::EncodeIdList(u.ids));
-    Result<crypto::StreamCipher> cipher = crypto::StreamCipher::Create(key);
-    if (!cipher.ok()) return cipher.status();
-    SSE_ASSIGN_OR_RETURN(entry.segment.ciphertext,
-                         cipher->Encrypt(plain, *rng_));
-    SSE_ASSIGN_OR_RETURN(entry.segment.tag, crypto::HashChain::Tag(key));
+    SSE_ASSIGN_OR_RETURN(key, ChainKey(entry.token, update_ctr));
+    SSE_ASSIGN_OR_RETURN(entry.segment, SealSegment(key, u.ids, *rng_));
     entries.push_back(std::move(entry));
   }
-
   std::vector<WireDocument> wire_docs;
-  wire_docs.reserve(documents.size());
-  for (const Document& doc : documents) {
-    WireDocument wire;
-    wire.id = doc.id;
-    SSE_ASSIGN_OR_RETURN(wire.ciphertext,
-                         aead_.Seal(doc.content, EncodeDocId(doc.id), *rng_));
-    wire_docs.push_back(std::move(wire));
-  }
-
-  if (batched) {
-    // One op per keyword, pipelined through MultiCall; documents ride with
-    // the first op (the server extracts them before routing).
-    std::vector<net::Message> round;
-    round.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      S2UpdateRequest one;
-      one.entries.push_back(std::move(entries[i]));
-      if (i == 0) one.documents = std::move(wire_docs);
-      round.push_back(one.ToMessage());
-    }
-    std::vector<Result<net::Message>> replies = channel_->MultiCall(round);
-    for (Result<net::Message>& ack_msg : replies) {
-      if (!ack_msg.ok()) return ack_msg.status();
-      S2UpdateAck ack;
-      SSE_ASSIGN_OR_RETURN(ack, S2UpdateAck::FromMessage(*ack_msg));
-      if (ack.keywords_updated != 1) {
-        return Status::ProtocolError("server acknowledged wrong keyword count");
-      }
-    }
-    return Status::OK();
-  }
-
-  S2UpdateRequest req;
-  req.entries = std::move(entries);
-  req.documents = std::move(wire_docs);
-  net::Message ack_msg;
-  SSE_ASSIGN_OR_RETURN(ack_msg, channel_->Call(req.ToMessage()));
-  S2UpdateAck ack;
-  SSE_ASSIGN_OR_RETURN(ack, S2UpdateAck::FromMessage(ack_msg));
-  if (ack.keywords_updated != req.entries.size()) {
-    return Status::ProtocolError("server acknowledged wrong keyword count");
-  }
-  return Status::OK();
+  SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(documents, *rng_));
+  return SendUpdateRound<S2UpdateRequest>(*channel_, options_.batch_ops,
+                                          std::move(entries),
+                                          std::move(wire_docs),
+                                          &S2UpdateAck::keywords_updated);
 }
 
 Result<SearchOutcome> Scheme2Client::Search(std::string_view keyword) {
@@ -252,13 +153,7 @@ Result<SearchOutcome> Scheme2Client::ParseSearchResult(
   if (!result.found) return outcome;
   outcome.ids = result.ids;
   std::sort(outcome.ids.begin(), outcome.ids.end());
-  outcome.documents.reserve(result.documents.size());
-  for (const WireDocument& wire : result.documents) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain,
-                         aead_.Open(wire.ciphertext, EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(result.documents, outcome));
   return outcome;
 }
 
@@ -294,8 +189,7 @@ Bytes Scheme2Client::SerializeState() const {
   w.PutU32(ctr_);
   w.PutU32(epoch_);
   w.PutBool(searched_since_update_);
-  w.PutVarint(used_ids_.size());
-  for (uint64_t id : used_ids_) w.PutVarint(id);
+  used_ids_.Serialize(w);
   return w.TakeData();
 }
 
@@ -307,17 +201,8 @@ Status Scheme2Client::RestoreState(BytesView data) {
   SSE_ASSIGN_OR_RETURN(epoch, r.GetU32());
   bool searched = false;
   SSE_ASSIGN_OR_RETURN(searched, r.GetBool());
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > data.size()) {
-    return Status::Corruption("used-id count exceeds payload");
-  }
-  std::set<uint64_t> used_ids;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    used_ids.insert(id);
-  }
+  Result<UsedIds> used_ids = UsedIds::Read(r);
+  if (!used_ids.ok()) return used_ids.status();
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   if (ctr > options_.chain_length) {
     return Status::Corruption("restored counter exceeds chain length");
@@ -325,8 +210,8 @@ Status Scheme2Client::RestoreState(BytesView data) {
   ctr_ = ctr;
   epoch_ = epoch;
   searched_since_update_ = searched;
-  used_ids_ = std::move(used_ids);
-  chain_memo_.clear();  // memoized positions may postdate the restored state
+  used_ids_ = std::move(used_ids).value();
+  cursors_.clear();  // memoized positions may postdate the restored state
   return Status::OK();
 }
 
@@ -338,9 +223,9 @@ Status Scheme2Client::Reinitialize() {
   S2FetchAllReply dump;
   SSE_ASSIGN_OR_RETURN(dump, S2FetchAllReply::FromMessage(reply_msg));
 
-  // Decrypt and merge every keyword's postings locally, exactly as the
-  // server would after a search, but using the old epoch's chain.
-  const uint32_t old_epoch = epoch_;
+  // Open and merge every keyword's segments locally, exactly as the server
+  // would on a search, using the current epoch's chains; then seal the
+  // merged list as the single first segment (counter 1) of the next epoch.
   const uint32_t old_ctr = ctr_ == 0 ? 1 : ctr_;
   const uint32_t new_epoch = epoch_ + 1;
 
@@ -348,47 +233,19 @@ Status Scheme2Client::Reinitialize() {
   reinit.entries.reserve(dump.keywords.size());
   for (const S2KeywordDump& kw : dump.keywords) {
     Bytes start;
-    SSE_ASSIGN_OR_RETURN(start, ChainKeyAt(kw.token, old_epoch, old_ctr));
-    Bytes position = start;
+    SSE_ASSIGN_OR_RETURN(start, ChainKey(kw.token, old_ctr));
     index::DocIdList ids;
-    for (size_t j = kw.segments.size(); j-- > 0;) {
-      const S2Segment& seg = kw.segments[j];
-      Result<crypto::HashChain::WalkResult> walk_result =
-          crypto::HashChain::WalkForwardToTag(position, seg.tag,
-                                              options_.chain_length);
-      if (!walk_result.ok() &&
-          walk_result.status().code() == StatusCode::kNotFound &&
-          position != start) {
-        // Mirror the server's tolerance for out-of-order segment keys.
-        walk_result = crypto::HashChain::WalkForwardToTag(
-            start, seg.tag, options_.chain_length);
-      }
-      if (!walk_result.ok()) return walk_result.status();
-      crypto::HashChain::WalkResult walk = std::move(walk_result).value();
-      position = walk.element;
-      Result<crypto::StreamCipher> cipher =
-          crypto::StreamCipher::Create(walk.element);
-      if (!cipher.ok()) return cipher.status();
-      Bytes plain;
-      SSE_ASSIGN_OR_RETURN(plain, cipher->Decrypt(seg.ciphertext));
-      index::DocIdList segment_ids;
-      SSE_ASSIGN_OR_RETURN(segment_ids, index::DecodeIdList(plain));
-      ids = index::MergeIdLists(ids, segment_ids);
-    }
+    SegmentWalk walk;
+    SSE_RETURN_IF_ERROR(WalkAndOpenSegments(
+        start, kw.segments, /*start=*/0, options_.chain_length, ids, walk));
 
-    // Re-encrypt the merged list as the single first segment of the new
-    // epoch (counter 1).
+    Result<crypto::ChainCursor> fresh = NewCursor(kw.token, new_epoch);
+    if (!fresh.ok()) return fresh.status();
+    Bytes key;
+    SSE_ASSIGN_OR_RETURN(key, fresh->KeyAt(1));
     S2UpdateEntry entry;
     entry.token = kw.token;
-    Bytes key;
-    SSE_ASSIGN_OR_RETURN(key, ChainKeyAt(kw.token, new_epoch, 1));
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain, index::EncodeIdList(ids));
-    Result<crypto::StreamCipher> cipher = crypto::StreamCipher::Create(key);
-    if (!cipher.ok()) return cipher.status();
-    SSE_ASSIGN_OR_RETURN(entry.segment.ciphertext,
-                         cipher->Encrypt(plain, *rng_));
-    SSE_ASSIGN_OR_RETURN(entry.segment.tag, crypto::HashChain::Tag(key));
+    SSE_ASSIGN_OR_RETURN(entry.segment, SealSegment(key, ids, *rng_));
     reinit.entries.push_back(std::move(entry));
   }
 
@@ -404,7 +261,7 @@ Status Scheme2Client::Reinitialize() {
   epoch_ = new_epoch;
   ctr_ = reinit.entries.empty() ? 0 : 1;
   searched_since_update_ = true;  // next update must take a fresh element
-  chain_memo_.clear();            // old-epoch positions are dead weight
+  cursors_.clear();               // old-epoch chains are dead weight
   return Status::OK();
 }
 

@@ -3,15 +3,15 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sse/core/client_updates.h"
 #include "sse/core/options.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/types.h"
-#include "sse/crypto/aead.h"
+#include "sse/crypto/hash_chain.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
@@ -85,21 +85,16 @@ class Scheme2Client : public SseClientInterface {
   Status RestoreState(BytesView data) override;
 
  private:
-  Scheme2Client(crypto::Prf prf, crypto::Aead aead,
+  Scheme2Client(crypto::Prf prf, DataCipher data,
                 const SchemeOptions& options, net::Channel* channel,
                 RandomSource* rng);
 
-  struct PendingUpdate {
-    std::string keyword;
-    std::vector<uint64_t> ids;
-  };
-
   Result<Bytes> Token(std::string_view keyword) const;
-  /// Chain seed for `token` in `epoch`.
-  Result<Bytes> ChainSeed(BytesView token, uint32_t epoch) const;
-  /// Chain element at counter `ctr` for `token` (the key k_{ctr}).
-  Result<Bytes> ChainKeyAt(BytesView token, uint32_t epoch,
-                           uint32_t ctr) const;
+  /// A cursor over `token`'s chain in `epoch`, seeded
+  /// PRF_{k_w}("s2.chain" ‖ epoch ‖ token).
+  Result<crypto::ChainCursor> NewCursor(BytesView token, uint32_t epoch) const;
+  /// The key k_{ctr} of `token`'s chain in the current epoch.
+  Result<Bytes> ChainKey(BytesView token, uint32_t ctr) const;
 
   /// Advances the counter per the Optimization 2 policy and returns the
   /// value updates in this batch must use. Fails with RESOURCE_EXHAUSTED
@@ -109,7 +104,7 @@ class Scheme2Client : public SseClientInterface {
   /// With SchemeOptions::batch_ops the round is K per-keyword ops through
   /// MultiCall; otherwise one monolithic message. The counter policy is
   /// identical either way: the whole run shares one update counter.
-  Status RunUpdateProtocol(const std::vector<PendingUpdate>& updates,
+  Status RunUpdateProtocol(const std::vector<KeywordUpdate>& updates,
                            const std::vector<Document>& documents);
 
   /// Decodes an S2SearchResult into ids + decrypted documents, updating
@@ -117,27 +112,19 @@ class Scheme2Client : public SseClientInterface {
   Result<SearchOutcome> ParseSearchResult(const net::Message& msg);
 
   crypto::Prf prf_;
-  crypto::Aead aead_;
+  DataCipher data_;
   SchemeOptions options_;
   net::Channel* channel_;
   RandomSource* rng_;
 
-  /// Per-keyword memo of the last computed chain element. Walking the
-  /// chain costs l-ctr hash steps from the seed; since the counter only
-  /// grows by small amounts between operations on the same keyword, the
-  /// memo turns the common cases (same counter, or an *older* element,
-  /// reachable by walking forward) into O(delta) instead of O(l).
-  struct ChainMemo {
-    uint32_t epoch = 0;
-    uint32_t ctr = 0;  // the counter whose element is memoized
-    Bytes element;
-  };
-  mutable std::map<std::string, ChainMemo> chain_memo_;  // key: hex token
+  /// The current epoch's chain cursors, one per keyword used so far (key:
+  /// hex token).
+  mutable std::map<std::string, crypto::ChainCursor> cursors_;
 
   uint32_t ctr_ = 0;
   uint32_t epoch_ = 0;
   bool searched_since_update_ = true;  // first update always increments
-  std::set<uint64_t> used_ids_;
+  UsedIds used_ids_;
   uint64_t last_chain_steps_ = 0;
   uint64_t last_segments_ = 0;
 };

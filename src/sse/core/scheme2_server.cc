@@ -1,9 +1,6 @@
 #include "sse/core/scheme2_server.h"
 
-#include <algorithm>
-
-#include "sse/crypto/hash_chain.h"
-#include "sse/crypto/stream_cipher.h"
+#include "sse/core/segment.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
@@ -20,8 +17,7 @@ obs::MetricsRegistry::Counter* CacheEvictionsCounter() {
 }  // namespace
 
 Scheme2Server::Scheme2Server(const SchemeOptions& options)
-    : options_(options),
-      index_(options.use_hash_index, options.btree_order) {
+    : options_(options) {
   registrations_.push_back(obs::MetricsRegistry::Global().RegisterGauge(
       "sse_s2_plaintext_cache_entries",
       [this] {
@@ -122,42 +118,15 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg) {
                              ? entry->cached_ids
                              : index::DocIdList{};
 
-  // Walk the chain forward from the trapdoor's element, newest segment
-  // first: newer segments use deeper (smaller-index) chain elements, so
-  // their keys appear earlier on the forward walk.
-  Bytes position = req.chain_element;
-  for (size_t j = entry->segments.size(); j-- > start;) {
-    const S2Segment& seg = entry->segments[j];
-    Result<crypto::HashChain::WalkResult> walk_result =
-        crypto::HashChain::WalkForwardToTag(position, seg.tag,
-                                            options_.chain_length);
-    if (!walk_result.ok() &&
-        walk_result.status().code() == StatusCode::kNotFound &&
-        position != req.chain_element) {
-      // Segments are normally stored newest-last with monotonically deeper
-      // keys, but a rolled-back client can append a segment under an older
-      // key than its predecessor. Restart the walk from the trapdoor
-      // element so any key at or below the trapdoor depth stays reachable.
-      walk_result = crypto::HashChain::WalkForwardToTag(
-          req.chain_element, seg.tag, options_.chain_length);
-    }
-    if (!walk_result.ok()) return walk_result.status();
-    crypto::HashChain::WalkResult walk = std::move(walk_result).value();
-    total_chain_steps_ += walk.steps;
-    result.chain_steps += walk.steps;
-    position = walk.element;
-
-    Result<crypto::StreamCipher> cipher =
-        crypto::StreamCipher::Create(walk.element);
-    if (!cipher.ok()) return cipher.status();
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain, cipher->Decrypt(seg.ciphertext));
-    index::DocIdList segment_ids;
-    SSE_ASSIGN_OR_RETURN(segment_ids, index::DecodeIdList(plain));
-    ids = index::MergeIdLists(ids, segment_ids);
-    ++total_segments_decrypted_;
-    ++result.segments_decrypted;
-  }
+  SegmentWalk walk;
+  const Status walked =
+      WalkAndOpenSegments(req.chain_element, entry->segments, start,
+                          options_.chain_length, ids, walk);
+  total_chain_steps_ += walk.chain_steps;
+  total_segments_decrypted_ += walk.segments_opened;
+  SSE_RETURN_IF_ERROR(walked);
+  result.chain_steps = walk.chain_steps;
+  result.segments_decrypted = walk.segments_opened;
 
   if (options_.server_plaintext_cache) {
     entry->cached_ids = ids;
@@ -229,7 +198,7 @@ Result<Bytes> Scheme2Server::SerializeState() const {
 }
 
 Status Scheme2Server::RestoreState(BytesView data) {
-  TokenMap<Entry> index(options_.use_hash_index, options_.btree_order);
+  TokenMap<Entry> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 

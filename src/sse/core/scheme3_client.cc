@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "sse/crypto/hash_chain.h"
-#include "sse/crypto/hkdf.h"
-#include "sse/crypto/stream_cipher.h"
-#include "sse/index/posting.h"
+#include "sse/core/segment.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
@@ -15,11 +12,11 @@ constexpr const char* kTokenLabel = "s3.token";
 constexpr const char* kChainLabel = "s3.chain";
 }  // namespace
 
-Scheme3Client::Scheme3Client(crypto::Prf prf, crypto::Aead aead,
+Scheme3Client::Scheme3Client(crypto::Prf prf, DataCipher data,
                              const SchemeOptions& options,
                              net::Channel* channel, RandomSource* rng)
     : prf_(std::move(prf)),
-      aead_(std::move(aead)),
+      data_(std::move(data)),
       options_(options),
       channel_(channel),
       rng_(rng) {}
@@ -35,13 +32,10 @@ Result<std::unique_ptr<Scheme3Client>> Scheme3Client::Create(
   }
   Result<crypto::Prf> prf = crypto::Prf::Create(key.keyword_key());
   if (!prf.ok()) return prf.status();
-  Bytes aead_key;
-  SSE_ASSIGN_OR_RETURN(aead_key, crypto::HkdfSha256(key.data_key(), /*salt=*/{},
-                                                    "sse.data.aead", 32));
-  Result<crypto::Aead> aead = crypto::Aead::Create(aead_key);
-  if (!aead.ok()) return aead.status();
+  Result<DataCipher> data = DataCipher::Create(key);
+  if (!data.ok()) return data.status();
   return std::unique_ptr<Scheme3Client>(
-      new Scheme3Client(std::move(prf).value(), std::move(aead).value(),
+      new Scheme3Client(std::move(prf).value(), std::move(data).value(),
                         options, channel, rng));
 }
 
@@ -57,37 +51,17 @@ Scheme3Client::KeywordState& Scheme3Client::StateFor(
   return state;
 }
 
-Result<Bytes> Scheme3Client::ChainKeyAt(KeywordState& state,
-                                        uint32_t ctr) const {
-  if (ctr == 0 || ctr > options_.chain_length) {
-    return Status::ResourceExhausted(
-        "chain counter " + std::to_string(ctr) + " outside [1, " +
-        std::to_string(options_.chain_length) + "]");
+Result<Bytes> Scheme3Client::ChainKey(KeywordState& state,
+                                      uint32_t ctr) const {
+  if (!state.cursor.has_value()) {
+    Bytes seed;
+    SSE_ASSIGN_OR_RETURN(seed, prf_.EvalLabeled(kChainLabel, state.token));
+    Result<crypto::ChainCursor> cursor =
+        crypto::ChainCursor::Create(seed, options_.chain_length);
+    if (!cursor.ok()) return cursor.status();
+    state.cursor = std::move(cursor).value();
   }
-  // Element index is l - ctr: a *smaller* counter lies forward (more hash
-  // applications) of the memoized element, a larger one lies toward the
-  // seed and must be recomputed.
-  if (state.memo_ctr != 0) {
-    if (state.memo_ctr == ctr) return state.memo_element;
-    if (ctr < state.memo_ctr) {
-      Bytes element = state.memo_element;
-      for (uint32_t c = state.memo_ctr; c > ctr; --c) {
-        SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(element));
-      }
-      return element;
-    }
-  }
-  BufferWriter w;
-  w.PutRaw(state.token);
-  Bytes seed;
-  SSE_ASSIGN_OR_RETURN(seed, prf_.EvalLabeled(kChainLabel, w.data()));
-  crypto::HashChain chain =
-      crypto::HashChain::Create(seed, options_.chain_length).value();
-  Bytes element;
-  SSE_ASSIGN_OR_RETURN(element, chain.KeyForCounter(ctr));
-  state.memo_ctr = ctr;
-  state.memo_element = element;
-  return element;
+  return state.cursor->KeyAt(ctr);
 }
 
 Result<Scheme3Client::Trapdoor> Scheme3Client::MakeTrapdoor(
@@ -101,7 +75,7 @@ Result<Scheme3Client::Trapdoor> Scheme3Client::MakeTrapdoor(
   }
   Trapdoor t;
   t.counter = state.ctr;
-  SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKeyAt(state, state.ctr));
+  SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKey(state, state.ctr));
   return t;
 }
 
@@ -113,46 +87,23 @@ Result<uint32_t> Scheme3Client::counter(std::string_view keyword) const {
 
 Status Scheme3Client::Store(const std::vector<Document>& docs) {
   if (docs.empty()) return Status::OK();
-  for (const Document& doc : docs) {
-    if (used_ids_.count(doc.id) > 0) {
-      return Status::AlreadyExists("document id " + std::to_string(doc.id) +
-                                   " was already stored");
-    }
-  }
-  std::map<std::string, std::vector<uint64_t>> by_keyword;
-  for (const Document& doc : docs) {
-    for (const std::string& kw : doc.keywords) {
-      by_keyword[kw].push_back(doc.id);
-    }
-  }
-  std::vector<PendingUpdate> updates;
-  updates.reserve(by_keyword.size());
-  for (auto& [kw, ids] : by_keyword) {
-    updates.push_back(PendingUpdate{kw, index::Canonicalize(std::move(ids))});
-  }
-  SSE_RETURN_IF_ERROR(RunUpdateProtocol(updates, docs));
-  for (const Document& doc : docs) used_ids_.insert(doc.id);
+  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
+  SSE_RETURN_IF_ERROR(RunUpdateProtocol(GroupByKeyword(docs), docs));
+  used_ids_.Add(docs);
   return Status::OK();
 }
 
 Status Scheme3Client::FakeUpdate(const std::vector<std::string>& keywords) {
-  const std::set<std::string> unique(keywords.begin(), keywords.end());
-  std::vector<PendingUpdate> updates;
-  updates.reserve(unique.size());
-  for (const std::string& kw : unique) {
-    updates.push_back(PendingUpdate{kw, {}});  // empty delta
-  }
-  return RunUpdateProtocol(updates, /*documents=*/{});
+  return RunUpdateProtocol(PerKeyword(keywords, /*ids=*/{}),
+                           /*documents=*/{});
 }
 
 Status Scheme3Client::RunUpdateProtocol(
-    const std::vector<PendingUpdate>& updates,
+    const std::vector<KeywordUpdate>& updates,
     const std::vector<Document>& documents) {
-  const bool batched = options_.batch_ops && !updates.empty();
-
   std::vector<S3UpdateEntry> entries;
   entries.reserve(updates.size());
-  for (const PendingUpdate& u : updates) {
+  for (const KeywordUpdate& u : updates) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, Token(u.keyword));
     KeywordState& state = StateFor(token);
@@ -166,62 +117,18 @@ Status Scheme3Client::RunUpdateProtocol(
     // shadow the stored entry.
     ++state.ctr;
     Bytes key;
-    SSE_ASSIGN_OR_RETURN(key, ChainKeyAt(state, state.ctr));
-
-    S3UpdateEntry entry;
-    SSE_ASSIGN_OR_RETURN(entry.address, crypto::HashChain::Tag(key));
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain, index::EncodeIdList(u.ids));
-    Result<crypto::StreamCipher> cipher = crypto::StreamCipher::Create(key);
-    if (!cipher.ok()) return cipher.status();
-    SSE_ASSIGN_OR_RETURN(entry.ciphertext, cipher->Encrypt(plain, *rng_));
-    entries.push_back(std::move(entry));
+    SSE_ASSIGN_OR_RETURN(key, ChainKey(state, state.ctr));
+    S2Segment sealed;
+    SSE_ASSIGN_OR_RETURN(sealed, SealSegment(key, u.ids, *rng_));
+    entries.push_back(
+        S3UpdateEntry{std::move(sealed.tag), std::move(sealed.ciphertext)});
   }
-
   std::vector<WireDocument> wire_docs;
-  wire_docs.reserve(documents.size());
-  for (const Document& doc : documents) {
-    WireDocument wire;
-    wire.id = doc.id;
-    SSE_ASSIGN_OR_RETURN(wire.ciphertext,
-                         aead_.Seal(doc.content, EncodeDocId(doc.id), *rng_));
-    wire_docs.push_back(std::move(wire));
-  }
-
-  if (batched) {
-    // One op per keyword, pipelined through MultiCall; documents ride with
-    // the first op (the server extracts them before routing).
-    std::vector<net::Message> round;
-    round.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      S3UpdateRequest one;
-      one.entries.push_back(std::move(entries[i]));
-      if (i == 0) one.documents = std::move(wire_docs);
-      round.push_back(one.ToMessage());
-    }
-    std::vector<Result<net::Message>> replies = channel_->MultiCall(round);
-    for (Result<net::Message>& ack_msg : replies) {
-      if (!ack_msg.ok()) return ack_msg.status();
-      S3UpdateAck ack;
-      SSE_ASSIGN_OR_RETURN(ack, S3UpdateAck::FromMessage(*ack_msg));
-      if (ack.entries_added != 1) {
-        return Status::ProtocolError("server acknowledged wrong entry count");
-      }
-    }
-    return Status::OK();
-  }
-
-  S3UpdateRequest req;
-  req.entries = std::move(entries);
-  req.documents = std::move(wire_docs);
-  net::Message ack_msg;
-  SSE_ASSIGN_OR_RETURN(ack_msg, channel_->Call(req.ToMessage()));
-  S3UpdateAck ack;
-  SSE_ASSIGN_OR_RETURN(ack, S3UpdateAck::FromMessage(ack_msg));
-  if (ack.entries_added != req.entries.size()) {
-    return Status::ProtocolError("server acknowledged wrong entry count");
-  }
-  return Status::OK();
+  SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(documents, *rng_));
+  return SendUpdateRound<S3UpdateRequest>(*channel_, options_.batch_ops,
+                                          std::move(entries),
+                                          std::move(wire_docs),
+                                          &S3UpdateAck::entries_added);
 }
 
 Result<SearchOutcome> Scheme3Client::Search(std::string_view keyword) {
@@ -237,7 +144,7 @@ Result<SearchOutcome> Scheme3Client::Search(std::string_view keyword) {
   }
   S3SearchRequest req;
   req.counter = state.ctr;
-  SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKeyAt(state, state.ctr));
+  SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(state, state.ctr));
 
   net::Message reply_msg;
   SSE_ASSIGN_OR_RETURN(reply_msg, channel_->Call(req.ToMessage()));
@@ -255,13 +162,7 @@ Result<SearchOutcome> Scheme3Client::ParseSearchResult(
   if (!result.found) return outcome;
   outcome.ids = result.ids;
   std::sort(outcome.ids.begin(), outcome.ids.end());
-  outcome.documents.reserve(result.documents.size());
-  for (const WireDocument& wire : result.documents) {
-    Bytes plain;
-    SSE_ASSIGN_OR_RETURN(plain,
-                         aead_.Open(wire.ciphertext, EncodeDocId(wire.id)));
-    outcome.documents.emplace_back(wire.id, std::move(plain));
-  }
+  SSE_RETURN_IF_ERROR(data_.OpenAll(result.documents, outcome));
   return outcome;
 }
 
@@ -283,7 +184,7 @@ Result<std::vector<SearchOutcome>> Scheme3Client::MultiSearch(
     if (state.ctr == 0) continue;
     S3SearchRequest req;
     req.counter = state.ctr;
-    SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKeyAt(state, state.ctr));
+    SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(state, state.ctr));
     round.push_back(req.ToMessage());
     positions.push_back(i);
   }
@@ -304,8 +205,7 @@ Bytes Scheme3Client::SerializeState() const {
     w.PutBytes(state.token);
     w.PutU32(state.ctr);
   }
-  w.PutVarint(used_ids_.size());
-  for (uint64_t id : used_ids_) w.PutVarint(id);
+  used_ids_.Serialize(w);
   return w.TakeData();
 }
 
@@ -326,20 +226,11 @@ Status Scheme3Client::RestoreState(BytesView data) {
     }
     states[HexEncode(state.token)] = std::move(state);
   }
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > data.size()) {
-    return Status::Corruption("used-id count exceeds payload");
-  }
-  std::set<uint64_t> used_ids;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    used_ids.insert(id);
-  }
+  Result<UsedIds> used_ids = UsedIds::Read(r);
+  if (!used_ids.ok()) return used_ids.status();
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  states_ = std::move(states);  // memos reset with the map
-  used_ids_ = std::move(used_ids);
+  states_ = std::move(states);  // cursors reset with the map
+  used_ids_ = std::move(used_ids).value();
   return Status::OK();
 }
 

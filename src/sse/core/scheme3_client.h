@@ -4,15 +4,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sse/core/client_updates.h"
 #include "sse/core/options.h"
 #include "sse/core/scheme3_messages.h"
 #include "sse/core/types.h"
-#include "sse/crypto/aead.h"
+#include "sse/crypto/hash_chain.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
@@ -79,32 +80,24 @@ class Scheme3Client : public SseClientInterface {
   Status RestoreState(BytesView data) override;
 
  private:
-  Scheme3Client(crypto::Prf prf, crypto::Aead aead,
+  Scheme3Client(crypto::Prf prf, DataCipher data,
                 const SchemeOptions& options, net::Channel* channel,
                 RandomSource* rng);
 
-  struct PendingUpdate {
-    std::string keyword;
-    std::vector<uint64_t> ids;
-  };
-
-  /// Per-keyword protocol state, keyed in `states_` by the hex token.
-  /// The memo caches the chain element of `memo_ctr` (0 = none): counters
-  /// only grow, so recomputation from the seed — O(l - c) hash steps — is
-  /// needed at most once per counter value; trapdoors for the current
-  /// counter then hit the memo.
+  /// Per-keyword protocol state, keyed in `states_` by the hex token. The
+  /// chain cursor is created on the keyword's first key derivation.
   struct KeywordState {
     Bytes token;
     uint32_t ctr = 0;
-    uint32_t memo_ctr = 0;
-    Bytes memo_element;
+    std::optional<crypto::ChainCursor> cursor;
   };
 
   Result<Bytes> Token(std::string_view keyword) const;
   /// Looks up (creating if absent) the state slot for `token`.
   KeywordState& StateFor(const Bytes& token) const;
-  /// Chain element k_{ctr} for the keyword, via the memo when possible.
-  Result<Bytes> ChainKeyAt(KeywordState& state, uint32_t ctr) const;
+  /// The key k_{ctr} of the keyword's chain, seeded
+  /// PRF_{k_w}("s3.chain" ‖ token).
+  Result<Bytes> ChainKey(KeywordState& state, uint32_t ctr) const;
 
   /// One protocol round: each pending keyword consumes its next counter
   /// (burned even if the round later fails — an ambiguous failure may
@@ -112,19 +105,19 @@ class Scheme3Client : public SseClientInterface {
   /// content would shadow it). With SchemeOptions::batch_ops the round is
   /// K per-keyword ops through MultiCall; otherwise one monolithic
   /// message.
-  Status RunUpdateProtocol(const std::vector<PendingUpdate>& updates,
+  Status RunUpdateProtocol(const std::vector<KeywordUpdate>& updates,
                            const std::vector<Document>& documents);
 
   Result<SearchOutcome> ParseSearchResult(const net::Message& msg);
 
   crypto::Prf prf_;
-  crypto::Aead aead_;
+  DataCipher data_;
   SchemeOptions options_;
   net::Channel* channel_;
   RandomSource* rng_;
 
   mutable std::map<std::string, KeywordState> states_;  // key: hex token
-  std::set<uint64_t> used_ids_;
+  UsedIds used_ids_;
   uint64_t last_chain_steps_ = 0;
   uint64_t last_entries_ = 0;
 };

@@ -1,15 +1,13 @@
 #include "sse/core/scheme3_server.h"
 
+#include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
-#include "sse/crypto/stream_cipher.h"
-#include "sse/index/posting.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
 
 Scheme3Server::Scheme3Server(const SchemeOptions& options)
-    : options_(options),
-      index_(options.use_hash_index, options.btree_order) {}
+    : options_(options) {}
 
 Result<net::Message> Scheme3Server::Handle(const net::Message& request) {
   switch (request.type) {
@@ -69,14 +67,7 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
     SSE_ASSIGN_OR_RETURN(address, crypto::HashChain::Tag(position));
     const Bytes* segment = index_.Get(address);
     if (segment != nullptr) {
-      Result<crypto::StreamCipher> cipher =
-          crypto::StreamCipher::Create(position);
-      if (!cipher.ok()) return cipher.status();
-      Bytes plain;
-      SSE_ASSIGN_OR_RETURN(plain, cipher->Decrypt(*segment));
-      index::DocIdList delta;
-      SSE_ASSIGN_OR_RETURN(delta, index::DecodeIdList(plain));
-      ids = index::MergeIdLists(ids, delta);
+      SSE_RETURN_IF_ERROR(OpenSegmentInto(position, *segment, ids));
       ++result.entries_decrypted;
     }
     if (i > 1) {
@@ -116,7 +107,7 @@ Result<Bytes> Scheme3Server::SerializeState() const {
 }
 
 Status Scheme3Server::RestoreState(BytesView data) {
-  TokenMap<Bytes> index(options_.use_hash_index, options_.btree_order);
+  TokenMap<Bytes> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 

@@ -134,10 +134,9 @@ std::vector<SchemeDescriptor> BuildTable() {
     d.kind = SystemKind::kCgkoSse1;
     d.name = "cgko-sse1";
     d.summary = "Curtmola et al. SSE-1 inverted-index baseline";
-    d.make_server = [](const SystemConfig& config) {
+    d.make_server = [](const SystemConfig&) {
       return Result<std::unique_ptr<PersistableHandler>>(
-          std::make_unique<baselines::CgkoServer>(config.scheme.use_hash_index,
-                                                  config.scheme.btree_order));
+          std::make_unique<baselines::CgkoServer>());
     };
     d.make_client = [](const crypto::MasterKey& key, const SystemConfig&,
                        net::Channel* channel, RandomSource* rng)

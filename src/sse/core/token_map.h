@@ -12,13 +12,12 @@
 namespace sse::core {
 
 /// Server-side container mapping search tokens `f_{k_w}(w)` to searchable
-/// representations. Default backend is the B+-tree (the paper's `O(log u)`
-/// story); a hash backend exists for the index ablation bench.
+/// representations. Every server uses the B+-tree of order 64 (the paper's
+/// `O(log u)` story); a hash backend exists for the index ablation bench.
 template <typename V>
 class TokenMap {
  public:
-  explicit TokenMap(bool use_hash = false, size_t btree_order = 64)
-      : use_hash_(use_hash), tree_(btree_order) {}
+  explicit TokenMap(bool use_hash = false) : use_hash_(use_hash) {}
 
   TokenMap(const TokenMap&) = delete;
   TokenMap& operator=(const TokenMap&) = delete;

@@ -6,7 +6,11 @@
 #include <string_view>
 #include <vector>
 
+#include "sse/core/wire_common.h"
+#include "sse/crypto/aead.h"
+#include "sse/crypto/keys.h"
 #include "sse/util/bytes.h"
+#include "sse/util/random.h"
 #include "sse/util/result.h"
 
 namespace sse::core {
@@ -87,6 +91,28 @@ class SseClientInterface {
 /// 8-byte little-endian encoding of a document id, used as AEAD associated
 /// data so ciphertexts cannot be transplanted between identifiers.
 Bytes EncodeDocId(uint64_t id);
+
+/// The data-item cipher every client shares: the paper's `E_{k_m}(M_i)` is
+/// AEAD under a key derived from the master key's data key, with
+/// `EncodeDocId(i)` as associated data.
+class DataCipher {
+ public:
+  static Result<DataCipher> Create(const crypto::MasterKey& key);
+
+  /// Encrypts one document's content.
+  Result<Bytes> Seal(const Document& doc, RandomSource& rng) const;
+  /// Encrypts every document, in order.
+  Result<std::vector<WireDocument>> SealAll(const std::vector<Document>& docs,
+                                            RandomSource& rng) const;
+  /// Decrypts every wire document into `outcome.documents`; fails with
+  /// CRYPTO_ERROR on the first one that does not authenticate.
+  Status OpenAll(const std::vector<WireDocument>& docs,
+                 SearchOutcome& outcome) const;
+
+ private:
+  explicit DataCipher(crypto::Aead aead) : aead_(std::move(aead)) {}
+  crypto::Aead aead_;
+};
 
 }  // namespace sse::core
 

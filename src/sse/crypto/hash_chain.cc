@@ -71,4 +71,33 @@ Result<HashChain::WalkResult> HashChain::WalkForwardToTag(BytesView start,
                           std::to_string(max_steps) + " steps");
 }
 
+Result<ChainCursor> ChainCursor::Create(BytesView seed, uint32_t length) {
+  Result<HashChain> chain = HashChain::Create(seed, length);
+  if (!chain.ok()) return chain.status();
+  return ChainCursor(std::move(chain).value());
+}
+
+Result<Bytes> ChainCursor::KeyAt(uint32_t ctr) {
+  if (ctr == 0 || ctr > chain_.length()) {
+    return Status::ResourceExhausted(
+        "chain counter " + std::to_string(ctr) + " outside [1, " +
+        std::to_string(chain_.length()) + "]");
+  }
+  if (memo_ctr_ != 0) {
+    if (ctr == memo_ctr_) return memo_key_;
+    if (ctr < memo_ctr_) {
+      Bytes key = memo_key_;
+      for (uint32_t c = memo_ctr_; c > ctr; --c) {
+        SSE_ASSIGN_OR_RETURN(key, HashChain::Step(key));
+      }
+      return key;
+    }
+  }
+  Bytes key;
+  SSE_ASSIGN_OR_RETURN(key, chain_.KeyForCounter(ctr));
+  memo_ctr_ = ctr;
+  memo_key_ = key;
+  return key;
+}
+
 }  // namespace sse::crypto

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
@@ -22,6 +23,9 @@ namespace sse::crypto {
 /// Instantiations: f = SHA-256("sse.chain.step" ‖ ·) and the public tag
 /// function f' = SHA-256("sse.chain.tag" ‖ ·) used to recognize a chain
 /// element without revealing it.
+///
+/// KeyForCounter is the unmemoized reference derivation; clients derive
+/// keys through a ChainCursor instead.
 class HashChain {
  public:
   /// Creates a chain over `seed` with `length` usable elements
@@ -61,6 +65,30 @@ class HashChain {
       : seed_(std::move(seed)), length_(length) {}
   Bytes seed_;
   uint32_t length_;
+};
+
+/// The seed holder's view of one chain: derives the key at a counter
+/// (HashChain::KeyForCounter) and memoizes the last key it derived.
+///
+/// Counters only grow, so the memo turns the common requests into cheap
+/// ones. The same counter is an exact hit. A smaller counter lies forward
+/// of the memo (more applications of f) and costs one step per counter of
+/// difference. A larger one lies toward the seed and is recomputed from
+/// it, which then becomes the memo. Both Scheme 2 (one cursor per keyword
+/// per epoch) and Scheme 3 (one per keyword) derive every chain key here.
+class ChainCursor {
+ public:
+  static Result<ChainCursor> Create(BytesView seed, uint32_t length);
+
+  /// The key at counter `ctr`, i.e. element `l - ctr`. Fails with
+  /// RESOURCE_EXHAUSTED unless 1 <= ctr <= l.
+  Result<Bytes> KeyAt(uint32_t ctr);
+
+ private:
+  explicit ChainCursor(HashChain chain) : chain_(std::move(chain)) {}
+  HashChain chain_;
+  uint32_t memo_ctr_ = 0;  // 0 = nothing memoized yet
+  Bytes memo_key_;
 };
 
 }  // namespace sse::crypto

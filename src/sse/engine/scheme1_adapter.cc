@@ -35,37 +35,19 @@ Result<RequestPlan> Scheme1Adapter::Route(const net::Message& request,
     case core::kMsgS1NonceRequest: {
       S1NonceRequest req;
       SSE_ASSIGN_OR_RETURN(req, S1NonceRequest::FromMessage(request));
-      std::vector<std::vector<size_t>> by_shard(num_shards);
-      for (size_t i = 0; i < req.tokens.size(); ++i) {
-        by_shard[ShardForToken(req.tokens[i], num_shards)].push_back(i);
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (by_shard[s].empty()) continue;
-        S1NonceRequest sub;
-        sub.tokens.reserve(by_shard[s].size());
-        for (size_t idx : by_shard[s]) sub.tokens.push_back(req.tokens[idx]);
-        plan.subs.push_back(
-            SubRequest{s, sub.ToMessage(), std::move(by_shard[s])});
-      }
+      ScatterByShard(
+          &S1NonceRequest::tokens, std::move(req.tokens),
+          [](const Bytes& token) -> BytesView { return token; }, num_shards,
+          /*every_shard=*/false, plan);
       return plan;
     }
     case core::kMsgS1UpdateRequest: {
       S1UpdateRequest req;
       SSE_ASSIGN_OR_RETURN(req, S1UpdateRequest::FromMessage(request));
-      std::vector<std::vector<size_t>> by_shard(num_shards);
-      for (size_t i = 0; i < req.entries.size(); ++i) {
-        by_shard[ShardForToken(req.entries[i].token, num_shards)].push_back(i);
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (by_shard[s].empty()) continue;
-        S1UpdateRequest sub;
-        sub.entries.reserve(by_shard[s].size());
-        for (size_t idx : by_shard[s]) {
-          sub.entries.push_back(std::move(req.entries[idx]));
-        }
-        plan.subs.push_back(
-            SubRequest{s, sub.ToMessage(), std::move(by_shard[s])});
-      }
+      ScatterByShard(
+          &S1UpdateRequest::entries, std::move(req.entries),
+          [](const core::S1UpdateEntry& e) -> BytesView { return e.token; },
+          num_shards, /*every_shard=*/false, plan);
       plan.documents = std::move(req.documents);
       return plan;
     }
@@ -116,24 +98,13 @@ Result<net::Message> Scheme1Adapter::Merge(const net::Message& request,
       }
       return merged.ToMessage();
     }
-    case core::kMsgS1UpdateRequest: {
-      S1UpdateAck merged;
-      for (net::Message& reply : replies) {
-        S1UpdateAck ack;
-        SSE_ASSIGN_OR_RETURN(ack, S1UpdateAck::FromMessage(reply));
-        merged.keywords_updated += ack.keywords_updated;
-      }
-      return merged.ToMessage();
-    }
+    case core::kMsgS1UpdateRequest:
+      return SumAcks(replies, &S1UpdateAck::keywords_updated);
     case core::kMsgS1SearchFinish: {
       S1SearchResult result;
       SSE_ASSIGN_OR_RETURN(result, S1SearchResult::FromMessage(replies.at(0)));
-      std::vector<std::pair<uint64_t, Bytes>> fetched;
-      SSE_ASSIGN_OR_RETURN(fetched, fetch_docs(result.ids));
-      result.documents.clear();
-      for (auto& [id, blob] : fetched) {
-        result.documents.push_back(core::WireDocument{id, std::move(blob)});
-      }
+      SSE_RETURN_IF_ERROR(
+          AttachDocuments(fetch_docs, result.ids, result.documents));
       return result.ToMessage();
     }
     default:

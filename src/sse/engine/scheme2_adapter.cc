@@ -16,6 +16,10 @@ using core::S2SearchResult;
 using core::S2UpdateAck;
 using core::S2UpdateRequest;
 
+namespace {
+BytesView EntryToken(const core::S2UpdateEntry& entry) { return entry.token; }
+}  // namespace
+
 std::unique_ptr<SchemeShard> Scheme2Adapter::CreateShard() const {
   return std::make_unique<ServerShard<core::Scheme2Server>>(options_);
 }
@@ -46,20 +50,8 @@ Result<RequestPlan> Scheme2Adapter::Route(const net::Message& request,
     case core::kMsgS2UpdateRequest: {
       S2UpdateRequest req;
       SSE_ASSIGN_OR_RETURN(req, S2UpdateRequest::FromMessage(request));
-      std::vector<std::vector<size_t>> by_shard(num_shards);
-      for (size_t i = 0; i < req.entries.size(); ++i) {
-        by_shard[ShardForToken(req.entries[i].token, num_shards)].push_back(i);
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (by_shard[s].empty()) continue;
-        S2UpdateRequest sub;
-        sub.entries.reserve(by_shard[s].size());
-        for (size_t idx : by_shard[s]) {
-          sub.entries.push_back(std::move(req.entries[idx]));
-        }
-        plan.subs.push_back(
-            SubRequest{s, sub.ToMessage(), std::move(by_shard[s])});
-      }
+      ScatterByShard(&S2UpdateRequest::entries, std::move(req.entries),
+                     EntryToken, num_shards, /*every_shard=*/false, plan);
       plan.documents = std::move(req.documents);
       return plan;
     }
@@ -80,21 +72,10 @@ Result<RequestPlan> Scheme2Adapter::Route(const net::Message& request,
     case core::kMsgS2ReinitRequest: {
       S2ReinitRequest req;
       SSE_ASSIGN_OR_RETURN(req, S2ReinitRequest::FromMessage(request));
-      std::vector<std::vector<size_t>> by_shard(num_shards);
-      for (size_t i = 0; i < req.entries.size(); ++i) {
-        by_shard[ShardForToken(req.entries[i].token, num_shards)].push_back(i);
-      }
       // Every shard gets a (possibly empty) Reinit so all of them clear
       // their old-epoch index.
-      for (size_t s = 0; s < num_shards; ++s) {
-        S2ReinitRequest sub;
-        sub.entries.reserve(by_shard[s].size());
-        for (size_t idx : by_shard[s]) {
-          sub.entries.push_back(std::move(req.entries[idx]));
-        }
-        plan.subs.push_back(
-            SubRequest{s, sub.ToMessage(), std::move(by_shard[s])});
-      }
+      ScatterByShard(&S2ReinitRequest::entries, std::move(req.entries),
+                     EntryToken, num_shards, /*every_shard=*/true, plan);
       return plan;
     }
     default:
@@ -110,24 +91,13 @@ Result<net::Message> Scheme2Adapter::Merge(const net::Message& request,
     const {
   (void)plan;
   switch (request.type) {
-    case core::kMsgS2UpdateRequest: {
-      S2UpdateAck merged;
-      for (net::Message& reply : replies) {
-        S2UpdateAck ack;
-        SSE_ASSIGN_OR_RETURN(ack, S2UpdateAck::FromMessage(reply));
-        merged.keywords_updated += ack.keywords_updated;
-      }
-      return merged.ToMessage();
-    }
+    case core::kMsgS2UpdateRequest:
+      return SumAcks(replies, &S2UpdateAck::keywords_updated);
     case core::kMsgS2SearchRequest: {
       S2SearchResult result;
       SSE_ASSIGN_OR_RETURN(result, S2SearchResult::FromMessage(replies.at(0)));
-      std::vector<std::pair<uint64_t, Bytes>> fetched;
-      SSE_ASSIGN_OR_RETURN(fetched, fetch_docs(result.ids));
-      result.documents.clear();
-      for (auto& [id, blob] : fetched) {
-        result.documents.push_back(core::WireDocument{id, std::move(blob)});
-      }
+      SSE_RETURN_IF_ERROR(
+          AttachDocuments(fetch_docs, result.ids, result.documents));
       return result.ToMessage();
     }
     case core::kMsgS2FetchAllRequest: {
@@ -139,15 +109,8 @@ Result<net::Message> Scheme2Adapter::Merge(const net::Message& request,
       }
       return merged.ToMessage();
     }
-    case core::kMsgS2ReinitRequest: {
-      S2ReinitAck merged;
-      for (net::Message& reply : replies) {
-        S2ReinitAck ack;
-        SSE_ASSIGN_OR_RETURN(ack, S2ReinitAck::FromMessage(reply));
-        merged.keywords += ack.keywords;
-      }
-      return merged.ToMessage();
-    }
+    case core::kMsgS2ReinitRequest:
+      return SumAcks(replies, &S2ReinitAck::keywords);
     default:
       if (replies.size() != 1) {
         return Status::Internal("expected exactly one shard reply");

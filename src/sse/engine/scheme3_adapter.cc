@@ -35,21 +35,10 @@ Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,
     case core::kMsgS3UpdateRequest: {
       S3UpdateRequest req;
       SSE_ASSIGN_OR_RETURN(req, S3UpdateRequest::FromMessage(request));
-      std::vector<std::vector<size_t>> by_shard(num_shards);
-      for (size_t i = 0; i < req.entries.size(); ++i) {
-        by_shard[ShardForToken(req.entries[i].address, num_shards)].push_back(
-            i);
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (by_shard[s].empty()) continue;
-        S3UpdateRequest sub;
-        sub.entries.reserve(by_shard[s].size());
-        for (size_t idx : by_shard[s]) {
-          sub.entries.push_back(std::move(req.entries[idx]));
-        }
-        plan.subs.push_back(
-            SubRequest{s, sub.ToMessage(), std::move(by_shard[s])});
-      }
+      ScatterByShard(
+          &S3UpdateRequest::entries, std::move(req.entries),
+          [](const core::S3UpdateEntry& e) -> BytesView { return e.address; },
+          num_shards, /*every_shard=*/false, plan);
       plan.documents = std::move(req.documents);
       return plan;
     }
@@ -75,15 +64,8 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
     const {
   (void)plan;
   switch (request.type) {
-    case core::kMsgS3UpdateRequest: {
-      S3UpdateAck merged;
-      for (net::Message& reply : replies) {
-        S3UpdateAck ack;
-        SSE_ASSIGN_OR_RETURN(ack, S3UpdateAck::FromMessage(reply));
-        merged.entries_added += ack.entries_added;
-      }
-      return merged.ToMessage();
-    }
+    case core::kMsgS3UpdateRequest:
+      return SumAcks(replies, &S3UpdateAck::entries_added);
     case core::kMsgS3SearchRequest: {
       S3SearchResult merged;
       index::DocIdList ids;
@@ -96,11 +78,8 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
         ids = index::MergeIdLists(ids, part.ids);
       }
       merged.ids = std::move(ids);
-      std::vector<std::pair<uint64_t, Bytes>> fetched;
-      SSE_ASSIGN_OR_RETURN(fetched, fetch_docs(merged.ids));
-      for (auto& [id, blob] : fetched) {
-        merged.documents.push_back(core::WireDocument{id, std::move(blob)});
-      }
+      SSE_RETURN_IF_ERROR(
+          AttachDocuments(fetch_docs, merged.ids, merged.documents));
       return merged.ToMessage();
     }
     default:

@@ -127,7 +127,7 @@ Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
   // single-op path (dedup, routing, shard locks) and so cannot be told
   // apart from a client that sent it alone. Sub-ops running as pool tasks
   // must not re-enter the pool for their own scatters (allow_pool=false).
-  const bool use_pool = options_.parallel_scatter && n > 1;
+  const bool use_pool = n > 1;
   // Captured explicitly: pool workers carry their own (empty) thread-local
   // context, so batch sub-op spans must parent through this value.
   const obs::TraceContext batch_ctx = obs::CurrentContext();
@@ -283,7 +283,7 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
         }
       });
     }
-    if (options_.parallel_scatter && allow_pool) {
+    if (allow_pool) {
       pool_->RunBatch(std::move(tasks));
     } else {
       for (auto& task : tasks) task();

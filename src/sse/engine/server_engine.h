@@ -26,11 +26,6 @@ struct EngineOptions {
   /// shard count). Scatters also run inline when they hit a single shard.
   size_t worker_threads = 0;
 
-  /// Run multi-shard scatters on the pool instead of sequentially on the
-  /// calling thread. Sequential mode exists for benchmarking the dispatch
-  /// overhead itself.
-  bool parallel_scatter = true;
-
   /// When non-empty, the engine's shared document store is log-backed at
   /// this path (same semantics as SchemeOptions::document_log_path).
   std::string document_log_path;

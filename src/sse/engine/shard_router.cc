@@ -18,4 +18,17 @@ size_t ShardForToken(BytesView token, size_t num_shards) {
   return static_cast<size_t>(x % num_shards);
 }
 
+Status AttachDocuments(const DocumentFetcher& fetch_docs,
+                       const std::vector<uint64_t>& ids,
+                       std::vector<core::WireDocument>& documents) {
+  std::vector<std::pair<uint64_t, Bytes>> fetched;
+  SSE_ASSIGN_OR_RETURN(fetched, fetch_docs(ids));
+  documents.clear();
+  documents.reserve(fetched.size());
+  for (auto& [id, blob] : fetched) {
+    documents.push_back(core::WireDocument{id, std::move(blob)});
+  }
+  return Status::OK();
+}
+
 }  // namespace sse::engine

@@ -33,8 +33,8 @@ struct ChannelStats {
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
   std::map<uint16_t, uint64_t> calls_by_type;
-  /// Faults deliberately injected by a testing decorator (fault.h, chaos.h)
-  /// at or below this channel. Zero on real transports.
+  /// Faults deliberately injected by a testing decorator (chaos.h) at or
+  /// below this channel. Zero on real transports.
   uint64_t injected_faults = 0;
 
   void Clear() { *this = ChannelStats{}; }

@@ -1,6 +1,7 @@
 #include "sse/net/chaos.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 namespace sse::net {
@@ -33,6 +34,18 @@ void ChaosChannel::Reset() {
 }
 
 Result<Message> ChaosChannel::Call(const Message& request) {
+  std::optional<ChaosFault> scheduled;
+  if (auto it = scheduled_.find(chaos_stats_.calls); it != scheduled_.end()) {
+    scheduled = it->second;
+    scheduled_.erase(it);
+  }
+  // Whether this call suffers `fault`: rolled with probability `p`, or
+  // scheduled for it. Rolling first keeps a schedule from shifting the
+  // seeded random sequence.
+  auto inject = [&](double p, ChaosFault fault) {
+    const bool rolled = Roll(p);
+    return rolled || scheduled == fault;
+  };
   chaos_stats_.calls += 1;
   stats_.rounds += 1;
   stats_.calls_by_type[request.type] += 1;
@@ -58,7 +71,7 @@ Result<Message> ChaosChannel::Call(const Message& request) {
     CorruptPayload(outbound);
   }
   stats_.bytes_sent += outbound.WireSize();
-  if (Roll(options_.p_request_drop)) {
+  if (inject(options_.p_request_drop, ChaosFault::kRequestDrop)) {
     chaos_stats_.request_drops += 1;
     stats_.injected_faults += 1;
     return Status::IoError("chaos: request dropped");
@@ -76,12 +89,12 @@ Result<Message> ChaosChannel::Call(const Message& request) {
   if (!fresh.ok()) return fresh.status();
   stats_.bytes_received += fresh->WireSize();
 
-  if (Roll(options_.p_reply_drop)) {
+  if (inject(options_.p_reply_drop, ChaosFault::kReplyDrop)) {
     chaos_stats_.reply_drops += 1;
     stats_.injected_faults += 1;
     return Status::IoError("chaos: reply dropped (server DID process)");
   }
-  if (Roll(options_.p_reply_duplicate)) {
+  if (inject(options_.p_reply_duplicate, ChaosFault::kReplyDuplicate)) {
     chaos_stats_.reply_duplicates += 1;
     stats_.injected_faults += 1;
     stale_replies_.push_back(*fresh);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 
 #include "sse/net/channel.h"
 #include "sse/util/random.h"
@@ -46,8 +47,14 @@ struct ChaosStats {
   }
 };
 
-/// Seeded probabilistic fault injector over any Channel, the adversary the
-/// exactly-once stack (RetryingChannel + core::ReplyCache) must beat.
+/// A fault scheduled for one exact call (ChaosChannel::FailCall).
+enum class ChaosFault { kRequestDrop, kReplyDrop, kReplyDuplicate };
+
+/// Seeded fault injector over any Channel, the adversary the exactly-once
+/// stack (RetryingChannel + core::ReplyCache) must beat. Faults come from
+/// the per-call probabilities in ChaosOptions and from faults scheduled at
+/// exact call indices with FailCall, which tests use to pin client
+/// behaviour at one failure point.
 ///
 /// Faithfulness notes, per fault:
 ///  * request drop   — inner never called; the client sees IO_ERROR while
@@ -91,6 +98,12 @@ class ChaosChannel : public Channel {
 
   const ChaosStats& chaos_stats() const { return chaos_stats_; }
 
+  /// Injects `fault` into the `call_index`-th Call (0-based, counting every
+  /// Call made through this wrapper), on top of the probabilistic faults.
+  void FailCall(uint64_t call_index, ChaosFault fault) {
+    scheduled_[call_index] = fault;
+  }
+
   /// Replaces wall-clock sleeping for injected delays.
   void set_sleep_fn(std::function<void(double)> fn) {
     sleep_fn_ = std::move(fn);
@@ -107,6 +120,7 @@ class ChaosChannel : public Channel {
   ChaosStats chaos_stats_;
   std::deque<Message> stale_replies_;
   std::function<void(double)> sleep_fn_;
+  std::map<uint64_t, ChaosFault> scheduled_;  // call index -> fault
 };
 
 }  // namespace sse::net

@@ -29,8 +29,7 @@ Connection::Connection(int fd, EventLoop* loop, Options options,
     : fd_(fd),
       loop_(loop),
       options_(options),
-      callbacks_(std::move(callbacks)),
-      assembler_(options.max_frame) {
+      callbacks_(std::move(callbacks)) {
   if (options_.max_outstanding == 0) options_.max_outstanding = 1;
   last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
 }

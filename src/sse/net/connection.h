@@ -39,7 +39,6 @@ class Connection : public EventLoop::Handler,
     /// Backpressure bound: frames dispatched whose replies are not yet
     /// fully on the wire. 1 restores strict request->reply lockstep.
     size_t max_outstanding = 64;
-    uint32_t max_frame = kMaxFrameSize;
   };
 
   struct Callbacks {

@@ -52,7 +52,7 @@ void ApplyIoTimeouts(int fd, double send_ms, double recv_ms) {
   }
 }
 
-Result<int> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port) {
+Result<int> ListenTcp(uint16_t port, uint16_t* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IoError("socket() failed");
   const int one = 1;
@@ -66,7 +66,7 @@ Result<int> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port) {
     ::close(fd);
     return Status::IoError("bind failed: " + std::string(std::strerror(errno)));
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, /*backlog=*/128) != 0) {
     ::close(fd);
     return Status::IoError("listen failed: " +
                            std::string(std::strerror(errno)));

@@ -25,8 +25,9 @@ void SetNoDelay(int fd);
 void ApplyIoTimeouts(int fd, double send_ms, double recv_ms);
 
 /// Creates a loopback listener on `port` (0 = ephemeral) with SO_REUSEADDR
-/// set, bound and listening. `bound_port` receives the actual port.
-Result<int> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port);
+/// set, bound and listening with a backlog of 128. `bound_port` receives
+/// the actual port.
+Result<int> ListenTcp(uint16_t port, uint16_t* bound_port);
 
 /// Dials 127.0.0.1-style `host`:`port`. With a positive timeout the dial is
 /// non-blocking under a poll(2) deadline; the returned fd is blocking, with

@@ -201,7 +201,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(MessageHandler* handler,
     return Status::InvalidArgument("handler must be non-null");
   }
   uint16_t bound_port = 0;
-  Result<int> fd = ListenTcp(port, options.listen_backlog, &bound_port);
+  Result<int> fd = ListenTcp(port, &bound_port);
   if (!fd.ok()) return fd.status();
   if (Status s = SetNonBlocking(*fd, true); !s.ok()) {
     ::close(*fd);
@@ -294,8 +294,7 @@ void TcpServer::AcceptReady() {
     connections_accepted_.fetch_add(1);
 
     Connection::Options conn_opts;
-    conn_opts.max_outstanding =
-        options_.pipelined ? options_.pipeline_queue : 1;
+    conn_opts.max_outstanding = options_.pipeline_queue;
     Connection::Callbacks callbacks;
     callbacks.on_frame = [this](const std::shared_ptr<Connection>& conn,
                                 Bytes frame) {

@@ -45,10 +45,10 @@ namespace sse::net {
 /// Options::serialize_handler=false, and concurrent connections then reach
 /// the handler in parallel.
 ///
-/// Each connection is served *pipelined* (Options::pipelined, default on):
-/// the reactor decodes frames continuously and replies are written as each
-/// completes — so a client with many in-flight submissions keeps the wire
-/// and the handler busy at the same time. Per-connection backpressure
+/// Each connection is served *pipelined*: the reactor decodes frames
+/// continuously and replies are written as each completes — so a client
+/// with many in-flight submissions keeps the wire and the handler busy at
+/// the same time. Per-connection backpressure
 /// (Options::pipeline_queue) pauses reading a connection whose reply
 /// window is full, pushing back through TCP flow control. Error replies
 /// echo the request's session stamp (when one can be recovered) so a
@@ -63,11 +63,6 @@ class TcpServer {
     /// that are not internally synchronized. (Pipelining still overlaps
     /// socket reads/writes with handling even when serialized.)
     bool serialize_handler = true;
-    /// listen(2) backlog.
-    int listen_backlog = 128;
-    /// Pipelined serving: many frames per connection may be in flight at
-    /// once. Off restores the one-request-at-a-time lockstep window.
-    bool pipelined = true;
     /// Threads in the server-wide dispatch pool shared by every
     /// connection (the reactor refactor replaced the old per-connection
     /// pools; the name is kept for compatibility).

@@ -146,9 +146,7 @@ SloTracker::Window SloTracker::WindowAt(SloClass c, uint32_t window_s,
 }
 
 double SloTracker::BurnRate(SloClass c, const Window& w) const {
-  const double objective = options_.objective[static_cast<size_t>(c)];
-  const double budget = 1.0 - objective;
-  if (budget <= 0.0) return w.attainment() < 1.0 ? 1e9 : 0.0;
+  const double budget = 1.0 - kSloObjective[static_cast<size_t>(c)];
   return (1.0 - w.attainment()) / budget;
 }
 
@@ -165,8 +163,8 @@ SloTracker::Report SloTracker::SnapshotAt(int64_t now_s) const {
     r.slow = WindowAt(c, options_.slow_window_s, now_s);
     r.fast_burn = BurnRate(c, r.fast);
     r.slow_burn = BurnRate(c, r.slow);
-    r.fast_ok = r.fast.attainment() >= options_.objective[i];
-    r.slow_ok = r.slow.attainment() >= options_.objective[i];
+    r.fast_ok = r.fast.attainment() >= kSloObjective[i];
+    r.slow_ok = r.slow.attainment() >= kSloObjective[i];
   }
   return report;
 }

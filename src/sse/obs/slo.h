@@ -20,15 +20,16 @@ inline constexpr size_t kSloClasses = 3;
 
 const char* SloClassName(SloClass c);
 
-/// Per-class service objectives. A request is *good* when it succeeded AND
-/// finished under the class's latency threshold; the objective is the
-/// target fraction of good requests per window. Burn rate is the standard
-/// multi-window SRE signal: (1 - attainment) / (1 - objective) — 1.0 means
-/// the error budget burns exactly as fast as it accrues, >>1 means an
-/// alert-worthy incident in progress.
+/// Per-class service objectives: the target fraction of good requests per
+/// window (search, mutation, control). A request is *good* when it
+/// succeeded AND finished under the class's latency threshold. Burn rate
+/// is the standard multi-window SRE signal: (1 - attainment) /
+/// (1 - objective) — 1.0 means the error budget burns exactly as fast as
+/// it accrues, >>1 means an alert-worthy incident in progress.
+inline constexpr std::array<double, kSloClasses> kSloObjective = {0.999, 0.995,
+                                                                  0.999};
+
 struct SloOptions {
-  /// Target good-request fraction per class (search, mutation, control).
-  std::array<double, kSloClasses> objective = {0.999, 0.995, 0.999};
   /// Latency threshold per class in microseconds; a slower success still
   /// spends error budget. 0 disables the latency criterion for the class.
   std::array<uint64_t, kSloClasses> latency_threshold_us = {10'000, 50'000,

@@ -11,6 +11,9 @@ namespace sse::repl {
 
 namespace {
 
+/// Records per ReplAppend frame while catching up or draining.
+constexpr size_t kMaxRecordsPerAppend = 256;
+
 obs::MetricsRegistry::Counter* AckTimeoutCounter() {
   static obs::MetricsRegistry::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter(
@@ -222,7 +225,7 @@ Status ReplSender::CollectFromDisk(uint64_t from, std::vector<Bytes>* records,
         }
         records->push_back(Bytes(payload.begin(), payload.end()));
         ++expected;
-        if (records->size() >= options_.max_records_per_append) {
+        if (records->size() >= kMaxRecordsPerAppend) {
           full = true;
           return Status::Unavailable("batch full");
         }
@@ -321,8 +324,8 @@ void ReplSender::FollowerLoop(Follower* f) {
         // The live tail covers the cursor; buffer seqs are contiguous.
         const size_t index =
             static_cast<size_t>(from - buffer_.front().first);
-        const size_t count = std::min(options_.max_records_per_append,
-                                      buffer_.size() - index);
+        const size_t count =
+            std::min(kMaxRecordsPerAppend, buffer_.size() - index);
         append.records.reserve(count);
         for (size_t i = 0; i < count; ++i) {
           append.records.push_back(buffer_[index + i].second);

@@ -64,8 +64,6 @@ class ReplSender : public core::WalShipper {
     uint64_t probe_interval_ms = 500;
     uint64_t connect_timeout_ms = 1000;
     uint64_t io_timeout_ms = 5000;
-    /// Records per ReplAppend frame while catching up or draining.
-    size_t max_records_per_append = 256;
     /// In-memory tail of recent records; followers behind it fall back to
     /// reading the primary's WAL segments from disk.
     size_t live_buffer_records = 4096;
@@ -136,7 +134,7 @@ class ReplSender : public core::WalShipper {
   Result<ReplAck> Exchange(net::TcpChannel* channel, Follower* f,
                            const net::Message& msg);
   void ApplyAckLocked(Follower* f, const ReplAck& ack);
-  /// Collects up to max_records_per_append records starting at `from`
+  /// Collects up to one ReplAppend frame's records starting at `from`
   /// from the primary's on-disk segments. Sets `*need_snapshot` when
   /// compaction has removed `from` (the oldest segment starts above it).
   Status CollectFromDisk(uint64_t from, std::vector<Bytes>* records,

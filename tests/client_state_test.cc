@@ -7,13 +7,17 @@
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_client.h"
 #include "sse/core/scheme2_client.h"
+#include "sse/core/scheme1_server.h"
 #include "sse/core/scheme2_server.h"
+#include "sse/core/scheme3_client.h"
+#include "sse/core/scheme3_server.h"
 #include "test_util.h"
 
 namespace sse::core {
 namespace {
 
 using sse::testing::FastTestConfig;
+using sse::testing::FromHex;
 using sse::testing::TestMasterKey;
 
 TEST(ClientStateTest, Scheme2RoundTripAcrossSessions) {
@@ -142,6 +146,112 @@ TEST(ClientStateTest, Scheme1RejectsGarbage) {
   auto sys = sse::testing::MakeTestSystem(SystemKind::kScheme1, &rng);
   auto* client = static_cast<Scheme1Client*>(sys.client.get());
   EXPECT_FALSE(client->RestoreState(Bytes{0xff, 0xff}).ok());
+}
+
+// Known-answer state bytes. Never regenerate them: client.state files
+// written by earlier builds must restore, and new builds must keep writing
+// the same bytes.
+
+/// Runs the fixed op sequence of the Scheme 2/3 known-answer tests and
+/// returns the client, still connected to `channel`.
+template <typename Client>
+std::unique_ptr<Client> RunFixedOps(net::Channel* channel, RandomSource* rng,
+                                    const char* unseen_search) {
+  auto created =
+      Client::Create(TestMasterKey(1), FastTestConfig().scheme, channel, rng);
+  EXPECT_TRUE(created.ok());
+  if (!created.ok()) return nullptr;
+  std::unique_ptr<Client> client = std::move(created).value();
+  EXPECT_TRUE(client
+                  ->Store({Document::Make(0, "doc zero", {"alpha", "beta"}),
+                           Document::Make(1, "doc one", {"alpha"})})
+                  .ok());
+  EXPECT_TRUE(client->Search("alpha").ok());
+  EXPECT_TRUE(
+      client->Store({Document::Make(2, "doc two", {"beta", "gamma"})}).ok());
+  EXPECT_TRUE(client->Store({Document::Make(3, "doc three", {"alpha"})}).ok());
+  EXPECT_TRUE(client->Search(unseen_search).ok());
+  EXPECT_TRUE(client->FakeUpdate({"gamma", "delta", "gamma"}).ok());
+  return client;
+}
+
+TEST(ClientStateKnownAnswerTest, Scheme1StateBytes) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme1Server server(options);
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(7);
+  auto client = Scheme1Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(client);
+  SSE_ASSERT_OK((*client)->Store({Document::Make(0, "doc zero", {"alpha", "beta"}),
+                                  Document::Make(1, "doc one", {"alpha"})}));
+  SSE_ASSERT_OK((*client)->Store({Document::Make(200, "doc two", {"beta"})}));
+  SSE_ASSERT_OK((*client)->RemoveDocument(1, {"alpha"}));
+  const char kState[] = "0200c801";  // used ids {0, 200}
+  EXPECT_EQ(HexEncode((*client)->SerializeState()), kState);
+
+  auto restored = Scheme1Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(restored);
+  SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kState)));
+  EXPECT_EQ(HexEncode((*restored)->SerializeState()), kState);
+  EXPECT_EQ((*restored)->Store({Document::Make(200, "dup", {"beta"})}).code(),
+            StatusCode::kAlreadyExists);
+}
+
+TEST(ClientStateKnownAnswerTest, Scheme2StateBytes) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme2Server server(options);
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(7);
+  auto client = RunFixedOps<Scheme2Client>(&channel, &rng, "beta");
+  ASSERT_NE(client, nullptr);
+  // ctr 3, epoch 0, searched flag clear, used ids {0, 1, 2, 3}.
+  const char kState[] = "0300000000000000000400010203";
+  EXPECT_EQ(HexEncode(client->SerializeState()), kState);
+  SSE_ASSERT_OK(client->Reinitialize());
+  // ctr 1, epoch 1, searched flag set.
+  const char kReinitState[] = "0100000001000000010400010203";
+  EXPECT_EQ(HexEncode(client->SerializeState()), kReinitState);
+
+  auto restored = Scheme2Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(restored);
+  SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kReinitState)));
+  EXPECT_EQ(HexEncode((*restored)->SerializeState()), kReinitState);
+  auto outcome = (*restored)->Search("gamma");
+  SSE_ASSERT_OK_RESULT(outcome);
+  EXPECT_EQ(outcome->ids, std::vector<uint64_t>{2});
+}
+
+TEST(ClientStateKnownAnswerTest, Scheme3StateBytes) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme3Server server(options);
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(7);
+  auto client = RunFixedOps<Scheme3Client>(&channel, &rng, "zeta");
+  ASSERT_NE(client, nullptr);
+  // Five keyword slots in token order (token, ctr), "zeta" among them with
+  // ctr 0 because searching it created its slot, then used ids {0..3}.
+  const char kState[] =
+      "05"
+      "202958b25940cef3450c3aead565969d55e48348c303d5678035f27497e8b0c79a"
+      "01000000"
+      "205e8dc897daae1c3ce58bf1df9a51a00809c81ec8a1abcf6e090e2e0ab1aeaf9f"
+      "02000000"
+      "2098f8387535745d9f2f34f382f4a60e1c4388033b6c3e5c2e00c935b9c8d547eb"
+      "02000000"
+      "20ae3fed6bf78a6372100600287c1da4d7620bc234b471397c69e22cce7ccff150"
+      "00000000"
+      "20e3084e2f40f628d87e77191cef7b477279c7aa1ebde51d561d0e539279652b53"
+      "02000000"
+      "0400010203";
+  EXPECT_EQ(HexEncode(client->SerializeState()), kState);
+
+  auto restored = Scheme3Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(restored);
+  SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kState)));
+  EXPECT_EQ(HexEncode((*restored)->SerializeState()), kState);
+  auto outcome = (*restored)->Search("alpha");
+  SSE_ASSERT_OK_RESULT(outcome);
+  EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1, 3}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Configuration matrix: every full-featured scheme (engine-capable in the
 // descriptor table — the paper schemes plus forward-private Scheme 3) must
-// behave identically across every server-side backend combination —
-// B+-tree vs hash token index, in-memory vs log-backed document store.
+// behave identically across every server-side backend — in-memory vs
+// log-backed document store.
 // The kinds under test come from the descriptor table, so a newly
 // registered engine-capable scheme enrolls here with no test changes.
 
@@ -22,15 +22,13 @@ using sse::testing::FastTestConfig;
 using sse::testing::MakeTestSystem;
 using sse::testing::TempDir;
 
-using MatrixParam = std::tuple<SystemKind, bool /*hash_index*/,
-                               bool /*log_backed_docs*/>;
+using MatrixParam = std::tuple<SystemKind, bool /*log_backed_docs*/>;
 
 class ConfigMatrixTest : public ::testing::TestWithParam<MatrixParam> {
  protected:
   ConfigMatrixTest() : rng_(12345) {
     SystemConfig config = FastTestConfig();
-    config.scheme.use_hash_index = std::get<1>(GetParam());
-    if (std::get<2>(GetParam())) {
+    if (std::get<1>(GetParam())) {
       config.scheme.document_log_path = dir_.path() + "/docs.log";
     }
     sys_ = MakeTestSystem(std::get<0>(GetParam()), &rng_, config);
@@ -77,11 +75,10 @@ std::vector<SystemKind> EngineCapableKinds() {
 INSTANTIATE_TEST_SUITE_P(
     Backends, ConfigMatrixTest,
     ::testing::Combine(::testing::ValuesIn(EngineCapableKinds()),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       std::string name(SystemKindName(std::get<0>(info.param)));
-      name += std::get<1>(info.param) ? "_hash" : "_btree";
-      name += std::get<2>(info.param) ? "_logdocs" : "_memdocs";
+      name += std::get<1>(info.param) ? "_logdocs" : "_memdocs";
       return name;
     });
 

@@ -1,13 +1,13 @@
-// Failure injection: clients must surface transport faults as clean
-// errors, leave consistent state behind, and recover on retry.
-
-#include "sse/net/fault.h"
+// Failure injection at exact call indices: clients must surface transport
+// faults as clean errors, leave consistent state behind, and recover on
+// retry.
 
 #include <gtest/gtest.h>
 
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_client.h"
 #include "sse/core/scheme2_client.h"
+#include "sse/net/chaos.h"
 #include "test_util.h"
 
 namespace sse {
@@ -15,7 +15,8 @@ namespace {
 
 using core::Document;
 using core::SystemKind;
-using net::FaultInjectionChannel;
+using net::ChaosChannel;
+using net::ChaosFault;
 using sse::testing::FastTestConfig;
 using sse::testing::TestMasterKey;
 
@@ -24,7 +25,7 @@ struct Harness {
   explicit Harness(SystemKind kind)
       : rng(1),
         sys(sse::testing::MakeTestSystem(kind, &rng)),
-        faulty(sys.channel.get()) {
+        faulty(sys.channel.get(), net::ChaosOptions{}) {
     auto created = ClientT::Create(TestMasterKey(), FastTestConfig().scheme,
                                    &faulty, &rng);
     EXPECT_TRUE(created.ok());
@@ -32,14 +33,14 @@ struct Harness {
   }
   DeterministicRandom rng;
   core::SseSystem sys;  // provides the server + inner channel
-  FaultInjectionChannel faulty;
+  ChaosChannel faulty;  // no probabilistic faults, only scheduled ones
   std::unique_ptr<ClientT> client;
 };
 
 TEST(FaultTest, Scheme1RequestLostDuringUpdateLeavesServerUntouched) {
   Harness<core::Scheme1Client> h(SystemKind::kScheme1);
   // Fail the very first call (round 1 of the update).
-  h.faulty.FailCall(0, FaultInjectionChannel::FaultPoint::kRequestLost);
+  h.faulty.FailCall(0, ChaosFault::kRequestDrop);
   Status s = h.client->Store({Document::Make(0, "a", {"kw"})});
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   // Retry succeeds and the data is correct.
@@ -57,7 +58,7 @@ TEST(FaultTest, Scheme1ReplyLostAfterApplyIsThePoisonCase) {
   // therefore not blindly re-run Store after an ambiguous failure; the
   // test pins this documented behavior.
   Harness<core::Scheme1Client> h(SystemKind::kScheme1);
-  h.faulty.FailCall(1, FaultInjectionChannel::FaultPoint::kReplyLost);
+  h.faulty.FailCall(1, ChaosFault::kReplyDrop);
   Status s = h.client->Store({Document::Make(0, "a", {"kw"})});
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   // The update WAS applied server-side despite the error:
@@ -75,7 +76,7 @@ TEST(FaultTest, Scheme1ReplyLostAfterApplyIsThePoisonCase) {
 
 TEST(FaultTest, Scheme2RetryAfterLostRequestIsSafe) {
   Harness<core::Scheme2Client> h(SystemKind::kScheme2);
-  h.faulty.FailCall(0, FaultInjectionChannel::FaultPoint::kRequestLost);
+  h.faulty.FailCall(0, ChaosFault::kRequestDrop);
   Status s = h.client->Store({Document::Make(0, "a", {"kw"})});
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   SSE_ASSERT_OK(h.client->Store({Document::Make(0, "a", {"kw"})}));
@@ -90,7 +91,7 @@ TEST(FaultTest, Scheme2RetryAfterLostReplyIsIdempotent) {
   // unchanged. This asymmetry vs Scheme 1 is a real deployment
   // consideration the paper's comparison table does not mention.
   Harness<core::Scheme2Client> h(SystemKind::kScheme2);
-  h.faulty.FailCall(0, FaultInjectionChannel::FaultPoint::kReplyLost);
+  h.faulty.FailCall(0, ChaosFault::kReplyDrop);
   Status s = h.client->Store({Document::Make(0, "a", {"kw"})});
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   SSE_ASSERT_OK(h.client->Store({Document::Make(0, "a", {"kw"})}));
@@ -102,12 +103,12 @@ TEST(FaultTest, Scheme2RetryAfterLostReplyIsIdempotent) {
 TEST(FaultTest, SearchFailuresAreTransient) {
   Harness<core::Scheme2Client> h(SystemKind::kScheme2);
   SSE_ASSERT_OK(h.client->Store({Document::Make(0, "a", {"kw"})}));
-  h.faulty.FailCall(1, FaultInjectionChannel::FaultPoint::kReplyLost);
+  h.faulty.FailCall(1, ChaosFault::kReplyDrop);
   EXPECT_FALSE(h.client->Search("kw").ok());
   auto retry = h.client->Search("kw");
   SSE_ASSERT_OK_RESULT(retry);
   EXPECT_EQ(retry->ids, std::vector<uint64_t>{0});
-  EXPECT_EQ(h.faulty.faults_injected(), 1u);
+  EXPECT_EQ(h.faulty.chaos_stats().total_injected(), 1u);
 }
 
 TEST(FaultTest, ReplyDuplicatedShiftsTheStreamOffByOne) {
@@ -117,7 +118,7 @@ TEST(FaultTest, ReplyDuplicatedShiftsTheStreamOffByOne) {
   Harness<core::Scheme2Client> h(SystemKind::kScheme2);
   SSE_ASSERT_OK(h.client->Store({Document::Make(0, "a", {"kw"})}));
   SSE_ASSERT_OK(h.client->Store({Document::Make(1, "b", {"other"})}));
-  h.faulty.FailCall(2, FaultInjectionChannel::FaultPoint::kReplyDuplicated);
+  h.faulty.FailCall(2, ChaosFault::kReplyDuplicate);
   // Call 2: the search gets its own reply (plus a buffered duplicate), so
   // it still succeeds.
   auto first = h.client->Search("kw");
@@ -135,7 +136,7 @@ TEST(FaultTest, ReplyDuplicatedShiftsTheStreamOffByOne) {
   auto third = h.client->Search("other");
   SSE_ASSERT_OK_RESULT(third);
   EXPECT_EQ(third->ids, std::vector<uint64_t>{1});
-  EXPECT_EQ(h.faulty.faults_injected(), 1u);
+  EXPECT_EQ(h.faulty.chaos_stats().total_injected(), 1u);
 }
 
 TEST(FaultTest, WrapperKeepsItsOwnStats) {
@@ -143,7 +144,7 @@ TEST(FaultTest, WrapperKeepsItsOwnStats) {
   // to the inner channel: a dropped request is a round the client paid for
   // even though the server never saw it.
   Harness<core::Scheme2Client> h(SystemKind::kScheme2);
-  h.faulty.FailCall(0, FaultInjectionChannel::FaultPoint::kRequestLost);
+  h.faulty.FailCall(0, ChaosFault::kRequestDrop);
   EXPECT_FALSE(h.client->Store({Document::Make(0, "a", {"kw"})}).ok());
   EXPECT_EQ(h.faulty.stats().rounds, 1u);
   EXPECT_EQ(h.faulty.stats().injected_faults, 1u);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace sse::crypto {
 namespace {
@@ -123,6 +127,54 @@ TEST(HashChainTest, DifferentSeedsGiveDisjointChains) {
   for (uint32_t i = 0; i < 16; ++i) {
     EXPECT_NE(*a->ElementAt(i), *b->ElementAt(i));
   }
+}
+
+TEST(ChainCursorTest, MatchesKeyForCounterInEveryOrder) {
+  // The memo has three paths (exact hit, step forward from a newer memo,
+  // recompute from the seed); every request order mixes them differently
+  // and must agree with the unmemoized reference at every counter.
+  const uint32_t l = 64;
+  auto reference = HashChain::Create(Seed(), l);
+  ASSERT_TRUE(reference.ok());
+  std::vector<uint32_t> ascending(l);
+  std::iota(ascending.begin(), ascending.end(), 1u);
+  std::vector<uint32_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<uint32_t> shuffled = ascending;
+  std::mt19937 gen(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), gen);
+  // Each counter asked twice in a row also covers the exact-hit path.
+  std::vector<uint32_t> repeated;
+  for (uint32_t ctr : shuffled) {
+    repeated.push_back(ctr);
+    repeated.push_back(ctr);
+  }
+
+  for (const std::vector<uint32_t>* order :
+       {&ascending, &descending, &shuffled, &repeated}) {
+    auto cursor = ChainCursor::Create(Seed(), l);
+    ASSERT_TRUE(cursor.ok());
+    for (uint32_t ctr : *order) {
+      auto key = cursor->KeyAt(ctr);
+      ASSERT_TRUE(key.ok()) << "counter " << ctr;
+      EXPECT_EQ(*key, *reference->KeyForCounter(ctr)) << "counter " << ctr;
+    }
+  }
+}
+
+TEST(ChainCursorTest, CountersOutsideTheChainAreExhausted) {
+  const uint32_t l = 64;
+  auto cursor = ChainCursor::Create(Seed(), l);
+  ASSERT_TRUE(cursor.ok());
+  auto zero = cursor->KeyAt(0);
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kResourceExhausted);
+  auto past_end = cursor->KeyAt(l + 1);
+  ASSERT_FALSE(past_end.ok());
+  EXPECT_EQ(past_end.status().code(), StatusCode::kResourceExhausted);
+  // A failed request leaves the cursor usable.
+  EXPECT_TRUE(cursor->KeyAt(l).ok());
+  EXPECT_FALSE(ChainCursor::Create(Bytes(8, 1), l).ok());  // short seed
+  EXPECT_FALSE(ChainCursor::Create(Seed(), 0).ok());       // zero length
 }
 
 }  // namespace

@@ -71,11 +71,9 @@ TEST(SloTrackerTest, ZeroThresholdDisablesLatencyCriterion) {
 }
 
 TEST(SloTrackerTest, BurnRateAgainstObjective) {
-  SloOptions opts = SmallRing();
-  opts.objective[0] = 0.99;  // 1% budget
-  SloTracker tracker(opts);
+  SloTracker tracker(SmallRing());  // search objective 0.999: 0.1% budget
   const int64_t now = 200;
-  // 10% bad -> burn = 0.10 / 0.01 = 10.
+  // 10% bad -> burn = 0.10 / 0.001 = 100.
   for (int i = 0; i < 90; ++i) {
     tracker.RecordAt(SloClass::kSearch, 0, true, now);
   }
@@ -83,7 +81,7 @@ TEST(SloTrackerTest, BurnRateAgainstObjective) {
     tracker.RecordAt(SloClass::kSearch, 0, false, now);
   }
   const auto w = tracker.WindowAt(SloClass::kSearch, 4, now);
-  EXPECT_NEAR(tracker.BurnRate(SloClass::kSearch, w), 10.0, 1e-9);
+  EXPECT_NEAR(tracker.BurnRate(SloClass::kSearch, w), 100.0, 1e-9);
 }
 
 TEST(SloTrackerTest, IdleGapsAreExcludedFromWindows) {
@@ -133,27 +131,25 @@ TEST(SloTrackerTest, ClassesAreIndependent) {
 }
 
 TEST(SloTrackerTest, SnapshotVerdictsAndWindows) {
-  SloOptions opts = SmallRing();
-  opts.objective[0] = 0.9;
-  SloTracker tracker(opts);
+  SloTracker tracker(SmallRing());  // search objective 0.999
   const int64_t now = 300;
   // Old traffic inside the slow (8 s) window only: all good.
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     tracker.RecordAt(SloClass::kSearch, 0, true, now - 6);
   }
-  // Recent traffic inside the fast (4 s) window: half bad.
-  for (int i = 0; i < 25; ++i) {
+  // Recent traffic inside the fast (4 s) window: one bad in fifty.
+  tracker.RecordAt(SloClass::kSearch, 0, false, now);
+  for (int i = 0; i < 49; ++i) {
     tracker.RecordAt(SloClass::kSearch, 0, true, now);
-    tracker.RecordAt(SloClass::kSearch, 0, false, now);
   }
   const auto report = tracker.SnapshotAt(now);
   const auto& r = report.of(SloClass::kSearch);
   EXPECT_EQ(r.fast.total, 50u);
-  EXPECT_EQ(r.slow.total, 450u);
-  // Fast window: 25/50 bad, attainment 0.5 < 0.9 -> violated, burn 5x.
+  EXPECT_EQ(r.slow.total, 4050u);
+  // Fast window: 1/50 bad, attainment 0.98 < 0.999 -> violated, burn 20x.
   EXPECT_FALSE(r.fast_ok);
-  EXPECT_NEAR(r.fast_burn, 5.0, 1e-9);
-  // Slow window dilutes the incident: 25/450 bad, ~0.944 > 0.9 -> ok.
+  EXPECT_NEAR(r.fast_burn, 20.0, 1e-9);
+  // Slow window dilutes the incident: 1/4050 bad, ~0.99975 > 0.999 -> ok.
   EXPECT_TRUE(r.slow_ok);
   EXPECT_LT(r.slow_burn, 1.0);
 }
@@ -232,9 +228,7 @@ TEST(SloTrackerTest, RegistersGaugeFamily) {
 }
 
 TEST(SloTrackerTest, SummarySkipsIdleAndFlagsViolations) {
-  SloOptions opts = SmallRing();
-  opts.objective[0] = 0.999;
-  SloTracker tracker(opts);
+  SloTracker tracker(SmallRing());  // search objective 0.999
   EXPECT_EQ(tracker.Summary(), "(no traffic)");
   for (int i = 0; i < 10; ++i) {
     tracker.Record(SloClass::kSearch, 0, i != 0);  // 10% errors

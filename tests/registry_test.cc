@@ -60,21 +60,6 @@ TEST(RegistryTest, NullRngRejected) {
   EXPECT_FALSE(sys.ok());
 }
 
-TEST(RegistryTest, HashIndexConfigHonored) {
-  // With the hash backend, the paper schemes still function.
-  DeterministicRandom rng(2);
-  SystemConfig config = FastTestConfig();
-  config.scheme.use_hash_index = true;
-  for (SystemKind kind : {SystemKind::kScheme1, SystemKind::kScheme2}) {
-    auto sys = CreateSystem(kind, TestMasterKey(), config, &rng);
-    ASSERT_TRUE(sys.ok());
-    SSE_ASSERT_OK(sys->client->Store({Document::Make(0, "a", {"kw"})}));
-    auto outcome = sys->client->Search("kw");
-    SSE_ASSERT_OK_RESULT(outcome);
-    EXPECT_EQ(outcome->ids, std::vector<uint64_t>{0});
-  }
-}
-
 TEST(RegistryTest, InvalidSchemeOptionsSurface) {
   DeterministicRandom rng(3);
   SystemConfig config = FastTestConfig();

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "sse/core/registry.h"
+#include "sse/core/scheme2_messages.h"
 #include "test_util.h"
 
 namespace sse::core {
 namespace {
 
 using sse::testing::FastTestConfig;
+using sse::testing::FromHex;
 using sse::testing::MakeTestSystem;
 using sse::testing::TestMasterKey;
 
@@ -301,6 +303,139 @@ TEST_F(Scheme2Test, ManyKeywordsPerDocument) {
     SSE_ASSERT_OK_RESULT(outcome);
     EXPECT_EQ(outcome->ids, std::vector<uint64_t>{0});
   }
+}
+
+// Known-answer vectors. Never regenerate them: they pin the chain
+// elements, segment tags and ciphertexts earlier builds produced, so
+// existing client state files, WALs and snapshots stay readable.
+
+/// Tags of every segment the requests of type `type` in `transcript` carry.
+template <typename Request>
+std::vector<std::string> SegmentTags(const std::vector<net::Exchange>& transcript,
+                                     uint16_t type) {
+  std::vector<std::string> tags;
+  for (const net::Exchange& exchange : transcript) {
+    if (exchange.request.type != type) continue;
+    Result<Request> req = Request::FromMessage(exchange.request);
+    EXPECT_TRUE(req.ok());
+    if (!req.ok()) continue;
+    for (const S2UpdateEntry& e : req->entries) {
+      tags.push_back(HexEncode(e.segment.tag));
+    }
+  }
+  return tags;
+}
+
+TEST(Scheme2KnownAnswerTest, TrapdoorsTagsAndReinitialize) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme2Server server(options);
+  net::InProcessChannel::Options record;
+  record.record_transcript = true;
+  net::InProcessChannel channel(&server, record);
+  DeterministicRandom rng(7);
+  auto created =
+      Scheme2Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(created);
+  Scheme2Client& client = **created;
+
+  SSE_ASSERT_OK(client.Store({Document::Make(0, "doc zero", {"alpha", "beta"}),
+                              Document::Make(1, "doc one", {"alpha"})}));
+  SSE_ASSERT_OK_RESULT(client.Search("alpha"));
+  SSE_ASSERT_OK(client.Store({Document::Make(2, "doc two", {"beta", "gamma"})}));
+  SSE_ASSERT_OK(client.Store({Document::Make(3, "doc three", {"alpha"})}));
+  SSE_ASSERT_OK_RESULT(client.Search("beta"));
+  SSE_ASSERT_OK(client.FakeUpdate({"gamma", "delta", "gamma"}));
+  EXPECT_EQ(client.counter(), 3u);
+
+  struct TrapdoorVector {
+    const char* keyword;
+    const char* token;
+    const char* element;
+  };
+  const TrapdoorVector trapdoors[] = {
+      {"alpha",
+       "c2f6b40b38c7fed7ec622d13d7c9bd6ae5a00f52aff63f33bf16eb3ba1d518e3",
+       "3216c1e975a2a3a76083bcc59259d2b6932c12992a9e3f004635b2945f99b45f"},
+      {"delta",
+       "6a157f403b909b1a9ec6c0de2e08e762d49935f36ae4a95e73f520eab734f513",
+       "d1d2e4c8bed378e6845ee7baa76bf39d9ad9f3a0a21253c5b6f6d3e3e583f4f6"},
+      {"omega",
+       "1c93154cbcf9f8d017eb3a6e3b87c26b473a3d36fe796e89ea336f4c87e8b510",
+       "c9e67c923b97a4c376adcc728cb14d13d8df3aeee08d784297c62286a27c6a26"},
+  };
+  for (const TrapdoorVector& v : trapdoors) {
+    auto trapdoor = client.MakeTrapdoor(v.keyword);
+    SSE_ASSERT_OK_RESULT(trapdoor);
+    EXPECT_EQ(HexEncode(trapdoor->token), v.token) << v.keyword;
+    EXPECT_EQ(HexEncode(trapdoor->chain_element), v.element) << v.keyword;
+  }
+
+  // alpha@1, beta@1 | beta@2, gamma@2 | alpha@2 | delta@3, gamma@3.
+  EXPECT_EQ(
+      SegmentTags<S2UpdateRequest>(channel.transcript(), kMsgS2UpdateRequest),
+      (std::vector<std::string>{
+          "edd5b851a89cca8103d346f47e61b18dc4d387e48965cf3ad4e73b53204c19d1",
+          "98e3117056ed5618726040c0e4953ec0a62931af7c254cfe6f7e3408f02b2584",
+          "c5cbab33acf6328849c3510d00e704d1c9fe1247bdf23352733d94ea89189117",
+          "a9afdfb32d027518f90f0c809fca67ae9c097f4a29afcb3c2962677b4fd86618",
+          "f59a17fb01637b3a151ef112a7c905d254bf4ddceae48f7f4aca17574c0fe92b",
+          "91b91c0596af5e32e7d4b3c475452e8460d27ed3d0cc724e07e06c428c399d93",
+          "c2ed80b598f0b5849553368753c094a03e023b3c837ca9a48fc2d0a84efe769b",
+      }));
+
+  // Reinitialize walks and opens every segment client-side, then seals one
+  // fresh segment per keyword at epoch 1, counter 1.
+  channel.ClearTranscript();
+  SSE_ASSERT_OK(client.Reinitialize());
+  EXPECT_EQ(
+      SegmentTags<S2ReinitRequest>(channel.transcript(), kMsgS2ReinitRequest),
+      (std::vector<std::string>{
+          "09928ed94b94762b72574249bb1226a29dae4b45476325ada754cd744a5bd881",
+          "e0e55a0774f0610e922062343b6022306b47cf4dc8a66a6e98720f0f53e89a17",
+          "ad675074a2d68e4577b7ddc6c6a3fffd0e53328b11032fc7ffa5102db239d06e",
+          "cab82176c164a92eed710243b47078abe16113aba0c1fbe76a86927af33e71ab",
+      }));
+  auto trapdoor = client.MakeTrapdoor("alpha");
+  SSE_ASSERT_OK_RESULT(trapdoor);
+  EXPECT_EQ(HexEncode(trapdoor->chain_element),
+            "00027d903e1b5ae7ddda3d082e3d1ef59010acfb0972c2933d888dbb93c927da");
+  auto outcome = client.Search("alpha");
+  SSE_ASSERT_OK_RESULT(outcome);
+  EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1, 3}));
+}
+
+TEST(Scheme2KnownAnswerTest, EarlierCiphertextsStillOpen) {
+  // A segment and a data item an earlier build sealed for document 5 under
+  // keyword "kat" at counter 1: the server must still walk to and open the
+  // segment, and the client must still open the data item.
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme2Server server(options);
+  S2UpdateRequest update;
+  S2UpdateEntry entry;
+  entry.token = FromHex(
+      "8fdc375c50c6909f188a53530dc3f78ad8bff0ffaa74839a2d595a53f850cfe7");
+  entry.segment.ciphertext = FromHex(
+      "dfa73969c27f283981a0555c5ffe5416b281a20915bb454d153813655cadbaacfc59ee"
+      "149024553ccb24bd8c9cef197e040a");
+  entry.segment.tag = FromHex(
+      "1f5ee004db3c8c12ea3058943c33cc47aba1f6ceef1dda1e550c759997e96b87");
+  update.entries.push_back(std::move(entry));
+  update.documents.push_back(WireDocument{
+      5, FromHex("ad1436462868c93e384e49cef01ddcbddb85d4e9b28a86680649f8ba1b89"
+                 "1ec15577730074b0fe1b3d")});
+  SSE_ASSERT_OK_RESULT(server.Handle(update.ToMessage()));
+
+  // A fresh client's trapdoor carries the counter-1 element.
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(1);
+  auto client = Scheme2Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(client);
+  auto outcome = (*client)->Search("kat");
+  SSE_ASSERT_OK_RESULT(outcome);
+  EXPECT_EQ(outcome->ids, std::vector<uint64_t>{5});
+  ASSERT_EQ(outcome->documents.size(), 1u);
+  EXPECT_EQ(outcome->documents[0].first, 5u);
+  EXPECT_EQ(BytesToString(outcome->documents[0].second), "kat plaintext");
 }
 
 }  // namespace

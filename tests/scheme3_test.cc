@@ -8,12 +8,14 @@
 #include "sse/core/registry.h"
 #include "sse/core/scheme3_client.h"
 #include "sse/core/scheme3_messages.h"
+#include "sse/core/scheme3_server.h"
 #include "test_util.h"
 
 namespace sse::core {
 namespace {
 
 using sse::testing::FastTestConfig;
+using sse::testing::FromHex;
 using sse::testing::MakeTestSystem;
 using sse::testing::TestMasterKey;
 
@@ -210,6 +212,104 @@ TEST(Scheme3Test, StaleTrapdoorIsForwardPrivateUnderEngine) {
   auto stale = S3SearchResult::FromMessage(*reply);
   SSE_ASSERT_OK_RESULT(stale);
   EXPECT_EQ(stale->ids, std::vector<uint64_t>{0});
+}
+
+// Known-answer vectors. Never regenerate them: they pin the chain
+// elements, update addresses and ciphertexts earlier builds produced, so
+// existing client state files, WALs and snapshots stay readable.
+
+TEST(Scheme3KnownAnswerTest, TrapdoorsAndAddresses) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme3Server server(options);
+  net::InProcessChannel::Options record;
+  record.record_transcript = true;
+  net::InProcessChannel channel(&server, record);
+  DeterministicRandom rng(7);
+  auto created =
+      Scheme3Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(created);
+  Scheme3Client& client = **created;
+
+  SSE_ASSERT_OK(client.Store({Document::Make(0, "doc zero", {"alpha", "beta"}),
+                              Document::Make(1, "doc one", {"alpha"})}));
+  SSE_ASSERT_OK_RESULT(client.Search("alpha"));
+  SSE_ASSERT_OK(client.Store({Document::Make(2, "doc two", {"beta", "gamma"})}));
+  SSE_ASSERT_OK(client.Store({Document::Make(3, "doc three", {"alpha"})}));
+  SSE_ASSERT_OK_RESULT(client.Search("zeta"));
+  SSE_ASSERT_OK(client.FakeUpdate({"gamma", "delta", "gamma"}));
+
+  struct TrapdoorVector {
+    const char* keyword;
+    uint32_t counter;
+    const char* element;
+  };
+  const TrapdoorVector trapdoors[] = {
+      {"alpha", 2,
+       "35250457f3ac5a7a3abcadc279382ba053951c2aec1050c8af86d387ce71e68c"},
+      {"gamma", 2,
+       "33b26c5e3a3f91c88372957969bc6a79d2a080ec332dde36b08c85cdb8d207a8"},
+  };
+  for (const TrapdoorVector& v : trapdoors) {
+    auto trapdoor = client.MakeTrapdoor(v.keyword);
+    SSE_ASSERT_OK_RESULT(trapdoor);
+    EXPECT_EQ(trapdoor->counter, v.counter) << v.keyword;
+    EXPECT_EQ(HexEncode(trapdoor->chain_element), v.element) << v.keyword;
+  }
+
+  std::vector<std::string> addresses;
+  for (const net::Exchange& exchange : channel.transcript()) {
+    if (exchange.request.type != kMsgS3UpdateRequest) continue;
+    auto req = S3UpdateRequest::FromMessage(exchange.request);
+    SSE_ASSERT_OK_RESULT(req);
+    for (const S3UpdateEntry& e : req->entries) {
+      addresses.push_back(HexEncode(e.address));
+    }
+  }
+  // alpha@1, beta@1 | beta@2, gamma@1 | alpha@2 | delta@1, gamma@2.
+  EXPECT_EQ(addresses,
+            (std::vector<std::string>{
+                "3b5ee4d59b8587fa64b490b55423c15d13853e0c0c8496b69c5ea6b2c0d73624",
+                "55d0103d126e7c79e49f679a8bb2f15955633966b6f8db296d13db5d7985ae75",
+                "1a116f429a2a63f803beb5ee40eea564fd48025b2e9bc16819476543672ccff6",
+                "e5e42d1d00cfc3d03d52e36227681a0a2c2945e2262a013a5a8973a2bc761323",
+                "faf43626dbccd9be29497d0c19166b274295fda68257c06af4aa45816f066b3f",
+                "e66357386a36869d20ba93569a4d95f72c62adf5ee6023d317f93a9abe27d9ba",
+                "1b6e9826a25fc915be8fb720d43a240198e0aed84be47643cc8ccb27079d4cde",
+            }));
+}
+
+TEST(Scheme3KnownAnswerTest, EarlierCiphertextsStillOpen) {
+  // An index entry and a data item an earlier build sealed for document 5
+  // under keyword "kat" at counter 1, plus the client state that update
+  // left behind.
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme3Server server(options);
+  S3UpdateRequest update;
+  S3UpdateEntry entry;
+  entry.address = FromHex(
+      "79fcee295bacb9e814a9cfe63c78aafa0737fbdc8a1f3c6685d81621933b3003");
+  entry.ciphertext = FromHex(
+      "dfa73969c27f283981a0555c5ffe5416d356b61f42df90a51363fe6a4eb669130043ed"
+      "3517ca69dd4a0ca560583395b65123");
+  update.entries.push_back(std::move(entry));
+  update.documents.push_back(WireDocument{
+      5, FromHex("ad1436462868c93e384e49cef01ddcbddb85d4e9b28a86680649f8ba1b89"
+                 "1ec15577730074b0fe1b3d")});
+  SSE_ASSERT_OK_RESULT(server.Handle(update.ToMessage()));
+
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(1);
+  auto client = Scheme3Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(client);
+  SSE_ASSERT_OK((*client)->RestoreState(FromHex(
+      "0120849b6971f8996a286a4d0f400ef3002fb5da8e64c33b92c270068aac6b77b48501"
+      "000000" "0105")));
+  auto outcome = (*client)->Search("kat");
+  SSE_ASSERT_OK_RESULT(outcome);
+  EXPECT_EQ(outcome->ids, std::vector<uint64_t>{5});
+  ASSERT_EQ(outcome->documents.size(), 1u);
+  EXPECT_EQ(outcome->documents[0].first, 5u);
+  EXPECT_EQ(BytesToString(outcome->documents[0].second), "kat plaintext");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "sse/core/registry.h"
 #include "sse/crypto/keys.h"
@@ -66,6 +67,14 @@ inline core::SseSystem MakeTestSystem(core::SystemKind kind,
 inline core::SseSystem MakeTestSystem(core::SystemKind kind,
                                       RandomSource* rng) {
   return MakeTestSystem(kind, rng, FastTestConfig());
+}
+
+/// Decodes the hex literal of a known-answer vector; a malformed literal
+/// fails the test instead of silently comparing against nothing.
+inline Bytes FromHex(std::string_view hex) {
+  Result<Bytes> bytes = HexDecode(hex);
+  EXPECT_TRUE(bytes.ok()) << "bad hex literal: " << hex;
+  return bytes.ok() ? std::move(bytes).value() : Bytes{};
 }
 
 /// Creates a fresh temp directory and removes it (recursively) at scope
