@@ -1,7 +1,6 @@
-// Experiment E-store — the server storage substrate: WAL append/sync,
-// snapshot write, LogStore put/get/compaction. These bound how fast a
-// durable SSE server can acknowledge updates and how the spill-to-disk
-// document backend behaves as ciphertext accumulates.
+// Experiment E-store — the server storage substrate: WAL append/sync and
+// snapshot write. These bound how fast a durable SSE server can
+// acknowledge updates and checkpoint its state.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +10,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "sse/storage/log_store.h"
 #include "sse/storage/snapshot.h"
 #include "sse/storage/wal.h"
 #include "sse/util/random.h"
@@ -74,75 +72,6 @@ void BM_SnapshotWrite(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_SnapshotWrite)->Arg(1 << 16)->Arg(1 << 22);
-
-void BM_LogStorePut(benchmark::State& state) {
-  const std::string path = TempPath("log_put");
-  auto store = LogStore::Open(path).value();
-  DeterministicRandom rng(3);
-  Bytes value(static_cast<size_t>(state.range(0)));
-  (void)rng.Fill(value);
-  uint64_t id = 0;
-  for (auto _ : state) {
-    Bytes key(8);
-    for (int i = 0; i < 8; ++i) key[i] = static_cast<uint8_t>(id >> (8 * i));
-    benchmark::DoNotOptimize(store->Put(key, value));
-    ++id;
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  store.reset();
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_LogStorePut)->Arg(256)->Arg(4096);
-
-void BM_LogStoreGet(benchmark::State& state) {
-  const std::string path = TempPath("log_get");
-  auto store = LogStore::Open(path).value();
-  DeterministicRandom rng(4);
-  const size_t keys = 4096;
-  Bytes value(1024);
-  (void)rng.Fill(value);
-  for (size_t id = 0; id < keys; ++id) {
-    Bytes key(8);
-    for (int i = 0; i < 8; ++i) key[i] = static_cast<uint8_t>(id >> (8 * i));
-    (void)store->Put(key, value);
-  }
-  uint64_t id = 0;
-  for (auto _ : state) {
-    Bytes key(8);
-    for (int i = 0; i < 8; ++i) key[i] = static_cast<uint8_t>(id >> (8 * i));
-    benchmark::DoNotOptimize(store->Get(key));
-    id = (id + 97) % keys;
-  }
-  store.reset();
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_LogStoreGet);
-
-void BM_LogStoreCompact(benchmark::State& state) {
-  const std::string path = TempPath("log_compact");
-  DeterministicRandom rng(5);
-  Bytes value(1024);
-  (void)rng.Fill(value);
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::remove(path.c_str());
-    auto store = LogStore::Open(path).value();
-    // 8x overwrite churn -> ~87% garbage.
-    for (int round = 0; round < 8; ++round) {
-      for (uint64_t id = 0; id < 512; ++id) {
-        Bytes key(8);
-        for (int i = 0; i < 8; ++i) {
-          key[i] = static_cast<uint8_t>(id >> (8 * i));
-        }
-        (void)store->Put(key, value);
-      }
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(store->Compact());
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_LogStoreCompact);
 
 }  // namespace
 }  // namespace sse::storage

@@ -40,6 +40,7 @@
 //   sse_cli <dir> put <id> <content...> --kw <k1,k2,...>
 //   sse_cli <dir> search <keyword>
 //   sse_cli <dir> stats
+//   sse_cli <dir> checkpoint      # snapshot the vault, compact its WAL
 //   sse_cli <dir> serve [port]    # serve the vault over TCP until EOF
 //
 // Example:
@@ -76,6 +77,7 @@ int Usage() {
                "usage: sse_cli <dir> put <id> <content> --kw <k1,k2,...>\n"
                "       sse_cli <dir> search <keyword>\n"
                "       sse_cli <dir> stats\n"
+               "       sse_cli <dir> checkpoint\n"
                "       sse_cli <dir> serve [port]\n");
   return 2;
 }
@@ -313,6 +315,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "open failed: %s\n",
                  durable.status().ToString().c_str());
     return 1;
+  }
+  if (command == "checkpoint") {
+    // The snapshot is the served engine's state, so only this stack (same
+    // SSE_SCHEME and SSE_ENGINE_SHARDS) can write one the vault reopens.
+    Status s = (*durable)->Checkpoint();
+    if (!s.ok()) {
+      std::fprintf(stderr, "checkpoint failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("checkpoint written; old WAL segments compacted\n");
+    return 0;
   }
   net::InProcessChannel channel(durable->get());
 

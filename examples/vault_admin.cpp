@@ -1,18 +1,16 @@
-// vault_admin — inspect and maintain a durable SSE server directory
+// vault_admin — inspect a durable SSE server directory or a running server
 // without any keys (everything here is the server's own view: ciphertext
 // and framing only).
 //
 // Usage:
-//   vault_admin <dir> status              # snapshot/WAL/doc-log overview
-//   vault_admin <dir> checkpoint <scheme> # load, checkpoint, compact WAL
-//                                         # (any descriptor-table name, e.g.
-//                                         # scheme1/scheme2/scheme3; s1/s2
-//                                         # stay as aliases)
-//   vault_admin <dir> compact             # compact the document log, if any
+//   vault_admin <dir> status              # snapshot/WAL overview
 //   vault_admin stats <host:port> [--spans]   # scrape a running server
 //   vault_admin events <host:port> [N]    # last N journal events (default
 //                                         # the whole ring) from a live
 //                                         # server, oldest first
+//
+// A vault is checkpointed (its WAL bounded) by the program that serves
+// it: `sse_cli <dir> checkpoint`.
 //
 // Example (after using sse_cli):
 //   ./build/examples/vault_admin /tmp/vault status
@@ -24,12 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "sse/core/durable_server.h"
-#include "sse/core/registry.h"
 #include "sse/net/tcp.h"
 #include "sse/obs/stats_rpc.h"
 #include "sse/repl/failover_channel.h"
-#include "sse/storage/log_store.h"
 #include "sse/storage/snapshot.h"
 #include "sse/storage/wal.h"
 
@@ -40,16 +35,9 @@ using namespace sse;
 int Usage() {
   std::fprintf(stderr,
                "usage: vault_admin <dir> status\n"
-               "       vault_admin <dir> checkpoint <scheme>\n"
-               "       vault_admin <dir> compact\n"
                "       vault_admin stats <host:port> [--spans]\n"
                "       vault_admin events <host:port> [N]\n"
-               "scheme names:");
-  for (const core::SchemeDescriptor& d : core::AllSchemes()) {
-    std::fprintf(stderr, " %.*s", static_cast<int>(d.name.size()),
-                 d.name.data());
-  }
-  std::fprintf(stderr, " (s1/s2 are aliases)\n");
+               "(checkpoint a vault with: sse_cli <dir> checkpoint)\n");
   return 2;
 }
 
@@ -368,75 +356,8 @@ int main(int argc, char** argv) {
       }
       std::printf("%-14s %s\n", "repl role:", text.c_str());
     }
-    const std::string doc_log = dir + "/docs.log";
-    std::FILE* probe = std::fopen(doc_log.c_str(), "rb");
-    if (probe != nullptr) {
-      std::fclose(probe);
-      auto store = storage::LogStore::Open(doc_log);
-      if (store.ok()) {
-        std::printf("%-14s %zu live blob(s), %llu bytes (%llu reclaimable)\n",
-                    "doc log:", (*store)->live_keys(),
-                    (unsigned long long)(*store)->file_bytes(),
-                    (unsigned long long)(*store)->garbage_bytes());
-      } else {
-        std::printf("%-14s %s\n", "doc log:",
-                    store.status().ToString().c_str());
-      }
-    } else {
-      std::printf("%-14s absent (documents in snapshots)\n", "doc log:");
-    }
     return 0;
   }
 
-  if (command == "checkpoint") {
-    if (argc < 4) return Usage();
-    // Public parameters only; defaults match sse_cli. Any descriptor-table
-    // scheme works — the admin needs the right state shape, never a key.
-    core::SystemConfig config;
-    config.scheme.max_documents = 1 << 16;
-    config.scheme.chain_length = 1 << 14;
-    std::string name = argv[3];
-    if (name == "s1") name = "scheme1";
-    if (name == "s2") name = "scheme2";
-    const core::SchemeDescriptor* scheme = core::FindScheme(name);
-    if (scheme == nullptr) return Usage();
-    auto built = scheme->make_server(config);
-    if (!built.ok()) {
-      std::fprintf(stderr, "scheme init failed: %s\n",
-                   built.status().ToString().c_str());
-      return 1;
-    }
-    std::unique_ptr<core::PersistableHandler> inner = std::move(*built);
-    auto durable = core::DurableServer::Open(dir, inner.get());
-    if (!durable.ok()) {
-      std::fprintf(stderr, "recovery failed: %s\n",
-                   durable.status().ToString().c_str());
-      return 1;
-    }
-    Status s = (*durable)->Checkpoint();
-    if (!s.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("checkpoint written; old WAL segments compacted\n");
-    return 0;
-  }
-
-  if (command == "compact") {
-    auto store = storage::LogStore::Open(dir + "/docs.log");
-    if (!store.ok()) {
-      std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-      return 1;
-    }
-    const uint64_t before = (*store)->file_bytes();
-    Status s = (*store)->Compact();
-    if (!s.ok()) {
-      std::fprintf(stderr, "compact failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("compacted: %llu -> %llu bytes\n", (unsigned long long)before,
-                (unsigned long long)(*store)->file_bytes());
-    return 0;
-  }
   return Usage();
 }

@@ -92,7 +92,7 @@ Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
   array_ = std::move(array);
   table_ = std::move(table);
   for (const core::WireDocument& doc : new_docs) {
-    SSE_RETURN_IF_ERROR(docs_.Put(doc.id, doc.ciphertext));
+    docs_.Put(doc.id, doc.ciphertext);
   }
   BufferWriter w;
   w.PutVarint(array_.size());
@@ -144,8 +144,7 @@ Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
   BufferWriter w;
   core::PutIdList(w, ids);
   std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(ids));
+  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
   for (const auto& [id, blob] : fetched) {
     wire_docs.push_back(core::WireDocument{id, blob});
   }
@@ -163,11 +162,11 @@ Result<Bytes> CgkoServer::SerializeState() const {
     return true;
   });
   w.PutVarint(docs_.size());
-  SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
     w.PutVarint(id);
     w.PutBytes(blob);
     return true;
-  }));
+  });
   return w.TakeData();
 }
 
@@ -193,7 +192,7 @@ Status CgkoServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    SSE_RETURN_IF_ERROR(docs.Put(id, std::move(blob)));
+    docs.Put(id, std::move(blob));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   array_ = std::move(array);

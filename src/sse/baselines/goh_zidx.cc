@@ -62,7 +62,7 @@ Result<net::Message> GohServer::HandleStore(const net::Message& msg) {
     BitVec filter;
     SSE_ASSIGN_OR_RETURN(filter,
                          BitVec::FromBytes(options_.bloom_bits, filter_bytes));
-    SSE_RETURN_IF_ERROR(docs_.Put(id, std::move(blob)));
+    docs_.Put(id, std::move(blob));
     filters_.emplace_back(id, std::move(filter));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
@@ -101,8 +101,7 @@ Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
   BufferWriter w;
   core::PutIdList(w, ids);
   std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(ids));
+  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
   for (const auto& [id, blob] : fetched) {
     wire_docs.push_back(core::WireDocument{id, blob});
   }
@@ -118,11 +117,11 @@ Result<Bytes> GohServer::SerializeState() const {
     w.PutBytes(filter.ToBytes());
   }
   w.PutVarint(docs_.size());
-  SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
     w.PutVarint(id);
     w.PutBytes(blob);
     return true;
-  }));
+  });
   return w.TakeData();
 }
 
@@ -148,7 +147,7 @@ Status GohServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    SSE_RETURN_IF_ERROR(docs.Put(id, std::move(blob)));
+    docs.Put(id, std::move(blob));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   filters_ = std::move(filters);

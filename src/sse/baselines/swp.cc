@@ -53,7 +53,7 @@ Result<net::Message> SwpServer::HandleStore(const net::Message& msg) {
     if (word_blocks.size() % kBlockSize != 0) {
       return Status::ProtocolError("word block payload not a block multiple");
     }
-    SSE_RETURN_IF_ERROR(docs_.Put(id, std::move(blob)));
+    docs_.Put(id, std::move(blob));
     blocks_.emplace_back(id, std::move(word_blocks));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
@@ -105,8 +105,7 @@ Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
   BufferWriter w;
   core::PutIdList(w, ids);
   std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(ids));
+  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
   for (const auto& [id, blob] : fetched) {
     wire_docs.push_back(core::WireDocument{id, blob});
   }
@@ -122,11 +121,11 @@ Result<Bytes> SwpServer::SerializeState() const {
     w.PutBytes(doc_blocks);
   }
   w.PutVarint(docs_.size());
-  SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
     w.PutVarint(id);
     w.PutBytes(blob);
     return true;
-  }));
+  });
   return w.TakeData();
 }
 
@@ -150,7 +149,7 @@ Status SwpServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    SSE_RETURN_IF_ERROR(docs.Put(id, std::move(blob)));
+    docs.Put(id, std::move(blob));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   blocks_ = std::move(blocks);

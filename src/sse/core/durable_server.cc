@@ -44,12 +44,122 @@ Result<DurableServer::SnapshotBlob> DurableServer::DecodeSnapshot(
   return out;
 }
 
-Bytes DurableServer::EncodeSnapshot(const SnapshotBlob& contents) {
+Status DurableServer::ApplyRecord(BytesView record,
+                                  PersistableHandler* handler,
+                                  ReplyCache* cache) {
+  Result<net::Message> msg = net::Message::Decode(record);
+  if (!msg.ok()) return msg.status();
+  Result<net::Message> reply = handler->Handle(*msg);
+  if (!reply.ok()) return reply.status();
+  if (cache != nullptr && msg->has_session) {
+    reply->EchoSession(*msg);
+    cache->Commit(msg->client_id, msg->seq, *reply);
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> DurableServer::RestoreSnapshot(BytesView blob,
+                                                PersistableHandler* handler,
+                                                ReplyCache* cache) {
+  SnapshotBlob contents;
+  SSE_ASSIGN_OR_RETURN(contents, DecodeSnapshot(blob));
+  if (cache != nullptr) {
+    if (contents.cache.empty()) {
+      cache->Clear();
+    } else {
+      SSE_RETURN_IF_ERROR(cache->Restore(contents.cache));
+    }
+  }
+  SSE_RETURN_IF_ERROR(handler->RestoreState(contents.state));
+  return contents.wal_seq;
+}
+
+Result<DurableServer::Recovered> DurableServer::Recover(
+    const std::string& dir, const storage::WalOptions& wal_options,
+    PersistableHandler* handler, ReplyCache* cache) {
+  // 1. Restore the newest snapshot generation that verifies AND restores,
+  // falling back generation by generation. The WAL is compacted only up to
+  // the older retained generation's cut, so whichever generation survives,
+  // the log still covers everything after it.
+  storage::SnapshotSet snapshots(dir, wal_options.env);
+  std::vector<uint64_t> generations;
+  SSE_ASSIGN_OR_RETURN(generations, snapshots.List());
+  Recovered out;
+  bool restored = false;
+  Status snapshot_error = Status::OK();
+  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
+    Result<Bytes> blob =
+        storage::Snapshot::Read(snapshots.PathFor(*it), wal_options.env);
+    if (!blob.ok()) {
+      snapshot_error = blob.status();
+      continue;
+    }
+    Result<uint64_t> cut = RestoreSnapshot(*blob, handler, cache);
+    if (!cut.ok()) {
+      snapshot_error = cut.status();
+      continue;
+    }
+    out.cut_seq = *cut;
+    restored = true;
+    break;
+  }
+  if (!restored && cache != nullptr) {
+    // Every generation is damaged (or there is none). WAL-only replay from
+    // sequence 1 is sound only when the log still reaches back that far;
+    // the lowest_seq check below enforces that. A generation whose cache
+    // restored but whose state did not must leave no entries behind.
+    cache->Clear();
+  }
+
+  // 2. Replay journaled requests on top. Client-facing replies were already
+  // delivered before the crash, but session-stamped ones are re-committed
+  // into the reply cache so a post-recovery retry still dedups instead of
+  // re-applying.
+  storage::WalReplayReport report;
+  SSE_RETURN_IF_ERROR(storage::WriteAheadLog::Replay(
+      dir, wal_options, out.cut_seq,
+      [&](uint64_t /*seq*/, BytesView record) {
+        return ApplyRecord(record, handler, cache);
+      },
+      &report));
+  if (report.quarantined_records > 0 || report.torn_bytes > 0) {
+    obs::EventJournal::Global().Emit(
+        obs::EventKind::kWalSalvage,
+        "recovery salvaged WAL: " +
+            std::to_string(report.quarantined_records) +
+            " record(s) quarantined (" +
+            std::to_string(report.quarantined_bytes) + " bytes), " +
+            std::to_string(report.torn_bytes) + " torn byte(s) dropped");
+  }
+  if (report.lowest_seq != 0 && report.lowest_seq > out.cut_seq) {
+    // Records in [cut_seq, lowest_seq) are gone; acknowledged updates
+    // would be silently lost.
+    return Status::Corruption(
+        "WAL does not cover history since the restored snapshot (needs seq " +
+        std::to_string(out.cut_seq) + ", oldest segment starts at " +
+        std::to_string(report.lowest_seq) +
+        (restored ? ")" : "; no snapshot generation verified: " +
+                              snapshot_error.ToString() + ")"));
+  }
+  out.records_replayed = report.records;
+
+  Result<storage::WriteAheadLog> wal =
+      storage::WriteAheadLog::Open(dir, wal_options);
+  if (!wal.ok()) return wal.status();
+  out.wal = std::make_unique<storage::WriteAheadLog>(std::move(wal).value());
+  return out;
+}
+
+Result<Bytes> DurableServer::EncodeCheckpoint(uint64_t cut_seq,
+                                              const PersistableHandler& handler,
+                                              const ReplyCache* cache) {
+  Bytes state;
+  SSE_ASSIGN_OR_RETURN(state, handler.SerializeState());
   BufferWriter w;
   w.PutU32(kDurableSnapshotMagic);
-  w.PutU64(contents.wal_seq);
-  w.PutBytes(contents.state);
-  w.PutBytes(contents.cache);
+  w.PutU64(cut_seq);
+  w.PutBytes(state);
+  w.PutBytes(cache != nullptr ? cache->Serialize() : Bytes{});
   return w.TakeData();
 }
 
@@ -67,105 +177,25 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   if (options.enable_reply_cache) {
     cache = std::make_unique<ReplyCache>(options.reply_cache);
   }
-  const storage::WalOptions wal_options{options.env, options.wal_segment_bytes,
-                                        options.wal_salvage};
-
-  // 1. Restore the newest snapshot generation that verifies AND restores,
-  // falling back generation by generation. The WAL is compacted only up to
-  // the older retained generation's cut, so whichever generation survives,
-  // the log still covers everything after it.
-  storage::SnapshotSet snapshots(dir, options.env);
-  std::vector<uint64_t> generations;
-  SSE_ASSIGN_OR_RETURN(generations, snapshots.List());
-  uint64_t min_seq = 1;
-  bool restored = false;
-  Status snapshot_error = Status::OK();
-  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
-    Result<Bytes> blob =
-        storage::Snapshot::Read(snapshots.PathFor(*it), options.env);
-    if (!blob.ok()) {
-      snapshot_error = blob.status();
-      continue;
-    }
-    Result<SnapshotBlob> contents = DecodeSnapshot(*blob);
-    if (!contents.ok()) {
-      snapshot_error = contents.status();
-      continue;
-    }
-    const Status restore = inner->RestoreState(contents->state);
-    if (!restore.ok()) {
-      snapshot_error = restore;
-      continue;
-    }
-    if (cache != nullptr && !contents->cache.empty()) {
-      SSE_RETURN_IF_ERROR(cache->Restore(contents->cache));
-    }
-    min_seq = contents->wal_seq;
-    restored = true;
-    break;
-  }
-  if (!generations.empty() && !restored) {
-    // Every generation is damaged. WAL-only replay is sound only when the
-    // log still reaches back to sequence 1; the check below (lowest_seq)
-    // enforces that, so fall through with min_seq = 1.
-    min_seq = 1;
-  }
-
-  // 2. Replay journaled requests on top. Client-facing replies were already
-  // delivered before the crash, but session-stamped ones are re-committed
-  // into the reply cache so a post-recovery retry still dedups instead of
-  // re-applying.
-  storage::WalReplayReport report;
-  Status replay = storage::WriteAheadLog::Replay(
-      dir, wal_options, min_seq,
-      [&](uint64_t /*seq*/, BytesView record) -> Status {
-        Result<net::Message> msg = net::Message::Decode(record);
-        if (!msg.ok()) return msg.status();
-        Result<net::Message> reply = inner->Handle(msg.value());
-        if (!reply.ok()) return reply.status();
-        if (cache != nullptr && msg->has_session) {
-          reply->EchoSession(*msg);
-          cache->Commit(msg->client_id, msg->seq, *reply);
-        }
-        return Status::OK();
-      },
-      &report);
-  SSE_RETURN_IF_ERROR(replay);
-  if (report.quarantined_records > 0 || report.torn_bytes > 0) {
-    obs::EventJournal::Global().Emit(
-        obs::EventKind::kWalSalvage,
-        "recovery salvaged WAL: " +
-            std::to_string(report.quarantined_records) +
-            " record(s) quarantined (" +
-            std::to_string(report.quarantined_bytes) + " bytes), " +
-            std::to_string(report.torn_bytes) + " torn byte(s) dropped");
-  }
-  if (report.lowest_seq != 0 && report.lowest_seq > min_seq) {
-    // Records in [min_seq, lowest_seq) are gone; acknowledged updates
-    // would be silently lost.
-    return Status::Corruption(
-        "WAL does not cover history since the restored snapshot (needs seq " +
-        std::to_string(min_seq) + ", oldest segment starts at " +
-        std::to_string(report.lowest_seq) +
-        (restored ? ")" : "; no snapshot generation verified: " +
-                              snapshot_error.ToString() + ")"));
-  }
-
-  Result<storage::WriteAheadLog> wal =
-      storage::WriteAheadLog::Open(dir, wal_options);
-  if (!wal.ok()) return wal.status();
-  if (wal->next_seq() < min_seq) {
+  Recovered recovered;
+  SSE_ASSIGN_OR_RETURN(
+      recovered,
+      Recover(dir,
+              storage::WalOptions{options.env, options.wal_segment_bytes,
+                                  options.wal_salvage},
+              inner, cache.get()));
+  if (recovered.wal->next_seq() < recovered.cut_seq) {
     // A snapshot from the "future" of this WAL: appends would reuse
     // sequence numbers below the checkpoint cut and be skipped by the
     // next recovery.
-    return Status::Corruption("WAL is behind the restored snapshot (next seq " +
-                              std::to_string(wal->next_seq()) +
-                              " < checkpoint cut " + std::to_string(min_seq) +
-                              ")");
+    return Status::Corruption(
+        "WAL is behind the restored snapshot (next seq " +
+        std::to_string(recovered.wal->next_seq()) + " < checkpoint cut " +
+        std::to_string(recovered.cut_seq) + ")");
   }
-  auto server = std::unique_ptr<DurableServer>(
-      new DurableServer(dir, inner, std::move(wal).value(), options,
-                        std::move(cache), min_seq));
+  auto server = std::unique_ptr<DurableServer>(new DurableServer(
+      dir, inner, std::move(recovered.wal), options, std::move(cache),
+      recovered.cut_seq));
   auto& registry = obs::MetricsRegistry::Global();
   DurableServer* raw = server.get();
   server->registrations_.push_back(registry.RegisterHistogram(
@@ -221,65 +251,23 @@ Status DurableServer::degraded_cause() const {
 }
 
 Result<net::Message> DurableServer::Handle(const net::Message& request) {
-  if (request.type == net::kMsgBatch) return HandleBatch(request);
-  const bool mutating = inner_->IsMutating(request.type);
-  // Fail-stop: once a storage fault has been observed, no further mutation
-  // may touch the inner state (it could never be journaled, so it would
-  // diverge from what recovery reconstructs). UNAVAILABLE is retryable —
-  // a client can fail over or wait for the operator to restart us.
-  if (mutating && degraded()) return DegradedStatus();
-  // The caller's propagated deadline, checked before apply+journal: an
-  // expired mutation must not cost an fsync (let alone a WAL record) for
-  // a reply nobody is waiting on. Checked before the dedup Begin so no
-  // in-flight cache entry needs unwinding. The retried call re-sends the
-  // same seq and dedups normally.
-  if (mutating && net::CurrentDeadline().Expired()) {
-    return net::DeadlineExceededStatus("before durable apply");
-  }
-  // Only mutations go through the dedup table: re-executing a read-only
-  // retry is harmless, and not recording search results keeps the cache
-  // small and the fault-free overhead low.
-  const bool dedup =
-      mutating && reply_cache_ != nullptr && request.has_session;
-
-  if (dedup) {
-    net::Message cached;
-    const ReplyCache::Outcome outcome =
-        reply_cache_->Begin(request.client_id, request.seq, &cached);
-    switch (outcome) {
-      case ReplyCache::Outcome::kCached:
-        // Retry of an answered call: serve the recorded reply; never
-        // re-apply (nor re-journal) the request.
-        cached.EchoSession(request);
-        return cached;
-      case ReplyCache::Outcome::kInFlight:
-      case ReplyCache::Outcome::kTooOld:
-        return ReplyCache::RefusalStatus(outcome);
-      case ReplyCache::Outcome::kNew:
-        break;
+  if (request.type == net::kMsgBatch) {
+    std::vector<net::Message> ops;
+    SSE_ASSIGN_OR_RETURN(ops, net::UnpackBatch(request));
+    std::vector<Result<net::Message>> results = Commit(ops);
+    std::vector<net::Message> replies;
+    replies.reserve(results.size());
+    for (Result<net::Message>& r : results) {
+      replies.push_back(r.ok() ? std::move(r).value()
+                               : net::MakeErrorMessage(r.status()));
     }
+    return net::PackBatchReply(request, std::move(replies));
   }
+  if (!inner_->IsMutating(request.type)) return Read(request);
+  return std::move(Commit({&request, 1}).front());
+}
 
-  if (mutating) {
-    // The commit lock spans apply, journal AND the cache commit: a
-    // checkpoint can then never capture the applied state without the
-    // matching dedup entry (which would let a post-recovery retry
-    // double-apply).
-    std::shared_lock<std::shared_mutex> commit_lock(commit_mutex_);
-    Result<net::Message> reply = HandleNew(request);
-    if (dedup) {
-      if (reply.ok()) {
-        // Runs after the WAL record is durable (HandleNew returns
-        // post-sync), so a cache entry never promises a lost update.
-        reply->EchoSession(request);
-        reply_cache_->Commit(request.client_id, request.seq, *reply);
-      } else {
-        reply_cache_->Abort(request.client_id, request.seq);
-      }
-    }
-    return reply;
-  }
-
+Result<net::Message> DurableServer::Read(const net::Message& request) {
   Result<net::Message> reply = inner_->Handle(request);
   // Stamped read-only calls still get their session echoed (the client
   // matches replies to calls by it) unless the inner handler — e.g. an
@@ -290,175 +278,124 @@ Result<net::Message> DurableServer::Handle(const net::Message& request) {
   return reply;
 }
 
-/// Precondition for mutating requests: caller holds commit_mutex_ shared.
-Result<net::Message> DurableServer::HandleNew(const net::Message& request) {
+std::vector<Result<net::Message>> DurableServer::Commit(
+    std::span<const net::Message> ops) {
+  // The commit lock spans apply, journal AND the cache commit: a
+  // checkpoint can then never slice between an op's apply and its journal
+  // record, nor capture the applied state without the matching dedup entry
+  // (which would let a post-recovery retry double-apply).
+  std::shared_lock<std::shared_mutex> commit_lock(commit_mutex_);
+  // The caller's deadline, checked at every op: once it expires the rest
+  // of the request is refused per op. Completed neighbours keep their
+  // outcomes; refused ops never reach the WAL.
+  const net::Deadline deadline = net::CurrentDeadline();
+  std::vector<Result<net::Message>> replies;
+  replies.reserve(ops.size());
+  std::vector<size_t> journaled;  // ops whose replies wait on the sync
+  uint64_t sync_seq = 0;
+  uint64_t wal_seq = 0;
+  for (const net::Message& op : ops) {
+    bool appended = false;
+    replies.push_back(
+        ApplyAndJournal(op, deadline, &appended, &sync_seq, &wal_seq));
+    if (appended) journaled.push_back(replies.size() - 1);
+  }
+  if (journaled.empty()) return replies;
+
+  // One fsync covers every record the request journaled: amortizing it
+  // across an envelope is the point of batching.
+  const Status synced = SyncUpTo(sync_seq);
+  if (!synced.ok()) {
+    // Durability is unknown: withdraw every claim so retries re-resolve
+    // against whatever state recovery reconstructs.
+    const Status refusal = EnterDegraded(synced);
+    for (size_t i : journaled) {
+      if (Dedups(ops[i])) reply_cache_->Abort(ops[i].client_id, ops[i].seq);
+      replies[i] = refusal;
+    }
+    return replies;
+  }
+  // Ack-mode gate: in wait-one mode the shipper blocks (bounded) until a
+  // follower acknowledged the request's records, so the reply implies
+  // replication.
+  if (options_.shipper != nullptr) options_.shipper->WaitReplicated(wal_seq);
+  // Only now are the records durable, so a cache entry never promises a
+  // lost update.
+  for (size_t i : journaled) {
+    if (Dedups(ops[i])) {
+      reply_cache_->Commit(ops[i].client_id, ops[i].seq, *replies[i]);
+    }
+  }
+  return replies;
+}
+
+Result<net::Message> DurableServer::ApplyAndJournal(
+    const net::Message& op, const net::Deadline& deadline, bool* appended,
+    uint64_t* sync_seq, uint64_t* wal_seq) {
+  if (op.type == net::kMsgBatch) {
+    return Status::InvalidArgument("batch envelopes cannot nest");
+  }
+  // An expired op must not cost an fsync (let alone a WAL record) for a
+  // reply nobody is waiting on. Checked before the dedup Begin so no
+  // in-flight cache entry needs unwinding; the retried call re-sends the
+  // same seq and dedups normally.
+  if (deadline.Expired()) {
+    return net::DeadlineExceededStatus("before durable apply");
+  }
+  if (!inner_->IsMutating(op.type)) return Read(op);
+  // Fail-stop: once a storage fault has been observed, no further mutation
+  // may touch the inner state (it could never be journaled, so it would
+  // diverge from what recovery reconstructs). UNAVAILABLE is retryable —
+  // a client can fail over or wait for the operator to restart us.
+  if (degraded()) return DegradedStatus();
+  const bool dedup = Dedups(op);
+  if (dedup) {
+    net::Message cached;
+    const ReplyCache::Outcome outcome =
+        reply_cache_->Begin(op.client_id, op.seq, &cached);
+    if (outcome == ReplyCache::Outcome::kCached) {
+      // Retry of an answered call: serve the recorded reply; never
+      // re-apply (nor re-journal) the request.
+      cached.EchoSession(op);
+      return cached;
+    }
+    if (outcome != ReplyCache::Outcome::kNew) {
+      return ReplyCache::RefusalStatus(outcome);
+    }
+  }
+
   // Apply first, journal second, reply last. Journaling a request the
   // handler would reject poisons the log (replay re-runs the rejection and
   // recovery fails), so only *accepted* mutations are written; because the
-  // reply is not produced until the journal entry is durable, an
+  // reply is not released until the journal entry is durable, an
   // acknowledged update can never be lost. A crash between apply and
   // append loses only an unacknowledged update.
-  Result<net::Message> reply = inner_->Handle(request);
-  if (!reply.ok()) return reply;
-  uint64_t my_seq = 0;
-  uint64_t my_wal_seq = 0;
+  Result<net::Message> reply = inner_->Handle(op);
+  if (!reply.ok()) {
+    // Rejected without a state change; a retry may re-run it.
+    if (dedup) reply_cache_->Abort(op.client_id, op.seq);
+    return reply;
+  }
   {
-    obs::ScopedSpan append_span("wal.append", obs::ParentFor(request));
+    obs::ScopedSpan append_span("wal.append", obs::ParentFor(op));
     std::lock_guard<std::mutex> lock(wal_mutex_);
     const auto t0 = std::chrono::steady_clock::now();
-    const Bytes encoded = request.Encode();
-    const Status appended = wal_->Append(encoded);
+    const Bytes encoded = op.Encode();
+    const Status status = wal_->Append(encoded);
     wal_append_hist_.Record(NanosSince(t0));
-    if (!appended.ok()) return EnterDegraded(appended);
-    my_seq = ++appended_seq_;
-    my_wal_seq = wal_->next_seq() - 1;
+    if (!status.ok()) {
+      if (dedup) reply_cache_->Abort(op.client_id, op.seq);
+      return EnterDegraded(status);
+    }
+    *sync_seq = ++appended_seq_;
+    *wal_seq = wal_->next_seq() - 1;
     if (options_.shipper != nullptr) {
-      options_.shipper->OnAppend(my_wal_seq, encoded);
+      options_.shipper->OnAppend(*wal_seq, encoded);
     }
-    append_span.Annotate("wal_seq", my_seq);
+    append_span.Annotate("wal_seq", *sync_seq);
   }
-  const Status synced = SyncUpTo(my_seq);
-  if (!synced.ok()) return EnterDegraded(synced);
-  // Ack-mode gate: in wait-one mode the shipper blocks (bounded) until a
-  // follower acknowledged this sequence, so the reply implies replication.
-  if (options_.shipper != nullptr) {
-    options_.shipper->WaitReplicated(my_wal_seq);
-  }
-  return reply;
-}
-
-Result<net::Message> DurableServer::HandleBatch(const net::Message& request) {
-  net::BatchRequest batch;
-  SSE_ASSIGN_OR_RETURN(batch, net::BatchRequest::FromMessage(request));
-  const size_t n = batch.ops.size();
-
-  // One shared commit-lock span for the whole envelope: a checkpoint can
-  // never slice between a sub-op's apply and its journal record.
-  std::shared_lock<std::shared_mutex> commit_lock(commit_mutex_);
-
-  // Envelope deadline, re-checked at every sub-op: once it expires the
-  // rest of the batch is refused per-op — completed neighbors keep their
-  // committed outcomes, refused ones never reach the WAL.
-  const net::Deadline batch_deadline = net::CurrentDeadline();
-
-  // Sub-ops whose cache commit is deferred until the group sync lands.
-  struct PendingCommit {
-    size_t index;
-    uint64_t seq;
-  };
-  std::vector<net::Message> outs(n);
-  std::vector<PendingCommit> pending;
-  uint64_t max_wal_seq = 0;
-  uint64_t max_ship_seq = 0;
-  bool need_sync = false;
-
-  for (size_t i = 0; i < n; ++i) {
-    net::Message sub;
-    sub.type = batch.ops[i].type;
-    sub.payload = std::move(batch.ops[i].payload);
-    if (request.has_session) {
-      // (envelope client, op seq) is the op's dedup identity; it is stable
-      // across retried envelopes, which is what makes a partial batch
-      // retry apply each sub-op exactly once.
-      sub.StampSession(request.client_id, batch.ops[i].seq);
-    }
-    if (sub.type == net::kMsgBatch) {
-      outs[i] = net::MakeErrorMessage(
-          Status::InvalidArgument("batch envelopes cannot nest"));
-      continue;
-    }
-    if (batch_deadline.Expired()) {
-      outs[i] = net::MakeErrorMessage(
-          net::DeadlineExceededStatus("mid-batch, before durable apply"));
-      continue;
-    }
-
-    const bool mutating = inner_->IsMutating(sub.type);
-    if (mutating && degraded()) {
-      // Fail-stop mid-envelope too: earlier sub-ops may have committed,
-      // but from the first storage fault on, nothing touches the state.
-      outs[i] = net::MakeErrorMessage(DegradedStatus());
-      continue;
-    }
-    const bool dedup =
-        mutating && reply_cache_ != nullptr && sub.has_session;
-    if (dedup) {
-      net::Message cached;
-      const ReplyCache::Outcome outcome =
-          reply_cache_->Begin(sub.client_id, sub.seq, &cached);
-      if (outcome == ReplyCache::Outcome::kCached) {
-        cached.EchoSession(sub);
-        outs[i] = std::move(cached);
-        continue;
-      }
-      if (outcome != ReplyCache::Outcome::kNew) {
-        outs[i] = net::MakeErrorMessage(ReplyCache::RefusalStatus(outcome));
-        continue;
-      }
-    }
-
-    Result<net::Message> reply = inner_->Handle(sub);
-    if (!reply.ok()) {
-      // Rejected without a state change; a retried envelope may re-run it.
-      if (dedup) reply_cache_->Abort(sub.client_id, sub.seq);
-      outs[i] = net::MakeErrorMessage(reply.status());
-      continue;
-    }
-    if (mutating) {
-      // Journal the accepted sub-op as its own stamped record — replay
-      // cannot tell it from a standalone request — but defer the fsync to
-      // one group sync after the loop.
-      std::lock_guard<std::mutex> lock(wal_mutex_);
-      const auto t0 = std::chrono::steady_clock::now();
-      const Bytes encoded = sub.Encode();
-      Status appended = wal_->Append(encoded);
-      wal_append_hist_.Record(NanosSince(t0));
-      if (!appended.ok()) {
-        if (dedup) reply_cache_->Abort(sub.client_id, sub.seq);
-        outs[i] = net::MakeErrorMessage(EnterDegraded(appended));
-        continue;
-      }
-      max_wal_seq = ++appended_seq_;
-      max_ship_seq = wal_->next_seq() - 1;
-      if (options_.shipper != nullptr) {
-        options_.shipper->OnAppend(max_ship_seq, encoded);
-      }
-      need_sync = true;
-    }
-    if (sub.has_session && !reply->has_session) reply->EchoSession(sub);
-    outs[i] = std::move(reply).value();
-    if (dedup) pending.push_back(PendingCommit{i, batch.ops[i].seq});
-  }
-
-  if (need_sync) {
-    // A batch pays one fsync — amortizing the sync across the envelope is
-    // the point of the batch path.
-    Status synced = SyncUpTo(max_wal_seq);
-    if (!synced.ok()) {
-      // Durability is unknown: withdraw the claims so retries re-resolve
-      // against whatever state recovery reconstructs.
-      const Status refusal = EnterDegraded(synced);
-      for (const PendingCommit& p : pending) {
-        reply_cache_->Abort(request.client_id, p.seq);
-        outs[p.index] = net::MakeErrorMessage(refusal);
-      }
-      pending.clear();
-    } else if (options_.shipper != nullptr) {
-      options_.shipper->WaitReplicated(max_ship_seq);
-    }
-  }
-  for (const PendingCommit& p : pending) {
-    reply_cache_->Commit(request.client_id, p.seq, outs[p.index]);
-  }
-
-  net::BatchReply breply;
-  breply.entries.reserve(n);
-  for (net::Message& out : outs) {
-    breply.entries.push_back(
-        net::BatchReply::Entry{out.type, std::move(out.payload)});
-  }
-  net::Message reply = breply.ToMessage();
-  reply.EchoSession(request);
+  *appended = true;
+  if (dedup) reply->EchoSession(op);
   return reply;
 }
 
@@ -515,8 +452,6 @@ Status DurableServer::Checkpoint() {
   // the snapshot is cut, so snapshot + compacted WAL is a consistent pair.
   std::unique_lock<std::shared_mutex> commit_lock(commit_mutex_);
   if (degraded()) return DegradedStatus();
-  Bytes state;
-  SSE_ASSIGN_OR_RETURN(state, inner_->SerializeState());
   uint64_t cut_seq = 0;
   uint64_t previous_cut = 0;
   {
@@ -524,11 +459,10 @@ Status DurableServer::Checkpoint() {
     cut_seq = wal_->next_seq();
     previous_cut = last_checkpoint_seq_;
   }
-  SnapshotBlob blob;
-  blob.wal_seq = cut_seq;
-  blob.state = std::move(state);
-  blob.cache = reply_cache_ != nullptr ? reply_cache_->Serialize() : Bytes{};
-  const Status written = snapshots_.WriteNext(EncodeSnapshot(blob));
+  Bytes blob;
+  SSE_ASSIGN_OR_RETURN(blob,
+                       EncodeCheckpoint(cut_seq, *inner_, reply_cache_.get()));
+  const Status written = snapshots_.WriteNext(blob);
   // A failed snapshot write (or its fsync) is a storage fault like any
   // other: fail-stop rather than risk pruning state we could not persist.
   if (!written.ok()) return EnterDegraded(written);

@@ -7,12 +7,13 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
-
 #include <vector>
 
 #include "sse/core/persistable.h"
 #include "sse/core/reply_cache.h"
+#include "sse/net/deadline.h"
 #include "sse/obs/histogram.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/storage/env.h"
@@ -56,6 +57,12 @@ namespace sse::core {
 /// while each reply still waits for its own record to be durable.
 /// Checkpoint() quiesces mutating requests (a commit rw-lock) so the
 /// snapshot and the compacted WAL stay consistent.
+///
+/// One commit loop serves every mutating request: a standalone mutation is
+/// an op list of one, a kMsgBatch envelope its sub-ops. Each op is
+/// refused, deduped or applied and journaled as its own record (replay
+/// cannot tell a batched op from a standalone one), and one group fsync
+/// then covers every record the request journaled.
 ///
 /// At-most-once: session-stamped requests (see net::Message::StampSession)
 /// are deduped through a ReplyCache *before* the apply+journal path, so a
@@ -106,14 +113,57 @@ class DurableServer : public net::MessageHandler {
   /// One durable checkpoint blob (magic "SDR2"): the WAL sequence the
   /// checkpoint was cut at plus the serialized inner state and reply
   /// cache. Public so the replication layer can ship whole snapshots to a
-  /// follower that fell behind WAL compaction, and install received ones.
+  /// follower that fell behind WAL compaction.
   struct SnapshotBlob {
     uint64_t wal_seq = 1;
     Bytes state;
     Bytes cache;
   };
   static Result<SnapshotBlob> DecodeSnapshot(BytesView blob);
-  static Bytes EncodeSnapshot(const SnapshotBlob& contents);
+
+  /// Recovery and checkpoint steps, shared with the replication follower
+  /// (repl::ReplReceiver), whose directory is a DurableServer image too.
+
+  /// Applies one journaled record to `handler`. When `cache` is non-null
+  /// and the record is session-stamped, its reply is recorded so a retry
+  /// arriving after recovery (or promotion) dedups instead of re-applying.
+  static Status ApplyRecord(BytesView record, PersistableHandler* handler,
+                            ReplyCache* cache);
+
+  /// Installs one snapshot blob into `cache` (when non-null) and then
+  /// `handler`; returns the WAL sequence it was cut at. On failure either
+  /// may already hold the blob's contents.
+  static Result<uint64_t> RestoreSnapshot(BytesView blob,
+                                          PersistableHandler* handler,
+                                          ReplyCache* cache);
+
+  /// A directory recovered by Recover().
+  struct Recovered {
+    /// The WAL, opened for appends.
+    std::unique_ptr<storage::WriteAheadLog> wal;
+    /// WAL sequence of the restored snapshot's cut (1 when none restored).
+    uint64_t cut_seq = 1;
+    /// Journaled records replayed past the cut.
+    uint64_t records_replayed = 0;
+  };
+
+  /// Restores the newest snapshot generation in `dir` that verifies and
+  /// restores — falling back generation by generation, then to WAL-only
+  /// replay — replays every journaled record past its cut through
+  /// ApplyRecord, and opens the WAL. CORRUPTION when the log does not
+  /// reach back to the cut. The opened WAL may still end before the cut
+  /// (a snapshot installed but its log not yet reset); what that means is
+  /// the caller's decision.
+  static Result<Recovered> Recover(const std::string& dir,
+                                   const storage::WalOptions& wal_options,
+                                   PersistableHandler* handler,
+                                   ReplyCache* cache);
+
+  /// The checkpoint blob of `handler` and `cache` (when non-null), cut at
+  /// WAL sequence `cut_seq`.
+  static Result<Bytes> EncodeCheckpoint(uint64_t cut_seq,
+                                        const PersistableHandler& handler,
+                                        const ReplyCache* cache);
 
   /// Opens (and recovers) a durable server over `inner` in directory `dir`,
   /// which must exist. `inner` must outlive the DurableServer.
@@ -164,27 +214,40 @@ class DurableServer : public net::MessageHandler {
 
  private:
   DurableServer(std::string dir, PersistableHandler* inner,
-                storage::WriteAheadLog wal, Options options,
+                std::unique_ptr<storage::WriteAheadLog> wal, Options options,
                 std::unique_ptr<ReplyCache> reply_cache,
                 uint64_t last_checkpoint_seq)
       : dir_(std::move(dir)),
         inner_(inner),
-        wal_(std::make_unique<storage::WriteAheadLog>(std::move(wal))),
+        wal_(std::move(wal)),
         options_(options),
         snapshots_(dir_, options.env),
         reply_cache_(std::move(reply_cache)),
         last_checkpoint_seq_(last_checkpoint_seq) {}
 
-  Result<net::Message> HandleNew(const net::Message& request);
+  /// A non-mutating request: no commit lock, no journal, no dedup.
+  Result<net::Message> Read(const net::Message& request);
 
-  /// Unpacks a kMsgBatch envelope, running each sub-op through the same
-  /// dedup + apply + journal path as a standalone request but with ONE
-  /// group fsync covering every accepted mutation in the envelope. Sub-ops
-  /// are journaled as individual stamped messages, so WAL replay is
-  /// byte-identical to the unbatched case and needs no changes. Cache
-  /// commits happen only after the group sync succeeds — a reply entry
-  /// never promises a lost update even when the batch is cut short.
-  Result<net::Message> HandleBatch(const net::Message& request);
+  /// The commit loop. Runs `ops` in order under the shared commit lock,
+  /// then one group fsync covers every record they journaled; cache
+  /// entries are committed only after it lands, and a failed sync
+  /// withdraws every claim. Replies align with `ops`.
+  std::vector<Result<net::Message>> Commit(std::span<const net::Message> ops);
+
+  /// Whether a mutating op goes through the dedup table. Only mutations
+  /// do: re-executing a read-only retry is harmless, and not recording
+  /// search results keeps the cache small and the fault-free overhead low.
+  bool Dedups(const net::Message& op) const {
+    return reply_cache_ != nullptr && op.has_session;
+  }
+
+  /// One op of Commit: the refusals (nested envelope, deadline, degraded),
+  /// the dedup claim, apply and journal. On a journaled op `*appended` is
+  /// set and `*sync_seq` / `*wal_seq` advance to its record.
+  Result<net::Message> ApplyAndJournal(const net::Message& op,
+                                       const net::Deadline& deadline,
+                                       bool* appended, uint64_t* sync_seq,
+                                       uint64_t* wal_seq);
 
   /// Blocks until every append up to `seq` is fsynced, electing the caller
   /// as the sync leader if none is running.
@@ -203,7 +266,7 @@ class DurableServer : public net::MessageHandler {
   storage::SnapshotSet snapshots_;
   std::unique_ptr<ReplyCache> reply_cache_;
 
-  /// Held shared by mutating requests for their whole apply+journal span,
+  /// Held shared by Commit() for its whole apply+journal+cache span,
   /// exclusively by Checkpoint(): the snapshot sees no half-committed
   /// mutation and no applied-but-unjournaled request can be compacted away.
   std::shared_mutex commit_mutex_;

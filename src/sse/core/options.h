@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "sse/crypto/elgamal.h"
 
@@ -39,12 +38,6 @@ struct SchemeOptions {
 
   /// Scheme 1: group for the ElGamal instantiation of F.
   crypto::ElGamalGroupId elgamal_group = crypto::ElGamalGroupId::kModp2048;
-
-  /// When non-empty, the server keeps document ciphertexts in an on-disk
-  /// LogStore at this path instead of in memory, so the encrypted corpus
-  /// can exceed RAM (paper schemes only; the searchable index stays in
-  /// memory either way).
-  std::string document_log_path;
 
   /// Route multi-keyword protocol rounds (Store's per-keyword updates,
   /// MultiSearch) through the channel's MultiCall as independent per-keyword

@@ -23,7 +23,6 @@ Result<std::unique_ptr<PersistableHandler>> CreateEngineServer(
   engine::EngineOptions opts;
   opts.num_shards = config.engine_shards;
   opts.worker_threads = config.engine_workers;
-  opts.document_log_path = config.scheme.document_log_path;
   opts.enable_reply_cache = config.engine_reply_cache;
   Result<std::unique_ptr<engine::ServerEngine>> eng =
       engine::ServerEngine::Create(std::move(adapter), opts);

@@ -75,7 +75,7 @@ Result<net::Message> Scheme1Server::HandleUpdate(const net::Message& msg) {
     }
   }
   for (const WireDocument& doc : req.documents) {
-    SSE_RETURN_IF_ERROR(docs_.Put(doc.id, doc.ciphertext));
+    docs_.Put(doc.id, doc.ciphertext);
   }
   S1UpdateAck ack;
   ack.keywords_updated = req.entries.size();
@@ -114,8 +114,7 @@ Result<net::Message> Scheme1Server::HandleSearchFinish(
 
   S1SearchResult result;
   result.ids = bitmap.Ones();
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(result.ids));
+  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
   for (const auto& [id, blob] : fetched) {
     result.documents.push_back(WireDocument{id, blob});
   }
@@ -132,11 +131,11 @@ Result<Bytes> Scheme1Server::SerializeState() const {
     return true;
   });
   w.PutVarint(docs_.size());
-  SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
     w.PutVarint(id);
     w.PutBytes(blob);
     return true;
-  }));
+  });
   return w.TakeData();
 }
 
@@ -164,7 +163,7 @@ Status Scheme1Server::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    SSE_RETURN_IF_ERROR(docs.Put(id, std::move(blob)));
+    docs.Put(id, std::move(blob));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
@@ -176,15 +175,6 @@ Status Scheme1Server::RestoreState(BytesView data) {
 
 bool Scheme1Server::IsMutating(uint16_t msg_type) const {
   return msg_type == kMsgS1UpdateRequest;
-}
-
-Status Scheme1Server::UseLogBackedDocuments(const std::string& path) {
-  if (docs_.size() != 0) {
-    return Status::FailedPrecondition(
-        "cannot switch document backend after documents were stored");
-  }
-  SSE_ASSIGN_OR_RETURN(docs_, storage::DocumentStore::OpenLogBacked(path));
-  return Status::OK();
 }
 
 }  // namespace sse::core

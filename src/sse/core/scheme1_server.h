@@ -38,11 +38,6 @@ class Scheme1Server : public PersistableHandler {
   uint64_t index_comparisons() const { return index_.comparisons(); }
   void ResetIndexStats() { index_.ResetStats(); }
 
-  /// Switches document ciphertexts to an on-disk LogStore (see
-  /// SchemeOptions::document_log_path). Existing log contents become
-  /// visible; any in-memory documents must not exist yet.
-  Status UseLogBackedDocuments(const std::string& path);
-
  private:
   struct Entry {
     Bytes masked_bitmap;  // I(w) ⊕ G(r)

@@ -91,7 +91,7 @@ Result<net::Message> Scheme2Server::HandleUpdate(const net::Message& msg) {
     }
   }
   for (const WireDocument& doc : req.documents) {
-    SSE_RETURN_IF_ERROR(docs_.Put(doc.id, doc.ciphertext));
+    docs_.Put(doc.id, doc.ciphertext);
   }
   S2UpdateAck ack;
   ack.keywords_updated = req.entries.size();
@@ -135,8 +135,7 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg) {
   }
 
   result.ids = std::move(ids);
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(result.ids));
+  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
   for (const auto& [id, blob] : fetched) {
     result.documents.push_back(WireDocument{id, blob});
   }
@@ -189,11 +188,11 @@ Result<Bytes> Scheme2Server::SerializeState() const {
     return true;
   });
   w.PutVarint(docs_.size());
-  SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
     w.PutVarint(id);
     w.PutBytes(blob);
     return true;
-  }));
+  });
   return w.TakeData();
 }
 
@@ -232,7 +231,7 @@ Status Scheme2Server::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    SSE_RETURN_IF_ERROR(docs.Put(id, std::move(blob)));
+    docs.Put(id, std::move(blob));
   }
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
@@ -247,15 +246,6 @@ Status Scheme2Server::RestoreState(BytesView data) {
 
 bool Scheme2Server::IsMutating(uint16_t msg_type) const {
   return msg_type == kMsgS2UpdateRequest || msg_type == kMsgS2ReinitRequest;
-}
-
-Status Scheme2Server::UseLogBackedDocuments(const std::string& path) {
-  if (docs_.size() != 0) {
-    return Status::FailedPrecondition(
-        "cannot switch document backend after documents were stored");
-  }
-  SSE_ASSIGN_OR_RETURN(docs_, storage::DocumentStore::OpenLogBacked(path));
-  return Status::OK();
 }
 
 }  // namespace sse::core

@@ -64,10 +64,6 @@ class Scheme2Server : public PersistableHandler {
     return cache_evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Switches document ciphertexts to an on-disk LogStore (see
-  /// SchemeOptions::document_log_path).
-  Status UseLogBackedDocuments(const std::string& path);
-
  private:
   struct Entry {
     std::vector<S2Segment> segments;

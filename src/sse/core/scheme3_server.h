@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
@@ -54,10 +53,6 @@ class Scheme3Server : public PersistableHandler {
   uint64_t total_entries_decrypted() const {
     return total_entries_decrypted_.load(std::memory_order_relaxed);
   }
-
-  /// Switches document ciphertexts to an on-disk LogStore (see
-  /// SchemeOptions::document_log_path).
-  Status UseLogBackedDocuments(const std::string& path);
 
  private:
   Result<net::Message> HandleUpdate(const net::Message& msg);

@@ -89,8 +89,7 @@ struct SchemeDescriptor {
   std::string_view summary;
   SchemeTraits traits;
 
-  /// Classic single-threaded server (applies
-  /// SchemeOptions::document_log_path itself when set).
+  /// Classic single-threaded server.
   std::function<Result<std::unique_ptr<PersistableHandler>>(
       const SystemConfig&)>
       make_server;

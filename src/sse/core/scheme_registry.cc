@@ -24,17 +24,12 @@ namespace sse::core {
 
 namespace {
 
-/// Builds a classic single-threaded paper-scheme server, applying the
-/// document LogStore spill when configured.
+/// Builds a classic single-threaded paper-scheme server.
 template <typename Server>
 Result<std::unique_ptr<PersistableHandler>> MakeClassicServer(
     const SystemConfig& config) {
-  auto server = std::make_unique<Server>(config.scheme);
-  if (!config.scheme.document_log_path.empty()) {
-    SSE_RETURN_IF_ERROR(
-        server->UseLogBackedDocuments(config.scheme.document_log_path));
-  }
-  return std::unique_ptr<PersistableHandler>(std::move(server));
+  return std::unique_ptr<PersistableHandler>(
+      std::make_unique<Server>(config.scheme));
 }
 
 /// Adapts a scheme client's Create(key, options, channel, rng) factory to

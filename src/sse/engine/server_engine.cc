@@ -48,11 +48,6 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
     slot->shard = engine->adapter_->CreateShard();
     engine->slots_.push_back(std::move(slot));
   }
-  if (!options.document_log_path.empty()) {
-    SSE_ASSIGN_OR_RETURN(
-        engine->docs_,
-        storage::DocumentStore::OpenLogBacked(options.document_log_path));
-  }
   size_t workers = options.worker_threads;
   if (workers == 0) workers = options.num_shards;
   if (workers > options.num_shards) workers = options.num_shards;
@@ -105,23 +100,10 @@ Result<net::Message> ServerEngine::Handle(const net::Message& request) {
 }
 
 Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
-  net::BatchRequest batch;
-  SSE_ASSIGN_OR_RETURN(batch, net::BatchRequest::FromMessage(request));
-  const size_t n = batch.ops.size();
+  std::vector<net::Message> subs;
+  SSE_ASSIGN_OR_RETURN(subs, net::UnpackBatch(request));
+  const size_t n = subs.size();
   metrics_.AddBatch(n);
-
-  // Rebuild each sub-op as a standalone message. A stamped envelope stamps
-  // each sub with (envelope client_id, op seq) — the op's dedup identity,
-  // stable across retried envelopes — via full StampSession so the sub
-  // round-trips WAL journaling (DurableServer encodes and replays it).
-  std::vector<net::Message> subs(n);
-  for (size_t i = 0; i < n; ++i) {
-    subs[i].type = batch.ops[i].type;
-    subs[i].payload = std::move(batch.ops[i].payload);
-    if (request.has_session) {
-      subs[i].StampSession(request.client_id, batch.ops[i].seq);
-    }
-  }
 
   // Fan the sub-ops across the worker pool; each travels the normal
   // single-op path (dedup, routing, shard locks) and so cannot be told
@@ -178,18 +160,7 @@ Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
     for (size_t i = 0; i < n; ++i) outs[i] = run_one(i);
   }
 
-  // Reply entries are (type, payload) only: the sub replies' individual
-  // session stamps are redundant inside the envelope, whose own echoed
-  // stamp and CRC cover the assembled reply end to end.
-  net::BatchReply breply;
-  breply.entries.reserve(n);
-  for (net::Message& out : outs) {
-    breply.entries.push_back(
-        net::BatchReply::Entry{out.type, std::move(out.payload)});
-  }
-  net::Message reply = breply.ToMessage();
-  reply.EchoSession(request);
-  return reply;
+  return net::PackBatchReply(request, std::move(outs));
 }
 
 Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
@@ -296,7 +267,7 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
   if (!plan.documents.empty()) {
     std::unique_lock<std::shared_mutex> lock(docs_mutex_);
     for (core::WireDocument& doc : plan.documents) {
-      SSE_RETURN_IF_ERROR(docs_.Put(doc.id, std::move(doc.ciphertext)));
+      docs_.Put(doc.id, std::move(doc.ciphertext));
     }
     metrics_.AddDocPuts(plan.documents.size());
   }
@@ -321,7 +292,7 @@ Result<net::Message> ServerEngine::HandleFetchDocuments(
   std::vector<std::pair<uint64_t, Bytes>> fetched;
   {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-    SSE_ASSIGN_OR_RETURN(fetched, docs_.GetMany(ids));
+    fetched = docs_.GetMany(ids);
   }
   metrics_.AddDocFetches(ids.size());
 
@@ -382,11 +353,11 @@ Result<Bytes> ServerEngine::SerializeState() const {
   {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
     w.PutVarint(docs_.size());
-    SSE_RETURN_IF_ERROR(docs_.ForEach([&](uint64_t id, const Bytes& blob) {
+    docs_.ForEach([&](uint64_t id, const Bytes& blob) {
       w.PutVarint(id);
       w.PutBytes(blob);
       return true;
-    }));
+    });
   }
   for (const std::unique_ptr<Slot>& slot : slots_) {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
@@ -425,14 +396,13 @@ Status ServerEngine::RestoreState(BytesView data) {
   // corrupt snapshot leaves the engine unchanged.
   uint64_t doc_count = 0;
   SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  std::vector<std::pair<uint64_t, Bytes>> docs;
-  docs.reserve(static_cast<size_t>(doc_count));
+  storage::DocumentStore docs;
   for (uint64_t i = 0; i < doc_count; ++i) {
     uint64_t id = 0;
     SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
     Bytes blob;
     SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.emplace_back(id, std::move(blob));
+    docs.Put(id, std::move(blob));
   }
   std::vector<std::unique_ptr<SchemeShard>> shards;
   shards.reserve(slots_.size());
@@ -465,10 +435,7 @@ Status ServerEngine::RestoreState(BytesView data) {
   for (const std::unique_ptr<Slot>& slot : slots_) {
     shard_locks.emplace_back(slot->mutex);
   }
-  SSE_RETURN_IF_ERROR(docs_.Clear());
-  for (auto& [id, blob] : docs) {
-    SSE_RETURN_IF_ERROR(docs_.Put(id, std::move(blob)));
-  }
+  docs_ = std::move(docs);
   for (size_t i = 0; i < slots_.size(); ++i) {
     slots_[i]->shard = std::move(shards[i]);
   }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <shared_mutex>
-#include <string>
 #include <vector>
 
 #include "sse/core/persistable.h"
@@ -25,10 +24,6 @@ struct EngineOptions {
   /// Worker threads for scatter dispatch (0 = one per shard, capped at the
   /// shard count). Scatters also run inline when they hit a single shard.
   size_t worker_threads = 0;
-
-  /// When non-empty, the engine's shared document store is log-backed at
-  /// this path (same semantics as SchemeOptions::document_log_path).
-  std::string document_log_path;
 
   /// At-most-once dedup of session-stamped requests (see core::ReplyCache):
   /// a retried call is served its cached reply instead of being re-applied,

@@ -50,6 +50,19 @@ struct BatchReply {
   static Result<BatchReply> FromMessage(const Message& msg);
 };
 
+/// Server side of an envelope, step one: its sub-ops as standalone
+/// messages, in op order. A stamped envelope stamps each with (envelope
+/// client_id, op seq), the op's dedup identity, so a sub-op is deduped
+/// and journaled exactly like a client that sent it alone.
+Result<std::vector<Message>> UnpackBatch(const Message& request);
+
+/// Server side, step two: the envelope's reply, one entry per sub-op reply
+/// (aligned with UnpackBatch's output; a failed op as a kMsgError entry),
+/// with the envelope's session echoed. Entries are (type, payload) only:
+/// the sub replies' own session stamps are redundant inside the envelope,
+/// whose echoed stamp and CRC cover the assembled reply end to end.
+Message PackBatchReply(const Message& request, std::vector<Message> replies);
+
 }  // namespace sse::net
 
 #endif  // SSE_NET_BATCH_H_

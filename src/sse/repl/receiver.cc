@@ -21,57 +21,25 @@ Result<std::unique_ptr<ReplReceiver>> ReplReceiver::Open(
       new ReplReceiver(dir, std::move(factory), options, epoch));
   receiver->view_ = receiver->factory_();
   receiver->cache_ = std::make_unique<core::ReplyCache>(options.reply_cache);
-  const storage::WalOptions wal_options{options.env, options.wal_segment_bytes,
-                                        options.wal_salvage};
-
-  // Same recovery dance as DurableServer::Open: newest verifying snapshot
-  // generation into the view, then replay the local log on top. The
-  // follower's directory IS a DurableServer image, so the formats match.
-  std::vector<uint64_t> generations;
-  SSE_ASSIGN_OR_RETURN(generations, receiver->snapshots_.List());
-  uint64_t min_seq = 1;
-  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
-    Result<Bytes> blob = storage::Snapshot::Read(
-        receiver->snapshots_.PathFor(*it), options.env);
-    if (!blob.ok()) continue;
-    Result<core::DurableServer::SnapshotBlob> contents =
-        core::DurableServer::DecodeSnapshot(*blob);
-    if (!contents.ok()) continue;
-    if (!receiver->view_->RestoreState(contents->state).ok()) continue;
-    if (!contents->cache.empty()) {
-      SSE_RETURN_IF_ERROR(receiver->cache_->Restore(contents->cache));
-    }
-    min_seq = contents->wal_seq;
-    break;
-  }
-
-  storage::WalReplayReport report;
-  Status replay = storage::WriteAheadLog::Replay(
-      dir, wal_options, min_seq,
-      [&](uint64_t /*seq*/, BytesView record) {
-        return receiver->ApplyToView(record);
-      },
-      &report);
-  SSE_RETURN_IF_ERROR(replay);
-  if (report.lowest_seq != 0 && report.lowest_seq > min_seq) {
-    return Status::Corruption(
-        "follower WAL does not cover history since its snapshot (needs seq " +
-        std::to_string(min_seq) + ", oldest segment starts at " +
-        std::to_string(report.lowest_seq) + ")");
-  }
-
-  Result<storage::WriteAheadLog> wal =
-      storage::WriteAheadLog::Open(dir, wal_options);
-  if (!wal.ok()) return wal.status();
-  receiver->wal_ =
-      std::make_unique<storage::WriteAheadLog>(std::move(wal).value());
-  if (receiver->wal_->next_seq() < min_seq) {
+  // The follower's directory IS a DurableServer image, so it recovers
+  // through the same steps.
+  core::DurableServer::Recovered recovered;
+  SSE_ASSIGN_OR_RETURN(
+      recovered,
+      core::DurableServer::Recover(
+          dir,
+          storage::WalOptions{options.env, options.wal_segment_bytes,
+                              options.wal_salvage},
+          receiver->view_.get(), receiver->cache_.get()));
+  receiver->wal_ = std::move(recovered.wal);
+  if (receiver->wal_->next_seq() < recovered.cut_seq) {
     // A crash between installing a shipped snapshot and resetting the log
     // leaves the WAL behind the snapshot cut; the snapshot is complete
     // state, so repairing is just restarting the log at the cut.
-    SSE_RETURN_IF_ERROR(receiver->wal_->ResetAt(min_seq));
+    SSE_RETURN_IF_ERROR(receiver->wal_->ResetAt(recovered.cut_seq));
   }
-  receiver->last_checkpoint_seq_ = min_seq;
+  receiver->last_checkpoint_seq_ = recovered.cut_seq;
+  receiver->records_applied_ = recovered.records_replayed;
 
   auto& registry = obs::MetricsRegistry::Global();
   ReplReceiver* raw = receiver.get();
@@ -84,22 +52,6 @@ Result<std::unique_ptr<ReplReceiver>> ReplReceiver::Open(
       [raw] { return static_cast<double>(raw->records_applied()); },
       "Shipped WAL records applied to the follower's read view"));
   return receiver;
-}
-
-Status ReplReceiver::ApplyToView(BytesView record) {
-  Result<net::Message> msg = net::Message::Decode(record);
-  if (!msg.ok()) return msg.status();
-  Result<net::Message> reply = view_->Handle(*msg);
-  if (!reply.ok()) return reply.status();
-  if (msg->has_session) {
-    // Mirror the primary's reply cache so a promoted follower dedups
-    // client retries of pre-failover mutations, and so its own
-    // checkpoints carry the table exactly like the primary's do.
-    reply->EchoSession(*msg);
-    cache_->Commit(msg->client_id, msg->seq, *reply);
-  }
-  ++records_applied_;
-  return Status::OK();
 }
 
 Result<net::Message> ReplReceiver::HandleAppend(const net::Message& request) {
@@ -134,7 +86,11 @@ Result<net::Message> ReplReceiver::HandleAppend(const net::Message& request) {
       accepted = false;
       break;
     }
-    const Status applied = ApplyToView(record);
+    // Mirrors the primary's reply cache too, so a promoted follower dedups
+    // client retries of pre-failover mutations, and its own checkpoints
+    // carry the table exactly like the primary's do.
+    const Status applied = core::DurableServer::ApplyRecord(
+        record, view_.get(), cache_.get());
     if (!applied.ok()) {
       // The primary accepted this record, so a rejecting view has
       // diverged. Refuse the append — the on-disk image stays consistent
@@ -145,6 +101,7 @@ Result<net::Message> ReplReceiver::HandleAppend(const net::Message& request) {
       accepted = false;
       break;
     }
+    ++records_applied_;
     const Status journaled = wal_->Append(record);
     if (!journaled.ok()) {
       accepted = false;
@@ -203,32 +160,26 @@ Result<net::Message> ReplReceiver::HandleSnapshot(const net::Message& request) {
 
   // Build the replacement view before touching anything durable, so a bad
   // blob leaves the current state untouched.
-  Result<core::DurableServer::SnapshotBlob> contents =
-      core::DurableServer::DecodeSnapshot(snap.blob);
-  if (contents.ok()) {
-    std::unique_ptr<core::PersistableHandler> fresh_view = factory_();
-    auto fresh_cache =
-        std::make_unique<core::ReplyCache>(options_.reply_cache);
-    Status installed = fresh_view->RestoreState(contents->state);
-    if (installed.ok() && !contents->cache.empty()) {
-      installed = fresh_cache->Restore(contents->cache);
-    }
-    // Durable install: snapshot file first, then restart the log at the
-    // cut. A crash in between is repaired at the next Open (the WAL is
-    // reset forward to the cut).
-    if (installed.ok()) installed = snapshots_.WriteNext(snap.blob);
-    if (installed.ok()) installed = wal_->ResetAt(snap.cut_seq);
-    if (installed.ok()) {
-      view_ = std::move(fresh_view);
-      cache_ = std::move(fresh_cache);
-      last_checkpoint_seq_ = snap.cut_seq;
-      records_since_checkpoint_ = 0;
-      view_ok_ = true;
-      ack.accepted = true;
-    } else {
-      SSE_LOG(Error) << "repl: snapshot install failed: "
-                     << installed.ToString();
-    }
+  std::unique_ptr<core::PersistableHandler> fresh_view = factory_();
+  auto fresh_cache = std::make_unique<core::ReplyCache>(options_.reply_cache);
+  Status installed = core::DurableServer::RestoreSnapshot(
+                         snap.blob, fresh_view.get(), fresh_cache.get())
+                         .status();
+  // Durable install: snapshot file first, then restart the log at the
+  // cut. A crash in between is repaired at the next Open (the WAL is
+  // reset forward to the cut).
+  if (installed.ok()) installed = snapshots_.WriteNext(snap.blob);
+  if (installed.ok()) installed = wal_->ResetAt(snap.cut_seq);
+  if (installed.ok()) {
+    view_ = std::move(fresh_view);
+    cache_ = std::move(fresh_cache);
+    last_checkpoint_seq_ = snap.cut_seq;
+    records_since_checkpoint_ = 0;
+    view_ok_ = true;
+    ack.accepted = true;
+  } else {
+    SSE_LOG(Error) << "repl: snapshot install failed: "
+                   << installed.ToString();
   }
   ack.next_seq = wal_->next_seq();
   net::Message reply = ack.ToMessage();
@@ -263,17 +214,15 @@ Status ReplReceiver::Checkpoint() {
 }
 
 Status ReplReceiver::CheckpointLocked() {
-  Bytes state;
-  SSE_ASSIGN_OR_RETURN(state, view_->SerializeState());
-  core::DurableServer::SnapshotBlob blob;
-  blob.wal_seq = wal_->next_seq();
-  blob.state = std::move(state);
-  blob.cache = cache_->Serialize();
-  const uint64_t previous_cut = last_checkpoint_seq_;
-  SSE_RETURN_IF_ERROR(
-      snapshots_.WriteNext(core::DurableServer::EncodeSnapshot(blob)));
-  SSE_RETURN_IF_ERROR(wal_->CompactBefore(previous_cut));
-  last_checkpoint_seq_ = blob.wal_seq;
+  const uint64_t cut_seq = wal_->next_seq();
+  Bytes blob;
+  SSE_ASSIGN_OR_RETURN(blob, core::DurableServer::EncodeCheckpoint(
+                                 cut_seq, *view_, cache_.get()));
+  SSE_RETURN_IF_ERROR(snapshots_.WriteNext(blob));
+  // Same retention as DurableServer::Checkpoint: segments below the
+  // previous cut are no longer needed even by the older generation.
+  SSE_RETURN_IF_ERROR(wal_->CompactBefore(last_checkpoint_seq_));
+  last_checkpoint_seq_ = cut_seq;
   records_since_checkpoint_ = 0;
   return Status::OK();
 }

@@ -56,9 +56,10 @@ class ReplReceiver {
     uint64_t checkpoint_every_records = 0;
   };
 
-  /// Opens the follower state in `dir` (which must exist): restores the
-  /// newest verifying snapshot into a fresh handler from `factory`,
-  /// replays the local WAL on top, and opens the log for shipped appends.
+  /// Opens the follower state in `dir` (which must exist): recovers a
+  /// fresh handler from `factory` through DurableServer::Recover (newest
+  /// verifying snapshot, local WAL replayed on top) and opens the log for
+  /// shipped appends.
   /// `epoch` seeds the fencing epoch (persisted by the owning ReplNode).
   static Result<std::unique_ptr<ReplReceiver>> Open(const std::string& dir,
                                                     HandlerFactory factory,
@@ -100,8 +101,6 @@ class ReplReceiver {
         snapshots_(dir_, options.env),
         epoch_(epoch) {}
 
-  /// Applies one shipped record to the view + reply cache (no journal).
-  Status ApplyToView(BytesView record);
   Status CheckpointLocked();
 
   std::string dir_;

@@ -1,65 +1,22 @@
 #include "sse/storage/document_store.h"
 
+#include <string>
+
 namespace sse::storage {
 
-namespace {
-
-Bytes IdKey(uint64_t id) {
-  Bytes out(8);
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(id >> (8 * i));
-  return out;
-}
-
-uint64_t KeyId(BytesView key) {
-  uint64_t id = 0;
-  for (int i = 0; i < 8 && i < static_cast<int>(key.size()); ++i) {
-    id |= static_cast<uint64_t>(key[i]) << (8 * i);
-  }
-  return id;
-}
-
-}  // namespace
-
-Result<DocumentStore> DocumentStore::OpenLogBacked(const std::string& path) {
-  DocumentStore store;
-  SSE_ASSIGN_OR_RETURN(store.log_, LogStore::Open(path));
-  // Build the id/size index from the live log contents.
-  SSE_RETURN_IF_ERROR(store.log_->ForEach([&](BytesView key, BytesView value) {
-    store.log_sizes_[KeyId(key)] = value.size();
-    store.total_bytes_ += value.size();
-    return Status::OK();
-  }));
-  return store;
-}
-
-Status DocumentStore::Put(uint64_t id, Bytes ciphertext) {
-  if (log_ != nullptr) {
-    SSE_RETURN_IF_ERROR(log_->Put(IdKey(id), ciphertext));
-    auto it = log_sizes_.find(id);
-    if (it != log_sizes_.end()) total_bytes_ -= it->second;
-    log_sizes_[id] = ciphertext.size();
-    total_bytes_ += ciphertext.size();
-    return Status::OK();
-  }
+void DocumentStore::Put(uint64_t id, Bytes ciphertext) {
   auto it = docs_.find(id);
   if (it != docs_.end()) {
     total_bytes_ -= it->second.size();
     it->second = std::move(ciphertext);
     total_bytes_ += it->second.size();
-    return Status::OK();
+    return;
   }
   total_bytes_ += ciphertext.size();
   docs_.emplace(id, std::move(ciphertext));
-  return Status::OK();
 }
 
 Result<Bytes> DocumentStore::Get(uint64_t id) const {
-  if (log_ != nullptr) {
-    if (log_sizes_.count(id) == 0) {
-      return Status::NotFound("document id " + std::to_string(id));
-    }
-    return log_->Get(IdKey(id));
-  }
   auto it = docs_.find(id);
   if (it == docs_.end()) {
     return Status::NotFound("document id " + std::to_string(id));
@@ -68,77 +25,25 @@ Result<Bytes> DocumentStore::Get(uint64_t id) const {
 }
 
 bool DocumentStore::Contains(uint64_t id) const {
-  if (log_ != nullptr) return log_sizes_.count(id) > 0;
   return docs_.count(id) > 0;
 }
 
-Result<bool> DocumentStore::Erase(uint64_t id) {
-  if (log_ != nullptr) {
-    auto it = log_sizes_.find(id);
-    if (it == log_sizes_.end()) return false;
-    bool deleted = false;
-    SSE_ASSIGN_OR_RETURN(deleted, log_->Delete(IdKey(id)));
-    total_bytes_ -= it->second;
-    log_sizes_.erase(it);
-    return deleted;
-  }
-  auto it = docs_.find(id);
-  if (it == docs_.end()) return false;
-  total_bytes_ -= it->second.size();
-  docs_.erase(it);
-  return true;
-}
-
-Result<std::vector<std::pair<uint64_t, Bytes>>> DocumentStore::GetMany(
+std::vector<std::pair<uint64_t, Bytes>> DocumentStore::GetMany(
     const std::vector<uint64_t>& ids) const {
   std::vector<std::pair<uint64_t, Bytes>> out;
   out.reserve(ids.size());
   for (uint64_t id : ids) {
-    if (!Contains(id)) continue;
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, Get(id));
-    out.emplace_back(id, std::move(blob));
+    auto it = docs_.find(id);
+    if (it != docs_.end()) out.emplace_back(id, it->second);
   }
   return out;
 }
 
-size_t DocumentStore::size() const {
-  return log_ != nullptr ? log_sizes_.size() : docs_.size();
-}
-
-Status DocumentStore::ForEach(
+void DocumentStore::ForEach(
     const std::function<bool(uint64_t, const Bytes&)>& fn) const {
-  if (log_ != nullptr) {
-    for (const auto& [id, unused_size] : log_sizes_) {
-      Bytes blob;
-      SSE_ASSIGN_OR_RETURN(blob, log_->Get(IdKey(id)));
-      if (!fn(id, blob)) return Status::OK();
-    }
-    return Status::OK();
-  }
   for (const auto& [id, blob] : docs_) {
-    if (!fn(id, blob)) return Status::OK();
+    if (!fn(id, blob)) return;
   }
-  return Status::OK();
-}
-
-Status DocumentStore::Clear() {
-  if (log_ != nullptr) {
-    for (const auto& [id, unused_size] : log_sizes_) {
-      SSE_RETURN_IF_ERROR(log_->Delete(IdKey(id)).status());
-    }
-    log_sizes_.clear();
-    total_bytes_ = 0;
-    return Status::OK();
-  }
-  docs_.clear();
-  total_bytes_ = 0;
-  return Status::OK();
-}
-
-Status DocumentStore::Compact() {
-  if (log_ != nullptr) return log_->Compact();
-  return Status::OK();
 }
 
 }  // namespace sse::storage

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "sse/storage/log_store.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -17,60 +15,34 @@ namespace sse::storage {
 /// Server-side store for the encrypted data items: the tuples
 /// `(E_{k_m}(M_i), i)` of the paper's DataStorage sub-algorithm. The server
 /// only ever sees opaque ciphertext; this container indexes it by the
-/// client-chosen document identifier.
-///
-/// Two backends share the interface: the default in-memory map (blobs live
-/// in RAM and in WAL/snapshot files via DurableServer), and a log-backed
-/// mode (`OpenLogBacked`) that appends blobs to an on-disk LogStore so the
-/// ciphertext corpus can exceed memory.
+/// client-chosen document identifier. Blobs live in memory; DurableServer
+/// makes them durable as part of the server state (WAL records and
+/// snapshots).
 class DocumentStore {
  public:
-  /// In-memory store.
-  DocumentStore() = default;
-
-  DocumentStore(DocumentStore&&) noexcept = default;
-  DocumentStore& operator=(DocumentStore&&) noexcept = default;
-
-  /// Opens a store whose blobs live in the LogStore at `path` (created if
-  /// absent; existing contents become visible immediately).
-  static Result<DocumentStore> OpenLogBacked(const std::string& path);
-
   /// Stores `ciphertext` under `id`, replacing any previous version.
-  Status Put(uint64_t id, Bytes ciphertext);
+  void Put(uint64_t id, Bytes ciphertext);
 
   /// Returns the ciphertext for `id` or NOT_FOUND.
   Result<Bytes> Get(uint64_t id) const;
 
   bool Contains(uint64_t id) const;
-  Result<bool> Erase(uint64_t id);
 
   /// Fetches all present ids from `ids`, skipping absent ones (a search
   /// may return ids whose documents were deleted later; the protocol
   /// tolerates that). Output pairs are (id, ciphertext), input order.
-  Result<std::vector<std::pair<uint64_t, Bytes>>> GetMany(
+  std::vector<std::pair<uint64_t, Bytes>> GetMany(
       const std::vector<uint64_t>& ids) const;
 
-  size_t size() const;
+  size_t size() const { return docs_.size(); }
   uint64_t total_bytes() const { return total_bytes_; }
-  bool log_backed() const { return log_ != nullptr; }
 
   /// Visits every (id, ciphertext) in ascending id order. The callback
   /// returning false stops the scan.
-  Status ForEach(const std::function<bool(uint64_t, const Bytes&)>& fn) const;
-
-  /// In-memory: drops everything. Log-backed: tombstones every key.
-  Status Clear();
-
-  /// Log-backed only: reclaims superseded blobs; no-op in memory.
-  Status Compact();
+  void ForEach(const std::function<bool(uint64_t, const Bytes&)>& fn) const;
 
  private:
-  // Memory backend.
   std::map<uint64_t, Bytes> docs_;
-  // Log backend (docs_ unused when set); id index mirrors live keys so
-  // size/Contains/ForEach order stay O(live) without touching the disk.
-  std::unique_ptr<LogStore> log_;
-  std::map<uint64_t, uint64_t> log_sizes_;  // id -> blob size
   uint64_t total_bytes_ = 0;
 };
 

@@ -1,13 +1,10 @@
 // Configuration matrix: every full-featured scheme (engine-capable in the
 // descriptor table — the paper schemes plus forward-private Scheme 3) must
-// behave identically across every server-side backend — in-memory vs
-// log-backed document store.
+// pass the same store/search cases.
 // The kinds under test come from the descriptor table, so a newly
 // registered engine-capable scheme enrolls here with no test changes.
 
 #include <gtest/gtest.h>
-
-#include <tuple>
 
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_client.h"
@@ -20,21 +17,13 @@ namespace {
 
 using sse::testing::FastTestConfig;
 using sse::testing::MakeTestSystem;
-using sse::testing::TempDir;
 
-using MatrixParam = std::tuple<SystemKind, bool /*log_backed_docs*/>;
-
-class ConfigMatrixTest : public ::testing::TestWithParam<MatrixParam> {
+class ConfigMatrixTest : public ::testing::TestWithParam<SystemKind> {
  protected:
   ConfigMatrixTest() : rng_(12345) {
-    SystemConfig config = FastTestConfig();
-    if (std::get<1>(GetParam())) {
-      config.scheme.document_log_path = dir_.path() + "/docs.log";
-    }
-    sys_ = MakeTestSystem(std::get<0>(GetParam()), &rng_, config);
+    sys_ = MakeTestSystem(GetParam(), &rng_, FastTestConfig());
   }
 
-  TempDir dir_;
   DeterministicRandom rng_;
   SseSystem sys_;
 };
@@ -73,13 +62,9 @@ std::vector<SystemKind> EngineCapableKinds() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, ConfigMatrixTest,
-    ::testing::Combine(::testing::ValuesIn(EngineCapableKinds()),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      std::string name(SystemKindName(std::get<0>(info.param)));
-      name += std::get<1>(info.param) ? "_logdocs" : "_memdocs";
-      return name;
+    Schemes, ConfigMatrixTest, ::testing::ValuesIn(EngineCapableKinds()),
+    [](const ::testing::TestParamInfo<SystemKind>& info) {
+      return std::string(SystemKindName(info.param));
     });
 
 TEST(ParameterMismatchTest, Scheme1BitmapCapacityMismatchRejected) {

@@ -7,123 +7,54 @@
 namespace sse::storage {
 namespace {
 
-using sse::testing::TempDir;
-
-/// Runs each test against both backends: in-memory and log-backed.
-class DocumentStoreTest : public ::testing::TestWithParam<bool> {
- protected:
-  DocumentStoreTest() {
-    if (GetParam()) {
-      auto opened = DocumentStore::OpenLogBacked(dir_.path() + "/docs.log");
-      EXPECT_TRUE(opened.ok()) << opened.status().ToString();
-      store_ = std::move(opened).value();
-    }
-  }
-  TempDir dir_;
-  DocumentStore store_;
-};
-
-TEST_P(DocumentStoreTest, PutGet) {
-  SSE_ASSERT_OK(store_.Put(7, Bytes{1, 2, 3}));
-  auto got = store_.Get(7);
+TEST(DocumentStoreTest, PutGet) {
+  DocumentStore store;
+  store.Put(7, Bytes{1, 2, 3});
+  auto got = store.Get(7);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (Bytes{1, 2, 3}));
-  EXPECT_TRUE(store_.Contains(7));
-  EXPECT_EQ(store_.size(), 1u);
-  EXPECT_EQ(store_.total_bytes(), 3u);
-  EXPECT_EQ(store_.log_backed(), GetParam());
+  EXPECT_TRUE(store.Contains(7));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.total_bytes(), 3u);
 }
 
-TEST_P(DocumentStoreTest, GetMissing) {
-  auto got = store_.Get(1);
+TEST(DocumentStoreTest, GetMissing) {
+  DocumentStore store;
+  auto got = store.Get(1);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
 }
 
-TEST_P(DocumentStoreTest, PutReplaceTracksBytes) {
-  SSE_ASSERT_OK(store_.Put(1, Bytes(100, 0)));
-  EXPECT_EQ(store_.total_bytes(), 100u);
-  SSE_ASSERT_OK(store_.Put(1, Bytes(40, 0)));
-  EXPECT_EQ(store_.total_bytes(), 40u);
-  EXPECT_EQ(store_.size(), 1u);
+TEST(DocumentStoreTest, PutReplaceTracksBytes) {
+  DocumentStore store;
+  store.Put(1, Bytes(100, 0));
+  EXPECT_EQ(store.total_bytes(), 100u);
+  store.Put(1, Bytes(40, 0));
+  EXPECT_EQ(store.total_bytes(), 40u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
-TEST_P(DocumentStoreTest, Erase) {
-  SSE_ASSERT_OK(store_.Put(1, Bytes(10, 0)));
-  SSE_ASSERT_OK(store_.Put(2, Bytes(20, 0)));
-  auto erased = store_.Erase(1);
-  ASSERT_TRUE(erased.ok());
-  EXPECT_TRUE(*erased);
-  auto again = store_.Erase(1);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-  EXPECT_EQ(store_.size(), 1u);
-  EXPECT_EQ(store_.total_bytes(), 20u);
+TEST(DocumentStoreTest, GetManySkipsMissing) {
+  DocumentStore store;
+  store.Put(1, Bytes{0xa});
+  store.Put(3, Bytes{0xb});
+  auto got = store.GetMany({1, 2, 3, 4});
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].first, 1u);
+  EXPECT_EQ(got[1].first, 3u);
 }
 
-TEST_P(DocumentStoreTest, GetManySkipsMissing) {
-  SSE_ASSERT_OK(store_.Put(1, Bytes{0xa}));
-  SSE_ASSERT_OK(store_.Put(3, Bytes{0xb}));
-  auto got = store_.GetMany({1, 2, 3, 4});
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), 2u);
-  EXPECT_EQ((*got)[0].first, 1u);
-  EXPECT_EQ((*got)[1].first, 3u);
-}
-
-TEST_P(DocumentStoreTest, ForEachOrderedAndEarlyStop) {
-  SSE_ASSERT_OK(store_.Put(3, Bytes{3}));
-  SSE_ASSERT_OK(store_.Put(1, Bytes{1}));
-  SSE_ASSERT_OK(store_.Put(2, Bytes{2}));
+TEST(DocumentStoreTest, ForEachOrderedAndEarlyStop) {
+  DocumentStore store;
+  store.Put(3, Bytes{3});
+  store.Put(1, Bytes{1});
+  store.Put(2, Bytes{2});
   std::vector<uint64_t> ids;
-  SSE_ASSERT_OK(store_.ForEach([&](uint64_t id, const Bytes&) {
+  store.ForEach([&](uint64_t id, const Bytes&) {
     ids.push_back(id);
     return ids.size() < 2;
-  }));
+  });
   EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2}));
-}
-
-TEST_P(DocumentStoreTest, Clear) {
-  SSE_ASSERT_OK(store_.Put(1, Bytes(5, 0)));
-  SSE_ASSERT_OK(store_.Clear());
-  EXPECT_EQ(store_.size(), 0u);
-  EXPECT_EQ(store_.total_bytes(), 0u);
-  EXPECT_FALSE(store_.Contains(1));
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, DocumentStoreTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "log_backed" : "memory";
-                         });
-
-TEST(LogBackedDocumentStoreTest, SurvivesReopen) {
-  TempDir dir;
-  const std::string path = dir.path() + "/docs.log";
-  {
-    auto store = DocumentStore::OpenLogBacked(path);
-    ASSERT_TRUE(store.ok());
-    SSE_ASSERT_OK(store->Put(5, Bytes(64, 0xab)));
-    SSE_ASSERT_OK(store->Put(9, Bytes(32, 0xcd)));
-    ASSERT_TRUE(store->Erase(5).ok());
-  }
-  auto store = DocumentStore::OpenLogBacked(path);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->size(), 1u);
-  EXPECT_EQ(store->total_bytes(), 32u);
-  EXPECT_FALSE(store->Contains(5));
-  EXPECT_EQ(*store->Get(9), Bytes(32, 0xcd));
-}
-
-TEST(LogBackedDocumentStoreTest, CompactShrinksFile) {
-  TempDir dir;
-  auto store = DocumentStore::OpenLogBacked(dir.path() + "/docs.log");
-  ASSERT_TRUE(store.ok());
-  for (int round = 0; round < 8; ++round) {
-    SSE_ASSERT_OK(store->Put(1, Bytes(512, static_cast<uint8_t>(round))));
-  }
-  SSE_ASSERT_OK(store->Compact());
-  EXPECT_EQ(*store->Get(1), Bytes(512, 7));
-  EXPECT_EQ(store->size(), 1u);
 }
 
 }  // namespace

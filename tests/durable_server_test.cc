@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "sse/core/registry.h"
+#include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme1_server.h"
 #include "sse/core/scheme2_server.h"
 #include "sse/core/scheme1_client.h"
 #include "sse/core/scheme2_client.h"
+#include "sse/net/batch.h"
 #include "sse/net/retry.h"
 #include "sse/storage/faulty_env.h"
 #include "sse/storage/snapshot.h"
@@ -301,7 +303,34 @@ TEST(DurableServerTest, FallsBackToOlderSnapshotGeneration) {
   EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1, 2}));
 }
 
-TEST(DurableServerTest, FailedFsyncDegradesToReadOnly) {
+/// How the mutation whose fsync fails reaches the server: a standalone
+/// unstamped call, or a stamped envelope so the reply cache is involved.
+enum class RequestShape { kStandalone, kBatched };
+
+/// A stamped kMsgBatch envelope of `n` Scheme 1 updates, each adding one
+/// new keyword (so each applies on its own, in any order).
+net::Message StampedNewKeywordEnvelope(const SchemeOptions& options,
+                                       uint8_t n) {
+  net::BatchRequest batch;
+  for (uint8_t i = 1; i <= n; ++i) {
+    S1UpdateEntry entry;
+    entry.token = Bytes(32, i);
+    entry.masked_delta = Bytes((options.max_documents + 7) / 8, 0);
+    entry.new_enc_nonce = Bytes(16, i);
+    entry.is_new = true;
+    S1UpdateRequest update;
+    update.entries.push_back(std::move(entry));
+    net::Message op = update.ToMessage();
+    batch.ops.push_back(net::BatchRequest::Op{i, op.type, op.payload});
+  }
+  net::Message envelope = batch.ToMessage();
+  envelope.StampSession(/*client=*/77, /*sequence=*/100);
+  return envelope;
+}
+
+class DurableFsyncTest : public ::testing::TestWithParam<RequestShape> {};
+
+TEST_P(DurableFsyncTest, FailedFsyncDegradesToReadOnly) {
   storage::FaultyEnv env;
   DeterministicRandom rng(13);
   const SchemeOptions options = FastTestConfig().scheme;
@@ -316,10 +345,30 @@ TEST(DurableServerTest, FailedFsyncDegradesToReadOnly) {
   SSE_ASSERT_OK((*client)->Store({Document::Make(0, "a", {"k"})}));
   EXPECT_FALSE((*durable)->degraded());
 
-  // The next mutation appends (op `ops()`) then fsyncs (op `ops()+1`):
-  // fail the fsync. fsyncgate rule: the sync is never retried.
-  env.FailAt(env.ops() + 1, storage::FaultyEnv::FaultKind::kSyncFail);
-  EXPECT_FALSE((*client)->Store({Document::Make(1, "b", {"k"})}).ok());
+  if (GetParam() == RequestShape::kStandalone) {
+    // The next mutation appends (op `ops()`) then fsyncs (op `ops()+1`):
+    // fail the fsync. fsyncgate rule: the sync is never retried.
+    env.FailAt(env.ops() + 1, storage::FaultyEnv::FaultKind::kSyncFail);
+    EXPECT_FALSE((*client)->Store({Document::Make(1, "b", {"k"})}).ok());
+  } else {
+    // Three sub-ops append (ops `ops()`..`ops()+2`), then ONE group fsync
+    // covers them and fails: every sub-op is refused, and none of their
+    // dedup claims may reach the reply cache.
+    ASSERT_NE((*durable)->reply_cache(), nullptr);
+    const size_t cached = (*durable)->reply_cache()->entry_count();
+    env.FailAt(env.ops() + 3, storage::FaultyEnv::FaultKind::kSyncFail);
+    auto reply = channel.Call(StampedNewKeywordEnvelope(options, 3));
+    SSE_ASSERT_OK_RESULT(reply);
+    auto batch = net::BatchReply::FromMessage(*reply);
+    SSE_ASSERT_OK_RESULT(batch);
+    ASSERT_EQ(batch->entries.size(), 3u);
+    for (const net::BatchReply::Entry& entry : batch->entries) {
+      const Status status =
+          net::DecodeErrorMessage(net::Message{entry.type, entry.payload});
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    }
+    EXPECT_EQ((*durable)->reply_cache()->entry_count(), cached);
+  }
   EXPECT_TRUE((*durable)->degraded());
   EXPECT_FALSE((*durable)->degraded_cause().ok());
 
@@ -354,6 +403,14 @@ TEST(DurableServerTest, FailedFsyncDegradesToReadOnly) {
   ASSERT_FALSE(recovered->ids.empty());
   EXPECT_EQ(recovered->ids.front(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RequestShapes, DurableFsyncTest,
+    ::testing::Values(RequestShape::kStandalone, RequestShape::kBatched),
+    [](const ::testing::TestParamInfo<RequestShape>& info) {
+      return info.param == RequestShape::kStandalone ? "standalone"
+                                                     : "batched";
+    });
 
 TEST(DurableServerTest, NullInnerRejected) {
   TempDir dir;

@@ -123,37 +123,6 @@ TEST(EndToEndTest, Scheme2SurvivesRestartMidEpoch) {
   EXPECT_EQ(grown->ids, (std::vector<uint64_t>{0, 1, 2}));
 }
 
-TEST(EndToEndTest, LogBackedDocumentsServeBothSchemes) {
-  // Document ciphertexts spill to an on-disk LogStore; the searchable
-  // index stays in memory. Search results and contents must be identical
-  // to the in-memory backend, and the blobs must survive a reopen.
-  for (SystemKind kind : {SystemKind::kScheme1, SystemKind::kScheme2}) {
-    TempDir dir;
-    core::SystemConfig config = FastTestConfig();
-    config.scheme.document_log_path = dir.path() + "/docs.log";
-    DeterministicRandom rng(33);
-    core::SseSystem sys = MakeTestSystem(kind, &rng, config);
-
-    std::vector<Document> docs;
-    for (uint64_t i = 0; i < 20; ++i) {
-      docs.push_back(Document::Make(i, "payload-" + std::to_string(i),
-                                    {"kw" + std::to_string(i % 4)}));
-    }
-    SSE_ASSERT_OK(sys.client->Store(docs));
-    auto outcome = sys.client->Search("kw2");
-    SSE_ASSERT_OK_RESULT(outcome);
-    EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{2, 6, 10, 14, 18}));
-    ASSERT_EQ(outcome->documents.size(), 5u);
-    EXPECT_EQ(BytesToString(outcome->documents[0].second), "payload-2");
-
-    // The blobs are on disk: a second store over the same log sees them.
-    auto reopened =
-        storage::DocumentStore::OpenLogBacked(config.scheme.document_log_path);
-    ASSERT_TRUE(reopened.ok());
-    EXPECT_EQ(reopened->size(), 20u);
-  }
-}
-
 TEST(EndToEndTest, MultiTenantIsolationOnSharedServer) {
   // Two clients with independent master keys share one physical server.
   // Tokens are PRF outputs under different keys, so the tenants' indexes

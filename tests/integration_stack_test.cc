@@ -1,6 +1,6 @@
 // Whole-stack integrations that cross module boundaries in combinations
-// the per-module suites do not: TCP + durable server + log-backed blobs,
-// and padding + PHR application composition.
+// the per-module suites do not: TCP + durable server + checkpoint, and
+// padding + PHR application composition.
 
 #include <gtest/gtest.h>
 
@@ -22,16 +22,14 @@ using sse::testing::FastTestConfig;
 using sse::testing::TempDir;
 using sse::testing::TestMasterKey;
 
-TEST(IntegrationStackTest, TcpDurableLogBackedScheme2) {
+TEST(IntegrationStackTest, TcpDurableCheckpointScheme2) {
   TempDir dir;
-  core::SchemeOptions options = FastTestConfig().scheme;
-  options.document_log_path = dir.path() + "/docs.log";
+  const core::SchemeOptions options = FastTestConfig().scheme;
 
   Bytes client_state;
-  // Session 1: full stack — TCP sockets, WAL journaling, disk blobs.
+  // Session 1: full stack — TCP sockets, WAL journaling, a checkpoint.
   {
     core::Scheme2Server inner(options);
-    SSE_ASSERT_OK(inner.UseLogBackedDocuments(options.document_log_path));
     auto durable = core::DurableServer::Open(dir.path(), &inner);
     SSE_ASSERT_OK_RESULT(durable);
     auto tcp = net::TcpServer::Start(durable->get());
@@ -43,20 +41,21 @@ TEST(IntegrationStackTest, TcpDurableLogBackedScheme2) {
     auto client = core::Scheme2Client::Create(TestMasterKey(), options,
                                               channel->get(), &rng);
     SSE_ASSERT_OK_RESULT(client);
-    SSE_ASSERT_OK((*client)->Store({
-        Document::Make(0, "first", {"kw", "one"}),
-        Document::Make(1, "second", {"kw"}),
-    }));
+    SSE_ASSERT_OK(
+        (*client)->Store({Document::Make(0, "first", {"kw", "one"})}));
+    // The snapshot carries document 0's ciphertext with the index;
+    // document 1 is only in the WAL.
+    SSE_ASSERT_OK((*durable)->Checkpoint());
+    SSE_ASSERT_OK((*client)->Store({Document::Make(1, "second", {"kw"})}));
     auto outcome = (*client)->Search("kw");
     SSE_ASSERT_OK_RESULT(outcome);
     EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1}));
     client_state = (*client)->SerializeState();
   }
 
-  // Session 2: crash-recover everything and keep serving over new sockets.
+  // Session 2: recover snapshot + WAL and keep serving over new sockets.
   {
     core::Scheme2Server inner(options);
-    SSE_ASSERT_OK(inner.UseLogBackedDocuments(options.document_log_path));
     auto durable = core::DurableServer::Open(dir.path(), &inner);
     SSE_ASSERT_OK_RESULT(durable);
     EXPECT_EQ(inner.document_count(), 2u);

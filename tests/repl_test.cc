@@ -29,6 +29,7 @@
 #include "sse/repl/failover_channel.h"
 #include "sse/repl/messages.h"
 #include "sse/repl/node.h"
+#include "sse/storage/snapshot.h"
 #include "test_util.h"
 
 namespace sse::repl {
@@ -363,6 +364,63 @@ TEST(ReplNodeTest, FollowerBehindCompactionIsCaughtUpBySnapshot) {
 
   follower.StopAll();
   primary.StopAll();
+}
+
+TEST(ReplNodeTest, FollowerRestartsFromItsOwnCheckpoint) {
+  ReplNode::Options follower_options = FollowerOptions();
+  follower_options.follower_checkpoint_every_records = 2;
+  TestNode follower;
+  follower.Start(follower_options);
+  TestNode primary;
+  primary.Start(PrimaryOptions({{"127.0.0.1", follower.port()}}));
+
+  // Session-stamped XOR ops: the follower mirrors their replies into its
+  // reply cache, and its checkpoints carry that table.
+  auto channel = net::TcpChannel::Connect(primary.port());
+  SSE_ASSERT_OK(channel.status());
+  std::vector<net::Message> sent;
+  for (uint8_t i = 0; i < 8; ++i) {
+    net::Message op = SetOp(i, static_cast<uint8_t>(0x10 + i));
+    op.StampSession(/*client=*/42, /*sequence=*/i + 1u);
+    SSE_ASSERT_OK((*channel)->Call(op).status());
+    sent.push_back(op);
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return follower.node->receiver()->next_seq() ==
+               primary.node->durable()->wal_next_seq();
+      },
+      5000));
+  primary.StopAll();
+  follower.StopAll();
+  auto generations = storage::SnapshotSet(follower.dir.path()).List();
+  SSE_ASSERT_OK(generations.status());
+  ASSERT_FALSE(generations->empty()) << "follower never checkpointed";
+
+  // The restart recovers from the follower's own newest snapshot plus the
+  // log tail past its cut; no primary is left to ship anything.
+  follower.Start(follower_options);
+  auto fchannel = net::TcpChannel::Connect(follower.port());
+  SSE_ASSERT_OK(fchannel.status());
+  for (uint8_t i = 0; i < 8; ++i) {
+    auto reply = (*fchannel)->Call(GetOp(i));
+    SSE_ASSERT_OK(reply.status());
+    EXPECT_EQ(reply->payload, Bytes{static_cast<uint8_t>(0x10 + i)});
+  }
+
+  // Promoted, it answers a retry of a pre-restart op from the reply cache
+  // instead of XORing the value a second time.
+  auto promote_reply = (*fchannel)->Call(ReplPromote{}.ToMessage());
+  SSE_ASSERT_OK(promote_reply.status());
+  ASSERT_EQ(follower.node->role(), ReplNode::Role::kPrimary);
+  SSE_ASSERT_OK((*fchannel)->Call(sent[3]).status());
+  auto read_back = (*fchannel)->Call(GetOp(3));
+  SSE_ASSERT_OK(read_back.status());
+  EXPECT_EQ(read_back->payload, Bytes{0x13});
+  ASSERT_NE(follower.node->durable()->reply_cache(), nullptr);
+  EXPECT_GE(follower.node->durable()->reply_cache()->hits(), 1u);
+
+  follower.StopAll();
 }
 
 TEST(ReplNodeTest, DeposedPrimaryIsFencedByHigherEpochAck) {
