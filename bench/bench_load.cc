@@ -485,7 +485,7 @@ int Run(bool smoke, const char* json_path) {
   net::TcpServer::Options server_opts;
   server_opts.serialize_handler = false;  // the sharded engine is thread-safe
   server_opts.reactor_loops = 1;
-  server_opts.pipeline_workers = 2;
+  server_opts.dispatch_workers = 2;
   server_opts.pipeline_queue = 64;
   server_opts.max_dispatch_queue = 128;
   server_opts.admission = controller;
@@ -593,7 +593,7 @@ int Run(bool smoke, const char* json_path) {
       load.update_fraction, load.zipf_s, load.search_keywords,
       admission_options.max_queue_depth,
       admission_options.mutation_queue_depth, server_opts.max_dispatch_queue,
-      server_opts.pipeline_workers, capacity);
+      server_opts.dispatch_workers, capacity);
   for (size_t i = 0; i < points.size(); ++i) {
     std::fprintf(out, "%s%s\n", PhaseJson(points[i]).c_str(),
                  i + 1 < points.size() ? "," : "");

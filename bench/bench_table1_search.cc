@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "sse/net/retry.h"
 #include "sse/net/tcp.h"
 #include "sse/obs/histogram.h"
+#include "sse/obs/metrics_registry.h"
 #include "sse/obs/slo.h"
 #include "sse/obs/trace.h"
 
@@ -259,8 +261,13 @@ void SweepEngineThreads() {
                     Fmt("%.2fx", base_rate > 0 ? rate / base_rate : 1.0)});
   }
   table.PrintRule();
-  std::printf("\nengine metrics after the sweep:\n%s\n",
-              eng->Metrics().ToString().c_str());
+  // The engine's series, as the stats RPC serves them.
+  std::printf("\nengine metrics after the sweep:\n");
+  std::istringstream scrape(obs::MetricsRegistry::Global().RenderPrometheus());
+  for (std::string line; std::getline(scrape, line);) {
+    if (line.rfind("sse_engine_", 0) == 0) std::printf("%s\n", line.c_str());
+  }
+  std::printf("\n");
 }
 
 // T1-search (e): latency distribution + tracing overhead, emitted as
@@ -469,7 +476,7 @@ void SweepLatencyProfile(const char* json_path,
 std::string SweepReactorConnectionScale() {
   std::printf(
       "T1-search (f): reactor TCP MultiSearch latency vs idle-connection\n"
-      "scale. The thread budget stays reactor_loops + pipeline_workers at\n"
+      "scale. The thread budget stays reactor_loops + dispatch_workers at\n"
       "every point; idle connections should not shift p50/p99.\n\n");
 
   // Idle connections need 2 fds each (client + accepted side); size the
@@ -500,7 +507,7 @@ std::string SweepReactorConnectionScale() {
   net::TcpServer::Options server_opts;
   server_opts.serialize_handler = false;  // the engine is thread-safe
   server_opts.reactor_loops = 2;
-  server_opts.pipeline_workers = 4;
+  server_opts.dispatch_workers = 4;
   auto server = MustValue(net::TcpServer::Start(engine.get(), 0, server_opts),
                           "tcp server");
   auto channel =
@@ -692,7 +699,7 @@ std::string SweepScheme3UpdateHeavy() {
 }
 
 // T1-search (h): brownout behavior at ~2x sustained saturation. A
-// throttled scheme-2 engine (known capacity: pipeline_workers / 1ms) sits
+// throttled scheme-2 engine (known capacity: dispatch_workers / 1ms) sits
 // behind the admission controller and a bounded dispatch queue; two
 // open-loop burst threads offer mixed traffic well past capacity while a
 // closed-loop prober measures what admitted requests actually cost. The
@@ -731,7 +738,7 @@ std::string SweepOverloadBrownout() {
 
   net::TcpServer::Options server_opts;
   server_opts.serialize_handler = false;
-  server_opts.pipeline_workers = 2;
+  server_opts.dispatch_workers = 2;
   server_opts.max_dispatch_queue = 32;
   server_opts.admission = controller;
   auto server = MustValue(net::TcpServer::Start(&throttled, 0, server_opts),

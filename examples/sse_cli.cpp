@@ -12,7 +12,8 @@
 // Delivery-semantics knobs (see DESIGN.md "Delivery semantics"):
 //   SSE_RETRY_ATTEMPTS   total tries per call, default 5; 1 disables retries
 //                        (calls are session-stamped either way)
-//   SSE_RETRY_DEADLINE_MS  per-call deadline across attempts, default 0 (none)
+//   SSE_DEADLINE_MS      per-call deadline across attempts, propagated on the
+//                        wire to the server, default 0 (none)
 //   SSE_REPLY_CACHE      1 (default) dedups stamped calls server-side so a
 //                        retried update applies at most once; 0 disables
 //   SSE_BATCH_SIZE       ops per kMsgBatch envelope for multi-keyword
@@ -54,6 +55,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
@@ -63,6 +65,7 @@
 #include "sse/engine/server_engine.h"
 #include "sse/net/retry.h"
 #include "sse/net/tcp.h"
+#include "sse/obs/metrics_registry.h"
 #include "sse/obs/slo.h"
 #include "sse/obs/stats_logger.h"
 #include "sse/repl/node.h"
@@ -126,12 +129,13 @@ void ApplyAdmissionEnv(net::TcpServer::Options* server_options) {
       std::make_shared<net::QueueAdmissionController>(admission);
 }
 
-// SLO knobs shared by both serve paths: per-request recording on/off, the
-// brownout-exit quiet period, and the per-class latency thresholds of the
-// process-wide tracker. Thresholds must land before the tracker's first
-// use, which is why this runs at serve startup.
+// SLO knobs shared by both serve paths: per-request recording on/off (the
+// process-wide gate; each serve runs one server), the brownout-exit quiet
+// period, and the per-class latency thresholds of the process-wide
+// tracker. Thresholds must land before the tracker's first use, which is
+// why this runs at serve startup.
 void ApplySloEnv(net::TcpServer::Options* server_options) {
-  server_options->slo_tracking = EnvU64("SSE_SLO_TRACKING", 1) != 0;
+  obs::SetSloRecordingEnabled(EnvU64("SSE_SLO_TRACKING", 1) != 0);
   server_options->brownout_exit_ms = EnvU64("SSE_BROWNOUT_EXIT_MS", 1000);
   const uint64_t search_ms = EnvU64("SSE_SLO_SEARCH_MS", 0);
   const uint64_t mutation_ms = EnvU64("SSE_SLO_MUTATION_MS", 0);
@@ -335,10 +339,8 @@ int main(int argc, char** argv) {
   net::RetryOptions retry_options;
   retry_options.max_attempts =
       static_cast<int>(EnvU64("SSE_RETRY_ATTEMPTS", 5));
-  // SSE_DEADLINE_MS is the overall per-call budget (propagated on the wire
-  // to the server); SSE_RETRY_DEADLINE_MS is its older spelling.
-  retry_options.call_deadline_ms = static_cast<double>(
-      EnvU64("SSE_DEADLINE_MS", EnvU64("SSE_RETRY_DEADLINE_MS", 0)));
+  retry_options.call_deadline_ms =
+      static_cast<double>(EnvU64("SSE_DEADLINE_MS", 0));
   retry_options.retry_budget =
       static_cast<double>(EnvU64("SSE_RETRY_BUDGET", 0));
   retry_options.batch_size = static_cast<int>(batch_size);
@@ -406,7 +408,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     (*server)->stored_index_bytes()),
                 (*server)->num_shards());
-    std::printf("%s", (*server)->Metrics().ToString().c_str());
+    // The engine's series, as the stats RPC serves them.
+    std::istringstream scrape(
+        obs::MetricsRegistry::Global().RenderPrometheus());
+    for (std::string line; std::getline(scrape, line);) {
+      if (line.rfind("sse_engine_", 0) == 0) std::printf("%s\n", line.c_str());
+    }
   } else if (command == "serve") {
     // Expose the durable vault over TCP. The engine is thread-safe and the
     // durable shell group-commits concurrent appends, so connections are
@@ -434,7 +441,7 @@ int main(int argc, char** argv) {
         "reactor: %zu epoll loop(s) + %zu dispatch worker(s) = %zu serving "
         "threads at any connection count\n",
         dir.c_str(), std::string(scheme->name).c_str(), (*tcp)->port(),
-        server_options.reactor_loops, server_options.pipeline_workers,
+        server_options.reactor_loops, server_options.dispatch_workers,
         (*tcp)->serving_threads());
     std::fflush(stdout);
     while (std::fgetc(stdin) != EOF) {

@@ -78,6 +78,7 @@ else
   # libsse dependency) is much faster than a full TSan build.
   cmake --build build-tsan -j "$(nproc)" \
     --target engine_concurrency_test tcp_test chaos_test \
+             engine_test retry_test fault_test \
              obs_trace_test obs_metrics_test obs_stats_rpc_test \
              obs_slo_test obs_events_test \
              reactor_test net_scale_test repl_test scheme3_test \
@@ -105,6 +106,7 @@ else
     -DSSE_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-asan -j "$(nproc)" \
     --target engine_concurrency_test tcp_test chaos_test batch_test \
+             engine_test retry_test fault_test \
              crash_recovery_test env_test reactor_test net_scale_test \
              scheme3_test overload_test durable_server_test repl_test
   # cluster_test is excluded as in the TSan pass; repl_test covers the

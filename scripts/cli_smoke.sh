@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Vault life cycle through the command-line tools: put -> checkpoint ->
 # put -> checkpoint -> put. Every document must still be found (snapshot
-# plus WAL tail), and `vault_admin status` must list both snapshot
-# generations. Usage:
+# plus WAL tail), `vault_admin status` must list both snapshot
+# generations, and `sse_cli stats` must print the engine's registry
+# counters. Usage:
 #   scripts/cli_smoke.sh [build-dir]    # default: build
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,4 +27,8 @@ grep -qx "3 match(es)" <<<"$found"
 status="$("$ADMIN" "$VAULT" status)"
 echo "$status"
 [[ "$(grep -c '^snapshot g' <<<"$status")" == 2 ]]
+
+stats="$("$CLI" "$VAULT" stats)"
+echo "$stats"
+grep -q '^sse_engine_requests_total ' <<<"$stats"
 echo "cli_smoke: ok"

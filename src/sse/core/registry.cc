@@ -22,7 +22,6 @@ Result<std::unique_ptr<PersistableHandler>> CreateEngineServer(
   std::unique_ptr<engine::SchemeAdapter> adapter = desc.make_adapter(config);
   engine::EngineOptions opts;
   opts.num_shards = config.engine_shards;
-  opts.worker_threads = config.engine_workers;
   opts.enable_reply_cache = config.engine_reply_cache;
   Result<std::unique_ptr<engine::ServerEngine>> eng =
       engine::ServerEngine::Create(std::move(adapter), opts);

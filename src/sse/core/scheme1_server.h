@@ -48,7 +48,6 @@ class Scheme1Server : public PersistableHandler {
   Result<net::Message> HandleUpdate(const net::Message& msg);
   Result<net::Message> HandleSearchRequest(const net::Message& msg);
   Result<net::Message> HandleSearchFinish(const net::Message& msg);
-  Result<net::Message> HandleFetchDocuments(const net::Message& msg);
 
   SchemeOptions options_;
   TokenMap<Entry> index_;

@@ -49,8 +49,6 @@ struct SystemConfig {
   /// Handle, concurrent searches). 0 keeps the classic single-threaded
   /// server. Baselines do not support engine mode.
   size_t engine_shards = 0;
-  /// Worker threads for the engine's scatter pool (0 = one per shard).
-  size_t engine_workers = 0;
 
   /// Wrap the client side in a net::RetryingChannel: every call is
   /// session-stamped and transparently retried with backoff under a

@@ -20,13 +20,62 @@ uint64_t NanosSince(Clock::time_point t0) {
           .count());
 }
 
+/// Process-wide engine counters, looked up once. Every engine in the
+/// process adds into the same series (one relaxed fetch_add per bump); the
+/// shard counters are totals over all shards.
+struct EngineCounters {
+  obs::MetricsRegistry::Counter* requests;
+  obs::MetricsRegistry::Counter* scatters;
+  obs::MetricsRegistry::Counter* broadcasts;
+  obs::MetricsRegistry::Counter* batches;
+  obs::MetricsRegistry::Counter* batch_ops;
+  obs::MetricsRegistry::Counter* doc_puts;
+  obs::MetricsRegistry::Counter* doc_fetches;
+  obs::MetricsRegistry::Counter* shard_reads;
+  obs::MetricsRegistry::Counter* shard_writes;
+  obs::MetricsRegistry::Counter* shard_errors;
+  obs::MetricsRegistry::Counter* dedup_hits;
+
+  static EngineCounters& Get() {
+    static EngineCounters c = [] {
+      auto& reg = obs::MetricsRegistry::Global();
+      EngineCounters e;
+      e.requests = reg.GetCounter("sse_engine_requests_total",
+                                  "Requests handled by engines");
+      e.scatters = reg.GetCounter("sse_engine_scatters_total",
+                                  "Requests split across more than one shard "
+                                  "but not all of them");
+      e.broadcasts = reg.GetCounter("sse_engine_broadcasts_total",
+                                    "Requests sent to every shard");
+      e.batches = reg.GetCounter("sse_engine_batches_total",
+                                 "kMsgBatch envelopes unpacked");
+      e.batch_ops = reg.GetCounter("sse_engine_batch_ops_total",
+                                   "Sub-ops carried inside batch envelopes");
+      e.doc_puts = reg.GetCounter("sse_engine_doc_puts_total",
+                                  "Encrypted data items stored");
+      e.doc_fetches = reg.GetCounter("sse_engine_doc_fetches_total",
+                                     "Encrypted data items looked up");
+      e.shard_reads = reg.GetCounter(
+          "sse_engine_shard_reads_total",
+          "Shard sub-requests handled under a shared lock");
+      e.shard_writes = reg.GetCounter(
+          "sse_engine_shard_writes_total",
+          "Shard sub-requests handled under an exclusive lock");
+      e.shard_errors = reg.GetCounter("sse_engine_shard_errors_total",
+                                      "Shard sub-requests that failed");
+      e.dedup_hits = reg.GetCounter(
+          "sse_engine_dedup_hits_total",
+          "Retried calls served from the reply cache");
+      return e;
+    }();
+    return c;
+  }
+};
+
 }  // namespace
 
-ServerEngine::ServerEngine(std::unique_ptr<SchemeAdapter> adapter,
-                           EngineOptions options)
-    : adapter_(std::move(adapter)),
-      options_(options),
-      metrics_(options.num_shards) {}
+ServerEngine::ServerEngine(std::unique_ptr<SchemeAdapter> adapter)
+    : adapter_(std::move(adapter)) {}
 
 Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
     std::unique_ptr<SchemeAdapter> adapter, const EngineOptions& options) {
@@ -36,8 +85,8 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("engine needs at least one shard");
   }
-  auto engine = std::unique_ptr<ServerEngine>(
-      new ServerEngine(std::move(adapter), options));
+  auto engine =
+      std::unique_ptr<ServerEngine>(new ServerEngine(std::move(adapter)));
   if (options.enable_reply_cache) {
     engine->reply_cache_ =
         std::make_unique<core::ReplyCache>(options.reply_cache);
@@ -48,32 +97,25 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
     slot->shard = engine->adapter_->CreateShard();
     engine->slots_.push_back(std::move(slot));
   }
-  size_t workers = options.worker_threads;
-  if (workers == 0) workers = options.num_shards;
-  if (workers > options.num_shards) workers = options.num_shards;
-  engine->pool_ = std::make_unique<WorkerPool>(workers);
+  engine->pool_ = std::make_unique<WorkerPool>(options.num_shards);
 
   // Expose this engine in the process-wide registry. Several engines in
   // one process (common in tests) register the same names; the registry
-  // merges them at scrape time.
+  // merges them at scrape time. The counters are created here so a scrape
+  // lists them before the first request.
+  EngineCounters::Get();
   auto& registry = obs::MetricsRegistry::Global();
   ServerEngine* raw = engine.get();
   engine->registrations_.push_back(registry.RegisterHistogram(
       "sse_engine_handle_seconds",
-      [raw] { return raw->metrics_.handle_latency().Snap(); },
+      [raw] { return raw->handle_latency_.Snap(); },
       "Whole-request engine handling latency"));
   engine->registrations_.push_back(registry.RegisterHistogram(
-      "sse_engine_lock_wait_seconds",
-      [raw] { return raw->metrics_.lock_wait().Snap(); },
+      "sse_engine_lock_wait_seconds", [raw] { return raw->lock_wait_.Snap(); },
       "Per-sub-request shard lock acquisition wait"));
   engine->registrations_.push_back(registry.RegisterGauge(
-      "sse_engine_degraded",
-      [raw] { return raw->metrics_.degraded() ? 1.0 : 0.0; },
+      "sse_engine_degraded", [raw] { return raw->degraded() ? 1.0 : 0.0; },
       "1 once the storage layer fail-stopped this engine to read-only"));
-  engine->registrations_.push_back(registry.RegisterGauge(
-      "sse_engine_requests",
-      [raw] { return static_cast<double>(raw->metrics_.Snap().requests); },
-      "Requests handled by live engines"));
   if (raw->reply_cache_ != nullptr) {
     engine->registrations_.push_back(registry.RegisterGauge(
         "sse_engine_reply_cache_entries",
@@ -86,7 +128,7 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
 }
 
 Result<net::Message> ServerEngine::Handle(const net::Message& request) {
-  metrics_.AddRequest();
+  EngineCounters::Get().requests->Add();
   // Parent to the thread-local context (in-process call chains) or to the
   // message's wire trace header (TCP dispatch threads).
   obs::ScopedSpan handle_span("engine.handle", obs::ParentFor(request));
@@ -95,7 +137,7 @@ Result<net::Message> ServerEngine::Handle(const net::Message& request) {
   Result<net::Message> reply = request.type == net::kMsgBatch
                                    ? HandleBatch(request)
                                    : HandleDeduped(request, /*allow_pool=*/true);
-  metrics_.handle_latency().Record(NanosSince(t0));
+  handle_latency_.Record(NanosSince(t0));
   return reply;
 }
 
@@ -103,7 +145,8 @@ Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
   std::vector<net::Message> subs;
   SSE_ASSIGN_OR_RETURN(subs, net::UnpackBatch(request));
   const size_t n = subs.size();
-  metrics_.AddBatch(n);
+  EngineCounters::Get().batches->Add();
+  EngineCounters::Get().batch_ops->Add(n);
 
   // Fan the sub-ops across the worker pool; each travels the normal
   // single-op path (dedup, routing, shard locks) and so cannot be told
@@ -165,7 +208,7 @@ Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
 
 Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
                                                  bool allow_pool) {
-  if (metrics_.degraded() && IsMutating(request.type) &&
+  if (degraded() && IsMutating(request.type) &&
       request.type != net::kMsgBatch) {
     // Read-only after a storage fault: the DurableServer in front of us
     // already rejects mutations, but a bare engine (or a bug above) must
@@ -192,10 +235,7 @@ Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
       // A retry of an answered call: serve the recorded reply without
       // touching the shards (re-applying a Scheme 1 XOR update would
       // corrupt postings).
-      static auto* dedup_hits = obs::MetricsRegistry::Global().GetCounter(
-          "sse_engine_dedup_hits_total",
-          "Retried calls served from the reply cache");
-      dedup_hits->Add();
+      EngineCounters::Get().dedup_hits->Add();
       cached.EchoSession(request);
       return cached;
     }
@@ -219,17 +259,13 @@ Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
 
 Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
                                                   bool allow_pool) {
-  if (request.type == net::kMsgFetchDocuments) {
-    return HandleFetchDocuments(request);
-  }
-
   RequestPlan plan;
   SSE_ASSIGN_OR_RETURN(plan, adapter_->Route(request, slots_.size()));
   if (plan.subs.size() > 1) {
     if (plan.subs.size() == slots_.size()) {
-      metrics_.AddBroadcast();
+      EngineCounters::Get().broadcasts->Add();
     } else {
-      metrics_.AddScatter();
+      EngineCounters::Get().scatters->Add();
     }
   }
 
@@ -269,50 +305,23 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
     for (core::WireDocument& doc : plan.documents) {
       docs_.Put(doc.id, std::move(doc.ciphertext));
     }
-    metrics_.AddDocPuts(plan.documents.size());
+    EngineCounters::Get().doc_puts->Add(plan.documents.size());
   }
 
   DocumentFetcher fetcher =
       [this](const std::vector<uint64_t>& ids)
       -> Result<std::vector<std::pair<uint64_t, Bytes>>> {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-    metrics_.AddDocFetches(ids.size());
+    EngineCounters::Get().doc_fetches->Add(ids.size());
     return docs_.GetMany(ids);
   };
   return adapter_->Merge(request, plan, std::move(replies), fetcher);
 }
 
-Result<net::Message> ServerEngine::HandleFetchDocuments(
-    const net::Message& request) {
-  BufferReader r(request.payload);
-  std::vector<uint64_t> ids;
-  SSE_ASSIGN_OR_RETURN(ids, core::GetIdList(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-
-  std::vector<std::pair<uint64_t, Bytes>> fetched;
-  {
-    std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-    fetched = docs_.GetMany(ids);
-  }
-  metrics_.AddDocFetches(ids.size());
-
-  std::vector<core::WireDocument> docs;
-  docs.reserve(fetched.size());
-  for (auto& [id, blob] : fetched) {
-    docs.push_back(core::WireDocument{id, std::move(blob)});
-  }
-  BufferWriter w;
-  core::PutWireDocuments(w, docs);
-  net::Message reply;
-  reply.type = net::kMsgFetchDocumentsResult;
-  reply.payload = w.TakeData();
-  return reply;
-}
-
 Result<net::Message> ServerEngine::DispatchSub(
     const SubRequest& sub, const obs::TraceContext& parent) {
   Slot& slot = *slots_[sub.shard];
-  ShardCounters& counters = metrics_.shard(sub.shard);
+  EngineCounters& counters = EngineCounters::Get();
   const LockMode mode = adapter_->LockModeFor(sub.message.type);
   obs::ScopedSpan shard_span("engine.shard", parent);
   shard_span.Annotate("shard", sub.shard);
@@ -321,22 +330,22 @@ Result<net::Message> ServerEngine::DispatchSub(
     const Clock::time_point t0 = Clock::now();
     if (mode == LockMode::kExclusive) {
       std::unique_lock<std::shared_mutex> lock(slot.mutex);
-      metrics_.lock_wait().Record(NanosSince(t0));
-      counters.writes.fetch_add(1, std::memory_order_relaxed);
+      lock_wait_.Record(NanosSince(t0));
+      counters.shard_writes->Add();
       return slot.shard->Handle(sub.message);
     }
     std::shared_lock<std::shared_mutex> lock(slot.mutex);
-    metrics_.lock_wait().Record(NanosSince(t0));
-    counters.reads.fetch_add(1, std::memory_order_relaxed);
+    lock_wait_.Record(NanosSince(t0));
+    counters.shard_reads->Add();
     return slot.shard->Handle(sub.message);
   }();
-  if (!reply.ok()) counters.errors.fetch_add(1, std::memory_order_relaxed);
+  if (!reply.ok()) counters.shard_errors->Add();
   return reply;
 }
 
 void ServerEngine::OnStorageDegraded(const Status& cause) {
   (void)cause;
-  metrics_.SetDegraded();
+  degraded_.store(true, std::memory_order_release);
 }
 
 bool ServerEngine::IsMutating(uint16_t msg_type) const {

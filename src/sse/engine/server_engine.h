@@ -1,15 +1,16 @@
 #ifndef SSE_ENGINE_SERVER_ENGINE_H_
 #define SSE_ENGINE_SERVER_ENGINE_H_
 
+#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
 
 #include "sse/core/persistable.h"
 #include "sse/core/reply_cache.h"
-#include "sse/engine/metrics.h"
 #include "sse/engine/scheme_shard.h"
 #include "sse/engine/worker_pool.h"
+#include "sse/obs/histogram.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/obs/trace.h"
 #include "sse/storage/document_store.h"
@@ -21,10 +22,6 @@ struct EngineOptions {
   /// uniform partition; powers of two are conventional, not required.
   size_t num_shards = 8;
 
-  /// Worker threads for scatter dispatch (0 = one per shard, capped at the
-  /// shard count). Scatters also run inline when they hit a single shard.
-  size_t worker_threads = 0;
-
   /// At-most-once dedup of session-stamped requests (see core::ReplyCache):
   /// a retried call is served its cached reply instead of being re-applied,
   /// which is what keeps Scheme 1's XOR updates safe under retries. The
@@ -35,7 +32,8 @@ struct EngineOptions {
 
 /// Thread-safe sharded server: owns N SchemeShard instances behind
 /// per-shard reader-writer locks, a shared document store behind its own
-/// rw-lock, and a fixed worker pool for scatter requests. Handle() may be
+/// rw-lock, and a worker pool of one thread per shard for scatter requests
+/// (a scatter that hits a single shard runs inline). Handle() may be
 /// called from any number of threads concurrently — searches on different
 /// keywords proceed in parallel, updates serialize only within the shards
 /// they touch.
@@ -63,14 +61,14 @@ class ServerEngine : public core::PersistableHandler {
   bool IsMutating(uint16_t msg_type) const override;
 
   /// Storage fail-stop notification (see PersistableHandler): flips the
-  /// engine read-only and surfaces the state in Metrics(). Mutations are
-  /// rejected with UNAVAILABLE from then on — defense in depth behind the
-  /// DurableServer's own rejection — while searches keep serving.
+  /// engine read-only and surfaces the state as the sse_engine_degraded
+  /// gauge. Mutations are rejected with UNAVAILABLE from then on — defense
+  /// in depth behind the DurableServer's own rejection — while searches
+  /// keep serving.
   void OnStorageDegraded(const Status& cause) override;
-  bool degraded() const { return metrics_.degraded(); }
+  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
   size_t num_shards() const { return slots_.size(); }
-  size_t worker_threads() const { return pool_->thread_count(); }
   const SchemeAdapter& adapter() const { return *adapter_; }
 
   /// Aggregates over all shards (takes each shard's lock shared).
@@ -78,8 +76,6 @@ class ServerEngine : public core::PersistableHandler {
   uint64_t stored_index_bytes() const;
   size_t document_count() const;
   uint64_t document_bytes() const;
-
-  MetricsSnapshot Metrics() const { return metrics_.Snap(); }
 
   /// Dedup table for session-stamped requests; null when disabled.
   const core::ReplyCache* reply_cache() const { return reply_cache_.get(); }
@@ -95,7 +91,7 @@ class ServerEngine : public core::PersistableHandler {
     mutable std::shared_mutex mutex;
   };
 
-  ServerEngine(std::unique_ptr<SchemeAdapter> adapter, EngineOptions options);
+  explicit ServerEngine(std::unique_ptr<SchemeAdapter> adapter);
 
   /// Unpacks a kMsgBatch envelope and runs each sub-op through the normal
   /// dedup + routing path, fanning sub-ops across the worker pool. Per-op
@@ -109,7 +105,6 @@ class ServerEngine : public core::PersistableHandler {
                                      bool allow_pool);
   Result<net::Message> HandleInternal(const net::Message& request,
                                       bool allow_pool);
-  Result<net::Message> HandleFetchDocuments(const net::Message& request);
   /// `parent` is the trace context the per-shard span attaches to; sub
   /// dispatch may run on a pool thread, where the thread-local current
   /// context is not this request's.
@@ -117,13 +112,17 @@ class ServerEngine : public core::PersistableHandler {
                                    const obs::TraceContext& parent);
 
   std::unique_ptr<SchemeAdapter> adapter_;
-  EngineOptions options_;
   std::unique_ptr<core::ReplyCache> reply_cache_;
   std::vector<std::unique_ptr<Slot>> slots_;
   mutable std::shared_mutex docs_mutex_;
   storage::DocumentStore docs_;
-  mutable EngineMetrics metrics_;
   std::unique_ptr<WorkerPool> pool_;
+  /// Per-engine state behind the registry's gauge and histograms; the
+  /// engine's counters are process-wide registry counters (the
+  /// sse_engine_*_total series).
+  obs::LatencyHistogram handle_latency_;  // whole-request latency
+  obs::LatencyHistogram lock_wait_;       // per-sub-request lock waits
+  std::atomic<bool> degraded_{false};
   /// Scrape hooks into the process-wide registry (released on destruction
   /// so a short-lived engine in a test stops being scraped).
   std::vector<obs::MetricsRegistry::Registration> registrations_;

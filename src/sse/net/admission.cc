@@ -37,7 +37,6 @@ bool IsSearchType(uint16_t type) {
     case 0x0203:  // Scheme2.SearchRequest
     case 0x0205:  // Scheme2.FetchAllRequest
     case 0x0403:  // Scheme3.SearchRequest
-    case kMsgFetchDocuments:
       return true;
     default:
       return false;

@@ -113,10 +113,6 @@ std::string MessageTypeName(uint16_t type) {
       return "PutDocument";
     case kMsgPutDocumentAck:
       return "PutDocumentAck";
-    case kMsgFetchDocuments:
-      return "FetchDocuments";
-    case kMsgFetchDocumentsResult:
-      return "FetchDocumentsResult";
     case kMsgBatch:
       return "Batch";
     case kMsgBatchReply:

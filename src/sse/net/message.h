@@ -121,8 +121,8 @@ inline constexpr uint16_t kMsgRangeBaseline = 0x0300;
 inline constexpr uint16_t kMsgError = kMsgRangeCommon + 1;
 inline constexpr uint16_t kMsgPutDocument = kMsgRangeCommon + 2;
 inline constexpr uint16_t kMsgPutDocumentAck = kMsgRangeCommon + 3;
-inline constexpr uint16_t kMsgFetchDocuments = kMsgRangeCommon + 4;
-inline constexpr uint16_t kMsgFetchDocumentsResult = kMsgRangeCommon + 5;
+// kMsgRangeCommon + 4 and + 5 belonged to a retired document-fetch RPC;
+// they stay unassigned so an old peer's frame is never read as a new type.
 /// Batch envelope: N logical sub-ops in one frame (see sse/net/batch.h).
 inline constexpr uint16_t kMsgBatch = kMsgRangeCommon + 6;
 inline constexpr uint16_t kMsgBatchReply = kMsgRangeCommon + 7;

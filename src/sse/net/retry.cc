@@ -74,7 +74,7 @@ void RetryingChannel::RefillRetryToken() {
 }
 
 void RetryingChannel::StampRemainingDeadline(Message* msg, double start_ms) {
-  if (!options_.propagate_deadline || options_.call_deadline_ms <= 0.0) return;
+  if (options_.call_deadline_ms <= 0.0) return;
   // The remainder is clamped to >= 1ms: the deadline check above already
   // rejected an expired call, so what is left is a real (if tiny) budget.
   const double remaining =
@@ -128,17 +128,16 @@ bool RetryingChannel::ShouldRetry(const Status& status) const {
   // code because client-side exhaustion (a consumed hash chain) is
   // permanent; those statuses never pass through this layer.
   if (status.code() == StatusCode::kResourceExhausted) return true;
-  return options_.retry_corrupt_replies &&
-         status.code() == StatusCode::kCorruption;
+  // CORRUPTION here means the link damaged a frame (Status::IsRetryable
+  // excludes it because storage-level corruption is not transient).
+  return status.code() == StatusCode::kCorruption;
 }
 
 Result<Message> RetryingChannel::Call(const Message& request) {
   retry_stats_.calls += 1;
   obs::ScopedSpan call_span("rpc.call");
   Message stamped = request;
-  if (options_.stamp_sessions) {
-    stamped.StampSession(client_id_, next_seq_++);
-  }
+  stamped.StampSession(client_id_, next_seq_++);
 
   const double start_ms = NowMs();
   double backoff_ms = 0.0;
@@ -188,7 +187,7 @@ Result<Message> RetryingChannel::Call(const Message& request) {
     StampRemainingDeadline(&stamped, start_ms);
     Result<Message> reply = inner_->Call(stamped);
     if (reply.ok()) {
-      if (stamped.has_session && reply->has_session) {
+      if (reply->has_session) {
         if (reply->client_id != client_id_ || reply->seq != stamped.seq) {
           // Stale reply from a duplicated/reordered stream: never hand it
           // to the protocol layer; flush and re-ask for ours.
@@ -199,7 +198,6 @@ Result<Message> RetryingChannel::Call(const Message& request) {
         if (Crc32c(reply->payload) != reply->payload_crc) {
           retry_stats_.corrupt_replies += 1;
           last = Status::Corruption("reply payload fails its checksum");
-          if (!options_.retry_corrupt_replies) return last;
           continue;
         }
       }
@@ -219,9 +217,6 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
     const std::vector<Message>& requests) {
   const size_t n = requests.size();
   if (n == 0) return {};
-  // Without session stamps there is no per-op dedup identity, so batching
-  // retried sub-ops would be at-least-once; fall back to sequential calls.
-  if (!options_.stamp_sessions) return Channel::MultiCall(requests);
 
   retry_stats_.calls += n;
   obs::ScopedSpan mc_span("rpc.multicall");
@@ -276,9 +271,6 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
       if (Crc32c(reply->payload) != reply->payload_crc) {
         retry_stats_.corrupt_replies += 1;
         last = Status::Corruption("reply payload fails its checksum");
-        if (!options_.retry_corrupt_replies) {
-          for (size_t i : g.ops) settle(i, last);
-        }
         return;
       }
     }
@@ -332,6 +324,7 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
       for (size_t i = 0; i < n; ++i) {
         if (settled[i]) continue;
         retry_stats_.deadline_exceeded += 1;
+        DeadlineCounter()->Add();
         settle(i, expired);
       }
       break;

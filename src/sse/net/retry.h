@@ -24,20 +24,11 @@ struct RetryOptions {
 
   /// Per-Call deadline across all attempts and backoff sleeps; 0 = none.
   /// Exceeding it surfaces DEADLINE_EXCEEDED with the last failure attached.
+  /// Each attempt carries the *remaining* overall deadline on the wire
+  /// (net/message.h) so the server can drop the work once the client has
+  /// given up, and the transport's IO timeout is capped to the same
+  /// remainder so the final attempt cannot overshoot the budget.
   double call_deadline_ms = 0.0;
-
-  /// Stamp every request with a session header (client_id, per-call seq,
-  /// payload CRC). All attempts of one Call share the seq, which is what
-  /// lets an at-most-once server (core::ReplyCache) collapse retries of a
-  /// non-idempotent update into a single application. Turn off only when
-  /// talking to a pre-session peer.
-  bool stamp_sessions = true;
-
-  /// Treat CORRUPTION from the transport as retryable. At this layer a
-  /// checksum failure means the link damaged a frame — re-sending the
-  /// intact copy is exactly the fix. (Status::IsRetryable itself excludes
-  /// CORRUPTION because storage-level corruption is not transient.)
-  bool retry_corrupt_replies = true;
 
   /// Retry *budget*: a token bucket that caps how many retries this channel
   /// may spend relative to the successes it observes. Every retry spends
@@ -49,13 +40,6 @@ struct RetryOptions {
   /// Tokens refilled per successful call. 0.1 means sustained retries are
   /// capped near 10% of throughput once the initial bucket drains.
   double retry_budget_refill = 0.1;
-
-  /// Stamp each attempt with the *remaining* overall deadline (a wire
-  /// deadline header, net/message.h) so the server can drop the work once
-  /// the client has given up, and cap the transport's IO timeout to the
-  /// same remainder so the final attempt cannot overshoot the budget.
-  /// Requires call_deadline_ms > 0 to have any effect.
-  bool propagate_deadline = true;
 
   /// Session identity; 0 draws a random id at construction.
   uint64_t client_id = 0;
@@ -87,10 +71,14 @@ struct RetryStats {
 /// layer: it classifies failures, re-sends retryable ones under a deadline
 /// with decorrelated-jitter backoff, resets the inner transport before
 /// every retry (flushing half-read streams), and stamps each logical call
-/// with a session header so the server can dedup the re-sends. A reply
-/// whose session echo does not match the in-flight call (a duplicated or
-/// reordered stream) is discarded and the call retried rather than handed
-/// to the protocol layer.
+/// with a session header (client_id, per-call seq, payload CRC). All
+/// attempts of one call share the seq, which is what lets an at-most-once
+/// server (core::ReplyCache) collapse retries of a non-idempotent update
+/// into a single application. A reply whose session echo does not match
+/// the in-flight call (a duplicated or reordered stream) is discarded and
+/// the call retried rather than handed to the protocol layer; so is a
+/// reply that fails its CRC, since at this layer a checksum failure means
+/// the link damaged a frame and re-sending the intact copy is the fix.
 class RetryingChannel : public Channel {
  public:
   /// `inner` must outlive this wrapper. `rng` (nullable) seeds the jitter
@@ -109,7 +97,6 @@ class RetryingChannel : public Channel {
   /// while each envelope gets a FRESH seq per attempt — so a retried
   /// envelope is a new frame but its sub-ops still dedup individually, and
   /// a partially-failed batch retries only the ops that failed.
-  /// Requires stamp_sessions; without it this degrades to sequential Call.
   std::vector<Result<Message>> MultiCall(
       const std::vector<Message>& requests) override;
 
@@ -147,7 +134,7 @@ class RetryingChannel : public Channel {
   /// Credits a success back to the bucket.
   void RefillRetryToken();
   /// Stamps the remaining overall deadline onto `msg` and caps the inner
-  /// transport's IO timeout to it (see RetryOptions::propagate_deadline).
+  /// transport's IO timeout to it (see RetryOptions::call_deadline_ms).
   void StampRemainingDeadline(Message* msg, double start_ms);
 
   Channel* inner_;

@@ -185,7 +185,7 @@ TcpServer::TcpServer(MessageHandler* handler, int listen_fd, uint16_t port,
       port_(port),
       options_(options) {
   if (options_.reactor_loops == 0) options_.reactor_loops = 1;
-  if (options_.pipeline_workers == 0) options_.pipeline_workers = 1;
+  if (options_.dispatch_workers == 0) options_.dispatch_workers = 1;
   if (options_.pipeline_queue == 0) options_.pipeline_queue = 1;
 }
 
@@ -212,7 +212,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(MessageHandler* handler,
       new TcpServer(handler, *fd, bound_port, options));
   server->reactor_ = std::make_unique<Reactor>(server->options_.reactor_loops);
   server->pool_ =
-      std::make_unique<engine::WorkerPool>(server->options_.pipeline_workers);
+      std::make_unique<engine::WorkerPool>(server->options_.dispatch_workers);
   server->acceptor_ = std::make_unique<Acceptor>(server.get());
   server->active_gauge_ = obs::MetricsRegistry::Global().RegisterGauge(
       "sse_net_connections_active",
@@ -363,7 +363,7 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   uint64_t client_id = 0;
   uint64_t seq = 0;
   const bool has_session = Message::PeekSession(frame, &client_id, &seq);
-  const bool slo_on = options_.slo_tracking && obs::SloRecordingEnabled();
+  const bool slo_on = obs::SloRecordingEnabled();
   OpClass op = OpClass::kControl;
   if (options_.admission != nullptr || options_.max_dispatch_queue > 0 ||
       slo_on) {

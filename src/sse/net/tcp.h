@@ -64,9 +64,8 @@ class TcpServer {
     /// socket reads/writes with handling even when serialized.)
     bool serialize_handler = true;
     /// Threads in the server-wide dispatch pool shared by every
-    /// connection (the reactor refactor replaced the old per-connection
-    /// pools; the name is kept for compatibility).
-    size_t pipeline_workers = 4;
+    /// connection.
+    size_t dispatch_workers = 4;
     /// Backpressure bound per connection: frames dispatched whose replies
     /// are not yet fully written. Beyond it the reactor stops reading
     /// that connection until replies drain.
@@ -97,11 +96,6 @@ class TcpServer {
     /// admitted under this bound waits at most max_dispatch_queue
     /// handler-times for its worker. 0 = unbounded (the default).
     size_t max_dispatch_queue = 0;
-    /// Record every served/shed frame into obs::SloTracker::Global()
-    /// (availability + latency attainment per op class, scraped as the
-    /// sse_slo_* gauges). Also gated process-wide by
-    /// obs::SetSloRecordingEnabled for benches that price the layer.
-    bool slo_tracking = true;
     /// Quiet time after the last shed before the server journals a
     /// brownout_exit event (obs/events.h). Entering brownout is edge
     /// triggered on the first shed.

@@ -12,9 +12,8 @@ namespace sse::obs {
 /// the hot path; snapshots are approximate (not a consistent cut), which is
 /// fine for reporting.
 ///
-/// Lives in obs (not engine) so the net and storage layers can record into
-/// the same shape and multi-source snapshots compose via Merge(); the
-/// engine keeps an alias for source compatibility.
+/// Lives in obs so the engine, net and storage layers record into the same
+/// shape and multi-source snapshots compose via Merge().
 class LatencyHistogram {
  public:
   static constexpr size_t kBuckets = 40;  // covers ~1 ns .. ~9 min

@@ -22,11 +22,11 @@ namespace sse::obs {
 ///    bump "sse_net_frames_sent_total" without plumbing a handle through
 ///    constructors. Incrementing is one relaxed fetch_add.
 ///  * Providers — gauge / histogram-snapshot callbacks registered by
-///    components that already keep their own state (EngineMetrics, the
-///    WAL). Registration is RAII so a destroyed engine stops being
-///    scraped; several instances may register the same name (e.g. two
-///    servers in one test process) and RenderPrometheus() merges them
-///    into one series.
+///    components that keep per-instance state (an engine's latency
+///    histograms and degraded flag, the WAL's timings). Registration is
+///    RAII so a destroyed engine stops being scraped; several instances
+///    may register the same name (e.g. two servers in one test process)
+///    and RenderPrometheus() merges them into one series.
 ///
 /// RenderPrometheus() emits the Prometheus text exposition format; this is
 /// the payload served over the kMsgStats admin RPC.

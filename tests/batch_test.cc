@@ -16,7 +16,6 @@
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme1_server.h"
 #include "sse/core/scheme2_client.h"
-#include "sse/core/wire_common.h"
 #include "sse/engine/scheme1_adapter.h"
 #include "sse/engine/scheme2_adapter.h"
 #include "sse/engine/server_engine.h"
@@ -27,6 +26,7 @@
 namespace sse {
 namespace {
 
+using ::sse::testing::EngineCounter;
 using ::sse::testing::FastTestConfig;
 using ::sse::testing::TempDir;
 using ::sse::testing::TestMasterKey;
@@ -112,15 +112,6 @@ TEST(BatchCodecTest, TrailingGarbageRejected) {
 // ---------------------------------------------------------------------------
 // Engine fan-out.
 
-net::Message FetchOp(const std::vector<uint64_t>& ids) {
-  net::Message msg;
-  msg.type = net::kMsgFetchDocuments;
-  BufferWriter w;
-  core::PutIdList(w, ids);
-  msg.payload = w.TakeData();
-  return msg;
-}
-
 /// Engine with a few documents stored through a plain (monolithic) client.
 struct LoadedEngine {
   LoadedEngine() : rng(31) {
@@ -129,23 +120,56 @@ struct LoadedEngine {
         engine::EngineOptions{});
     EXPECT_TRUE(created.ok());
     engine = std::move(created).value();
-    net::InProcessChannel channel(engine.get());
-    auto client = core::Scheme1Client::Create(
-        TestMasterKey(), FastTestConfig().scheme, &channel, &rng);
-    EXPECT_TRUE(client.ok());
-    SSE_EXPECT_OK((*client)->Store(
+    channel = std::make_unique<net::InProcessChannel>(engine.get());
+    auto created_client = core::Scheme1Client::Create(
+        TestMasterKey(), FastTestConfig().scheme, channel.get(), &rng);
+    EXPECT_TRUE(created_client.ok());
+    client = std::move(created_client).value();
+    SSE_EXPECT_OK(client->Store(
         {core::Document::Make(1, "alpha text", {"alpha", "common"}),
          core::Document::Make(2, "beta text", {"beta", "common"})}));
   }
+
+  /// A read-only op: update round 1, asking for each keyword's stored
+  /// nonce (present only for keywords the Store above indexed).
+  net::Message NonceOp(const std::vector<std::string>& keywords) const {
+    core::S1NonceRequest req;
+    for (const std::string& keyword : keywords) {
+      req.tokens.push_back(client->Trapdoor(keyword).value());
+    }
+    return req.ToMessage();
+  }
+
   DeterministicRandom rng;
   std::unique_ptr<engine::ServerEngine> engine;
+  std::unique_ptr<net::InProcessChannel> channel;
+  std::unique_ptr<core::Scheme1Client> client;
 };
+
+/// The per-keyword `present` flags of a batch entry holding a nonce reply.
+std::vector<bool> PresentFlags(const net::BatchReply::Entry& entry) {
+  EXPECT_EQ(entry.type, core::kMsgS1NonceReply);
+  auto reply =
+      core::S1NonceReply::FromMessage(net::Message{entry.type, entry.payload});
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  std::vector<bool> flags;
+  if (reply.ok()) {
+    for (const core::S1NonceEntry& e : reply->entries) {
+      flags.push_back(e.present);
+    }
+  }
+  return flags;
+}
 
 TEST(EngineBatchTest, FanOutReturnsAlignedPerOpReplies) {
   LoadedEngine loaded;
+  const uint64_t batches_before = EngineCounter("batches");
+  const uint64_t batch_ops_before = EngineCounter("batch_ops");
   net::BatchRequest batch;
-  batch.ops.push_back({10, FetchOp({1}).type, FetchOp({1}).payload});
-  batch.ops.push_back({11, FetchOp({2}).type, FetchOp({2}).payload});
+  const net::Message known = loaded.NonceOp({"alpha"});
+  const net::Message mixed = loaded.NonceOp({"missing", "beta"});
+  batch.ops.push_back({10, known.type, known.payload});
+  batch.ops.push_back({11, mixed.type, mixed.payload});
   // Garbage payload for a real message type: fails as an error ENTRY, not
   // as an envelope failure — its neighbors' outcomes stand.
   batch.ops.push_back({12, core::kMsgS1SearchRequest, Bytes{0xde, 0xad}});
@@ -164,32 +188,27 @@ TEST(EngineBatchTest, FanOutReturnsAlignedPerOpReplies) {
   auto decoded = net::BatchReply::FromMessage(*reply);
   SSE_ASSERT_OK_RESULT(decoded);
   ASSERT_EQ(decoded->entries.size(), 3u);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(decoded->entries[i].type, net::kMsgFetchDocumentsResult);
-    BufferReader r(decoded->entries[i].payload);
-    auto docs = core::GetWireDocuments(r);
-    SSE_ASSERT_OK_RESULT(docs);
-    ASSERT_EQ(docs->size(), 1u);
-    EXPECT_EQ((*docs)[0].id, i + 1);
-  }
+  EXPECT_EQ(PresentFlags(decoded->entries[0]), (std::vector<bool>{true}));
+  EXPECT_EQ(PresentFlags(decoded->entries[1]),
+            (std::vector<bool>{false, true}));
   EXPECT_EQ(decoded->entries[2].type, net::kMsgError);
   const net::Message bad{decoded->entries[2].type,
                          decoded->entries[2].payload};
   EXPECT_FALSE(net::DecodeErrorMessage(bad).ok());
 
-  const engine::MetricsSnapshot snap = loaded.engine->Metrics();
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_EQ(snap.batch_ops, 3u);
+  EXPECT_EQ(EngineCounter("batches") - batches_before, 1u);
+  EXPECT_EQ(EngineCounter("batch_ops") - batch_ops_before, 3u);
 }
 
 TEST(EngineBatchTest, NestedEnvelopeRejectedPerOp) {
   LoadedEngine loaded;
+  const net::Message op = loaded.NonceOp({"alpha"});
   net::BatchRequest inner;
-  inner.ops.push_back({1, net::kMsgFetchDocuments, FetchOp({1}).payload});
+  inner.ops.push_back({1, op.type, op.payload});
   const net::Message inner_msg = inner.ToMessage();
 
   net::BatchRequest batch;
-  batch.ops.push_back({20, FetchOp({1}).type, FetchOp({1}).payload});
+  batch.ops.push_back({20, op.type, op.payload});
   batch.ops.push_back({21, net::kMsgBatch, inner_msg.payload});
   net::Message envelope = batch.ToMessage();
   envelope.StampSession(77, 2000);
@@ -199,7 +218,7 @@ TEST(EngineBatchTest, NestedEnvelopeRejectedPerOp) {
   auto decoded = net::BatchReply::FromMessage(*reply);
   SSE_ASSERT_OK_RESULT(decoded);
   ASSERT_EQ(decoded->entries.size(), 2u);
-  EXPECT_EQ(decoded->entries[0].type, net::kMsgFetchDocumentsResult);
+  EXPECT_EQ(PresentFlags(decoded->entries[0]), (std::vector<bool>{true}));
   EXPECT_EQ(decoded->entries[1].type, net::kMsgError);
   const net::Message err{decoded->entries[1].type,
                          decoded->entries[1].payload};
@@ -284,10 +303,11 @@ template <typename Client, typename Adapter>
 void ExpectBatchedMatchesPlain() {
   Pair<Client, Adapter> pair;
   SSE_ASSERT_OK(pair.plain->Store(Corpus()));
+  const uint64_t batches_before = EngineCounter("batches");
   SSE_ASSERT_OK(pair.batched->Store(Corpus()));
   // The batched store really used the batch path.
   EXPECT_GT(pair.retry->retry_stats().batches, 0u);
-  EXPECT_GT(pair.batched_engine->Metrics().batches, 0u);
+  EXPECT_GT(EngineCounter("batches"), batches_before);
 
   for (const std::string& kw : Keywords()) {
     auto plain_result = pair.plain->Search(kw);

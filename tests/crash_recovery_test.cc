@@ -36,6 +36,8 @@
 #include "sse/engine/server_engine.h"
 #include "sse/net/batch.h"
 #include "sse/net/retry.h"
+#include "sse/obs/metrics_registry.h"
+#include "sse/repl/failover_channel.h"
 #include "sse/storage/faulty_env.h"
 #include "test_util.h"
 
@@ -391,7 +393,7 @@ TEST(CrashRecoveryTest, Scheme3SurvivesACrashAtEveryStorageOperation) {
       /*min_crash_points=*/50);
 }
 
-TEST(CrashRecoveryTest, DegradedModeSurfacesInEngineMetrics) {
+TEST(CrashRecoveryTest, DegradedModeSurfacesInEngineGauge) {
   storage::FaultyEnv env;
   DeterministicRandom rng(91);
   const core::SchemeOptions options = FastTestConfig().scheme;
@@ -408,17 +410,25 @@ TEST(CrashRecoveryTest, DegradedModeSurfacesInEngineMetrics) {
       core::Scheme1Client::Create(TestMasterKey(), options, &channel, &rng);
   SSE_ASSERT_OK_RESULT(client);
   SSE_ASSERT_OK((*client)->Store({core::Document::Make(0, "a", {"k"})}));
-  EXPECT_FALSE((*engine)->Metrics().degraded);
+  // The engine is the only one alive in this test, so the scraped gauge is
+  // its own flag.
+  auto degraded_gauge = [] {
+    double value = -1;
+    EXPECT_TRUE(repl::FindMetricValue(
+        obs::MetricsRegistry::Global().RenderPrometheus(),
+        "sse_engine_degraded", &value));
+    return value;
+  };
+  EXPECT_FALSE((*engine)->degraded());
+  EXPECT_EQ(degraded_gauge(), 0.0);
 
   // Fail the journal fsync of the next mutation (append at ops(), sync at
   // ops()+1): the fail-stop must propagate into the engine's metrics.
   env.FailAt(env.ops() + 1, storage::FaultyEnv::FaultKind::kSyncFail);
   EXPECT_FALSE((*client)->Store({core::Document::Make(1, "b", {"k"})}).ok());
 
-  const engine::MetricsSnapshot snap = (*engine)->Metrics();
-  EXPECT_TRUE(snap.degraded);
-  EXPECT_GE(snap.storage_faults, 1u);
   EXPECT_TRUE((*engine)->degraded());
+  EXPECT_EQ(degraded_gauge(), 1.0);
 
   // Mutations are refused, reads keep serving.
   auto refused = (*client)->Store({core::Document::Make(2, "c", {"k"})});

@@ -21,6 +21,7 @@
 namespace sse {
 namespace {
 
+using ::sse::testing::EngineCounter;
 using ::sse::testing::FastTestConfig;
 using ::sse::testing::TempDir;
 using ::sse::testing::TestMasterKey;
@@ -56,6 +57,7 @@ std::string WriterKeyword(size_t t, int i) {
 // every write must land.
 TEST(EngineConcurrencyTest, InterleavedSearchesAndUpdates) {
   const size_t kShards = 8;
+  const uint64_t requests_before = EngineCounter("requests");
   auto eng = MakeEngine(kShards);
 
   // Preload: stable keywords whose result sets never change.
@@ -121,8 +123,7 @@ TEST(EngineConcurrencyTest, InterleavedSearchesAndUpdates) {
       EXPECT_EQ(outcome->ids.size(), 1u) << WriterKeyword(t, i);
     }
   }
-  const engine::MetricsSnapshot snap = eng->Metrics();
-  EXPECT_GE(snap.requests,
+  EXPECT_GE(EngineCounter("requests") - requests_before,
             static_cast<uint64_t>(kReaders * kOpsPerReader));
 }
 

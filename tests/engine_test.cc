@@ -1,28 +1,29 @@
 // Tests for the sharded server engine: routing equivalence against the
-// plain single-threaded servers, snapshot round-trips, document fetches,
-// metrics, and shard balance. Concurrency is exercised separately in
+// plain single-threaded servers, snapshot round-trips, registry counters,
+// and shard balance. Concurrency is exercised separately in
 // engine_concurrency_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "sse/core/scheme1_client.h"
 #include "sse/core/scheme2_client.h"
-#include "sse/core/wire_common.h"
 #include "sse/engine/scheme1_adapter.h"
 #include "sse/engine/scheme2_adapter.h"
 #include "sse/engine/server_engine.h"
 #include "sse/engine/shard_router.h"
-#include "sse/util/serde.h"
+#include "sse/obs/metrics_registry.h"
+#include "sse/repl/failover_channel.h"
 #include "test_util.h"
 
 namespace sse {
 namespace {
 
+using ::sse::testing::EngineCounter;
 using ::sse::testing::FastTestConfig;
 using ::sse::testing::MakeTestSystem;
 using ::sse::testing::TestMasterKey;
@@ -120,6 +121,7 @@ TEST(EngineScheme2Test, ReinitBroadcastsThroughAllShards) {
 
   DeterministicRandom engine_rng(11);
   DeterministicRandom plain_rng(11);
+  const uint64_t broadcasts_before = EngineCounter("broadcasts");
   core::SseSystem sharded =
       MakeTestSystem(core::SystemKind::kScheme2, &engine_rng, config);
   core::SseSystem plain =
@@ -157,8 +159,8 @@ TEST(EngineScheme2Test, ReinitBroadcastsThroughAllShards) {
     SSE_ASSERT_OK_RESULT(engine_result);
     ExpectSameOutcome(*plain_result, *engine_result, keyword);
   }
-  auto* eng = static_cast<engine::ServerEngine*>(sharded.server.get());
-  EXPECT_GT(eng->Metrics().broadcasts, 0u) << "reinit never broadcast";
+  EXPECT_GT(EngineCounter("broadcasts"), broadcasts_before)
+      << "reinit never broadcast";
 }
 
 TEST(EngineSnapshotTest, SerializeRestoreRoundTrip) {
@@ -204,36 +206,21 @@ TEST(EngineSnapshotTest, SerializeRestoreRoundTrip) {
   EXPECT_FALSE((*wrong)->RestoreState(*state).ok());
 }
 
-// The engine answers document-fetch messages from its shared store
-// directly (no shard involved).
-TEST(EngineDocumentsTest, FetchDocumentsMessage) {
-  DeterministicRandom rng(17);
-  core::SseSystem sharded =
-      MakeTestSystem(core::SystemKind::kScheme1, &rng, EngineConfig(4));
-  SSE_ASSERT_OK(sharded.client->Store(CorpusDocs()));
+// The engine counts into the process-wide registry, the series the stats
+// RPC serves. The workload is deterministic, so the deltas are exact: the
+// Store is a nonce round (shared locks) and an update round (exclusive
+// locks), each split over the three shards its six keywords land on; each
+// search is two single-shard rounds, the second of which fetches the
+// matching documents (2 + 1 + 3 of them).
+TEST(EngineCountersTest, CountsRequestsAndShardTraffic) {
+  const std::map<std::string, uint64_t> expected = {
+      {"requests", 8},    {"scatters", 2},    {"broadcasts", 0},
+      {"batches", 0},     {"batch_ops", 0},   {"doc_puts", 5},
+      {"doc_fetches", 6}, {"shard_reads", 9}, {"shard_writes", 3},
+      {"shard_errors", 0}};
+  std::map<std::string, uint64_t> before;
+  for (const auto& [name, count] : expected) before[name] = EngineCounter(name);
 
-  net::Message request;
-  request.type = net::kMsgFetchDocuments;
-  BufferWriter w;
-  core::PutIdList(w, {1, 3, 5});
-  request.payload = w.TakeData();
-
-  auto reply = sharded.server->Handle(request);
-  SSE_ASSERT_OK_RESULT(reply);
-  EXPECT_EQ(reply->type, net::kMsgFetchDocumentsResult);
-  BufferReader r(reply->payload);
-  auto docs = core::GetWireDocuments(r);
-  SSE_ASSERT_OK_RESULT(docs);
-  ASSERT_EQ(docs->size(), 3u);
-  std::set<uint64_t> ids;
-  for (const auto& doc : *docs) {
-    ids.insert(doc.id);
-    EXPECT_FALSE(doc.ciphertext.empty());
-  }
-  EXPECT_EQ(ids, (std::set<uint64_t>{1, 3, 5}));
-}
-
-TEST(EngineMetricsTest, CountsRequestsAndShardTraffic) {
   DeterministicRandom rng(19);
   core::SseSystem sharded =
       MakeTestSystem(core::SystemKind::kScheme1, &rng, EngineConfig(4));
@@ -241,16 +228,20 @@ TEST(EngineMetricsTest, CountsRequestsAndShardTraffic) {
   for (const std::string keyword : {"alpha", "beta", "common"}) {
     SSE_ASSERT_OK_RESULT(sharded.client->Search(keyword));
   }
-  auto* eng = static_cast<engine::ServerEngine*>(sharded.server.get());
-  const engine::MetricsSnapshot snap = eng->Metrics();
-  ASSERT_EQ(snap.shards.size(), 4u);
-  EXPECT_GT(snap.requests, 0u);
-  EXPECT_GT(snap.total_reads(), 0u);   // searches lock shared
-  EXPECT_GT(snap.total_writes(), 0u);  // the update locked exclusive
-  EXPECT_GT(snap.doc_puts, 0u);
-  EXPECT_GT(snap.doc_fetches, 0u);
-  EXPECT_EQ(snap.handle_latency.count, snap.requests);
-  EXPECT_FALSE(snap.ToString().empty());
+  std::map<std::string, uint64_t> delta;
+  for (const auto& [name, count] : before) {
+    delta[name] = EngineCounter(name) - count;
+  }
+  EXPECT_EQ(delta, expected);
+
+  // The latency histogram stays per engine; this test's engine is the only
+  // one alive, so the scraped count is its own.
+  const std::string text = obs::MetricsRegistry::Global().RenderPrometheus();
+  double handled = 0;
+  ASSERT_TRUE(
+      repl::FindMetricValue(text, "sse_engine_handle_seconds_count", &handled));
+  EXPECT_EQ(handled, 8.0);
+  EXPECT_NE(text.find("\nsse_engine_requests_total "), std::string::npos);
 }
 
 TEST(ShardRouterTest, StableAndBalanced) {

@@ -112,7 +112,7 @@ TEST(NetScaleTest, IdleConnectionSoakKeepsThreadBudgetFixed) {
   TcpServer::Options opts;
   opts.serialize_handler = false;
   opts.reactor_loops = 2;
-  opts.pipeline_workers = 4;
+  opts.dispatch_workers = 4;
   auto server = TcpServer::Start(&handler, 0, opts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   EXPECT_EQ((*server)->serving_threads(), 2u + 4u);

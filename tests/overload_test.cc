@@ -178,8 +178,6 @@ TEST(AdmissionTest, ClassifiesFramesByWireType) {
             OpClass::kSearch);
   EXPECT_EQ(ClassifyFrame(frame_of(core::kMsgS2SearchRequest)),
             OpClass::kSearch);
-  EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgFetchDocuments)),
-            OpClass::kSearch);
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgStats)), OpClass::kControl);
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgReplAppend)), OpClass::kControl);
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgReplPromote)), OpClass::kControl);
@@ -464,15 +462,16 @@ TEST(RetryDeadlineTest, StampsRemainingBudgetPerAttempt) {
   EXPECT_DOUBLE_EQ(inner.io_caps()[0], 500.0);
   EXPECT_DOUBLE_EQ(inner.io_caps()[1], 300.0);
 
-  // Without propagation (or without a deadline) nothing is stamped.
+  // Without a deadline nothing is stamped.
   ScriptedChannel bare;
   RetryOptions off = options;
-  off.propagate_deadline = false;
+  off.call_deadline_ms = 0.0;
   RetryingChannel no_stamp(&bare, off);
   no_stamp.set_sleep_fn([](double) {});
   SSE_ASSERT_OK_RESULT(no_stamp.Call(Message{0x0790, {}}));
   ASSERT_EQ(bare.attempts().size(), 1u);
   EXPECT_FALSE(bare.attempts()[0].has_deadline);
+  EXPECT_TRUE(bare.io_caps().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ TEST(TcpDeadlineTest, ExpiredRequestDroppedAtDequeue) {
   SlowCountingHandler handler(/*sleep_ms=*/100);
   net::TcpServer::Options options;
   options.serialize_handler = false;
-  options.pipeline_workers = 1;  // one worker: the second frame must queue
+  options.dispatch_workers = 1;  // one worker: the second frame must queue
   auto server = net::TcpServer::Start(&handler, 0, options);
   SSE_ASSERT_OK_RESULT(server);
   auto channel = net::TcpChannel::Connect((*server)->port());
@@ -537,7 +536,7 @@ TEST(TcpAdmissionTest, BoundedDispatchQueueShedsWithRetryableVerdict) {
   SlowCountingHandler handler(/*sleep_ms=*/20);
   net::TcpServer::Options options;
   options.serialize_handler = false;
-  options.pipeline_workers = 1;
+  options.dispatch_workers = 1;
   options.max_dispatch_queue = 2;
   auto server = net::TcpServer::Start(&handler, 0, options);
   SSE_ASSERT_OK_RESULT(server);
@@ -898,7 +897,7 @@ TEST(OverloadChaosTest, BrownoutShedsMutationsServesSearchesExactlyOnce) {
 
   net::TcpServer::Options server_options;
   server_options.serialize_handler = false;
-  server_options.pipeline_workers = 2;
+  server_options.dispatch_workers = 2;
   server_options.max_dispatch_queue = 32;
   server_options.admission = controller;
   auto server = net::TcpServer::Start(&throttled, 0, server_options);

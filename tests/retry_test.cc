@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sse/net/batch.h"
+#include "sse/obs/metrics_registry.h"
 #include "sse/util/crc32.h"
 #include "test_util.h"
 
@@ -97,6 +98,13 @@ struct Harness {
   double now_ms = 0.0;
   std::vector<double> sleeps;
 };
+
+/// The process-wide count of calls abandoned on their deadline.
+uint64_t DeadlineExceededTotal() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sse_net_deadline_exceeded_total")
+      ->Value();
+}
 
 Message Request(uint16_t type = 0x0101) {
   Message m;
@@ -215,10 +223,12 @@ TEST(RetryTest, DeadlineBoundsTheWholeCall) {
       return Status::IoError("down");
     });
   }
+  const uint64_t counted_before = DeadlineExceededTotal();
   auto reply = h.retry.Call(Request());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(h.retry.retry_stats().deadline_exceeded, 1u);
+  EXPECT_EQ(DeadlineExceededTotal() - counted_before, 1u);
   // Far fewer than max_attempts ran before the budget expired.
   EXPECT_LT(h.retry.retry_stats().attempts, 10u);
   // The deadline error carries the underlying failure for diagnosis.
@@ -255,20 +265,6 @@ TEST(RetryTest, CorruptReplyIsDetectedByChecksumAndRetried) {
   EXPECT_EQ(h.retry.retry_stats().attempts, 2u);
 }
 
-TEST(RetryTest, CorruptReplySurfacesWhenCorruptRetryDisabled) {
-  RetryOptions opts = FastOptions();
-  opts.retry_corrupt_replies = false;
-  Harness h(opts);
-  h.inner.Push([](const Message& request) -> Result<Message> {
-    Result<Message> reply = ScriptedChannel::Echo(request);
-    reply->payload[0] ^= 0xff;
-    return reply;
-  });
-  auto reply = h.retry.Call(Request());
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
-}
-
 TEST(RetryTest, ExhaustionReportsTheLastError) {
   RetryOptions opts = FastOptions();
   opts.max_attempts = 3;
@@ -284,15 +280,6 @@ TEST(RetryTest, ExhaustionReportsTheLastError) {
   EXPECT_NE(reply.status().message().find("retries exhausted"),
             std::string::npos);
   EXPECT_EQ(h.retry.retry_stats().exhausted, 1u);
-}
-
-TEST(RetryTest, UnstampedModePassesMessagesThroughBare) {
-  RetryOptions opts = FastOptions();
-  opts.stamp_sessions = false;
-  Harness h(opts);
-  SSE_ASSERT_OK_RESULT(h.retry.Call(Request()));
-  ASSERT_EQ(h.inner.seen().size(), 1u);
-  EXPECT_FALSE(h.inner.seen()[0].has_session);
 }
 
 std::vector<Message> Requests(size_t n) {
@@ -456,19 +443,6 @@ TEST(MultiCallTest, BatchSizeSplitsOpsAcrossEnvelopes) {
   EXPECT_EQ(h.retry.retry_stats().batches, 3u);
 }
 
-TEST(MultiCallTest, UnstampedModeFallsBackToSequentialCalls) {
-  RetryOptions opts = FastOptions();
-  opts.stamp_sessions = false;
-  Harness h(opts);
-  auto results = h.retry.MultiCall(Requests(3));
-  for (auto& r : results) SSE_ASSERT_OK_RESULT(r);
-  ASSERT_EQ(h.inner.seen().size(), 3u);
-  for (const Message& m : h.inner.seen()) {
-    EXPECT_NE(m.type, kMsgBatch);
-    EXPECT_FALSE(m.has_session);
-  }
-}
-
 TEST(MultiCallTest, ExhaustionSettlesFailingOpWithoutStallingOthers) {
   RetryOptions opts = FastOptions();
   opts.max_attempts = 2;
@@ -515,12 +489,15 @@ TEST(MultiCallTest, DeadlineSettlesAllRemainingOps) {
       return Status::IoError("link down");
     });
   }
+  const uint64_t counted_before = DeadlineExceededTotal();
   auto results = h.retry.MultiCall(Requests(3));
   for (auto& r : results) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   }
   EXPECT_EQ(h.retry.retry_stats().deadline_exceeded, 3u);
+  // The operator's counter sees every abandoned op, as retry_stats() does.
+  EXPECT_EQ(DeadlineExceededTotal() - counted_before, 3u);
 }
 
 TEST(MultiCallTest, EmptyRequestListIsANoOp) {

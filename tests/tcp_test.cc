@@ -322,7 +322,7 @@ TEST(TcpPipelineTest, OutOfOrderRepliesCorrelateBySessionEcho) {
 TEST(TcpPipelineTest, UnstampedSubmissionsMatchFifo) {
   SessionEchoHandler handler;
   TcpServer::Options server_opts;
-  server_opts.pipeline_workers = 1;  // strict reply order for FIFO matching
+  server_opts.dispatch_workers = 1;  // strict reply order for FIFO matching
   auto server = TcpServer::Start(&handler, 0, server_opts);
   ASSERT_TRUE(server.ok());
   auto channel = TcpChannel::Connect((*server)->port());

@@ -10,6 +10,7 @@
 
 #include "sse/core/registry.h"
 #include "sse/crypto/keys.h"
+#include "sse/obs/metrics_registry.h"
 #include "sse/util/random.h"
 #include "sse/util/status.h"
 
@@ -67,6 +68,15 @@ inline core::SseSystem MakeTestSystem(core::SystemKind kind,
 inline core::SseSystem MakeTestSystem(core::SystemKind kind,
                                       RandomSource* rng) {
   return MakeTestSystem(kind, rng, FastTestConfig());
+}
+
+/// Current value of the process-wide engine counter sse_engine_<name>_total.
+/// Every engine in a test process adds into the same series, so tests
+/// compare the values taken before and after the traffic they check.
+inline uint64_t EngineCounter(const std::string& name) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sse_engine_" + name + "_total")
+      ->Value();
 }
 
 /// Decodes the hex literal of a known-answer vector; a malformed literal
