@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <random>
+
 #include "sse/crypto/aead.h"
 #include "sse/crypto/elgamal.h"
 #include "sse/crypto/hash_chain.h"
@@ -12,6 +15,7 @@
 #include "sse/crypto/prf.h"
 #include "sse/crypto/prg.h"
 #include "sse/crypto/stream_cipher.h"
+#include "sse/index/posting.h"
 #include "sse/util/random.h"
 
 namespace sse::crypto {
@@ -26,6 +30,16 @@ void BM_PrfEval(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PrfEval)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_HmacSha256(benchmark::State& state) {
+  // A 40-byte message: the size of a labeled PRF input or an HKDF block.
+  Bytes key(32, 11);
+  Bytes message(40, 0x33);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HmacSha256(key, message));
+  }
+}
+BENCHMARK(BM_HmacSha256);
 
 void BM_PrgExpand(benchmark::State& state) {
   Bytes seed(32, 2);
@@ -88,7 +102,8 @@ BENCHMARK(BM_ElGamalDecrypt)
     ->Arg(static_cast<int>(ElGamalGroupId::kModp2048));
 
 void BM_ChainStep(benchmark::State& state) {
-  Bytes element(32, 7);
+  Sha256Digest element;
+  element.fill(7);
   for (auto _ : state) {
     element = HashChain::Step(element).value();
     benchmark::DoNotOptimize(element);
@@ -96,12 +111,44 @@ void BM_ChainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainStep);
 
+void BM_ChainCursorKeyAt(benchmark::State& state) {
+  // Client-side key derivation at the default chain length, over the
+  // counter orders the schemes ask for: ascending by one (Scheme 3, ctr+1
+  // per update of a keyword) or by random gaps of 1..20 (Scheme 2's global
+  // counter, which rises after every search). When the counters run past
+  // the chain a fresh cursor starts from the seed, so the first walk of
+  // l - 1 steps is part of the amortized cost.
+  const uint32_t l = 4096;
+  const bool gaps = state.range(0) != 0;
+  std::mt19937 gen(1);
+  std::uniform_int_distribution<uint32_t> gap(1, 20);
+  std::optional<ChainCursor> cursor;
+  uint32_t ctr = l;
+  uint64_t steps = 0;
+  uint64_t pebbles = 0;
+  for (auto _ : state) {
+    ctr += gaps ? gap(gen) : 1;
+    if (ctr > l) {
+      if (cursor.has_value()) steps += cursor->steps();
+      cursor = ChainCursor::Create(Bytes(32, 10), l).value();
+      ctr = gaps ? gap(gen) : 1;
+    }
+    benchmark::DoNotOptimize(cursor->KeyAt(ctr));
+    pebbles += cursor->pebble_count();
+  }
+  if (cursor.has_value()) steps += cursor->steps();
+  const double calls = static_cast<double>(state.iterations());
+  state.counters["steps_per_call"] = static_cast<double>(steps) / calls;
+  state.counters["pebbles"] = static_cast<double>(pebbles) / calls;
+}
+BENCHMARK(BM_ChainCursorKeyAt)->ArgName("gaps")->Arg(0)->Arg(1);
+
 void BM_ChainWalk(benchmark::State& state) {
   // Server-side: walk `range` steps to find a tag (Fig. 4 inner loop).
   HashChain chain = HashChain::Create(Bytes(32, 8), 1 << 16).value();
   const uint32_t steps = static_cast<uint32_t>(state.range(0));
   Bytes start = chain.ElementAt(0).value();
-  Bytes target_tag = HashChain::Tag(chain.ElementAt(steps).value()).value();
+  Bytes target_tag = ToBytes(HashChain::Tag(chain.ElementAt(steps).value()).value());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         HashChain::WalkForwardToTag(start, target_tag, steps + 1));
@@ -117,6 +164,22 @@ void BM_HkdfDerive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HkdfDerive);
+
+void BM_SegmentOpen(benchmark::State& state) {
+  // The server's per-entry cost on a search: derive the segment cipher
+  // from the chain key (HKDF), check the MAC and decrypt a one-id segment.
+  DeterministicRandom rng(12);
+  Bytes key(32, 13);
+  Bytes ciphertext = StreamCipher::Create(key)
+                         .value()
+                         .Encrypt(index::EncodeIdList({42}).value(), rng)
+                         .value();
+  for (auto _ : state) {
+    Result<StreamCipher> cipher = StreamCipher::Create(key);
+    benchmark::DoNotOptimize(cipher->Decrypt(ciphertext));
+  }
+}
+BENCHMARK(BM_SegmentOpen);
 
 }  // namespace
 }  // namespace sse::crypto

@@ -408,11 +408,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     (*server)->stored_index_bytes()),
                 (*server)->num_shards());
-    // The engine's series, as the stats RPC serves them.
+    // The engine's and the durable shell's series (its reply cache among
+    // them), as the stats RPC serves them.
     std::istringstream scrape(
         obs::MetricsRegistry::Global().RenderPrometheus());
     for (std::string line; std::getline(scrape, line);) {
-      if (line.rfind("sse_engine_", 0) == 0) std::printf("%s\n", line.c_str());
+      if (line.rfind("sse_engine_", 0) == 0 ||
+          line.rfind("sse_durable_", 0) == 0) {
+        std::printf("%s\n", line.c_str());
+      }
     }
   } else if (command == "serve") {
     // Expose the durable vault over TCP. The engine is thread-safe and the

@@ -5,9 +5,11 @@
 # 1. Configure + build everything, run the full ctest suite (the repo's
 #    tier-1 gate from ROADMAP.md).
 # 2. Rebuild the engine/concurrency test targets with -fsanitize=thread in
-#    a separate build dir and run only the "concurrency"/"chaos" labels.
+#    a separate build dir and run only the "concurrency"/"chaos"/... labels.
 # 3. Rebuild the net/engine test targets with -fsanitize=address,undefined
 #    and run the same labels (memory errors in the pipelined frame paths).
+#    Both passes include the "crypto" label: the crypto kernel's per-thread
+#    contexts must race with nothing and leak nothing at thread exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +62,11 @@ echo "==> perfbench: end-to-end benchmark smoke test"
 # .bench_build/ and runs every workload briefly in traced mode.
 python3 perfbench/run.py --smoke
 
+echo "==> crypto: primitives and the fetch-once kernel under them"
+# SHA-256, the hash chain and its pebbled cursor, HMAC/HKDF, the stream
+# cipher, AEAD and PRG, plus the kernel's eight-thread agreement test.
+ctest --test-dir build -L crypto --output-on-failure
+
 echo "==> scheme3: forward-private dynamic scheme suite"
 # Covers the hash-chain client/server pair, the descriptor-driven engine
 # integration, and the forward-privacy property test (stale trapdoors must
@@ -69,7 +76,7 @@ ctest --test-dir build -L scheme3 --output-on-failure
 if [[ "$SKIP_TSAN" == "1" ]]; then
   echo "==> skipping TSan pass (--skip-tsan)"
 else
-  echo "==> tsan: concurrency + chaos + obs + net + repl tests under ThreadSanitizer"
+  echo "==> tsan: concurrency + chaos + obs + net + repl + crypto tests under ThreadSanitizer"
   cmake -B build-tsan -S . \
     -DSSE_TSAN=ON \
     -DSSE_BUILD_BENCHMARKS=OFF \
@@ -82,24 +89,27 @@ else
              obs_trace_test obs_metrics_test obs_stats_rpc_test \
              obs_slo_test obs_events_test \
              reactor_test net_scale_test repl_test scheme3_test \
-             overload_test
+             overload_test \
+             sha256_test hash_chain_test prf_test hkdf_test \
+             stream_cipher_test aead_test prg_test crypto_kernel_test
   # repl_test (not the multi-process cluster harness — TSan doesn't see
   # across fork/exec) exercises the sender's shipping threads, the node's
   # role lock and the failover router under the race detector. scheme3_test
   # rides along for its sharded-engine broadcast searches, which hit the
   # server's relaxed stat counters from multiple shards.
   # overload_test rides in the TSan pass too: the shed path races the
-  # reactor loops against the dispatch pool and the admission EWMA.
+  # reactor loops against the dispatch pool and the admission EWMA. The
+  # crypto label runs the kernel's per-thread contexts from eight threads.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan \
-    -L "concurrency|chaos|obs|net|cluster|scheme3|overload" \
+    -L "concurrency|chaos|obs|net|cluster|scheme3|overload|crypto" \
     --output-on-failure -E cluster_test
 fi
 
 if [[ "$SKIP_ASAN" == "1" ]]; then
   echo "==> skipping ASan pass (--skip-asan)"
 else
-  echo "==> asan: concurrency + chaos tests under Address/UBSanitizer"
+  echo "==> asan: concurrency + chaos + crypto tests under Address/UBSanitizer"
   cmake -B build-asan -S . \
     -DSSE_ASAN=ON \
     -DSSE_BUILD_BENCHMARKS=OFF \
@@ -108,12 +118,15 @@ else
     --target engine_concurrency_test tcp_test chaos_test batch_test \
              engine_test retry_test fault_test \
              crash_recovery_test env_test reactor_test net_scale_test \
-             scheme3_test overload_test durable_server_test repl_test
+             scheme3_test overload_test durable_server_test repl_test \
+             sha256_test hash_chain_test prf_test hkdf_test \
+             stream_cipher_test aead_test prg_test crypto_kernel_test
   # cluster_test is excluded as in the TSan pass; repl_test covers the
-  # replication code in-process.
+  # replication code in-process. LeakSanitizer checks that every thread's
+  # crypto contexts are freed when the thread exits.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan \
-    -L "concurrency|chaos|net|cluster|scheme3|overload" \
+    -L "concurrency|chaos|net|cluster|scheme3|overload|crypto" \
     --output-on-failure -E cluster_test
 
   echo "==> asan: seeded crash-recovery sweep (SSE_CRASH_SEED=${SSE_CRASH_SEED:-default})"

@@ -213,12 +213,8 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
       [raw] { return raw->degraded() ? 1.0 : 0.0; },
       "1 once a storage fault fail-stopped this server to read-only"));
   if (raw->reply_cache_ != nullptr) {
-    server->registrations_.push_back(registry.RegisterGauge(
-        "sse_engine_reply_cache_entries",
-        [raw] {
-          return static_cast<double>(raw->reply_cache_->entry_count());
-        },
-        "Replies retained in the at-most-once dedup cache"));
+    raw->reply_cache_->RegisterMetrics("sse_durable_reply_cache",
+                                       server->registrations_);
   }
   return server;
 }

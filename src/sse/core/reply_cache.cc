@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sse/obs/metrics_registry.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
@@ -10,15 +9,6 @@ namespace sse::core {
 namespace {
 /// Snapshot section magic, "RPLC".
 constexpr uint32_t kReplyCacheMagic = 0x52504c43;
-
-/// Process-wide eviction counter; GetCounter is idempotent per name, so
-/// every cache instance (engine- or durable-level) feeds the same series.
-obs::MetricsRegistry::Counter* EvictionCounter() {
-  static auto* counter = obs::MetricsRegistry::Global().GetCounter(
-      "sse_engine_reply_cache_evictions_total",
-      "Reply-cache entries dropped to enforce size bounds");
-  return counter;
-}
 }  // namespace
 
 ReplyCache::Outcome ReplyCache::Begin(uint64_t client, uint64_t seq,
@@ -122,7 +112,6 @@ void ReplyCache::EvictClientsLocked() {
     const size_t dropped = victim->second.replies.size();
     total_entries_ -= dropped;
     evictions_ += dropped;
-    if (dropped > 0) EvictionCounter()->Add(dropped);
     clients_.erase(victim);
   }
 }
@@ -134,7 +123,6 @@ void ReplyCache::DropEntryLocked(ClientState* state,
   if (evicted >= state->low_water) state->low_water = evicted + 1;
   total_entries_ -= 1;
   evictions_ += 1;
-  EvictionCounter()->Add();
 }
 
 void ReplyCache::EvictEntriesLocked() {
@@ -245,6 +233,20 @@ uint64_t ReplyCache::refusals() const {
 uint64_t ReplyCache::evictions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return evictions_;
+}
+
+void ReplyCache::RegisterMetrics(
+    const std::string& prefix,
+    std::vector<obs::MetricsRegistry::Registration>& into) const {
+  auto& registry = obs::MetricsRegistry::Global();
+  into.push_back(registry.RegisterGauge(
+      prefix + "_entries",
+      [this] { return static_cast<double>(entry_count()); },
+      "Replies retained in the at-most-once dedup cache"));
+  into.push_back(registry.RegisterGauge(
+      prefix + "_evictions_total",
+      [this] { return static_cast<double>(evictions()); },
+      "Reply-cache entries dropped to enforce size bounds"));
 }
 
 }  // namespace sse::core

@@ -5,9 +5,12 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sse/net/message.h"
+#include "sse/obs/metrics_registry.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -81,6 +84,14 @@ class ReplyCache {
   uint64_t hits() const;       // duplicates served from cache
   uint64_t refusals() const;   // in-flight + too-old rejections
   uint64_t evictions() const;  // reply entries dropped to enforce bounds
+
+  /// Exports entry_count() and evictions() as the gauges
+  /// `<prefix>_entries` and `<prefix>_evictions_total`, appending their
+  /// registrations to `into`. Each owner uses its own prefix, so the
+  /// engine's cache and the durable shell's never share a series.
+  void RegisterMetrics(const std::string& prefix,
+                       std::vector<obs::MetricsRegistry::Registration>& into)
+      const;
 
  private:
   struct ClientState {

@@ -61,9 +61,10 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
   // keys the walk can never reach.
   S3SearchResult result;
   index::DocIdList ids;
-  Bytes position = req.chain_element;
+  crypto::Sha256Digest element;
+  crypto::Sha256Digest address;
+  BytesView position = req.chain_element;
   for (uint32_t i = req.counter; i >= 1; --i) {
-    Bytes address;
     SSE_ASSIGN_OR_RETURN(address, crypto::HashChain::Tag(position));
     const Bytes* segment = index_.Get(address);
     if (segment != nullptr) {
@@ -71,10 +72,12 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
       ++result.entries_decrypted;
     }
     if (i > 1) {
-      SSE_ASSIGN_OR_RETURN(position, crypto::HashChain::Step(position));
+      SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(position));
+      position = element;
       ++result.chain_steps;
     }
   }
+  CanonicalizeTail(ids, 0);
   total_chain_steps_.fetch_add(result.chain_steps, std::memory_order_relaxed);
   total_entries_decrypted_.fetch_add(result.entries_decrypted,
                                      std::memory_order_relaxed);

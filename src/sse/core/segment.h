@@ -23,10 +23,16 @@ namespace sse::core {
 Result<S2Segment> SealSegment(BytesView key, const index::DocIdList& ids,
                               RandomSource& rng);
 
-/// Decrypts a segment ciphertext under chain key `key` and merges its ids
-/// into `ids`.
+/// Decrypts a segment ciphertext under chain key `key` and appends its ids
+/// to `ids`, unsorted. A walk opens all its segments this way, then calls
+/// CanonicalizeTail once.
 Status OpenSegmentInto(BytesView key, BytesView ciphertext,
                        index::DocIdList& ids);
+
+/// Sorts the ids appended past `canonical_prefix` and merges them into
+/// the canonical prefix, dropping duplicates: one sort per walk instead of
+/// one merge per opened segment.
+void CanonicalizeTail(index::DocIdList& ids, size_t canonical_prefix);
 
 /// Work done by WalkAndOpenSegments, counted as it goes.
 struct SegmentWalk {
@@ -37,7 +43,7 @@ struct SegmentWalk {
 /// Scheme 2's search loop (paper Fig. 4): walks the chain forward from
 /// `trapdoor`, newest segment first, over `segments[start..]`, finding
 /// each segment's key by its tag within `max_steps` steps and merging the
-/// opened ids into `ids`. Newer segments use deeper keys, so they appear
+/// opened ids into the canonical list `ids`. Newer segments use deeper keys, so they appear
 /// earlier on the walk. A segment stored under an older key than its
 /// predecessor (a rolled-back client) is found by restarting the walk
 /// from `trapdoor`, so any key at or below the trapdoor depth stays

@@ -1,18 +1,13 @@
 #include "sse/crypto/aead.h"
 
-#include <openssl/evp.h>
+#include <algorithm>
+
+#include "sse/crypto/kernel.h"
 
 namespace sse::crypto {
 
-namespace {
-
-/// RAII holder for EVP_CIPHER_CTX.
-struct CipherCtx {
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  ~CipherCtx() { EVP_CIPHER_CTX_free(ctx); }
-};
-
-}  // namespace
+static_assert(kAeadNonceSize == kernel::kAesGcmNonceSize &&
+              kAeadTagSize == kernel::kAesGcmTagSize);
 
 Result<Aead> Aead::Create(BytesView key) {
   if (key.size() != kAeadKeySize) {
@@ -26,35 +21,12 @@ Result<Bytes> Aead::Seal(BytesView plaintext, BytesView associated_data,
                          RandomSource& rng) const {
   Bytes nonce(kAeadNonceSize);
   SSE_RETURN_IF_ERROR(rng.Fill(nonce));
-
-  CipherCtx c;
-  if (c.ctx == nullptr) return Status::CryptoError("EVP_CIPHER_CTX_new failed");
-  if (EVP_EncryptInit_ex(c.ctx, EVP_aes_256_gcm(), nullptr, key_.data(),
-                         nonce.data()) != 1) {
-    return Status::CryptoError("GCM EncryptInit failed");
-  }
-  int len = 0;
-  if (!associated_data.empty() &&
-      EVP_EncryptUpdate(c.ctx, nullptr, &len, associated_data.data(),
-                        static_cast<int>(associated_data.size())) != 1) {
-    return Status::CryptoError("GCM AAD update failed");
-  }
   Bytes out(kAeadNonceSize + plaintext.size() + kAeadTagSize);
   std::copy(nonce.begin(), nonce.end(), out.begin());
-  if (!plaintext.empty() &&
-      EVP_EncryptUpdate(c.ctx, out.data() + kAeadNonceSize, &len,
-                        plaintext.data(),
-                        static_cast<int>(plaintext.size())) != 1) {
-    return Status::CryptoError("GCM EncryptUpdate failed");
-  }
-  if (EVP_EncryptFinal_ex(c.ctx, out.data() + kAeadNonceSize + plaintext.size(),
-                          &len) != 1) {
-    return Status::CryptoError("GCM EncryptFinal failed");
-  }
-  if (EVP_CIPHER_CTX_ctrl(c.ctx, EVP_CTRL_GCM_GET_TAG, kAeadTagSize,
-                          out.data() + kAeadNonceSize + plaintext.size()) != 1) {
-    return Status::CryptoError("GCM get tag failed");
-  }
+  uint8_t* ct = out.data() + kAeadNonceSize;
+  SSE_RETURN_IF_ERROR(kernel::Aes256GcmSeal(key_, nonce, associated_data,
+                                            plaintext, ct,
+                                            ct + plaintext.size()));
   return out;
 }
 
@@ -62,36 +34,12 @@ Result<Bytes> Aead::Open(BytesView ciphertext, BytesView associated_data) const 
   if (ciphertext.size() < kAeadOverhead) {
     return Status::CryptoError("AEAD ciphertext too short");
   }
-  const uint8_t* nonce = ciphertext.data();
-  const uint8_t* ct = ciphertext.data() + kAeadNonceSize;
   const size_t ct_len = ciphertext.size() - kAeadOverhead;
-  const uint8_t* tag = ciphertext.data() + kAeadNonceSize + ct_len;
-
-  CipherCtx c;
-  if (c.ctx == nullptr) return Status::CryptoError("EVP_CIPHER_CTX_new failed");
-  if (EVP_DecryptInit_ex(c.ctx, EVP_aes_256_gcm(), nullptr, key_.data(),
-                         nonce) != 1) {
-    return Status::CryptoError("GCM DecryptInit failed");
-  }
-  int len = 0;
-  if (!associated_data.empty() &&
-      EVP_DecryptUpdate(c.ctx, nullptr, &len, associated_data.data(),
-                        static_cast<int>(associated_data.size())) != 1) {
-    return Status::CryptoError("GCM AAD update failed");
-  }
   Bytes plaintext(ct_len);
-  if (ct_len > 0 && EVP_DecryptUpdate(c.ctx, plaintext.data(), &len, ct,
-                                      static_cast<int>(ct_len)) != 1) {
-    return Status::CryptoError("GCM DecryptUpdate failed");
-  }
-  Bytes tag_copy(tag, tag + kAeadTagSize);
-  if (EVP_CIPHER_CTX_ctrl(c.ctx, EVP_CTRL_GCM_SET_TAG, kAeadTagSize,
-                          tag_copy.data()) != 1) {
-    return Status::CryptoError("GCM set tag failed");
-  }
-  if (EVP_DecryptFinal_ex(c.ctx, plaintext.data() + ct_len, &len) != 1) {
-    return Status::CryptoError("AEAD authentication failed");
-  }
+  SSE_RETURN_IF_ERROR(kernel::Aes256GcmOpen(
+      key_, ciphertext.subspan(0, kAeadNonceSize), associated_data,
+      ciphertext.subspan(kAeadNonceSize, ct_len),
+      ciphertext.subspan(kAeadNonceSize + ct_len), plaintext.data()));
   return plaintext;
 }
 

@@ -1,13 +1,8 @@
 #include "sse/crypto/hash_chain.h"
 
-#include "sse/crypto/sha256.h"
+#include "sse/crypto/kernel.h"
 
 namespace sse::crypto {
-
-namespace {
-const char kStepLabel[] = "sse.chain.step";
-const char kTagLabel[] = "sse.chain.tag";
-}  // namespace
 
 Result<HashChain> HashChain::Create(BytesView seed, uint32_t length) {
   if (seed.size() < 16) {
@@ -19,12 +14,16 @@ Result<HashChain> HashChain::Create(BytesView seed, uint32_t length) {
   return HashChain(ToBytes(seed), length);
 }
 
-Result<Bytes> HashChain::Step(BytesView element) {
-  return Sha256Concat(StringToBytes(kStepLabel), element);
+Result<Sha256Digest> HashChain::Step(BytesView element) {
+  Sha256Digest next;
+  SSE_RETURN_IF_ERROR(kernel::ChainStep(element, next));
+  return next;
 }
 
-Result<Bytes> HashChain::Tag(BytesView element) {
-  return Sha256Concat(StringToBytes(kTagLabel), element);
+Result<Sha256Digest> HashChain::Tag(BytesView element) {
+  Sha256Digest tag;
+  SSE_RETURN_IF_ERROR(kernel::ChainTag(element, tag));
+  return tag;
 }
 
 Result<Bytes> HashChain::ElementAt(uint32_t index) const {
@@ -32,11 +31,14 @@ Result<Bytes> HashChain::ElementAt(uint32_t index) const {
     return Status::OutOfRange("chain index " + std::to_string(index) +
                               " >= length " + std::to_string(length_));
   }
-  Bytes element = seed_;
+  if (index == 0) return seed_;
+  Sha256Digest element;
+  BytesView position = seed_;
   for (uint32_t i = 0; i < index; ++i) {
-    SSE_ASSIGN_OR_RETURN(element, Step(element));
+    SSE_RETURN_IF_ERROR(kernel::ChainStep(position, element));
+    position = element;
   }
-  return element;
+  return ToBytes(element);
 }
 
 Result<Bytes> HashChain::KeyForCounter(uint32_t ctr) const {
@@ -56,15 +58,17 @@ Result<Bytes> HashChain::KeyForCounter(uint32_t ctr) const {
 Result<HashChain::WalkResult> HashChain::WalkForwardToTag(BytesView start,
                                                           BytesView target_tag,
                                                           uint32_t max_steps) {
-  Bytes element = ToBytes(start);
+  Sha256Digest element;
+  Sha256Digest tag;
+  BytesView position = start;
   for (uint32_t steps = 0; steps <= max_steps; ++steps) {
-    Bytes tag;
-    SSE_ASSIGN_OR_RETURN(tag, Tag(element));
+    SSE_RETURN_IF_ERROR(kernel::ChainTag(position, tag));
     if (ConstantTimeEqual(tag, target_tag)) {
-      return WalkResult{std::move(element), steps};
+      return WalkResult{ToBytes(position), steps};
     }
     if (steps < max_steps) {
-      SSE_ASSIGN_OR_RETURN(element, Step(element));
+      SSE_RETURN_IF_ERROR(kernel::ChainStep(position, element));
+      position = element;
     }
   }
   return Status::NotFound("no chain element matched the tag within " +
@@ -83,21 +87,49 @@ Result<Bytes> ChainCursor::KeyAt(uint32_t ctr) {
         "chain counter " + std::to_string(ctr) + " outside [1, " +
         std::to_string(chain_.length()) + "]");
   }
-  if (memo_ctr_ != 0) {
-    if (ctr == memo_ctr_) return memo_key_;
-    if (ctr < memo_ctr_) {
-      Bytes key = memo_key_;
-      for (uint32_t c = memo_ctr_; c > ctr; --c) {
-        SSE_ASSIGN_OR_RETURN(key, HashChain::Step(key));
-      }
-      return key;
+  const uint32_t target = chain_.length() - ctr;
+  // A target past the top pebble is a smaller counter than the newest one
+  // asked for: walk on from the top and leave the stack as it is.
+  const bool keep_stack =
+      !pebbles_.empty() && target > pebbles_.back().index;
+  if (!keep_stack) {
+    while (!pebbles_.empty() && pebbles_.back().index > target) {
+      pebbles_.pop_back();
+    }
+    if (target == 0) return chain_.seed_;
+    if (!pebbles_.empty() && pebbles_.back().index == target) {
+      return ToBytes(pebbles_.back().element);
     }
   }
-  Bytes key;
-  SSE_ASSIGN_OR_RETURN(key, chain_.KeyForCounter(ctr));
-  memo_ctr_ = ctr;
-  memo_key_ = key;
-  return key;
+  Sha256Digest key;
+  if (pebbles_.empty()) {
+    SSE_ASSIGN_OR_RETURN(key, WalkTo(chain_.seed_, 0, target, true));
+  } else {
+    SSE_ASSIGN_OR_RETURN(key, WalkTo(pebbles_.back().element,
+                                     pebbles_.back().index, target,
+                                     !keep_stack));
+  }
+  return ToBytes(key);
+}
+
+Result<Sha256Digest> ChainCursor::WalkTo(BytesView from, uint32_t from_index,
+                                         uint32_t target, bool pebble) {
+  // `from` may view a pebble; it is read by the first step, before any
+  // push can move the stack, and views `element` from then on.
+  Sha256Digest element;
+  uint32_t mark = (target - from_index) / 2;  // distance of the next pebble
+  for (uint32_t index = from_index; index < target;) {
+    SSE_RETURN_IF_ERROR(kernel::ChainStep(from, element));
+    from = element;
+    ++index;
+    ++steps_;
+    if (pebble && mark > 0 && target - index == mark) {
+      pebbles_.push_back(Pebble{index, element});
+      mark /= 2;
+    }
+  }
+  if (pebble) pebbles_.push_back(Pebble{target, element});
+  return element;
 }
 
 }  // namespace sse::crypto

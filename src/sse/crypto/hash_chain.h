@@ -1,10 +1,12 @@
 #ifndef SSE_CRYPTO_HASH_CHAIN_H_
 #define SSE_CRYPTO_HASH_CHAIN_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
+#include <vector>
 
+#include "sse/crypto/sha256.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -32,11 +34,12 @@ class HashChain {
   /// (indices 0 .. length-1, where index i means f applied i times).
   static Result<HashChain> Create(BytesView seed, uint32_t length);
 
-  /// One application of the chain step function f.
-  static Result<Bytes> Step(BytesView element);
+  /// One application of the chain step function f. Every chain element
+  /// past the seed is such a digest.
+  static Result<Sha256Digest> Step(BytesView element);
 
   /// The public tag f'(element).
-  static Result<Bytes> Tag(BytesView element);
+  static Result<Sha256Digest> Tag(BytesView element);
 
   /// Element at `index` (f applied `index` times to the seed). O(index).
   Result<Bytes> ElementAt(uint32_t index) const;
@@ -51,7 +54,8 @@ class HashChain {
   /// Walks forward from `start` at most `max_steps` applications of f,
   /// looking for an element whose tag equals `target_tag`. Returns the
   /// matching element and the number of steps taken, or NOT_FOUND. This is
-  /// the server-side search loop of Scheme 2 (Fig. 4).
+  /// the server-side search loop of Scheme 2 (Fig. 4); it allocates only
+  /// the matching element, never per position.
   struct WalkResult {
     Bytes element;
     uint32_t steps;
@@ -61,6 +65,7 @@ class HashChain {
                                              uint32_t max_steps);
 
  private:
+  friend class ChainCursor;
   HashChain(Bytes seed, uint32_t length)
       : seed_(std::move(seed)), length_(length) {}
   Bytes seed_;
@@ -68,14 +73,25 @@ class HashChain {
 };
 
 /// The seed holder's view of one chain: derives the key at a counter
-/// (HashChain::KeyForCounter) and memoizes the last key it derived.
+/// (HashChain::KeyForCounter) in amortized O(log l) steps of f.
 ///
-/// Counters only grow, so the memo turns the common requests into cheap
-/// ones. The same counter is an exact hit. A smaller counter lies forward
-/// of the memo (more applications of f) and costs one step per counter of
-/// difference. A larger one lies toward the seed and is recomputed from
-/// it, which then becomes the memo. Both Scheme 2 (one cursor per keyword
-/// per epoch) and Scheme 3 (one per keyword) derive every chain key here.
+/// The cursor keeps pebbles, after Jakobsson's fractal hash-chain
+/// traversal: a stack of (index, element) pairs in ascending element
+/// index, at most about log2 l of them. Counters only grow, and a larger
+/// counter is a smaller index t = l - ctr, toward the seed. KeyAt pops
+/// every pebble past t and answers from the top one if it is t. Otherwise
+/// it walks forward from the top pebble (or the seed), dropping a pebble
+/// each time the distance left to t halves, and pushes t. Ascending
+/// counters 1..l then cost (l/2)·log2 l steps in all. A smaller counter
+/// than the last one, which no client asks for in steady state, walks
+/// forward from the top pebble and pushes nothing, so the stack stays
+/// bounded.
+///
+/// Pebbles are a cache, not state: a cursor rebuilt from the seed (for
+/// example after a client state restore) answers every counter the same,
+/// paying one walk of l - ctr steps on first use. Both Scheme 2 (one
+/// cursor per keyword per epoch) and Scheme 3 (one per keyword) derive
+/// every chain key here.
 class ChainCursor {
  public:
   static Result<ChainCursor> Create(BytesView seed, uint32_t length);
@@ -84,11 +100,27 @@ class ChainCursor {
   /// RESOURCE_EXHAUSTED unless 1 <= ctr <= l.
   Result<Bytes> KeyAt(uint32_t ctr);
 
+  /// Applications of f made so far, and the pebbles held now.
+  uint64_t steps() const { return steps_; }
+  size_t pebble_count() const { return pebbles_.size(); }
+
  private:
+  struct Pebble {
+    uint32_t index;  // >= 1: the seed (index 0) is never pebbled
+    Sha256Digest element;
+  };
+
   explicit ChainCursor(HashChain chain) : chain_(std::move(chain)) {}
+
+  /// Walks from `from` (element `from_index`) to element `target`. With
+  /// `pebble` set it pushes a pebble each time the distance left halves,
+  /// then one for `target`.
+  Result<Sha256Digest> WalkTo(BytesView from, uint32_t from_index,
+                              uint32_t target, bool pebble);
+
   HashChain chain_;
-  uint32_t memo_ctr_ = 0;  // 0 = nothing memoized yet
-  Bytes memo_key_;
+  std::vector<Pebble> pebbles_;
+  uint64_t steps_ = 0;
 };
 
 }  // namespace sse::crypto

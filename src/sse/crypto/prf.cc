@@ -1,7 +1,6 @@
 #include "sse/crypto/prf.h"
 
-#include <openssl/hmac.h>
-
+#include "sse/crypto/kernel.h"
 #include "sse/obs/metrics_registry.h"
 
 namespace sse::crypto {
@@ -10,14 +9,9 @@ Result<Bytes> HmacSha256(BytesView key, BytesView data) {
   // One relaxed load when timing is off (the default) — the gate keeps
   // per-op instrumentation out of the search hot path's budget.
   obs::ScopedCryptoTimer timer(obs::CryptoTimers::Global().prf);
-  Bytes out(kPrfOutputSize);
-  unsigned int len = 0;
-  if (HMAC(EVP_sha256(), key.data(), static_cast<int>(key.size()), data.data(),
-           data.size(), out.data(), &len) == nullptr ||
-      len != kPrfOutputSize) {
-    return Status::CryptoError("HMAC-SHA256 failed");
-  }
-  return out;
+  Sha256Digest mac;
+  SSE_RETURN_IF_ERROR(kernel::HmacSha256(key, data, mac));
+  return ToBytes(mac);
 }
 
 Result<Prf> Prf::Create(BytesView key) {

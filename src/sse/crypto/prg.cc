@@ -1,8 +1,6 @@
 #include "sse/crypto/prg.h"
 
-#include <openssl/evp.h>
-
-#include "sse/crypto/sha256.h"
+#include "sse/crypto/kernel.h"
 #include "sse/obs/metrics_registry.h"
 
 namespace sse::crypto {
@@ -12,27 +10,12 @@ Result<Bytes> PrgExpand(BytesView seed, size_t out_len) {
   if (seed.empty()) return Status::InvalidArgument("PRG seed is empty");
   if (out_len == 0) return Bytes{};
 
-  Bytes key;
-  SSE_ASSIGN_OR_RETURN(key, Sha256(seed));
-
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  if (ctx == nullptr) return Status::CryptoError("EVP_CIPHER_CTX_new failed");
-
-  Bytes iv(16, 0);
+  Sha256Digest key;
+  SSE_RETURN_IF_ERROR(kernel::Sha256(seed, {}, key));
+  // The keystream is the encryption of zeros, written in place.
+  static const uint8_t kZeroIv[kernel::kAesCtrIvSize] = {};
   Bytes out(out_len, 0);
-  Bytes zeros(out_len, 0);
-  int len = 0;
-  Status status = Status::OK();
-  if (EVP_EncryptInit_ex(ctx, EVP_aes_256_ctr(), nullptr, key.data(),
-                         iv.data()) != 1) {
-    status = Status::CryptoError("EVP_EncryptInit_ex(AES-256-CTR) failed");
-  } else if (EVP_EncryptUpdate(ctx, out.data(), &len, zeros.data(),
-                               static_cast<int>(out_len)) != 1 ||
-             static_cast<size_t>(len) != out_len) {
-    status = Status::CryptoError("EVP_EncryptUpdate failed");
-  }
-  EVP_CIPHER_CTX_free(ctx);
-  if (!status.ok()) return status;
+  SSE_RETURN_IF_ERROR(kernel::Aes256Ctr(key, kZeroIv, out, out.data()));
   return out;
 }
 

@@ -1,7 +1,9 @@
 #ifndef SSE_CRYPTO_SHA256_H_
 #define SSE_CRYPTO_SHA256_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
@@ -10,31 +12,15 @@ namespace sse::crypto {
 
 inline constexpr size_t kSha256DigestSize = 32;
 
+/// A SHA-256 digest held by value: the hash chain's elements and tags, so
+/// a walk along the chain allocates nothing per position.
+using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
+
 /// One-shot SHA-256.
 Result<Bytes> Sha256(BytesView data);
 
 /// SHA-256 over `a || b` without materializing the concatenation.
 Result<Bytes> Sha256Concat(BytesView a, BytesView b);
-
-/// Incremental SHA-256 hasher.
-class Sha256Hasher {
- public:
-  Sha256Hasher();
-  ~Sha256Hasher();
-
-  Sha256Hasher(const Sha256Hasher&) = delete;
-  Sha256Hasher& operator=(const Sha256Hasher&) = delete;
-
-  Status Update(BytesView data);
-  /// Finalizes and returns the 32-byte digest. The hasher is reset and can
-  /// be reused afterwards.
-  Result<Bytes> Finish();
-
- private:
-  void* ctx_;  // EVP_MD_CTX*, kept opaque to avoid leaking OpenSSL headers.
-  bool active_;
-  Status Init();
-};
 
 }  // namespace sse::crypto
 

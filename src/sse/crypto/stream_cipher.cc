@@ -1,35 +1,12 @@
 #include "sse/crypto/stream_cipher.h"
 
-#include <openssl/evp.h>
+#include <algorithm>
 
 #include "sse/crypto/hkdf.h"
+#include "sse/crypto/kernel.h"
 #include "sse/crypto/prf.h"
 
 namespace sse::crypto {
-
-namespace {
-
-Result<Bytes> AesCtr(BytesView key, BytesView iv, BytesView input) {
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  if (ctx == nullptr) return Status::CryptoError("EVP_CIPHER_CTX_new failed");
-  Bytes out(input.size());
-  int len = 0;
-  Status status = Status::OK();
-  if (EVP_EncryptInit_ex(ctx, EVP_aes_256_ctr(), nullptr, key.data(),
-                         iv.data()) != 1) {
-    status = Status::CryptoError("CTR init failed");
-  } else if (!input.empty() &&
-             (EVP_EncryptUpdate(ctx, out.data(), &len, input.data(),
-                                static_cast<int>(input.size())) != 1 ||
-              static_cast<size_t>(len) != input.size())) {
-    status = Status::CryptoError("CTR update failed");
-  }
-  EVP_CIPHER_CTX_free(ctx);
-  if (!status.ok()) return status;
-  return out;
-}
-
-}  // namespace
 
 Result<StreamCipher> StreamCipher::Create(BytesView key) {
   if (key.size() < 16) {
@@ -47,9 +24,10 @@ Result<Bytes> StreamCipher::Encrypt(BytesView plaintext,
                                     RandomSource& rng) const {
   Bytes iv(kStreamIvSize);
   SSE_RETURN_IF_ERROR(rng.Fill(iv));
-  Bytes ct;
-  SSE_ASSIGN_OR_RETURN(ct, AesCtr(enc_key_, iv, plaintext));
-  Bytes out = Concat(iv, ct);
+  Bytes out(kStreamIvSize + plaintext.size());
+  std::copy(iv.begin(), iv.end(), out.begin());
+  SSE_RETURN_IF_ERROR(
+      kernel::Aes256Ctr(enc_key_, iv, plaintext, out.data() + kStreamIvSize));
   Bytes tag;
   SSE_ASSIGN_OR_RETURN(tag, HmacSha256(mac_key_, out));
   out.insert(out.end(), tag.begin(), tag.end());
@@ -68,9 +46,11 @@ Result<Bytes> StreamCipher::Decrypt(BytesView ciphertext) const {
   if (!ConstantTimeEqual(expected, tag)) {
     return Status::CryptoError("stream cipher MAC mismatch");
   }
-  BytesView iv = body.subspan(0, kStreamIvSize);
   BytesView ct = body.subspan(kStreamIvSize);
-  return AesCtr(enc_key_, iv, ct);
+  Bytes plaintext(ct.size());
+  SSE_RETURN_IF_ERROR(kernel::Aes256Ctr(
+      enc_key_, body.subspan(0, kStreamIvSize), ct, plaintext.data()));
+  return plaintext;
 }
 
 }  // namespace sse::crypto

@@ -24,7 +24,8 @@ inline constexpr size_t kStreamOverhead = kStreamIvSize + kStreamTagSize;
 /// decrypt only under the chain key the client released, and a tampered
 /// segment is detected rather than silently yielding garbage identifiers.
 ///
-/// Layout: iv(16) || ct(|pt|) || tag(32), tag = HMAC(mac_key, iv || ct).
+/// Layout: iv(16) || ct(|pt|) || tag(32), tag = HMAC-SHA-256 of iv || ct
+/// under mac_key.
 class StreamCipher {
  public:
   /// `key` may be any length >= 16; subkeys are derived internally.

@@ -117,12 +117,8 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
       "sse_engine_degraded", [raw] { return raw->degraded() ? 1.0 : 0.0; },
       "1 once the storage layer fail-stopped this engine to read-only"));
   if (raw->reply_cache_ != nullptr) {
-    engine->registrations_.push_back(registry.RegisterGauge(
-        "sse_engine_reply_cache_entries",
-        [raw] {
-          return static_cast<double>(raw->reply_cache_->entry_count());
-        },
-        "Replies retained in the at-most-once dedup cache"));
+    raw->reply_cache_->RegisterMetrics("sse_engine_reply_cache",
+                                       engine->registrations_);
   }
   return engine;
 }

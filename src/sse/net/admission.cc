@@ -12,23 +12,10 @@ namespace sse::net {
 
 namespace {
 
-// Mutating request types per docs/PROTOCOL.md §2/§3/§8. net/ sits below
+// Read-only request types per docs/PROTOCOL.md §2/§3/§8. net/ sits below
 // the core scheme headers that name these constants, so the values are
 // spelled numerically here; the protocol doc is the one normative source
 // both layers encode.
-bool IsMutationType(uint16_t type) {
-  switch (type) {
-    case 0x0103:  // Scheme1.UpdateRequest
-    case 0x0201:  // Scheme2.UpdateRequest
-    case 0x0207:  // Scheme2.ReinitRequest
-    case 0x0401:  // Scheme3.UpdateRequest
-    case kMsgPutDocument:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsSearchType(uint16_t type) {
   switch (type) {
     case 0x0101:  // Scheme1.NonceRequest (update round 1: reads state)

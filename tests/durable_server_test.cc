@@ -8,8 +8,12 @@
 #include "sse/core/scheme2_server.h"
 #include "sse/core/scheme1_client.h"
 #include "sse/core/scheme2_client.h"
+#include "sse/engine/scheme2_adapter.h"
+#include "sse/engine/server_engine.h"
 #include "sse/net/batch.h"
 #include "sse/net/retry.h"
+#include "sse/obs/metrics_registry.h"
+#include "sse/repl/failover_channel.h"
 #include "sse/storage/faulty_env.h"
 #include "sse/storage/snapshot.h"
 #include "test_util.h"
@@ -258,6 +262,47 @@ TEST(DurableServerTest, TornTailRetryAppliesOnceAndSurvivorsDedup) {
   auto outcome = (*client)->Search("k");
   SSE_ASSERT_OK_RESULT(outcome);
   EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1}));
+}
+
+TEST(DurableServerTest, ReplyCacheReportsUnderItsOwnName) {
+  // sse_cli's stack: the durable shell dedups and the engine's cache is
+  // off. The shell's cache is scraped under the durable prefix, and no
+  // engine reply-cache series picks it up.
+  TempDir dir;
+  DeterministicRandom rng(12);
+  const SchemeOptions options = FastTestConfig().scheme;
+  engine::EngineOptions engine_options;
+  engine_options.enable_reply_cache = false;
+  auto engine = engine::ServerEngine::Create(
+      std::make_unique<engine::Scheme2Adapter>(options), engine_options);
+  SSE_ASSERT_OK_RESULT(engine);
+  auto durable = DurableServer::Open(dir.path(), engine->get());
+  SSE_ASSERT_OK_RESULT(durable);
+  net::InProcessChannel channel(durable->get());
+  net::RetryingChannel retry(&channel, net::RetryOptions{}, &rng);
+  auto client = Scheme2Client::Create(TestMasterKey(), options, &retry, &rng);
+  SSE_ASSERT_OK_RESULT(client);
+  SSE_ASSERT_OK((*client)->Store({Document::Make(0, "a", {"k", "j"}),
+                                  Document::Make(1, "b", {"k"})}));
+  ASSERT_NE((*durable)->reply_cache(), nullptr);
+  const size_t entries = (*durable)->reply_cache()->entry_count();
+  ASSERT_GT(entries, 0u);
+
+  const std::string text = obs::MetricsRegistry::Global().RenderPrometheus();
+  double durable_entries = -1;
+  ASSERT_TRUE(repl::FindMetricValue(text, "sse_durable_reply_cache_entries",
+                                    &durable_entries));
+  EXPECT_EQ(durable_entries, static_cast<double>(entries));
+  double durable_evictions = -1;
+  ASSERT_TRUE(repl::FindMetricValue(
+      text, "sse_durable_reply_cache_evictions_total", &durable_evictions));
+  EXPECT_EQ(durable_evictions,
+            static_cast<double>((*durable)->reply_cache()->evictions()));
+  double engine_entries = 0;
+  if (repl::FindMetricValue(text, "sse_engine_reply_cache_entries",
+                            &engine_entries)) {
+    EXPECT_EQ(engine_entries, 0.0);
+  }
 }
 
 TEST(DurableServerTest, FallsBackToOlderSnapshotGeneration) {

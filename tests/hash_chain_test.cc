@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <random>
 #include <set>
@@ -28,7 +29,7 @@ TEST(HashChainTest, ElementAtMatchesIteratedStep) {
     auto direct = chain->ElementAt(i);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(*direct, manual) << "index " << i;
-    manual = *HashChain::Step(manual);
+    manual = ToBytes(*HashChain::Step(manual));
   }
 }
 
@@ -77,7 +78,7 @@ TEST(HashChainTest, TagDiffersFromElementAndStep) {
   auto step = HashChain::Step(element);
   ASSERT_TRUE(tag.ok());
   ASSERT_TRUE(step.ok());
-  EXPECT_NE(*tag, element);
+  EXPECT_NE(ToBytes(*tag), element);
   EXPECT_NE(*tag, *step);  // domain separation between f and f'
 }
 
@@ -89,7 +90,7 @@ TEST(HashChainTest, WalkForwardFindsDeeperElement) {
   // key of an update at ctr=4 (index 16): 5 forward steps.
   Bytes start = *chain->KeyForCounter(9);
   Bytes target = *chain->KeyForCounter(4);
-  Bytes target_tag = *HashChain::Tag(target);
+  Bytes target_tag = ToBytes(*HashChain::Tag(target));
   auto walk = HashChain::WalkForwardToTag(start, target_tag, l);
   ASSERT_TRUE(walk.ok());
   EXPECT_EQ(walk->element, target);
@@ -129,36 +130,128 @@ TEST(HashChainTest, DifferentSeedsGiveDisjointChains) {
   }
 }
 
-TEST(ChainCursorTest, MatchesKeyForCounterInEveryOrder) {
-  // The memo has three paths (exact hit, step forward from a newer memo,
-  // recompute from the seed); every request order mixes them differently
-  // and must agree with the unmemoized reference at every counter.
-  const uint32_t l = 64;
+/// Every element of a length-`l` chain over Seed(), from one forward pass:
+/// element i at index i, so the key at counter ctr is table[l - ctr]. Spot
+/// checked against the unmemoized reference.
+std::vector<Bytes> ElementTable(uint32_t l) {
+  std::vector<Bytes> table;
+  table.reserve(l);
+  table.push_back(Seed());
+  while (table.size() < l) {
+    table.push_back(ToBytes(*HashChain::Step(table.back())));
+  }
   auto reference = HashChain::Create(Seed(), l);
-  ASSERT_TRUE(reference.ok());
+  for (uint32_t ctr : {1u, 2u, l / 3, l / 2, l - 1, l}) {
+    EXPECT_EQ(table[l - ctr], *reference->KeyForCounter(ctr))
+        << "counter " << ctr;
+  }
+  return table;
+}
+
+/// Ascending counters from 1 with random gaps of 1..20, up to `l`.
+std::vector<uint32_t> AscendingWithGaps(uint32_t l, uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::uniform_int_distribution<uint32_t> gap(1, 20);
+  std::vector<uint32_t> counters;
+  for (uint32_t ctr = gap(gen); ctr <= l; ctr += gap(gen)) {
+    counters.push_back(ctr);
+  }
+  return counters;
+}
+
+std::vector<uint32_t> AscendingCounters(uint32_t l) {
   std::vector<uint32_t> ascending(l);
   std::iota(ascending.begin(), ascending.end(), 1u);
-  std::vector<uint32_t> descending(ascending.rbegin(), ascending.rend());
-  std::vector<uint32_t> shuffled = ascending;
+  return ascending;
+}
+
+/// Each counter asked twice in a row, which also covers the exact hit.
+std::vector<uint32_t> Repeated(const std::vector<uint32_t>& order) {
+  std::vector<uint32_t> repeated;
+  for (uint32_t ctr : order) {
+    repeated.push_back(ctr);
+    repeated.push_back(ctr);
+  }
+  return repeated;
+}
+
+TEST(ChainCursorTest, MatchesKeyForCounterInEveryOrder) {
+  // The cursor answers from a pebble, walks forward from one (dropping new
+  // pebbles or, for a smaller counter than the last, none), or walks from
+  // the seed; every request order mixes these paths differently and must
+  // agree with the reference at every counter. The orders clients use run
+  // at a production chain length; descending and shuffled orders, which
+  // only exercise the walk forward and cost O(l^2) steps, stay short.
+  struct Case {
+    uint32_t l;
+    std::vector<uint32_t> order;
+  };
+  std::vector<uint32_t> shuffled = AscendingCounters(64);
   std::mt19937 gen(7);
   std::shuffle(shuffled.begin(), shuffled.end(), gen);
-  // Each counter asked twice in a row also covers the exact-hit path.
-  std::vector<uint32_t> repeated;
-  for (uint32_t ctr : shuffled) {
-    repeated.push_back(ctr);
-    repeated.push_back(ctr);
-  }
-
-  for (const std::vector<uint32_t>* order :
-       {&ascending, &descending, &shuffled, &repeated}) {
-    auto cursor = ChainCursor::Create(Seed(), l);
+  const std::vector<uint32_t> ascending_64 = AscendingCounters(64);
+  const std::vector<Case> cases = {
+      {4096, AscendingCounters(4096)},
+      {4096, AscendingWithGaps(4096, 11)},
+      {4096, Repeated(AscendingCounters(4096))},
+      {64, std::vector<uint32_t>(ascending_64.rbegin(), ascending_64.rend())},
+      {64, shuffled},
+      {64, Repeated(shuffled)},
+  };
+  for (const Case& c : cases) {
+    const std::vector<Bytes> table = ElementTable(c.l);
+    auto cursor = ChainCursor::Create(Seed(), c.l);
     ASSERT_TRUE(cursor.ok());
-    for (uint32_t ctr : *order) {
+    for (uint32_t ctr : c.order) {
       auto key = cursor->KeyAt(ctr);
       ASSERT_TRUE(key.ok()) << "counter " << ctr;
-      EXPECT_EQ(*key, *reference->KeyForCounter(ctr)) << "counter " << ctr;
+      ASSERT_EQ(*key, table[c.l - ctr]) << "l " << c.l << " counter " << ctr;
     }
   }
+}
+
+TEST(ChainCursorTest, PebblesBoundStackAndSteps) {
+  // Ascending counters, with and without gaps, are what Scheme 3 (ctr+1 per
+  // update) and Scheme 2 (the global counter) ask for. The pebble stack
+  // stays within ceil(log2 l) + 1 entries, and the whole ascent costs at
+  // most l * (ceil(log2 l) + 1) steps: amortized O(log l) per counter
+  // instead of l - ctr.
+  for (uint32_t l : {4096u, 16384u}) {
+    const uint32_t log2_l =
+        static_cast<uint32_t>(std::ceil(std::log2(static_cast<double>(l))));
+    for (const std::vector<uint32_t>& order :
+         {AscendingCounters(l), AscendingWithGaps(l, 3)}) {
+      auto cursor = ChainCursor::Create(Seed(), l);
+      ASSERT_TRUE(cursor.ok());
+      for (uint32_t ctr : order) {
+        ASSERT_TRUE(cursor->KeyAt(ctr).ok()) << "counter " << ctr;
+        ASSERT_LE(cursor->pebble_count(), log2_l + 1)
+            << "l " << l << " counter " << ctr;
+      }
+      EXPECT_LE(cursor->steps(), uint64_t{l} * (log2_l + 1)) << "l " << l;
+      // The last key is still the reference's.
+      auto reference = HashChain::Create(Seed(), l);
+      EXPECT_EQ(*cursor->KeyAt(order.back()),
+                *reference->KeyForCounter(order.back()));
+    }
+  }
+}
+
+TEST(ChainCursorTest, SmallerCounterWalksForwardWithoutPebbling) {
+  const uint32_t l = 256;
+  auto reference = HashChain::Create(Seed(), l);
+  auto cursor = ChainCursor::Create(Seed(), l);
+  ASSERT_TRUE(cursor.ok());
+  ASSERT_TRUE(cursor->KeyAt(100).ok());
+  const size_t pebbles = cursor->pebble_count();
+  const uint64_t steps = cursor->steps();
+  // Counter 90 sits 10 steps past the top pebble (counter 100).
+  EXPECT_EQ(*cursor->KeyAt(90), *reference->KeyForCounter(90));
+  EXPECT_EQ(cursor->steps(), steps + 10);
+  EXPECT_EQ(cursor->pebble_count(), pebbles);
+  // The top pebble still answers its own counter for free.
+  EXPECT_EQ(*cursor->KeyAt(100), *reference->KeyForCounter(100));
+  EXPECT_EQ(cursor->steps(), steps + 10);
 }
 
 TEST(ChainCursorTest, CountersOutsideTheChainAreExhausted) {

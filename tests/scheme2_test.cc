@@ -5,6 +5,8 @@
 
 #include "sse/core/registry.h"
 #include "sse/core/scheme2_messages.h"
+#include "sse/core/segment.h"
+#include "sse/crypto/hash_chain.h"
 #include "test_util.h"
 
 namespace sse::core {
@@ -13,7 +15,44 @@ namespace {
 using sse::testing::FastTestConfig;
 using sse::testing::FromHex;
 using sse::testing::MakeTestSystem;
+using sse::testing::OverlappingIdLists;
 using sse::testing::TestMasterKey;
+
+TEST(SegmentWalkTest, SortOnceMatchesMergePerSegment) {
+  // The walk appends every opened segment's ids and sorts once; the result
+  // must be exactly the union a merge per segment builds, with and without
+  // Opt-1 cached ids in front.
+  const uint32_t l = 256;
+  auto chain = crypto::HashChain::Create(Bytes(32, 0x21), l);
+  ASSERT_TRUE(chain.ok());
+  DeterministicRandom rng(5);
+  const std::vector<index::DocIdList> lists = OverlappingIdLists(40, 17);
+  std::vector<S2Segment> segments;
+  for (size_t j = 0; j < lists.size(); ++j) {
+    auto segment = SealSegment(
+        *chain->KeyForCounter(static_cast<uint32_t>(j + 1)), lists[j], rng);
+    ASSERT_TRUE(segment.ok());
+    segments.push_back(std::move(segment).value());
+  }
+  const Bytes trapdoor =
+      *chain->KeyForCounter(static_cast<uint32_t>(lists.size()));
+  for (size_t start : {size_t{0}, size_t{13}}) {
+    index::DocIdList cached;
+    for (size_t j = 0; j < start; ++j) {
+      cached = index::MergeIdLists(cached, lists[j]);
+    }
+    index::DocIdList expected = cached;
+    for (size_t j = lists.size(); j-- > start;) {
+      expected = index::MergeIdLists(expected, lists[j]);
+    }
+    index::DocIdList ids = cached;
+    SegmentWalk walk;
+    ASSERT_TRUE(
+        WalkAndOpenSegments(trapdoor, segments, start, l, ids, walk).ok());
+    EXPECT_EQ(ids, expected) << "start " << start;
+    EXPECT_EQ(walk.segments_opened, lists.size() - start);
+  }
+}
 
 class Scheme2Test : public ::testing::Test {
  protected:

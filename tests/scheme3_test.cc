@@ -9,6 +9,8 @@
 #include "sse/core/scheme3_client.h"
 #include "sse/core/scheme3_messages.h"
 #include "sse/core/scheme3_server.h"
+#include "sse/core/segment.h"
+#include "sse/crypto/hash_chain.h"
 #include "test_util.h"
 
 namespace sse::core {
@@ -17,10 +19,43 @@ namespace {
 using sse::testing::FastTestConfig;
 using sse::testing::FromHex;
 using sse::testing::MakeTestSystem;
+using sse::testing::OverlappingIdLists;
 using sse::testing::TestMasterKey;
 
 Scheme3Client* ClientOf(SseSystem& sys) {
   return static_cast<Scheme3Client*>(sys.client.get());
+}
+
+TEST(Scheme3Test, SearchSortsOnceLikeMergePerEntry) {
+  // The search walk appends every decrypted entry's ids and sorts once;
+  // the result must be exactly the union a merge per entry builds.
+  SchemeOptions options;
+  options.chain_length = 256;
+  Scheme3Server server(options);
+  auto chain = crypto::HashChain::Create(Bytes(32, 0x22), options.chain_length);
+  ASSERT_TRUE(chain.ok());
+  DeterministicRandom rng(6);
+  const std::vector<index::DocIdList> lists = OverlappingIdLists(40, 23);
+  S3UpdateRequest update;
+  index::DocIdList expected;
+  for (size_t j = 0; j < lists.size(); ++j) {
+    auto segment = SealSegment(
+        *chain->KeyForCounter(static_cast<uint32_t>(j + 1)), lists[j], rng);
+    ASSERT_TRUE(segment.ok());
+    update.entries.push_back(S3UpdateEntry{segment->tag, segment->ciphertext});
+    expected = index::MergeIdLists(expected, lists[j]);
+  }
+  ASSERT_TRUE(server.Handle(update.ToMessage()).ok());
+
+  S3SearchRequest search;
+  search.counter = static_cast<uint32_t>(lists.size());
+  search.chain_element = *chain->KeyForCounter(search.counter);
+  auto reply = server.Handle(search.ToMessage());
+  ASSERT_TRUE(reply.ok());
+  auto result = S3SearchResult::FromMessage(*reply);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->ids, expected);
+  EXPECT_EQ(result->entries_decrypted, lists.size());
 }
 
 TEST(Scheme3Test, ForwardPrivacy) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sse/crypto/hash_chain.h"
+
 namespace sse::crypto {
 namespace {
 
@@ -27,30 +29,27 @@ TEST(Sha256Test, ConcatMatchesDirect) {
   EXPECT_EQ(*direct, *concat);
 }
 
-TEST(Sha256Test, IncrementalMatchesOneShot) {
-  Bytes data = StringToBytes("a longer message split into several updates");
-  Sha256Hasher hasher;
-  for (size_t i = 0; i < data.size(); i += 7) {
-    const size_t n = std::min<size_t>(7, data.size() - i);
-    ASSERT_TRUE(hasher.Update(BytesView(data.data() + i, n)).ok());
+TEST(Sha256Test, ChainStepIsLabeledSha256) {
+  // f(x) = SHA-256("sse.chain.step" || x), whose label the kernel absorbs
+  // once per thread; repeated and differently sized inputs must not see
+  // earlier calls' state.
+  for (const Bytes& x : {Bytes(32, 0x3c), Bytes(32, 0x3d), Bytes{},
+                         StringToBytes("a longer, odd-sized element"),
+                         Bytes(32, 0x3c)}) {
+    auto step = HashChain::Step(x);
+    ASSERT_TRUE(step.ok());
+    EXPECT_EQ(ToBytes(*step), *Sha256Concat(StringToBytes("sse.chain.step"), x));
   }
-  auto incremental = hasher.Finish();
-  auto one_shot = Sha256(data);
-  ASSERT_TRUE(incremental.ok());
-  ASSERT_TRUE(one_shot.ok());
-  EXPECT_EQ(*incremental, *one_shot);
 }
 
-TEST(Sha256Test, HasherReusableAfterFinish) {
-  Sha256Hasher hasher;
-  ASSERT_TRUE(hasher.Update(StringToBytes("first")).ok());
-  auto first = hasher.Finish();
-  ASSERT_TRUE(hasher.Update(StringToBytes("second")).ok());
-  auto second = hasher.Finish();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_NE(*first, *second);
-  EXPECT_EQ(*second, *Sha256(StringToBytes("second")));
+TEST(Sha256Test, ChainTagIsLabeledSha256) {
+  for (const Bytes& x : {Bytes(32, 0x3c), Bytes(32, 0x3d), Bytes{},
+                         StringToBytes("a longer, odd-sized element"),
+                         Bytes(32, 0x3c)}) {
+    auto tag = HashChain::Tag(x);
+    ASSERT_TRUE(tag.ok());
+    EXPECT_EQ(ToBytes(*tag), *Sha256(Concat(StringToBytes("sse.chain.tag"), x)));
+  }
 }
 
 TEST(Sha256Test, AvalancheOnOneBit) {

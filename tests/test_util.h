@@ -5,11 +5,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sse/core/registry.h"
 #include "sse/crypto/keys.h"
+#include "sse/index/posting.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/util/random.h"
 #include "sse/util/status.h"
@@ -77,6 +80,24 @@ inline uint64_t EngineCounter(const std::string& name) {
   return obs::MetricsRegistry::Global()
       .GetCounter("sse_engine_" + name + "_total")
       ->Value();
+}
+
+/// `n` canonical id lists, one per posting segment, drawn from ranges that
+/// overlap at random offsets: the merged result interleaves the segments'
+/// ids and repeats many of them.
+inline std::vector<index::DocIdList> OverlappingIdLists(size_t n,
+                                                        uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::vector<index::DocIdList> lists;
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t base = gen() % 150;
+    index::DocIdList ids;
+    for (uint64_t k = 0, count = 1 + gen() % 6; k < count; ++k) {
+      ids.push_back(base + gen() % 60);
+    }
+    lists.push_back(index::Canonicalize(std::move(ids)));
+  }
+  return lists;
 }
 
 /// Decodes the hex literal of a known-answer vector; a malformed literal
