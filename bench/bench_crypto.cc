@@ -148,7 +148,8 @@ void BM_ChainWalk(benchmark::State& state) {
   HashChain chain = HashChain::Create(Bytes(32, 8), 1 << 16).value();
   const uint32_t steps = static_cast<uint32_t>(state.range(0));
   Bytes start = chain.ElementAt(0).value();
-  Bytes target_tag = ToBytes(HashChain::Tag(chain.ElementAt(steps).value()).value());
+  Bytes target_tag =
+      ToBytes(HashChain::Tag(chain.ElementAt(steps).value()).value());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         HashChain::WalkForwardToTag(start, target_tag, steps + 1));

@@ -43,11 +43,12 @@ struct SegmentWalk {
 /// Scheme 2's search loop (paper Fig. 4): walks the chain forward from
 /// `trapdoor`, newest segment first, over `segments[start..]`, finding
 /// each segment's key by its tag within `max_steps` steps and merging the
-/// opened ids into the canonical list `ids`. Newer segments use deeper keys, so they appear
-/// earlier on the walk. A segment stored under an older key than its
-/// predecessor (a rolled-back client) is found by restarting the walk
-/// from `trapdoor`, so any key at or below the trapdoor depth stays
-/// reachable. The server runs it on a search, the client on Reinitialize.
+/// opened ids into the canonical list `ids`. Newer segments use deeper
+/// keys, so they appear earlier on the walk. A segment stored under an
+/// older key than its predecessor (a rolled-back client) is found by
+/// restarting the walk from `trapdoor`, so any key at or below the
+/// trapdoor depth stays reachable. The server runs it on a search, the
+/// client on Reinitialize.
 Status WalkAndOpenSegments(const Bytes& trapdoor,
                            const std::vector<S2Segment>& segments,
                            size_t start, uint32_t max_steps,

@@ -88,26 +88,28 @@ Result<Bytes> ChainCursor::KeyAt(uint32_t ctr) {
         std::to_string(chain_.length()) + "]");
   }
   const uint32_t target = chain_.length() - ctr;
-  // A target past the top pebble is a smaller counter than the newest one
-  // asked for: walk on from the top and leave the stack as it is.
-  const bool keep_stack =
-      !pebbles_.empty() && target > pebbles_.back().index;
-  if (!keep_stack) {
-    while (!pebbles_.empty() && pebbles_.back().index > target) {
-      pebbles_.pop_back();
-    }
-    if (target == 0) return chain_.seed_;
-    if (!pebbles_.empty() && pebbles_.back().index == target) {
-      return ToBytes(pebbles_.back().element);
-    }
-  }
   Sha256Digest key;
+  if (!pebbles_.empty() && target > pebbles_.back().index) {
+    // A smaller counter than the newest one asked for: walk on from the
+    // top pebble and leave the stack as it is.
+    SSE_ASSIGN_OR_RETURN(key, WalkTo(pebbles_.back().element,
+                                     pebbles_.back().index, target,
+                                     /*pebble=*/false));
+    return ToBytes(key);
+  }
+  while (!pebbles_.empty() && pebbles_.back().index > target) {
+    pebbles_.pop_back();
+  }
+  if (target == 0) return chain_.seed_;
   if (pebbles_.empty()) {
-    SSE_ASSIGN_OR_RETURN(key, WalkTo(chain_.seed_, 0, target, true));
+    SSE_ASSIGN_OR_RETURN(key, WalkTo(chain_.seed_, 0, target,
+                                     /*pebble=*/true));
+  } else if (pebbles_.back().index == target) {
+    return ToBytes(pebbles_.back().element);
   } else {
     SSE_ASSIGN_OR_RETURN(key, WalkTo(pebbles_.back().element,
                                      pebbles_.back().index, target,
-                                     !keep_stack));
+                                     /*pebble=*/true));
   }
   return ToBytes(key);
 }

@@ -10,8 +10,8 @@ constexpr size_t kHashLen = 32;
 
 Result<Bytes> HkdfSha256(BytesView ikm, BytesView salt, std::string_view info,
                          size_t out_len) {
-  // Extract: PRK = HMAC-SHA-256 of IKM under salt. RFC 5869 uses a zero-filled salt when
-  // none is provided.
+  // Extract: PRK = HMAC-SHA-256 of IKM under salt. RFC 5869 uses a
+  // zero-filled salt when none is provided.
   Bytes effective_salt =
       salt.empty() ? Bytes(kHashLen, 0) : ToBytes(salt);
   Bytes prk;

@@ -38,7 +38,8 @@ TEST(Sha256Test, ChainStepIsLabeledSha256) {
                          Bytes(32, 0x3c)}) {
     auto step = HashChain::Step(x);
     ASSERT_TRUE(step.ok());
-    EXPECT_EQ(ToBytes(*step), *Sha256Concat(StringToBytes("sse.chain.step"), x));
+    EXPECT_EQ(ToBytes(*step),
+              *Sha256Concat(StringToBytes("sse.chain.step"), x));
   }
 }
 
@@ -48,7 +49,8 @@ TEST(Sha256Test, ChainTagIsLabeledSha256) {
                          Bytes(32, 0x3c)}) {
     auto tag = HashChain::Tag(x);
     ASSERT_TRUE(tag.ok());
-    EXPECT_EQ(ToBytes(*tag), *Sha256(Concat(StringToBytes("sse.chain.tag"), x)));
+    EXPECT_EQ(ToBytes(*tag),
+              *Sha256(Concat(StringToBytes("sse.chain.tag"), x)));
   }
 }
 
