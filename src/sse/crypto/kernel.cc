@@ -122,15 +122,18 @@ Status PrefixedSha256(const EVP_MD_CTX* prefix, EVP_MD_CTX* work, BytesView x,
   return Status::OK();
 }
 
+/// OpenSSL takes lengths as int, so the data and any associated data must
+/// fit one.
 Status CheckAesInputs(BytesView key, BytesView iv, size_t iv_size,
-                      size_t data_size) {
+                      size_t data_size, size_t aad_size = 0) {
   if (key.size() != kAes256KeySize) {
     return Status::InvalidArgument("AES-256 key must be 32 bytes");
   }
   if (iv.size() != iv_size) {
     return Status::InvalidArgument("AES IV or nonce has the wrong size");
   }
-  if (data_size > static_cast<size_t>(INT_MAX)) {
+  if (data_size > static_cast<size_t>(INT_MAX) ||
+      aad_size > static_cast<size_t>(INT_MAX)) {
     return Status::InvalidArgument("AES input too long");
   }
   return Status::OK();
@@ -201,11 +204,8 @@ Status Aes256Ctr(BytesView key, BytesView iv, BytesView in, uint8_t* out) {
 
 Status Aes256GcmSeal(BytesView key, BytesView nonce, BytesView aad,
                      BytesView plaintext, uint8_t* ct_out, uint8_t* tag_out) {
-  SSE_RETURN_IF_ERROR(
-      CheckAesInputs(key, nonce, kAesGcmNonceSize, plaintext.size()));
-  if (aad.size() > static_cast<size_t>(INT_MAX)) {
-    return Status::InvalidArgument("GCM associated data too long");
-  }
+  SSE_RETURN_IF_ERROR(CheckAesInputs(key, nonce, kAesGcmNonceSize,
+                                     plaintext.size(), aad.size()));
   ThreadContexts* t = Contexts();
   if (t == nullptr) return KernelUnavailable();
   EVP_CIPHER_CTX* ctx = t->gcm.get();
@@ -236,11 +236,8 @@ Status Aes256GcmSeal(BytesView key, BytesView nonce, BytesView aad,
 
 Status Aes256GcmOpen(BytesView key, BytesView nonce, BytesView aad,
                      BytesView ciphertext, BytesView tag, uint8_t* pt_out) {
-  SSE_RETURN_IF_ERROR(
-      CheckAesInputs(key, nonce, kAesGcmNonceSize, ciphertext.size()));
-  if (aad.size() > static_cast<size_t>(INT_MAX)) {
-    return Status::InvalidArgument("GCM associated data too long");
-  }
+  SSE_RETURN_IF_ERROR(CheckAesInputs(key, nonce, kAesGcmNonceSize,
+                                     ciphertext.size(), aad.size()));
   if (tag.size() != kAesGcmTagSize) {
     return Status::InvalidArgument("GCM tag must be 16 bytes");
   }
