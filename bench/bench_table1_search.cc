@@ -341,7 +341,7 @@ void SweepLatencyProfile(const char* json_path,
       return sum / static_cast<double>(keep) / 1000.0;
     }
   };
-  Mode modes[] = {{"trace_off"}, {"trace_on"}};
+  Mode modes[] = {{"trace_off", {}, {}, {}}, {"trace_on", {}, {}, {}}};
   const int warmup = 64;
   const int probes = 1024;
   DeterministicRandom probe_rng(8);
@@ -397,7 +397,7 @@ void SweepLatencyProfile(const char* json_path,
                                "slo tcp connect");
   auto* s1_client = static_cast<core::Scheme1Client*>(sys.client.get());
   s1_client->set_channel(slo_channel.get());
-  Mode slo_modes[] = {{"slo_off"}, {"slo_on"}};
+  Mode slo_modes[] = {{"slo_off", {}, {}, {}}, {"slo_on", {}, {}, {}}};
   auto slo_probe_once = [&](bool slo_on, const std::string& kw) -> uint64_t {
     obs::SetSloRecordingEnabled(slo_on);
     Timer timer;
@@ -625,14 +625,19 @@ std::string SweepScheme3UpdateHeavy() {
   std::printf(
       "T1-search (g): Scheme 3 (forward-private) update-heavy sweep. Walk\n"
       "steps per search should equal updates-1 and entries decrypted should\n"
-      "equal updates: linear search cost is the forward-privacy tradeoff.\n\n");
-  TablePrinter table({"updates", "update_us", "walk_steps/search",
-                      "entries/search", "search_us", "index_bytes"});
+      "equal updates: linear search cost is the forward-privacy tradeoff.\n"
+      "update_us prices a Store of the hot keyword plus a fresh churn\n"
+      "keyword (whose first key walks l-1 steps from the seed);\n"
+      "hot_update_us prices a Store of the hot keyword alone.\n\n");
+  TablePrinter table({"updates", "update_us", "hot_update_us",
+                      "walk_steps/search", "entries/search", "search_us",
+                      "index_bytes"});
   table.PrintHeader();
 
   struct Point {
     size_t updates;
     double update_us;
+    double hot_update_us;
     double walk_steps;
     double entries;
     double search_us;
@@ -663,9 +668,10 @@ std::string SweepScheme3UpdateHeavy() {
     for (int i = 0; i < probes; ++i) {
       MustValue(sys.client->Search("hot"), "search");
     }
-    const Point point{
+    Point point{
         updates,
         update_us,
+        0,
         static_cast<double>(server->total_chain_steps() - steps_before) /
             probes,
         static_cast<double>(server->total_entries_decrypted() -
@@ -673,8 +679,20 @@ std::string SweepScheme3UpdateHeavy() {
             probes,
         search_timer.ElapsedMicros() / probes,
         server->stored_index_bytes()};
+
+    // After the searches, so the hot chain they walk holds exactly
+    // `updates` entries: the same number of Stores of the hot keyword
+    // alone, which extend its chain and start none.
+    Timer hot_timer;
+    for (size_t i = 0; i < updates; ++i) {
+      MustOk(sys.client->Store({core::Document::Make(updates + i, "d",
+                                                     {"hot"})}),
+             "hot store");
+    }
+    point.hot_update_us = hot_timer.ElapsedMicros() / updates;
     points.push_back(point);
     table.PrintRow({FmtU(point.updates), Fmt("%.1f", point.update_us),
+                    Fmt("%.1f", point.hot_update_us),
                     Fmt("%.1f", point.walk_steps), Fmt("%.1f", point.entries),
                     Fmt("%.1f", point.search_us), FmtU(point.index_bytes)});
   }
@@ -686,9 +704,11 @@ std::string SweepScheme3UpdateHeavy() {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    \"updates_%zu\": {\"update_us\": %.3f, "
+                  "\"hot_update_us\": %.3f, "
                   "\"walk_steps\": %.1f, \"entries_decrypted\": %.1f, "
                   "\"search_us\": %.3f, \"index_bytes\": %llu}%s\n",
-                  points[i].updates, points[i].update_us, points[i].walk_steps,
+                  points[i].updates, points[i].update_us,
+                  points[i].hot_update_us, points[i].walk_steps,
                   points[i].entries, points[i].search_us,
                   static_cast<unsigned long long>(points[i].index_bytes),
                   i + 1 < points.size() ? "," : "");

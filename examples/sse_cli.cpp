@@ -212,11 +212,10 @@ int main(int argc, char** argv) {
 
   const bool reply_cache = EnvU64("SSE_REPLY_CACHE", 1) != 0;
 
+  // The durable shell's cache (which survives restarts) does the dedup;
+  // the engine's in-memory one stays off, as by default.
   engine::EngineOptions engine_options;
   engine_options.num_shards = EnvU64("SSE_ENGINE_SHARDS", 4);
-  // The durable shell's cache (which survives restarts) does the dedup;
-  // the engine's in-memory one would only duplicate it.
-  engine_options.enable_reply_cache = false;
   // Replicated serving: SSE_REPL_ROLE turns `serve` into a repl::ReplNode
   // (primary journals + ships WAL records to SSE_REPL_PEERS; follower
   // applies the stream and serves stale reads). The node owns its durable

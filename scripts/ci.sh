@@ -95,8 +95,9 @@ else
   # repl_test (not the multi-process cluster harness — TSan doesn't see
   # across fork/exec) exercises the sender's shipping threads, the node's
   # role lock and the failover router under the race detector. scheme3_test
-  # rides along for its sharded-engine broadcast searches, which hit the
-  # server's relaxed stat counters from multiple shards.
+  # rides along for its owners searching and storing from several threads
+  # through one 4-shard engine: probes under shared shard locks (and the
+  # server's relaxed stat counters) race updates under exclusive ones.
   # overload_test rides in the TSan pass too: the shed path races the
   # reactor loops against the dispatch pool and the admission EWMA. The
   # crypto label runs the kernel's per-thread contexts from eight threads.

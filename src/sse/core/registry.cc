@@ -11,7 +11,7 @@ namespace {
 
 // Scheme-agnostic: the descriptor supplies the adapter, the engine wraps
 // it. Any scheme whose descriptor registers an adapter inherits sharding,
-// the worker pool, the reply cache and the shared document store.
+// the reply cache and the shared document store.
 Result<std::unique_ptr<PersistableHandler>> CreateEngineServer(
     const SchemeDescriptor& desc, const SystemConfig& config) {
   if (!desc.traits.engine_capable || desc.make_adapter == nullptr) {

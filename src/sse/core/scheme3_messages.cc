@@ -1,5 +1,6 @@
 #include "sse/core/scheme3_messages.h"
 
+#include <cstring>
 #include <string>
 
 #include "sse/util/serde.h"
@@ -20,6 +21,8 @@ std::string S3TypeName(uint16_t type) {
       return "Scheme3.SearchRequest";
     case kMsgS3SearchResult:
       return "Scheme3.SearchResult";
+    case kMsgS3ProbeRequest:
+      return "Scheme3.ProbeRequest";
     default:
       return net::MessageTypeName(type);
   }
@@ -96,6 +99,36 @@ Result<S3SearchRequest> S3SearchRequest::FromMessage(const net::Message& msg) {
   SSE_ASSIGN_OR_RETURN(out.chain_element, r.GetBytes());
   SSE_ASSIGN_OR_RETURN(out.counter, r.GetU32());
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
+  return out;
+}
+
+net::Message S3ProbeRequest::ToMessage() const {
+  BufferWriter w;
+  w.PutVarint(probes.size());
+  for (const S3Probe& p : probes) {
+    w.PutRaw(p.address);
+    w.PutRaw(p.key);
+  }
+  return net::Message{kMsgS3ProbeRequest, w.TakeData()};
+}
+
+Result<S3ProbeRequest> S3ProbeRequest::FromMessage(const net::Message& msg) {
+  SSE_RETURN_IF_ERROR(CheckType(msg, kMsgS3ProbeRequest));
+  BufferReader r(msg.payload);
+  uint64_t count = 0;
+  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
+  constexpr size_t kRecord = sizeof(S3Probe::address) + sizeof(S3Probe::key);
+  if (count > r.remaining() / kRecord || r.remaining() != count * kRecord) {
+    return Status::Corruption("probe count does not match the payload");
+  }
+  S3ProbeRequest out;
+  out.probes.resize(static_cast<size_t>(count));
+  const uint8_t* record = msg.payload.data() + r.position();
+  for (S3Probe& p : out.probes) {
+    std::memcpy(p.address.data(), record, p.address.size());
+    std::memcpy(p.key.data(), record + p.address.size(), p.key.size());
+    record += kRecord;
+  }
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sse/core/wire_common.h"
+#include "sse/crypto/sha256.h"
 #include "sse/net/message.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
@@ -29,6 +30,9 @@ inline constexpr uint16_t kMsgS3UpdateRequest = kMsgRangeScheme3 + 1;
 inline constexpr uint16_t kMsgS3UpdateAck = kMsgRangeScheme3 + 2;
 inline constexpr uint16_t kMsgS3SearchRequest = kMsgRangeScheme3 + 3;
 inline constexpr uint16_t kMsgS3SearchResult = kMsgRangeScheme3 + 4;
+/// Engine-internal: one shard's slice of a walked trapdoor. The engine
+/// refuses it from clients.
+inline constexpr uint16_t kMsgS3ProbeRequest = kMsgRangeScheme3 + 5;
 
 /// One forward-private index entry: the posting delta E_{k_j}(I_j(w))
 /// filed under the unlinkable address f'(k_j).
@@ -62,12 +66,29 @@ struct S3SearchRequest {
   static Result<S3SearchRequest> FromMessage(const net::Message& msg);
 };
 
+/// One position i of a trapdoor's walk: the address f'(k_i) an update
+/// with key k_i was filed under, and that key.
+struct S3Probe {
+  crypto::Sha256Digest address;
+  crypto::Sha256Digest key;
+};
+
+/// The probes whose addresses one engine shard owns, newest first. On the
+/// wire: a varint count, then one fixed 64-byte record (address ‖ key)
+/// per probe.
+struct S3ProbeRequest {
+  std::vector<S3Probe> probes;
+
+  net::Message ToMessage() const;
+  static Result<S3ProbeRequest> FromMessage(const net::Message& msg);
+};
+
 struct S3SearchResult {
   bool found = false;
   std::vector<uint64_t> ids;
   std::vector<WireDocument> documents;
   /// Server-side work counters for the update-heavy benches: chain steps
-  /// walked and entries decrypted for this search.
+  /// walked (one walk: counter - 1) and entries decrypted for this search.
   uint64_t chain_steps = 0;
   uint64_t entries_decrypted = 0;
 

@@ -1,10 +1,34 @@
 #include "sse/core/scheme3_server.h"
 
+#include <algorithm>
+
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
 #include "sse/util/serde.h"
 
 namespace sse::core {
+
+Result<std::vector<S3Probe>> WalkTrapdoor(const S3SearchRequest& req,
+                                          uint32_t chain_length) {
+  if (req.chain_element.size() != crypto::kSha256DigestSize) {
+    return Status::InvalidArgument("trapdoor chain element must be 32 bytes");
+  }
+  if (req.counter > chain_length) {
+    return Status::InvalidArgument("trapdoor counter exceeds chain length");
+  }
+  // Position 0 is k_c; each later one steps toward older keys, so updates
+  // made after this trapdoor was released live at addresses of keys the
+  // walk can never reach.
+  crypto::Sha256Digest key;
+  std::copy(req.chain_element.begin(), req.chain_element.end(), key.begin());
+  std::vector<S3Probe> probes(req.counter);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    if (i > 0) SSE_ASSIGN_OR_RETURN(key, crypto::HashChain::Step(key));
+    probes[i].key = key;
+    SSE_ASSIGN_OR_RETURN(probes[i].address, crypto::HashChain::Tag(key));
+  }
+  return probes;
+}
 
 Scheme3Server::Scheme3Server(const SchemeOptions& options)
     : options_(options) {}
@@ -15,6 +39,13 @@ Result<net::Message> Scheme3Server::Handle(const net::Message& request) {
       return HandleUpdate(request);
     case kMsgS3SearchRequest:
       return HandleSearch(request);
+    case kMsgS3ProbeRequest: {
+      S3ProbeRequest req;
+      SSE_ASSIGN_OR_RETURN(req, S3ProbeRequest::FromMessage(request));
+      S3SearchResult result;
+      SSE_ASSIGN_OR_RETURN(result, Probe(req.probes));
+      return result.ToMessage();
+    }
     default:
       return Status::ProtocolError("scheme3 server: unexpected message " +
                                    net::MessageTypeName(request.type));
@@ -51,44 +82,35 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
     const {
   S3SearchRequest req;
   SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(msg));
-  if (req.counter > options_.chain_length) {
-    return Status::InvalidArgument("trapdoor counter exceeds chain length");
-  }
-
-  // Walk toward older keys: position starts at k_c and steps through
-  // k_{c-1}, ..., k_1, probing each position's address against the index.
-  // Updates made after this trapdoor was released live at addresses of
-  // keys the walk can never reach.
+  std::vector<S3Probe> probes;
+  SSE_ASSIGN_OR_RETURN(probes, WalkTrapdoor(req, options_.chain_length));
   S3SearchResult result;
-  index::DocIdList ids;
-  crypto::Sha256Digest element;
-  crypto::Sha256Digest address;
-  BytesView position = req.chain_element;
-  for (uint32_t i = req.counter; i >= 1; --i) {
-    SSE_ASSIGN_OR_RETURN(address, crypto::HashChain::Tag(position));
-    const Bytes* segment = index_.Get(address);
-    if (segment != nullptr) {
-      SSE_RETURN_IF_ERROR(OpenSegmentInto(position, *segment, ids));
-      ++result.entries_decrypted;
-    }
-    if (i > 1) {
-      SSE_ASSIGN_OR_RETURN(element, crypto::HashChain::Step(position));
-      position = element;
-      ++result.chain_steps;
-    }
-  }
-  CanonicalizeTail(ids, 0);
+  SSE_ASSIGN_OR_RETURN(result, Probe(probes));
+  result.chain_steps = probes.empty() ? 0 : probes.size() - 1;
   total_chain_steps_.fetch_add(result.chain_steps, std::memory_order_relaxed);
-  total_entries_decrypted_.fetch_add(result.entries_decrypted,
-                                     std::memory_order_relaxed);
-
-  result.found = result.entries_decrypted > 0;
-  result.ids = std::move(ids);
   std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
   for (const auto& [id, blob] : fetched) {
     result.documents.push_back(WireDocument{id, blob});
   }
   return result.ToMessage();
+}
+
+Result<S3SearchResult> Scheme3Server::Probe(
+    const std::vector<S3Probe>& probes) const {
+  S3SearchResult result;
+  index::DocIdList ids;
+  for (const S3Probe& probe : probes) {
+    const Bytes* segment = index_.Get(probe.address);
+    if (segment == nullptr) continue;
+    SSE_RETURN_IF_ERROR(OpenSegmentInto(probe.key, *segment, ids));
+    ++result.entries_decrypted;
+  }
+  CanonicalizeTail(ids, 0);
+  total_entries_decrypted_.fetch_add(result.entries_decrypted,
+                                     std::memory_order_relaxed);
+  result.found = result.entries_decrypted > 0;
+  result.ids = std::move(ids);
+  return result;
 }
 
 Result<Bytes> Scheme3Server::SerializeState() const {

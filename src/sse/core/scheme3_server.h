@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
@@ -11,6 +12,14 @@
 #include "sse/storage/document_store.h"
 
 namespace sse::core {
+
+/// Walks trapdoor (k_c, c) toward older keys and returns the probes
+/// (f'(k_i), k_i) for i = c, c-1, ..., 1: every address an update made
+/// before the trapdoor was released lives at, and none made after it.
+/// Fails with INVALID_ARGUMENT when k_c is not a 32-byte chain element or
+/// c exceeds `chain_length`; a counter of 0 yields no probes.
+Result<std::vector<S3Probe>> WalkTrapdoor(const S3SearchRequest& req,
+                                          uint32_t chain_length);
 
 /// The honest-but-curious server of Scheme 3 (forward-private dynamic SSE,
 /// after Etemad–Küpçü).
@@ -26,7 +35,9 @@ namespace sse::core {
 ///
 /// Unlike Scheme 2 there is no plaintext result cache: searches touch no
 /// server state (the stat counters are relaxed atomics), so the engine
-/// runs them under a shared lock.
+/// runs them under a shared lock. An engine shard never sees a trapdoor,
+/// only a kMsgS3ProbeRequest: the probes of the engine's one walk that
+/// land on it.
 class Scheme3Server : public PersistableHandler {
  public:
   explicit Scheme3Server(const SchemeOptions& options);
@@ -45,6 +56,10 @@ class Scheme3Server : public PersistableHandler {
   uint64_t stored_index_bytes() const { return index_bytes_; }
   uint64_t index_comparisons() const { return index_.comparisons(); }
   void ResetIndexStats() { index_.ResetStats(); }
+
+  /// Opens the index entries at `probes` (ids and entries decrypted);
+  /// both a search and a probe request end here.
+  Result<S3SearchResult> Probe(const std::vector<S3Probe>& probes) const;
 
   /// Total chain steps walked / entries decrypted across all searches.
   uint64_t total_chain_steps() const {

@@ -8,6 +8,8 @@
 
 namespace sse::engine {
 
+using core::S3Probe;
+using core::S3ProbeRequest;
 using core::S3SearchRequest;
 using core::S3SearchResult;
 using core::S3UpdateAck;
@@ -43,14 +45,21 @@ Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,
       return plan;
     }
     case core::kMsgS3SearchRequest: {
-      // The trapdoor has no routable token, and a keyword's entries are
-      // scattered: every shard walks the chain over its own slice.
-      for (size_t s = 0; s < num_shards; ++s) {
-        plan.subs.push_back(SubRequest{s, request, {}});
-      }
+      S3SearchRequest req;
+      SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(request));
+      std::vector<S3Probe> probes;
+      SSE_ASSIGN_OR_RETURN(probes,
+                           core::WalkTrapdoor(req, options_.chain_length));
+      ScatterByShard(
+          &S3ProbeRequest::probes, std::move(probes),
+          [](const S3Probe& p) -> BytesView { return p.address; }, num_shards,
+          /*every_shard=*/false, plan);
       plan.attach_documents = true;
       return plan;
     }
+    case core::kMsgS3ProbeRequest:
+      return Status::InvalidArgument(
+          "Scheme3.ProbeRequest is engine-internal; send a search request");
     default:
       plan.subs.push_back(SubRequest{0, request, {}});
       return plan;
@@ -67,13 +76,15 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
     case core::kMsgS3UpdateRequest:
       return SumAcks(replies, &S3UpdateAck::entries_added);
     case core::kMsgS3SearchRequest: {
+      S3SearchRequest req;
+      SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(request));
       S3SearchResult merged;
+      merged.chain_steps = req.counter > 0 ? req.counter - 1 : 0;  // one walk
       index::DocIdList ids;
       for (net::Message& reply : replies) {
         S3SearchResult part;
         SSE_ASSIGN_OR_RETURN(part, S3SearchResult::FromMessage(reply));
         merged.found = merged.found || part.found;
-        merged.chain_steps += part.chain_steps;
         merged.entries_decrypted += part.entries_decrypted;
         ids = index::MergeIdLists(ids, part.ids);
       }

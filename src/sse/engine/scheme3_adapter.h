@@ -12,13 +12,15 @@ namespace sse::engine {
 /// Updates scatter their entries by address — addresses are pseudo-random
 /// and unlinkable, so this doubles as load balancing. A search trapdoor
 /// carries no keyword token the router could hash, and the entries of one
-/// keyword land on arbitrary shards, so searches broadcast: every shard
-/// walks the (cheap, hash-only) chain against its own slice of the index
-/// and the merge unions the decrypted deltas.
+/// keyword land on arbitrary shards. So the router walks the trapdoor's
+/// chain once (core::WalkTrapdoor) and routes each probe (f'(k_i), k_i)
+/// by its address exactly as the update that filed it was routed; each
+/// shard opens only its own probes and the merge unions the decrypted
+/// deltas.
 ///
 /// Searches touch no shard state (Scheme 3 keeps no plaintext cache), so
-/// they run under a shared lock — concurrent searches proceed in parallel
-/// on every shard.
+/// probes run under a shared lock — concurrent searches proceed in
+/// parallel on every shard.
 class Scheme3Adapter : public SchemeAdapter {
  public:
   explicit Scheme3Adapter(const core::SchemeOptions& options)

@@ -1,11 +1,11 @@
 #include "sse/engine/server_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "sse/net/batch.h"
 #include "sse/net/deadline.h"
+#include "sse/obs/trace.h"
 #include "sse/util/serde.h"
 
 namespace sse::engine {
@@ -97,7 +97,6 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Create(
     slot->shard = engine->adapter_->CreateShard();
     engine->slots_.push_back(std::move(slot));
   }
-  engine->pool_ = std::make_unique<WorkerPool>(options.num_shards);
 
   // Expose this engine in the process-wide registry. Several engines in
   // one process (common in tests) register the same names; the registry
@@ -132,7 +131,7 @@ Result<net::Message> ServerEngine::Handle(const net::Message& request) {
   const Clock::time_point t0 = Clock::now();
   Result<net::Message> reply = request.type == net::kMsgBatch
                                    ? HandleBatch(request)
-                                   : HandleDeduped(request, /*allow_pool=*/true);
+                                   : HandleDeduped(request);
   handle_latency_.Record(NanosSince(t0));
   return reply;
 }
@@ -140,70 +139,40 @@ Result<net::Message> ServerEngine::Handle(const net::Message& request) {
 Result<net::Message> ServerEngine::HandleBatch(const net::Message& request) {
   std::vector<net::Message> subs;
   SSE_ASSIGN_OR_RETURN(subs, net::UnpackBatch(request));
-  const size_t n = subs.size();
   EngineCounters::Get().batches->Add();
-  EngineCounters::Get().batch_ops->Add(n);
+  EngineCounters::Get().batch_ops->Add(subs.size());
 
-  // Fan the sub-ops across the worker pool; each travels the normal
-  // single-op path (dedup, routing, shard locks) and so cannot be told
-  // apart from a client that sent it alone. Sub-ops running as pool tasks
-  // must not re-enter the pool for their own scatters (allow_pool=false).
-  const bool use_pool = n > 1;
-  // Captured explicitly: pool workers carry their own (empty) thread-local
-  // context, so batch sub-op spans must parent through this value.
-  const obs::TraceContext batch_ctx = obs::CurrentContext();
-  // Same capture trick for the caller's deadline: checked at every sub-op
-  // boundary so a batch that outlives its budget stops burning workers —
-  // already-finished neighbors keep their real replies, the rest get
-  // per-op DEADLINE_EXCEEDED entries (retryable, and their stable sub-op
-  // seqs make the re-send dedup cleanly).
-  const net::Deadline batch_deadline = net::CurrentDeadline();
-  auto run_one = [this, &subs, use_pool, batch_ctx,
-                  batch_deadline](size_t i) -> net::Message {
+  // Sub-ops run in order; each travels the normal single-op path (dedup,
+  // routing, shard locks) and so cannot be told apart from a client that
+  // sent it alone. The caller's deadline is checked at every sub-op
+  // boundary: once it passes, finished sub-ops keep their real replies
+  // and the rest get per-op DEADLINE_EXCEEDED entries (retryable, and
+  // their stable sub-op seqs make the re-send dedup cleanly).
+  const net::Deadline deadline = net::CurrentDeadline();
+  std::vector<net::Message> outs;
+  outs.reserve(subs.size());
+  for (size_t i = 0; i < subs.size(); ++i) {
     if (subs[i].type == net::kMsgBatch) {
-      return net::MakeErrorMessage(
-          Status::InvalidArgument("batch envelopes cannot nest"));
+      outs.push_back(net::MakeErrorMessage(
+          Status::InvalidArgument("batch envelopes cannot nest")));
+      continue;
     }
-    if (batch_deadline.Expired()) {
-      return net::MakeErrorMessage(net::DeadlineExceededStatus("mid-batch"));
+    if (deadline.Expired()) {
+      outs.push_back(
+          net::MakeErrorMessage(net::DeadlineExceededStatus("mid-batch")));
+      continue;
     }
-    // Pool workers carry an empty thread-local deadline; re-publish the
-    // envelope's for anything below (e.g. the durable pre-append check).
-    net::ScopedDeadline op_deadline(batch_deadline);
-    obs::ScopedSpan op_span("engine.batch_op", batch_ctx);
+    obs::ScopedSpan op_span("engine.batch_op");
     op_span.Annotate("batch_index", i);
     op_span.Annotate("seq", subs[i].seq);
-    Result<net::Message> r = HandleDeduped(subs[i], /*allow_pool=*/!use_pool);
-    if (!r.ok()) return net::MakeErrorMessage(r.status());
-    return std::move(r).value();
-  };
-  std::vector<net::Message> outs(n);
-  if (use_pool) {
-    // One pool task per contiguous chunk of sub-ops, not one per sub-op:
-    // a small sub-op finishes faster than a queue handoff costs, so
-    // per-op tasks would spend more time in the pool mutex than in the
-    // index. Chunking bounds handoffs at the worker count.
-    const size_t chunks =
-        std::max<size_t>(1, std::min(pool_->thread_count(), n));
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      const size_t begin = c * n / chunks;
-      const size_t end = (c + 1) * n / chunks;
-      tasks.push_back([&outs, &run_one, begin, end] {
-        for (size_t i = begin; i < end; ++i) outs[i] = run_one(i);
-      });
-    }
-    pool_->RunBatch(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < n; ++i) outs[i] = run_one(i);
+    Result<net::Message> r = HandleDeduped(subs[i]);
+    outs.push_back(r.ok() ? std::move(r).value()
+                          : net::MakeErrorMessage(r.status()));
   }
-
   return net::PackBatchReply(request, std::move(outs));
 }
 
-Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
-                                                 bool allow_pool) {
+Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request) {
   if (degraded() && IsMutating(request.type) &&
       request.type != net::kMsgBatch) {
     // Read-only after a storage fault: the DurableServer in front of us
@@ -213,13 +182,13 @@ Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
     return Status::Unavailable("engine degraded after storage fault");
   }
   if (reply_cache_ == nullptr || !request.has_session) {
-    return HandleInternal(request, allow_pool);
+    return HandleInternal(request);
   }
   if (!IsMutating(request.type)) {
     // Read-only calls are idempotent: re-executing a retry is harmless and
     // cheaper than recording multi-KB search results in the cache. Echo
     // the stamp so the client can still match the reply to its call.
-    Result<net::Message> reply = HandleInternal(request, allow_pool);
+    Result<net::Message> reply = HandleInternal(request);
     if (reply.ok()) reply->EchoSession(request);
     return reply;
   }
@@ -241,7 +210,7 @@ Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
     case core::ReplyCache::Outcome::kNew:
       break;
   }
-  Result<net::Message> reply = HandleInternal(request, allow_pool);
+  Result<net::Message> reply = HandleInternal(request);
   if (reply.ok()) {
     reply->EchoSession(request);
     reply_cache_->Commit(request.client_id, request.seq, *reply);
@@ -253,8 +222,7 @@ Result<net::Message> ServerEngine::HandleDeduped(const net::Message& request,
   return reply;
 }
 
-Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
-                                                  bool allow_pool) {
+Result<net::Message> ServerEngine::HandleInternal(const net::Message& request) {
   RequestPlan plan;
   SSE_ASSIGN_OR_RETURN(plan, adapter_->Route(request, slots_.size()));
   if (plan.subs.size() > 1) {
@@ -265,36 +233,20 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
     }
   }
 
-  std::vector<net::Message> replies(plan.subs.size());
+  // Every sub-request runs, even after one fails; the first failure is
+  // the request's.
+  std::vector<net::Message> replies;
+  replies.reserve(plan.subs.size());
   Status first_error = Status::OK();
-  const obs::TraceContext scatter_ctx = obs::CurrentContext();
-  if (plan.subs.size() == 1) {
-    Result<net::Message> reply = DispatchSub(plan.subs[0], scatter_ctx);
-    if (!reply.ok()) return reply.status();
-    replies[0] = std::move(reply).value();
-  } else if (!plan.subs.empty()) {
-    std::vector<Status> statuses(plan.subs.size(), Status::OK());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(plan.subs.size());
-    for (size_t i = 0; i < plan.subs.size(); ++i) {
-      tasks.push_back([this, &plan, &replies, &statuses, scatter_ctx, i] {
-        Result<net::Message> reply = DispatchSub(plan.subs[i], scatter_ctx);
-        if (reply.ok()) {
-          replies[i] = std::move(reply).value();
-        } else {
-          statuses[i] = reply.status();
-        }
-      });
-    }
-    if (allow_pool) {
-      pool_->RunBatch(std::move(tasks));
-    } else {
-      for (auto& task : tasks) task();
-    }
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
+  for (const SubRequest& sub : plan.subs) {
+    Result<net::Message> reply = DispatchSub(sub);
+    if (reply.ok()) {
+      replies.push_back(std::move(reply).value());
+    } else if (first_error.ok()) {
+      first_error = reply.status();
     }
   }
+  SSE_RETURN_IF_ERROR(first_error);
 
   if (!plan.documents.empty()) {
     std::unique_lock<std::shared_mutex> lock(docs_mutex_);
@@ -314,12 +266,11 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request,
   return adapter_->Merge(request, plan, std::move(replies), fetcher);
 }
 
-Result<net::Message> ServerEngine::DispatchSub(
-    const SubRequest& sub, const obs::TraceContext& parent) {
+Result<net::Message> ServerEngine::DispatchSub(const SubRequest& sub) {
   Slot& slot = *slots_[sub.shard];
   EngineCounters& counters = EngineCounters::Get();
   const LockMode mode = adapter_->LockModeFor(sub.message.type);
-  obs::ScopedSpan shard_span("engine.shard", parent);
+  obs::ScopedSpan shard_span("engine.shard");
   shard_span.Annotate("shard", sub.shard);
   shard_span.Annotate("exclusive", mode == LockMode::kExclusive ? 1 : 0);
   Result<net::Message> reply = [&]() -> Result<net::Message> {

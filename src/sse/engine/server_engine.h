@@ -9,10 +9,8 @@
 #include "sse/core/persistable.h"
 #include "sse/core/reply_cache.h"
 #include "sse/engine/scheme_shard.h"
-#include "sse/engine/worker_pool.h"
 #include "sse/obs/histogram.h"
 #include "sse/obs/metrics_registry.h"
-#include "sse/obs/trace.h"
 #include "sse/storage/document_store.h"
 
 namespace sse::engine {
@@ -26,17 +24,19 @@ struct EngineOptions {
   /// a retried call is served its cached reply instead of being re-applied,
   /// which is what keeps Scheme 1's XOR updates safe under retries. The
   /// cache rides along in SerializeState so dedup survives checkpoints.
-  bool enable_reply_cache = true;
+  /// Off by default: a served engine sits behind DurableServer, whose own
+  /// cache already dedups every mutation before it reaches the engine.
+  bool enable_reply_cache = false;
   core::ReplyCache::Options reply_cache;
 };
 
 /// Thread-safe sharded server: owns N SchemeShard instances behind
-/// per-shard reader-writer locks, a shared document store behind its own
-/// rw-lock, and a worker pool of one thread per shard for scatter requests
-/// (a scatter that hits a single shard runs inline). Handle() may be
-/// called from any number of threads concurrently — searches on different
-/// keywords proceed in parallel, updates serialize only within the shards
-/// they touch.
+/// per-shard reader-writer locks and a shared document store behind its
+/// own rw-lock. It starts no thread: every request, its sub-requests and
+/// a batch's sub-ops run in order on the thread that called Handle().
+/// Handle() may be called from any number of threads concurrently —
+/// searches on different keywords proceed in parallel, updates serialize
+/// only within the shards they touch.
 ///
 /// Locking discipline (deadlock-free by construction): a dispatched
 /// sub-request locks exactly one shard and nothing else; the document store
@@ -93,30 +93,20 @@ class ServerEngine : public core::PersistableHandler {
 
   explicit ServerEngine(std::unique_ptr<SchemeAdapter> adapter);
 
-  /// Unpacks a kMsgBatch envelope and runs each sub-op through the normal
-  /// dedup + routing path, fanning sub-ops across the worker pool. Per-op
-  /// failures come back as kMsgError entries in the BatchReply; the
-  /// envelope itself only fails on a malformed envelope.
+  /// Unpacks a kMsgBatch envelope and runs each sub-op, in order, through
+  /// the normal dedup + routing path. Per-op failures come back as
+  /// kMsgError entries in the BatchReply; the envelope itself only fails
+  /// on a malformed envelope.
   Result<net::Message> HandleBatch(const net::Message& request);
-  /// `allow_pool` is false when the caller is itself a pool task (batch
-  /// sub-ops): a nested scatter then runs sequentially, since the worker
-  /// pool must never block a worker on work queued behind it.
-  Result<net::Message> HandleDeduped(const net::Message& request,
-                                     bool allow_pool);
-  Result<net::Message> HandleInternal(const net::Message& request,
-                                      bool allow_pool);
-  /// `parent` is the trace context the per-shard span attaches to; sub
-  /// dispatch may run on a pool thread, where the thread-local current
-  /// context is not this request's.
-  Result<net::Message> DispatchSub(const SubRequest& sub,
-                                   const obs::TraceContext& parent);
+  Result<net::Message> HandleDeduped(const net::Message& request);
+  Result<net::Message> HandleInternal(const net::Message& request);
+  Result<net::Message> DispatchSub(const SubRequest& sub);
 
   std::unique_ptr<SchemeAdapter> adapter_;
   std::unique_ptr<core::ReplyCache> reply_cache_;
   std::vector<std::unique_ptr<Slot>> slots_;
   mutable std::shared_mutex docs_mutex_;
   storage::DocumentStore docs_;
-  std::unique_ptr<WorkerPool> pool_;
   /// Per-engine state behind the registry's gauge and histograms; the
   /// engine's counters are process-wide registry counters (the
   /// sse_engine_*_total series).

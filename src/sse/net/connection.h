@@ -43,7 +43,7 @@ class Connection : public EventLoop::Handler,
 
   struct Callbacks {
     /// A decoded request frame. Runs on the loop thread; implementations
-    /// must hand the work off (e.g. WorkerPool::Submit) and later call
+    /// must hand the work off (e.g. WorkerPool::TrySubmit) and later call
     /// conn->SendFrame(reply) or conn->AbandonReply().
     std::function<void(const std::shared_ptr<Connection>&, Bytes frame)>
         on_frame;

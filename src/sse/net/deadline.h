@@ -64,10 +64,9 @@ Deadline CurrentDeadline();
 
 /// RAII propagation: makes `deadline` the thread's current deadline for
 /// its scope and restores the previous one on destruction — the same
-/// shape as obs::ScopedSpan, and like it safe to nest (an engine batch op
-/// running under a server dispatch scope sees the innermost deadline).
-/// Cross-thread hops (worker-pool lambdas) capture CurrentDeadline() by
-/// value and open a new scope on the worker, exactly like trace contexts.
+/// shape as obs::ScopedSpan, and like it safe to nest (the innermost
+/// scope wins). A hop to another thread captures CurrentDeadline() by
+/// value and opens a new scope there, exactly like trace contexts.
 class ScopedDeadline {
  public:
   explicit ScopedDeadline(const Deadline& deadline);

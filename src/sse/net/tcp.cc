@@ -212,7 +212,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(MessageHandler* handler,
       new TcpServer(handler, *fd, bound_port, options));
   server->reactor_ = std::make_unique<Reactor>(server->options_.reactor_loops);
   server->pool_ =
-      std::make_unique<engine::WorkerPool>(server->options_.dispatch_workers);
+      std::make_unique<WorkerPool>(server->options_.dispatch_workers);
   server->acceptor_ = std::make_unique<Acceptor>(server.get());
   server->active_gauge_ = obs::MetricsRegistry::Global().RegisterGauge(
       "sse_net_connections_active",
@@ -411,9 +411,9 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
         inflight_requests_.fetch_sub(1);
       },
       options_.max_dispatch_queue);
-  if (submitted == engine::WorkerPool::SubmitResult::kAccepted) return;
+  if (submitted == WorkerPool::SubmitResult::kAccepted) return;
   inflight_requests_.fetch_sub(1);
-  if (submitted == engine::WorkerPool::SubmitResult::kQueueFull) {
+  if (submitted == WorkerPool::SubmitResult::kQueueFull) {
     // Never silently drop an over-quota frame: bounce it with a
     // retryable verdict so the client backs off instead of timing out.
     AdmissionCounters::Get().shed->Add();

@@ -14,12 +14,12 @@
 #include <utility>
 #include <vector>
 
-#include "sse/engine/worker_pool.h"
 #include "sse/net/admission.h"
 #include "sse/net/channel.h"
 #include "sse/net/connection.h"
 #include "sse/net/frame.h"
 #include "sse/net/reactor.h"
+#include "sse/net/worker_pool.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/util/result.h"
 
@@ -170,7 +170,7 @@ class TcpServer {
   Options options_;
 
   std::unique_ptr<Reactor> reactor_;
-  std::unique_ptr<engine::WorkerPool> pool_;
+  std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<Acceptor> acceptor_;
 
   std::atomic<bool> stopping_{false};

@@ -1,8 +1,8 @@
-#include "sse/engine/worker_pool.h"
+#include "sse/net/worker_pool.h"
 
-#include <atomic>
+#include <utility>
 
-namespace sse::engine {
+namespace sse::net {
 
 WorkerPool::WorkerPool(size_t threads) {
   threads_.reserve(threads);
@@ -24,16 +24,6 @@ void WorkerPool::Shutdown() {
   }
 }
 
-bool WorkerPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return false;
-    queue_.push_back(std::move(task));
-  }
-  wake_.notify_one();
-  return true;
-}
-
 WorkerPool::SubmitResult WorkerPool::TrySubmit(std::function<void()> task,
                                                size_t max_queue) {
   {
@@ -46,33 +36,6 @@ WorkerPool::SubmitResult WorkerPool::TrySubmit(std::function<void()> task,
   }
   wake_.notify_one();
   return SubmitResult::kAccepted;
-}
-
-void WorkerPool::RunBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (threads_.empty()) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  struct Barrier {
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t remaining;
-  };
-  auto barrier = std::make_shared<Barrier>();
-  barrier->remaining = tasks.size();
-  for (auto& task : tasks) {
-    auto wrapped = [task = std::move(task), barrier] {
-      task();
-      std::lock_guard<std::mutex> lock(barrier->mutex);
-      if (--barrier->remaining == 0) barrier->done.notify_all();
-    };
-    // A pool racing Shutdown refuses the submit; run inline so the
-    // barrier still completes and no task is lost.
-    if (!Submit(wrapped)) wrapped();
-  }
-  std::unique_lock<std::mutex> lock(barrier->mutex);
-  barrier->done.wait(lock, [&] { return barrier->remaining == 0; });
 }
 
 void WorkerPool::WorkerLoop() {
@@ -89,4 +52,4 @@ void WorkerPool::WorkerLoop() {
   }
 }
 
-}  // namespace sse::engine
+}  // namespace sse::net

@@ -117,8 +117,8 @@ class ScopedSpan {
  public:
   /// Child of the thread's current context.
   explicit ScopedSpan(const char* name) : ScopedSpan(name, CurrentContext()) {}
-  /// Child of an explicit parent — for crossing threads (worker-pool
-  /// tasks) and for re-rooting at a wire message's trace header.
+  /// Child of an explicit parent — for crossing threads and for
+  /// re-rooting at a wire message's trace header.
   ScopedSpan(const char* name, const TraceContext& parent);
   ~ScopedSpan();
 

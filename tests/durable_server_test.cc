@@ -271,10 +271,9 @@ TEST(DurableServerTest, ReplyCacheReportsUnderItsOwnName) {
   TempDir dir;
   DeterministicRandom rng(12);
   const SchemeOptions options = FastTestConfig().scheme;
-  engine::EngineOptions engine_options;
-  engine_options.enable_reply_cache = false;
   auto engine = engine::ServerEngine::Create(
-      std::make_unique<engine::Scheme2Adapter>(options), engine_options);
+      std::make_unique<engine::Scheme2Adapter>(options),
+      engine::EngineOptions{});
   SSE_ASSERT_OK_RESULT(engine);
   auto durable = DurableServer::Open(dir.path(), engine->get());
   SSE_ASSERT_OK_RESULT(durable);

@@ -1,11 +1,13 @@
 // Exhaustive round-trip and adversarial-decode tests for every protocol
-// message of both schemes.
+// message of both schemes, and Scheme 3's engine-internal probe request.
 
 #include <gtest/gtest.h>
 
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_messages.h"
+#include "sse/core/scheme3_messages.h"
 #include "sse/util/random.h"
+#include "sse/util/serde.h"
 
 namespace sse::core {
 namespace {
@@ -156,6 +158,56 @@ TEST(Scheme2MessagesTest, FetchAllRejectsPayload) {
   EXPECT_FALSE(S2FetchAllRequest::FromMessage(msg).ok());
 }
 
+S3ProbeRequest TwoProbes() {
+  S3ProbeRequest req;
+  req.probes.resize(2);
+  for (size_t i = 0; i < req.probes.size(); ++i) {
+    req.probes[i].address.fill(static_cast<uint8_t>(0x10 + i));
+    req.probes[i].key.fill(static_cast<uint8_t>(0x20 + i));
+  }
+  return req;
+}
+
+TEST(Scheme3MessagesTest, ProbeRequestRoundTrip) {
+  const S3ProbeRequest req = TwoProbes();
+  const net::Message msg = req.ToMessage();
+  EXPECT_EQ(msg.type, kMsgS3ProbeRequest);
+  EXPECT_EQ(msg.payload.size(), 1u + 2 * 64);  // count, fixed records
+  auto decoded = S3ProbeRequest::FromMessage(msg);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->probes.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(decoded->probes[i].address, req.probes[i].address);
+    EXPECT_EQ(decoded->probes[i].key, req.probes[i].key);
+  }
+  EXPECT_TRUE(S3ProbeRequest::FromMessage(S3ProbeRequest{}.ToMessage()).ok());
+}
+
+TEST(Scheme3MessagesTest, ProbeRequestRejectsCountBeyondPayload) {
+  // A count the payload cannot hold is refused before anything is sized
+  // by it.
+  for (uint64_t count : {uint64_t{3}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    BufferWriter w;
+    w.PutVarint(count);
+    w.PutRaw(Bytes(2 * 64, 0x5a));
+    const net::Message msg{kMsgS3ProbeRequest, w.TakeData()};
+    EXPECT_FALSE(S3ProbeRequest::FromMessage(msg).ok()) << count;
+  }
+}
+
+TEST(Scheme3MessagesTest, ProbeRequestRejectsTruncatedRecord) {
+  const net::Message full = TwoProbes().ToMessage();
+  for (size_t keep = 0; keep < full.payload.size(); ++keep) {
+    net::Message truncated{
+        full.type, Bytes(full.payload.begin(), full.payload.begin() + keep)};
+    EXPECT_FALSE(S3ProbeRequest::FromMessage(truncated).ok())
+        << "prefix " << keep;
+  }
+  net::Message trailing = full;
+  trailing.payload.push_back(0);
+  EXPECT_FALSE(S3ProbeRequest::FromMessage(trailing).ok());
+}
+
 TEST(MessagesFuzzTest, RandomPayloadsNeverCrashDecoders) {
   DeterministicRandom rng(101);
   for (int trial = 0; trial < 500; ++trial) {
@@ -176,6 +228,7 @@ TEST(MessagesFuzzTest, RandomPayloadsNeverCrashDecoders) {
     (void)S2SearchResult::FromMessage({kMsgS2SearchResult, payload});
     (void)S2FetchAllReply::FromMessage({kMsgS2FetchAllReply, payload});
     (void)S2ReinitRequest::FromMessage({kMsgS2ReinitRequest, payload});
+    (void)S3ProbeRequest::FromMessage({kMsgS3ProbeRequest, payload});
   }
   SUCCEED();
 }

@@ -13,6 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "sse/core/scheme3_messages.h"
+#include "sse/engine/scheme3_adapter.h"
+#include "sse/engine/server_engine.h"
 #include "sse/net/tcp.h"
 #include "sse/obs/metrics_registry.h"
 
@@ -153,6 +156,31 @@ TEST(NetScaleTest, IdleConnectionSoakKeepsThreadBudgetFixed) {
       [&] { return (*server)->connections_active() == 0; }, 10000))
       << (*server)->connections_active() << " connections still open";
   (*server)->Stop();
+}
+
+// The engine starts no thread of its own: every request runs on the
+// thread that calls Handle(), so the process thread budget is the TCP
+// server's alone, whatever the shard count.
+TEST(NetScaleTest, EngineStartsNoThreads) {
+  for (size_t shards : {4u, 8u}) {
+    const size_t threads_before = ThreadCount();
+    engine::EngineOptions options;
+    options.num_shards = shards;
+    auto engine = engine::ServerEngine::Create(
+        std::make_unique<engine::Scheme3Adapter>(core::SchemeOptions{}),
+        options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ(ThreadCount(), threads_before) << shards << " shards";
+
+    // A search reaches every shard holding one of its probes, still on
+    // this thread.
+    core::S3SearchRequest search;
+    search.chain_element = Bytes(32, 1);
+    search.counter = 64;
+    auto reply = (*engine)->Handle(search.ToMessage());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(ThreadCount(), threads_before) << shards << " shards";
+  }
 }
 
 // Churn with hostile clients: connections that vanish mid-request, tear a

@@ -266,8 +266,7 @@ TEST(ObsTraceTest, FullStackSpanTreeOverTcpExportsChromeJson) {
   core::SchemeOptions options = FastTestConfig().scheme;
 
   engine::EngineOptions engine_opts;
-  engine_opts.num_shards = 2;
-  engine_opts.enable_reply_cache = false;  // durable shell provides dedup
+  engine_opts.num_shards = 2;  // no engine reply cache: the shell dedups
   auto engine = engine::ServerEngine::Create(
       std::make_unique<engine::Scheme1Adapter>(options), engine_opts);
   SSE_ASSERT_OK_RESULT(engine);

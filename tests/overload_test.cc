@@ -24,13 +24,13 @@
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_client.h"
 #include "sse/core/scheme2_messages.h"
-#include "sse/engine/worker_pool.h"
 #include "sse/net/admission.h"
 #include "sse/net/batch.h"
 #include "sse/net/deadline.h"
 #include "sse/net/message.h"
 #include "sse/net/retry.h"
 #include "sse/net/tcp.h"
+#include "sse/net/worker_pool.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/obs/stats_rpc.h"
 #include "sse/repl/failover_channel.h"
@@ -52,6 +52,7 @@ using net::RetryingChannel;
 using net::RetryOptions;
 using net::ScopedDeadline;
 using net::WithRetryAfter;
+using net::WorkerPool;
 using sse::testing::FastTestConfig;
 using sse::testing::TempDir;
 using sse::testing::TestMasterKey;
@@ -303,16 +304,19 @@ TEST(AdmissionTest, RetryAfterScalesWithOverload) {
 // WorkerPool: the bounded dispatch queue underneath the shed path.
 
 TEST(WorkerPoolTest, TrySubmitBoundsQueue) {
-  using SubmitResult = engine::WorkerPool::SubmitResult;
-  engine::WorkerPool pool(1);
+  using SubmitResult = WorkerPool::SubmitResult;
+  WorkerPool pool(1);
 
   std::mutex gate;
   gate.lock();  // wedge the single worker on the first task
   std::atomic<int> ran{0};
-  ASSERT_TRUE(pool.Submit([&] {
-    std::lock_guard<std::mutex> hold(gate);
-    ran.fetch_add(1);
-  }));
+  ASSERT_EQ(pool.TrySubmit(
+                [&] {
+                  std::lock_guard<std::mutex> hold(gate);
+                  ran.fetch_add(1);
+                },
+                /*max_queue=*/0),
+            SubmitResult::kAccepted);
   // Wait for the worker to pick the blocker up so the queue is empty.
   while (pool.queue_depth() > 0) std::this_thread::yield();
 
@@ -322,7 +326,7 @@ TEST(WorkerPoolTest, TrySubmitBoundsQueue) {
             SubmitResult::kAccepted);
   EXPECT_EQ(pool.TrySubmit([&] { ran.fetch_add(1); }, /*max_queue=*/2),
             SubmitResult::kQueueFull);
-  // max_queue == 0 keeps the unbounded Submit behavior.
+  // max_queue == 0 means unbounded.
   EXPECT_EQ(pool.TrySubmit([&] { ran.fetch_add(1); }, /*max_queue=*/0),
             SubmitResult::kAccepted);
 

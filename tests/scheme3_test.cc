@@ -1,9 +1,14 @@
 // Scheme 3 (forward-private dynamic SSE) specifics that the shared
 // conformance suite cannot express: the forward-privacy guarantee itself,
 // per-keyword counter state round-trips, chain exhaustion, idempotent
-// update replay, and the sharded-engine broadcast search.
+// update replay, the sharded engine's one-walk search, and concurrent
+// owners through one engine.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "sse/core/registry.h"
 #include "sse/core/scheme3_client.h"
@@ -11,6 +16,8 @@
 #include "sse/core/scheme3_server.h"
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
+#include "sse/engine/scheme3_adapter.h"
+#include "sse/engine/server_engine.h"
 #include "test_util.h"
 
 namespace sse::core {
@@ -204,9 +211,22 @@ TEST(Scheme3Test, BatchedUpdatesAndMultiSearch) {
   EXPECT_EQ((*outcomes)[3].ids, std::vector<uint64_t>{1});
 }
 
-TEST(Scheme3Test, ShardedEngineBroadcastSearch) {
-  // With engine shards the per-update addresses scatter across shards and
-  // a search must union every shard's walk.
+/// A 4-shard Scheme 3 engine over `options`; aborts the test on failure.
+std::unique_ptr<engine::ServerEngine> MakeScheme3Engine(
+    const SchemeOptions& options) {
+  engine::EngineOptions engine_options;
+  engine_options.num_shards = 4;
+  auto created = engine::ServerEngine::Create(
+      std::make_unique<engine::Scheme3Adapter>(options), engine_options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  return std::move(created).value();
+}
+
+TEST(Scheme3Test, ShardedEngineWalksTrapdoorOnce) {
+  // With engine shards the per-update addresses scatter across shards.
+  // The engine walks the trapdoor once and each shard opens only the
+  // probes it owns, so a search costs one walk however many shards hold
+  // the keyword's entries.
   DeterministicRandom rng(50);
   SystemConfig config = FastTestConfig();
   config.engine_shards = 4;
@@ -222,14 +242,151 @@ TEST(Scheme3Test, ShardedEngineBroadcastSearch) {
   SSE_ASSERT_OK_RESULT(outcome);
   EXPECT_EQ(outcome->ids, expected);
   ASSERT_EQ(outcome->documents.size(), 16u);
+  EXPECT_EQ(ClientOf(sys)->last_search_chain_steps(), 15u);
+  EXPECT_EQ(ClientOf(sys)->last_search_entries_decrypted(), 16u);
   auto mod1 = sys.client->Search("mod1");
   SSE_ASSERT_OK_RESULT(mod1);
   EXPECT_EQ(mod1->ids, (std::vector<uint64_t>{1, 4, 7, 10, 13}));
+
+  // The unsharded server, given the same Stores, reports the same ids and
+  // the same work for every keyword.
+  DeterministicRandom plain_rng(50);
+  SseSystem plain =
+      MakeTestSystem(SystemKind::kScheme3, &plain_rng, FastTestConfig());
+  for (uint64_t i = 0; i < 16; ++i) {
+    SSE_ASSERT_OK(plain.client->Store({Document::Make(
+        i, "doc" + std::to_string(i),
+        {"all", "mod" + std::to_string(i % 3)})}));
+  }
+  for (const char* keyword : {"all", "mod0", "mod1", "mod2"}) {
+    auto sharded_outcome = sys.client->Search(keyword);
+    auto plain_outcome = plain.client->Search(keyword);
+    SSE_ASSERT_OK_RESULT(sharded_outcome);
+    SSE_ASSERT_OK_RESULT(plain_outcome);
+    EXPECT_EQ(sharded_outcome->ids, plain_outcome->ids) << keyword;
+    EXPECT_EQ(ClientOf(sys)->last_search_chain_steps(),
+              ClientOf(plain)->last_search_chain_steps())
+        << keyword;
+    EXPECT_EQ(ClientOf(sys)->last_search_entries_decrypted(),
+              ClientOf(plain)->last_search_entries_decrypted())
+        << keyword;
+  }
+}
+
+TEST(Scheme3Test, TrapdoorInputIsCheckedByServerAndEngine) {
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme3Server server(options);
+  std::unique_ptr<engine::ServerEngine> sharded = MakeScheme3Engine(options);
+  for (net::MessageHandler* handler :
+       {static_cast<net::MessageHandler*>(&server),
+        static_cast<net::MessageHandler*>(sharded.get())}) {
+    // A chain element is a 32-byte digest; anything else is refused
+    // before the walk starts.
+    S3SearchRequest req;
+    req.counter = 2;
+    for (size_t size : {0, 31, 33}) {
+      req.chain_element = Bytes(size, 7);
+      EXPECT_EQ(handler->Handle(req.ToMessage()).status().code(),
+                StatusCode::kInvalidArgument)
+          << size << "-byte element";
+    }
+    req.chain_element = Bytes(32, 7);
+    req.counter = options.chain_length + 1;
+    EXPECT_EQ(handler->Handle(req.ToMessage()).status().code(),
+              StatusCode::kInvalidArgument);
+
+    // A counter of 0 walks nothing and finds nothing.
+    req.counter = 0;
+    auto reply = handler->Handle(req.ToMessage());
+    SSE_ASSERT_OK_RESULT(reply);
+    auto result = S3SearchResult::FromMessage(*reply);
+    SSE_ASSERT_OK_RESULT(result);
+    EXPECT_FALSE(result->found);
+    EXPECT_TRUE(result->ids.empty());
+    EXPECT_EQ(result->chain_steps, 0u);
+    EXPECT_EQ(result->entries_decrypted, 0u);
+  }
+
+  // Probe requests are the engine's own shard traffic: a client that
+  // sends one is refused, not served by whichever shard it lands on.
+  S3ProbeRequest probe;
+  probe.probes.resize(1);
+  EXPECT_EQ(sharded->Handle(probe.ToMessage()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Scheme3Test, WalkTrapdoorProbesEveryOlderPosition) {
+  auto chain = crypto::HashChain::Create(Bytes(32, 0x33), 16);
+  SSE_ASSERT_OK_RESULT(chain);
+  auto newest = chain->KeyForCounter(5);
+  SSE_ASSERT_OK_RESULT(newest);
+  S3SearchRequest req;
+  req.chain_element = *newest;
+  req.counter = 5;
+  auto probes = WalkTrapdoor(req, chain->length());
+  SSE_ASSERT_OK_RESULT(probes);
+  ASSERT_EQ(probes->size(), 5u);
+  for (uint32_t ctr = 5; ctr >= 1; --ctr) {
+    const S3Probe& probe = (*probes)[5 - ctr];
+    auto key = chain->KeyForCounter(ctr);
+    SSE_ASSERT_OK_RESULT(key);
+    EXPECT_EQ(Bytes(probe.key.begin(), probe.key.end()), *key) << ctr;
+    auto address = crypto::HashChain::Tag(*key);
+    SSE_ASSERT_OK_RESULT(address);
+    EXPECT_EQ(probe.address, *address) << ctr;
+  }
+  req.counter = 0;
+  auto none = WalkTrapdoor(req, chain->length());
+  SSE_ASSERT_OK_RESULT(none);
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(Scheme3Test, ConcurrentOwnersThroughOneEngine) {
+  // Probes run under shared shard locks and updates under exclusive ones.
+  // Several owners storing and searching through one 4-shard engine keep
+  // both kinds racing on every shard; CI runs this suite under TSan and
+  // ASan.
+  const SchemeOptions options = FastTestConfig().scheme;
+  std::unique_ptr<engine::ServerEngine> sharded = MakeScheme3Engine(options);
+  constexpr uint64_t kOwners = 4;
+  constexpr uint64_t kStores = 12;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> owners;
+  for (uint64_t t = 0; t < kOwners; ++t) {
+    owners.emplace_back([&, t] {
+      net::InProcessChannel channel(sharded.get());
+      DeterministicRandom rng(60 + t);
+      auto client =
+          Scheme3Client::Create(TestMasterKey(), options, &channel, &rng);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      const std::string own = "owner" + std::to_string(t);
+      std::vector<uint64_t> expected;
+      for (uint64_t i = 0; i < kStores; ++i) {
+        const uint64_t id = t * kStores + i;
+        const std::string group = own + "/" + std::to_string(i % 3);
+        if (!(*client)->Store({Document::Make(id, "doc", {own, group})}).ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        expected.push_back(id);
+        auto outcome = (*client)->Search(own);
+        if (!outcome.ok() || outcome->ids != expected ||
+            (*client)->last_search_chain_steps() != i) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& owner : owners) owner.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Scheme3Test, StaleTrapdoorIsForwardPrivateUnderEngine) {
-  // Forward privacy holds through the sharded engine too: the broadcast
-  // search merges per-shard walks that each stop at the trapdoor counter.
+  // Forward privacy holds through the sharded engine too: the engine's
+  // one walk stops at the trapdoor counter.
   DeterministicRandom rng(51);
   SystemConfig config = FastTestConfig();
   config.engine_shards = 2;
