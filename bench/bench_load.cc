@@ -175,7 +175,7 @@ struct PhaseResult {
 struct LoadConfig {
   size_t sessions = 1'000'000;
   size_t connections = 2;
-  size_t window = 16;  // in-flight ops per connection (< pipeline_queue)
+  size_t window = 16;  // in-flight ops per connection (< kMaxOutstanding)
   double update_fraction = 0.10;
   double zipf_s = 0.99;
   size_t search_keywords = 2048;
@@ -486,7 +486,6 @@ int Run(bool smoke, const char* json_path) {
   server_opts.serialize_handler = false;  // the sharded engine is thread-safe
   server_opts.reactor_loops = 1;
   server_opts.dispatch_workers = 2;
-  server_opts.pipeline_queue = 64;
   server_opts.max_dispatch_queue = 128;
   server_opts.admission = controller;
   server_opts.brownout_exit_ms = 500;

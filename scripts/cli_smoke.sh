@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Vault life cycle through the command-line tools: put -> checkpoint ->
 # put -> checkpoint -> put. Every document must still be found (snapshot
-# plus WAL tail), `vault_admin status` must list both snapshot
-# generations, and `sse_cli stats` must print the engine's registry
-# counters. Usage:
+# plus WAL tail), also with SSE_RETRY_ATTEMPTS=0, `vault_admin status`
+# must list both snapshot generations, and `sse_cli stats` must print the
+# engine's registry counters. Usage:
 #   scripts/cli_smoke.sh [build-dir]    # default: build
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,6 +21,11 @@ trap 'rm -rf "$VAULT"' EXIT
 "$CLI" "$VAULT" put 3 "more notes" --kw notes
 
 found="$("$CLI" "$VAULT" search notes)"
+echo "$found"
+grep -qx "3 match(es)" <<<"$found"
+
+# A retry setting below 1 means one attempt, on searches as on puts.
+found="$(SSE_RETRY_ATTEMPTS=0 "$CLI" "$VAULT" search notes)"
 echo "$found"
 grep -qx "3 match(es)" <<<"$found"
 

@@ -9,29 +9,11 @@ namespace sse::core {
 
 namespace {
 
-/// Names for this scheme's types; net::MessageTypeName knows nothing about
-/// the 0x04xx range (net/ stays scheme-agnostic), so spell them out here.
-std::string S3TypeName(uint16_t type) {
-  switch (type) {
-    case kMsgS3UpdateRequest:
-      return "Scheme3.UpdateRequest";
-    case kMsgS3UpdateAck:
-      return "Scheme3.UpdateAck";
-    case kMsgS3SearchRequest:
-      return "Scheme3.SearchRequest";
-    case kMsgS3SearchResult:
-      return "Scheme3.SearchResult";
-    case kMsgS3ProbeRequest:
-      return "Scheme3.ProbeRequest";
-    default:
-      return net::MessageTypeName(type);
-  }
-}
-
 Status CheckType(const net::Message& msg, uint16_t want) {
   if (msg.type != want) {
-    return Status::ProtocolError("expected message type " + S3TypeName(want) +
-                                 ", got " + S3TypeName(msg.type));
+    return Status::ProtocolError("expected message type " +
+                                 net::MessageTypeName(want) + ", got " +
+                                 net::MessageTypeName(msg.type));
   }
   return Status::OK();
 }

@@ -21,18 +21,13 @@ namespace sse::core {
 /// k_j = f^{l-j}(seed_w), so consecutive updates of the same keyword are
 /// unlinkable to each other and — because f only walks toward *older*
 /// keys — unlinkable to every previously released search trapdoor.
-///
-/// The 0x04xx range extends the net/message.h range table (which stays
-/// scheme-agnostic; the constant lives here with the scheme that owns it).
-inline constexpr uint16_t kMsgRangeScheme3 = 0x0400;
-
-inline constexpr uint16_t kMsgS3UpdateRequest = kMsgRangeScheme3 + 1;
-inline constexpr uint16_t kMsgS3UpdateAck = kMsgRangeScheme3 + 2;
-inline constexpr uint16_t kMsgS3SearchRequest = kMsgRangeScheme3 + 3;
-inline constexpr uint16_t kMsgS3SearchResult = kMsgRangeScheme3 + 4;
+inline constexpr uint16_t kMsgS3UpdateRequest = net::kMsgRangeScheme3 + 1;
+inline constexpr uint16_t kMsgS3UpdateAck = net::kMsgRangeScheme3 + 2;
+inline constexpr uint16_t kMsgS3SearchRequest = net::kMsgRangeScheme3 + 3;
+inline constexpr uint16_t kMsgS3SearchResult = net::kMsgRangeScheme3 + 4;
 /// Engine-internal: one shard's slice of a walked trapdoor. The engine
 /// refuses it from clients.
-inline constexpr uint16_t kMsgS3ProbeRequest = kMsgRangeScheme3 + 5;
+inline constexpr uint16_t kMsgS3ProbeRequest = net::kMsgRangeScheme3 + 5;
 
 /// One forward-private index entry: the posting delta E_{k_j}(I_j(w))
 /// filed under the unlinkable address f'(k_j).

@@ -3,7 +3,6 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <utility>
 
 #include "sse/net/socket_util.h"
@@ -24,21 +23,8 @@ obs::MetricsRegistry::Counter* ReadPauseCounter() {
 
 }  // namespace
 
-Connection::Connection(int fd, EventLoop* loop, Options options,
-                       Callbacks callbacks)
-    : fd_(fd),
-      loop_(loop),
-      options_(options),
-      callbacks_(std::move(callbacks)) {
-  if (options_.max_outstanding == 0) options_.max_outstanding = 1;
-  last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
-}
-
-int64_t Connection::NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+Connection::Connection(int fd, EventLoop* loop, Callbacks callbacks)
+    : fd_(fd), loop_(loop), callbacks_(std::move(callbacks)) {}
 
 Connection::~Connection() {
   if (fd_ >= 0) ::close(fd_);
@@ -63,11 +49,6 @@ void Connection::SendFrame(Bytes payload) {
   loop_->RunInLoop([self, framed = std::move(framed)]() mutable {
     self->QueueReply(std::move(framed));
   });
-}
-
-void Connection::AbandonReply() {
-  auto self = shared_from_this();
-  loop_->RunInLoop([self] { self->ReplyRetired(); });
 }
 
 void Connection::BeginDrain() {
@@ -119,7 +100,6 @@ void Connection::HandleReadable() {
     const IoResult r = ReadSomeNonBlocking(fd_, buf, sizeof(buf), &n);
     if (r == IoResult::kOk) {
       total += n;
-      last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
       if (!assembler_.Feed(buf, n).ok()) {
         // Oversize/poisoned frame stream: unrecoverable protocol breach.
         CloseNow();
@@ -151,8 +131,7 @@ void Connection::HandleReadable() {
 void Connection::DeliverFrames() {
   Bytes frame;
   while (!closed_ &&
-         outstanding_.load(std::memory_order_relaxed) <
-             options_.max_outstanding &&
+         outstanding_.load(std::memory_order_relaxed) < kMaxOutstanding &&
          assembler_.Next(&frame)) {
     outstanding_.fetch_add(1, std::memory_order_relaxed);
     callbacks_.on_frame(shared_from_this(), std::move(frame));
@@ -163,7 +142,7 @@ void Connection::DeliverFrames() {
   const bool was_reading = reading_;
   reading_ = !draining_ && !peer_eof_ &&
              outstanding_.load(std::memory_order_relaxed) <
-                 options_.max_outstanding &&
+                 kMaxOutstanding &&
              assembler_.ready() == 0;
   if (was_reading && !reading_ && !draining_ && !peer_eof_) {
     ReadPauseCounter()->Add();
@@ -192,7 +171,6 @@ void Connection::FlushWrites() {
         fd_, front.data() + write_offset_, front.size() - write_offset_, &n);
     if (r == IoResult::kOk) {
       write_offset_ += n;
-      last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
       if (write_offset_ == front.size()) {
         write_queue_.pop_front();
         write_offset_ = 0;
@@ -242,7 +220,6 @@ void Connection::UpdateInterest() {
 void Connection::CloseNow() {
   if (closed_) return;
   closed_ = true;
-  closed_flag_.store(true, std::memory_order_release);
   reading_ = false;
   // Undispatched replies die with the connection; retire their slots so
   // server-wide in-flight accounting reaches zero.

@@ -21,7 +21,7 @@ namespace sse::net {
 ///     process-wide pool — NOT on the loop thread),
 ///  3. drains a buffered write queue on EPOLLOUT, resuming partial writes
 ///     where they stopped, and
-///  4. applies backpressure: once `max_outstanding` frames are dispatched
+///  4. applies backpressure: once `kMaxOutstanding` frames are dispatched
 ///     but their replies not yet fully written, the connection drops
 ///     EPOLLIN interest and stops pulling bytes off the socket; TCP flow
 ///     control pushes back to the client. Reading resumes as replies
@@ -35,16 +35,14 @@ namespace sse::net {
 class Connection : public EventLoop::Handler,
                    public std::enable_shared_from_this<Connection> {
  public:
-  struct Options {
-    /// Backpressure bound: frames dispatched whose replies are not yet
-    /// fully on the wire. 1 restores strict request->reply lockstep.
-    size_t max_outstanding = 64;
-  };
+  /// Backpressure bound: frames dispatched whose replies are not yet
+  /// fully on the wire.
+  static constexpr size_t kMaxOutstanding = 64;
 
   struct Callbacks {
     /// A decoded request frame. Runs on the loop thread; implementations
-    /// must hand the work off (e.g. WorkerPool::TrySubmit) and later call
-    /// conn->SendFrame(reply) or conn->AbandonReply().
+    /// must hand the work off (e.g. WorkerPool::TrySubmit) and later answer
+    /// it with conn->SendFrame(reply).
     std::function<void(const std::shared_ptr<Connection>&, Bytes frame)>
         on_frame;
     /// The connection fully closed (fd released). Loop thread.
@@ -52,7 +50,7 @@ class Connection : public EventLoop::Handler,
   };
 
   /// Takes ownership of `fd` (non-blocking). Call Register() afterwards.
-  Connection(int fd, EventLoop* loop, Options options, Callbacks callbacks);
+  Connection(int fd, EventLoop* loop, Callbacks callbacks);
   ~Connection() override;
 
   /// Registers with the loop and starts reading. Any thread.
@@ -63,10 +61,6 @@ class Connection : public EventLoop::Handler,
   /// delivery. If the connection has closed meanwhile the reply is
   /// dropped but still accounted, so outstanding counts stay balanced.
   void SendFrame(Bytes payload);
-
-  /// Accounts a dispatched frame that will never produce a reply frame.
-  /// Any thread.
-  void AbandonReply();
 
   /// Stops reading new frames; queued requests still complete and queued
   /// replies still flush ("drain" half of graceful shutdown). Any thread.
@@ -83,19 +77,6 @@ class Connection : public EventLoop::Handler,
   size_t queued_replies() const {
     return queued_replies_.load(std::memory_order_relaxed);
   }
-  bool closed() const { return closed_flag_.load(std::memory_order_acquire); }
-
-  int fd() const { return fd_; }
-  EventLoop* loop() const { return loop_; }
-
-  /// Steady-clock milliseconds of the last byte read or written (set at
-  /// construction, then on socket activity). Cross-thread readable; the
-  /// idle sweeper compares it against NowMs().
-  int64_t last_activity_ms() const {
-    return last_activity_ms_.load(std::memory_order_relaxed);
-  }
-  /// The activity clock's notion of "now".
-  static int64_t NowMs();
 
  private:
   void OnEvents(uint32_t events) override;
@@ -110,13 +91,12 @@ class Connection : public EventLoop::Handler,
   void FlushWrites();
   void UpdateInterest();
   void CloseNow();
-  /// One reply fully left the state machine (written, dropped or
-  /// abandoned): releases a backpressure slot.
+  /// One reply fully left the state machine (written or dropped):
+  /// releases a backpressure slot.
   void ReplyRetired();
 
   int fd_;
   EventLoop* loop_;
-  Options options_;
   Callbacks callbacks_;
 
   FrameAssembler assembler_;
@@ -128,12 +108,10 @@ class Connection : public EventLoop::Handler,
   bool reading_ = true;        // EPOLLIN wanted (false: paused or draining)
   bool draining_ = false;
   bool peer_eof_ = false;
-  bool closed_ = false;        // loop-thread view
+  bool closed_ = false;
 
   std::atomic<size_t> outstanding_{0};
   std::atomic<size_t> queued_replies_{0};
-  std::atomic<bool> closed_flag_{false};
-  std::atomic<int64_t> last_activity_ms_{0};
 };
 
 }  // namespace sse::net

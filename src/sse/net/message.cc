@@ -144,6 +144,9 @@ std::string MessageTypeName(uint16_t type) {
       nullptr,        "UpdateRequest", "UpdateAck",     "SearchRequest",
       "SearchResult", "FetchAllRequest", "FetchAllReply", "ReinitRequest",
       "ReinitAck"};
+  static constexpr const char* kScheme3Names[] = {
+      nullptr,        "UpdateRequest", "UpdateAck", "SearchRequest",
+      "SearchResult", "ProbeRequest"};
   const uint16_t range = type & 0xff00;
   const int sub = type & 0xff;
   std::string prefix;
@@ -153,6 +156,9 @@ std::string MessageTypeName(uint16_t type) {
   } else if (range == kMsgRangeScheme2) {
     prefix = "Scheme2.";
     if (sub >= 1 && sub <= 8) return prefix + kScheme2Names[sub];
+  } else if (range == kMsgRangeScheme3) {
+    prefix = "Scheme3.";
+    if (sub >= 1 && sub <= 5) return prefix + kScheme3Names[sub];
   } else if (range == kMsgRangeBaseline) {
     prefix = "Baseline.";
   } else {

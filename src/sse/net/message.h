@@ -116,6 +116,7 @@ inline constexpr uint16_t kMsgRangeCommon = 0x0000;
 inline constexpr uint16_t kMsgRangeScheme1 = 0x0100;
 inline constexpr uint16_t kMsgRangeScheme2 = 0x0200;
 inline constexpr uint16_t kMsgRangeBaseline = 0x0300;
+inline constexpr uint16_t kMsgRangeScheme3 = 0x0400;
 
 /// Common messages.
 inline constexpr uint16_t kMsgError = kMsgRangeCommon + 1;

@@ -122,42 +122,6 @@ void EventLoop::Del(int fd) {
   handlers_.erase(fd);
 }
 
-void EventLoop::SchedulePeriodic(uint64_t period_ms, std::function<void()> fn) {
-  if (period_ms == 0) period_ms = 1;
-  PeriodicTask task;
-  task.period_ms = period_ms;
-  task.fn = std::move(fn);
-  task.next_due =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(period_ms);
-  periodics_.push_back(std::move(task));
-}
-
-int EventLoop::NextTimeoutMs() const {
-  if (periodics_.empty()) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  auto earliest = periodics_.front().next_due;
-  for (const PeriodicTask& task : periodics_) {
-    if (task.next_due < earliest) earliest = task.next_due;
-  }
-  if (earliest <= now) return 0;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(earliest - now)
-          .count() +
-      1;
-  return static_cast<int>(ms);
-}
-
-void EventLoop::RunDuePeriodics() {
-  if (periodics_.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (PeriodicTask& task : periodics_) {
-    if (now >= task.next_due) {
-      task.fn();
-      task.next_due = now + std::chrono::milliseconds(task.period_ms);
-    }
-  }
-}
-
 void EventLoop::RunPending() {
   std::vector<std::function<void()>> tasks;
   {
@@ -171,7 +135,7 @@ void EventLoop::Run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, NextTimeoutMs());
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone; nothing sane left to do
@@ -190,7 +154,6 @@ void EventLoop::Run() {
       if (it != handlers_.end()) it->second->OnEvents(events[i].events);
     }
     RunPending();
-    RunDuePeriodics();
   }
   // Run closures posted up to the stop point so resources they carry
   // (shared connection handles, completion notifications) are released.

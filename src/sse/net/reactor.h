@@ -2,7 +2,6 @@
 #define SSE_NET_REACTOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,11 +51,6 @@ class EventLoop {
   /// any thread, including the loop thread itself (runs this wake cycle).
   void Post(std::function<void()> fn);
 
-  /// Runs `fn` on the loop thread roughly every `period_ms` (the loop
-  /// trades its unbounded epoll_wait for a bounded one). Must be called
-  /// before Start(); with no periodic tasks the wait stays unbounded.
-  void SchedulePeriodic(uint64_t period_ms, std::function<void()> fn);
-
   /// Runs `fn` inline when already on the loop thread, else Post()s it.
   void RunInLoop(std::function<void()> fn);
 
@@ -69,24 +63,11 @@ class EventLoop {
   Status Mod(int fd, uint32_t events);
   void Del(int fd);
 
-  /// True once Stop() has been requested; connections draining on this
-  /// loop can consult it.
-  bool stopping() const { return stopping_.load(std::memory_order_relaxed); }
-
  private:
-  struct PeriodicTask {
-    uint64_t period_ms;
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point next_due;
-  };
-
   void Run();
   void Wake();
   void DrainWakeFd();
   void RunPending();
-  /// epoll_wait timeout until the earliest periodic task (-1 = none).
-  int NextTimeoutMs() const;
-  void RunDuePeriodics();
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -100,9 +81,6 @@ class EventLoop {
 
   /// fd -> handler, loop-thread-only after Start.
   std::map<int, Handler*> handlers_;
-
-  /// Fixed at Start; fired and re-armed by the loop thread.
-  std::vector<PeriodicTask> periodics_;
 };
 
 /// A fixed set of EventLoops plus round-robin placement for new

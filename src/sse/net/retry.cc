@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -134,124 +134,62 @@ bool RetryingChannel::ShouldRetry(const Status& status) const {
 }
 
 Result<Message> RetryingChannel::Call(const Message& request) {
-  retry_stats_.calls += 1;
-  obs::ScopedSpan call_span("rpc.call");
-  Message stamped = request;
-  stamped.StampSession(client_id_, next_seq_++);
-
-  const double start_ms = NowMs();
-  double backoff_ms = 0.0;
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      if (!SpendRetryToken()) {
-        // Empty bucket: another attempt would amplify whatever is failing.
-        // Surface the failure now; successes elsewhere will refill us.
-        retry_stats_.budget_exhausted += 1;
-        BudgetExhaustedCounter()->Add();
-        return Status(last.code(),
-                      "retry budget exhausted; last: " + last.ToString());
-      }
-      // An ambiguous failure may have left a half-written request or a
-      // buffered stale reply in the transport; flush before re-sending.
-      inner_->Reset();
-      retry_stats_.resets += 1;
-      backoff_ms = NextBackoff(backoff_ms);
-      uint32_t hint_ms = 0;
-      if (RetryAfterHintMs(last, &hint_ms)) {
-        // A shedding server told us when it wants us back; never return
-        // earlier than that, whatever the jitter drew.
-        backoff_ms = std::max(backoff_ms, static_cast<double>(hint_ms));
-      }
-      SleepMs(backoff_ms);
-      retry_stats_.retries += 1;
-      RetriesCounter()->Add();
-    }
-    if (options_.call_deadline_ms > 0.0 &&
-        NowMs() - start_ms >= options_.call_deadline_ms) {
-      retry_stats_.deadline_exceeded += 1;
-      DeadlineCounter()->Add();
-      return Status::DeadlineExceeded(
-          "call deadline exceeded after " + std::to_string(attempt) +
-          " attempt(s)" + (last.ok() ? "" : "; last: " + last.ToString()));
-    }
-
-    retry_stats_.attempts += 1;
-    obs::ScopedSpan attempt_span("rpc.attempt", call_span.context());
-    attempt_span.Annotate("attempt", static_cast<uint64_t>(attempt));
-    // The trace header is outside the session CRC, so re-stamping each
-    // attempt with its own span id is safe and keeps per-attempt frames
-    // distinguishable in the span tree. Same for the deadline header:
-    // each attempt carries the budget *remaining now*, not the original.
-    obs::StampMessage(&stamped, attempt_span.context());
-    StampRemainingDeadline(&stamped, start_ms);
-    Result<Message> reply = inner_->Call(stamped);
-    if (reply.ok()) {
-      if (reply->has_session) {
-        if (reply->client_id != client_id_ || reply->seq != stamped.seq) {
-          // Stale reply from a duplicated/reordered stream: never hand it
-          // to the protocol layer; flush and re-ask for ours.
-          retry_stats_.stale_replies += 1;
-          last = Status::Unavailable("stale reply (stream out of sync)");
-          continue;
-        }
-        if (Crc32c(reply->payload) != reply->payload_crc) {
-          retry_stats_.corrupt_replies += 1;
-          last = Status::Corruption("reply payload fails its checksum");
-          continue;
-        }
-      }
-      RefillRetryToken();
-      return reply;
-    }
-    last = reply.status();
-    if (!ShouldRetry(last)) return last;
-  }
-  retry_stats_.exhausted += 1;
-  return Status(last.code(), "retries exhausted after " +
-                                 std::to_string(options_.max_attempts) +
-                                 " attempts; last: " + last.ToString());
+  return std::move(RunOps({&request, 1}, 1, /*multicall=*/false).front());
 }
 
 std::vector<Result<Message>> RetryingChannel::MultiCall(
     const std::vector<Message>& requests) {
+  return RunOps(requests,
+                static_cast<size_t>(std::max(1, options_.batch_size)),
+                /*multicall=*/true);
+}
+
+std::vector<Result<Message>> RetryingChannel::RunOps(
+    std::span<const Message> requests, size_t group_size, bool multicall) {
   const size_t n = requests.size();
   if (n == 0) return {};
 
   retry_stats_.calls += n;
-  obs::ScopedSpan mc_span("rpc.multicall");
-  mc_span.Annotate("ops", n);
-  // One seq per logical op, fixed for its lifetime: this is the dedup key
-  // the server's ReplyCache sees, no matter which envelope carries the op.
-  std::vector<uint64_t> seqs(n);
-  for (size_t i = 0; i < n; ++i) seqs[i] = next_seq_++;
+  obs::ScopedSpan call_span(multicall ? "rpc.multicall" : "rpc.call");
+  if (multicall) call_span.Annotate("ops", n);
+  const char* const frame_span_name =
+      multicall ? "rpc.envelope" : "rpc.attempt";
 
+  struct OpState {
+    // Fixed for the op's lifetime: this is the dedup key the server's
+    // ReplyCache sees, no matter which frame carries the op.
+    uint64_t seq = 0;
+    int attempts = 0;
+    bool settled = false;
+  };
+  std::vector<OpState> state(n);
+  for (OpState& op : state) op.seq = next_seq_++;
   std::vector<Result<Message>> results(
-      n, Status::Internal("multicall op never settled"));
-  std::vector<bool> settled(n, false);
-  std::vector<int> attempts(n, 0);
-  size_t remaining = n;
+      n, Status::Internal("op never settled"));
   auto settle = [&](size_t i, Result<Message> r) {
-    if (settled[i]) return;
-    settled[i] = true;
+    state[i].settled = true;
     results[i] = std::move(r);
-    remaining -= 1;
   };
 
   const double start_ms = NowMs();
+  const int max_attempts = std::max(1, options_.max_attempts);
+  const bool batched = group_size > 1;
   double backoff_ms = 0.0;
   Status last = Status::OK();
-  const int max_attempts = std::max(1, options_.max_attempts);
-
-  /// One wire frame of the current round: either a kMsgBatch envelope of
-  /// several ops or a single stamped op.
-  struct Group {
-    std::vector<size_t> ops;  // indices into `requests`
-    Message envelope;
-    bool is_batch = false;
+  // An op given up on carries the code of the last failure seen.
+  auto give_up = [&](const std::string& why) {
+    return Status(last.ok() ? StatusCode::kUnavailable : last.code(),
+                  why + "; last: " + last.ToString());
   };
 
-  // Classify one group's reply, settling ops that finished (successfully
+  /// One wire frame: a kMsgBatch envelope of several ops, or one stamped
+  /// op when `group_size` is 1.
+  struct Group {
+    std::vector<size_t> ops;  // indices into `requests`
+    Message frame;
+  };
+
+  // Classify one frame's reply, settling ops that finished (successfully
   // or with a permanent error) and leaving retryable ones for next round.
   auto absorb = [&](const Group& g, Result<Message> reply) {
     if (!reply.ok()) {
@@ -262,8 +200,9 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
       return;
     }
     if (reply->has_session) {
-      if (reply->client_id != client_id_ || reply->seq != g.envelope.seq) {
-        // Echo of some superseded attempt: drop the frame, retry the group.
+      if (reply->client_id != client_id_ || reply->seq != g.frame.seq) {
+        // Stale reply from a duplicated/reordered stream: never hand it
+        // to the protocol layer; flush and re-ask for ours.
         retry_stats_.stale_replies += 1;
         last = Status::Unavailable("stale reply (stream out of sync)");
         return;
@@ -274,7 +213,7 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
         return;
       }
     }
-    if (!g.is_batch) {
+    if (!batched) {
       settle(g.ops[0], std::move(*reply));
       RefillRetryToken();
       return;
@@ -304,120 +243,139 @@ std::vector<Result<Message>> RetryingChannel::MultiCall(
     }
   };
 
-  bool first_round = true;
-  while (remaining > 0) {
+  auto annotate = [&](obs::ScopedSpan& span, const Group& g) {
+    if (multicall) {
+      span.Annotate("ops", g.ops.size());
+      span.Annotate("batch_seq", g.frame.seq);
+    }
+    span.Annotate("attempt",
+                  static_cast<uint64_t>(state[g.ops[0]].attempts - 1));
+  };
+
+  const size_t window =
+      static_cast<size_t>(std::max(1, options_.max_inflight));
+  for (bool first_round = true;; first_round = false) {
+    // Settle every op that may not be sent again, so that a round with
+    // nothing left to send ends the call without a reset or a sleep.
+    std::vector<size_t> round;
+    for (size_t i = 0; i < n; ++i) {
+      if (state[i].settled) continue;
+      if (state[i].attempts >= max_attempts) {
+        retry_stats_.exhausted += 1;
+        settle(i, give_up("retries exhausted after " +
+                          std::to_string(max_attempts) + " attempts"));
+        continue;
+      }
+      // A re-attempt is a retry: it must buy a token. First attempts are
+      // free — the budget throttles amplification, not load. An empty
+      // bucket surfaces the failure now; successes elsewhere refill it.
+      if (state[i].attempts > 0 && !SpendRetryToken()) {
+        retry_stats_.budget_exhausted += 1;
+        BudgetExhaustedCounter()->Add();
+        settle(i, give_up("retry budget exhausted"));
+        continue;
+      }
+      round.push_back(i);
+    }
+    if (round.empty()) break;
+
     if (!first_round) {
+      // An ambiguous failure may have left a half-written request or a
+      // buffered stale reply in the transport; flush before re-sending.
       inner_->Reset();
       retry_stats_.resets += 1;
       backoff_ms = NextBackoff(backoff_ms);
       uint32_t hint_ms = 0;
       if (RetryAfterHintMs(last, &hint_ms)) {
+        // A shedding server told us when it wants us back; never return
+        // earlier than that, whatever the jitter drew.
         backoff_ms = std::max(backoff_ms, static_cast<double>(hint_ms));
       }
       SleepMs(backoff_ms);
     }
     if (options_.call_deadline_ms > 0.0 &&
         NowMs() - start_ms >= options_.call_deadline_ms) {
-      const Status expired = Status::DeadlineExceeded(
-          "multicall deadline exceeded" +
-          std::string(last.ok() ? "" : "; last: " + last.ToString()));
-      for (size_t i = 0; i < n; ++i) {
-        if (settled[i]) continue;
+      for (size_t i : round) {
         retry_stats_.deadline_exceeded += 1;
         DeadlineCounter()->Add();
-        settle(i, expired);
+        settle(i, Status::DeadlineExceeded(
+                      "call deadline exceeded after " +
+                      std::to_string(state[i].attempts) + " attempt(s)" +
+                      (last.ok() ? "" : "; last: " + last.ToString())));
       }
       break;
     }
 
-    std::vector<size_t> round;
-    for (size_t i = 0; i < n; ++i) {
-      if (settled[i]) continue;
-      if (attempts[i] >= max_attempts) {
-        retry_stats_.exhausted += 1;
-        settle(i, Status(last.ok() ? StatusCode::kUnavailable : last.code(),
-                         "retries exhausted after " +
-                             std::to_string(max_attempts) +
-                             " attempts; last: " + last.ToString()));
-        continue;
-      }
-      // A re-attempt of op i is a retry: it must buy a token. First
-      // attempts are free — the budget throttles amplification, not load.
-      if (attempts[i] > 0 && !SpendRetryToken()) {
-        retry_stats_.budget_exhausted += 1;
-        BudgetExhaustedCounter()->Add();
-        settle(i, Status(last.ok() ? StatusCode::kUnavailable : last.code(),
-                         "retry budget exhausted; last: " + last.ToString()));
-        continue;
-      }
-      round.push_back(i);
-    }
-    if (round.empty()) break;
     for (size_t i : round) {
-      attempts[i] += 1;
+      state[i].attempts += 1;
       retry_stats_.attempts += 1;
-      if (attempts[i] > 1) {
+      if (state[i].attempts > 1) {
         retry_stats_.retries += 1;
         RetriesCounter()->Add();
       }
     }
-
-    const size_t group_size =
-        options_.batch_size <= 1 ? 1
-                                 : static_cast<size_t>(options_.batch_size);
     std::vector<Group> groups;
     for (size_t off = 0; off < round.size(); off += group_size) {
       Group g;
-      const size_t end = std::min(off + group_size, round.size());
-      for (size_t k = off; k < end; ++k) g.ops.push_back(round[k]);
-      g.is_batch = group_size > 1;
-      if (g.is_batch) {
+      g.ops.assign(round.begin() + off,
+                   round.begin() + std::min(off + group_size, round.size()));
+      if (batched) {
         BatchRequest batch;
         batch.ops.reserve(g.ops.size());
         for (size_t i : g.ops) {
-          batch.ops.push_back(
-              BatchRequest::Op{seqs[i], requests[i].type,
-                               requests[i].payload});
+          batch.ops.push_back(BatchRequest::Op{state[i].seq, requests[i].type,
+                                               requests[i].payload});
         }
-        g.envelope = batch.ToMessage();
+        g.frame = batch.ToMessage();
         // Fresh envelope seq per attempt: a retried envelope is a NEW
         // frame to the transport/dedup layers; only its sub-op seqs (the
         // real dedup identities) are stable across retries.
-        g.envelope.StampSession(client_id_, next_seq_++);
+        g.frame.StampSession(client_id_, next_seq_++);
         retry_stats_.batches += 1;
       } else {
-        const size_t i = g.ops[0];
-        g.envelope = requests[i];
-        g.envelope.StampSession(client_id_, seqs[i]);
+        g.frame = requests[g.ops[0]];
+        g.frame.StampSession(client_id_, state[g.ops[0]].seq);
       }
-      obs::StampMessage(&g.envelope, mc_span.context());
-      StampRemainingDeadline(&g.envelope, start_ms);
       groups.push_back(std::move(g));
     }
 
-    // Slide up to max_inflight envelopes through the wire at once,
-    // awaiting replies in submission order.
-    const size_t window =
-        options_.max_inflight < 1 ? 1
-                                  : static_cast<size_t>(options_.max_inflight);
-    std::deque<std::pair<CallId, size_t>> pending;  // (ticket, group index)
-    auto await_front = [&] {
-      auto [ticket, done_gi] = pending.front();
-      pending.pop_front();
-      obs::ScopedSpan env_span("rpc.envelope", mc_span.context());
-      env_span.Annotate("ops", groups[done_gi].ops.size());
-      env_span.Annotate("batch_seq", groups[done_gi].envelope.seq);
-      env_span.Annotate("attempt",
-                        static_cast<uint64_t>(attempts[groups[done_gi].ops[0]] -
-                                              1));
-      absorb(groups[done_gi], inner_->Await(ticket));
+    // A lone frame's span opens before the frame is stamped and stays
+    // open across Submit and Await, so the server's spans parent to it.
+    // Frames in flight together carry the call span instead, and each
+    // frame's span opens as it is awaited: scoped spans cannot overlap on
+    // one thread.
+    const bool lone = groups.size() == 1;
+    std::optional<obs::ScopedSpan> lone_span;
+    if (lone) {
+      lone_span.emplace(frame_span_name, call_span.context());
+      annotate(*lone_span, groups[0]);
+    }
+    for (Group& g : groups) {
+      // The trace and deadline headers are outside the session CRC, so
+      // each attempt carries its own span and the budget remaining now.
+      obs::StampMessage(&g.frame,
+                        lone ? lone_span->context() : call_span.context());
+      StampRemainingDeadline(&g.frame, start_ms);
+    }
+
+    // Slide up to max_inflight frames through the wire at once, awaiting
+    // replies in submission order.
+    std::vector<CallId> tickets(groups.size());
+    size_t awaited = 0;
+    auto await_next = [&] {
+      const size_t gi = awaited++;
+      std::optional<obs::ScopedSpan> span;
+      if (!lone) {
+        span.emplace(frame_span_name, call_span.context());
+        annotate(*span, groups[gi]);
+      }
+      absorb(groups[gi], inner_->Await(tickets[gi]));
     };
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-      while (pending.size() >= window) await_front();
-      pending.emplace_back(inner_->Submit(groups[gi].envelope), gi);
+      while (gi - awaited >= window) await_next();
+      tickets[gi] = inner_->Submit(groups[gi].frame);
     }
-    while (!pending.empty()) await_front();
-    first_round = false;
+    while (awaited < groups.size()) await_next();
   }
   return results;
 }

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sse/net/channel.h"
 #include "sse/util/random.h"
@@ -13,7 +15,8 @@ namespace sse::net {
 /// Policy knobs for RetryingChannel. Defaults suit an interactive client on
 /// a flaky LAN; benches and the chaos suite override them.
 struct RetryOptions {
-  /// Total tries per Call, including the first. 1 disables retries.
+  /// Total tries per op, including the first. 1 disables retries; values
+  /// below 1 mean one attempt.
   int max_attempts = 5;
 
   /// Backoff between attempts: decorrelated jitter. The first sleep is
@@ -56,9 +59,9 @@ struct RetryOptions {
 /// ChannelStats (which the inner transport keeps, retries included).
 struct RetryStats {
   uint64_t calls = 0;
-  uint64_t attempts = 0;          // inner Call invocations
+  uint64_t attempts = 0;          // op sends, first attempts included
   uint64_t retries = 0;           // attempts beyond the first
-  uint64_t resets = 0;            // inner Reset() before a retry
+  uint64_t resets = 0;            // inner Reset() before a retry round
   uint64_t stale_replies = 0;     // session echo mismatched our seq
   uint64_t corrupt_replies = 0;   // reply failed its checksum client-side
   uint64_t deadline_exceeded = 0; // calls abandoned on the deadline
@@ -79,6 +82,9 @@ struct RetryStats {
 /// the call retried rather than handed to the protocol layer; so is a
 /// reply that fails its CRC, since at this layer a checksum failure means
 /// the link damaged a frame and re-sending the intact copy is the fix.
+///
+/// Call and MultiCall share one retry loop (RunOps): a Call is the
+/// one-op case, sent as its own stamped frame.
 class RetryingChannel : public Channel {
  public:
   /// `inner` must outlive this wrapper. `rng` (nullable) seeds the jitter
@@ -136,6 +142,13 @@ class RetryingChannel : public Channel {
   /// Stamps the remaining overall deadline onto `msg` and caps the inner
   /// transport's IO timeout to it (see RetryOptions::call_deadline_ms).
   void StampRemainingDeadline(Message* msg, double start_ms);
+  /// The retry loop behind Call and MultiCall. Sends `requests` in rounds
+  /// through the inner Submit/Await, `group_size` ops per frame (1 sends
+  /// each stamped op as its own frame, more packs kMsgBatch envelopes),
+  /// and returns one outcome per op. `multicall` picks the span names:
+  /// rpc.multicall with rpc.envelope frames, or rpc.call with rpc.attempt.
+  std::vector<Result<Message>> RunOps(std::span<const Message> requests,
+                                      size_t group_size, bool multicall);
 
   Channel* inner_;
   RetryOptions options_;

@@ -186,7 +186,6 @@ TcpServer::TcpServer(MessageHandler* handler, int listen_fd, uint16_t port,
       options_(options) {
   if (options_.reactor_loops == 0) options_.reactor_loops = 1;
   if (options_.dispatch_workers == 0) options_.dispatch_workers = 1;
-  if (options_.pipeline_queue == 0) options_.pipeline_queue = 1;
 }
 
 Result<std::unique_ptr<TcpServer>> TcpServer::Start(MessageHandler* handler,
@@ -220,15 +219,6 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Start(MessageHandler* handler,
         return static_cast<double>(raw->connections_active());
       },
       "Open TCP connections on reactor servers");
-  TcpServer* raw_for_sweep = server.get();
-  if (options.idle_timeout_ms > 0) {
-    // Sweep at a fraction of the timeout so a connection is closed at
-    // most ~1.25x after it went idle. Must be scheduled before Start().
-    const uint64_t period =
-        std::max<uint64_t>(options.idle_timeout_ms / 4, 10);
-    server->reactor_->loop(0)->SchedulePeriodic(
-        period, [raw_for_sweep] { raw_for_sweep->SweepIdleConnections(); });
-  }
   server->reactor_->Start();
   TcpServer* raw = server.get();
   raw->reactor_->loop(0)->Post([raw] {
@@ -243,32 +233,6 @@ TcpServer::~TcpServer() { Stop(); }
 size_t TcpServer::connections_active() const {
   std::lock_guard<std::mutex> lock(conns_mu_);
   return conns_.size();
-}
-
-void TcpServer::SweepIdleConnections() {
-  static obs::MetricsRegistry::Counter* swept =
-      obs::MetricsRegistry::Global().GetCounter(
-          "sse_net_idle_closed_total",
-          "Connections closed by the idle sweeper");
-  const int64_t now_ms = Connection::NowMs();
-  const int64_t cutoff = now_ms - static_cast<int64_t>(options_.idle_timeout_ms);
-  std::vector<std::shared_ptr<Connection>> victims;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [raw, shared] : conns_) {
-      // Only fully quiescent connections are eligible: nothing dispatched
-      // and nothing waiting to flush. A slow in-flight request is load,
-      // not idleness.
-      if (!raw->closed() && raw->outstanding() == 0 &&
-          raw->queued_replies() == 0 && raw->last_activity_ms() <= cutoff) {
-        victims.push_back(shared);
-      }
-    }
-  }
-  for (auto& conn : victims) {
-    conn->Close();
-    swept->Add();
-  }
 }
 
 size_t TcpServer::serving_threads() const {
@@ -293,8 +257,6 @@ void TcpServer::AcceptReady() {
     SetNoDelay(conn_fd);
     connections_accepted_.fetch_add(1);
 
-    Connection::Options conn_opts;
-    conn_opts.max_outstanding = options_.pipeline_queue;
     Connection::Callbacks callbacks;
     callbacks.on_frame = [this](const std::shared_ptr<Connection>& conn,
                                 Bytes frame) {
@@ -304,7 +266,7 @@ void TcpServer::AcceptReady() {
       OnConnectionClosed(conn);
     };
     auto conn = std::make_shared<Connection>(conn_fd, reactor_->NextLoop(),
-                                             conn_opts, std::move(callbacks));
+                                             std::move(callbacks));
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       conns_.emplace(conn.get(), conn);

@@ -49,7 +49,7 @@ namespace sse::net {
 /// continuously and replies are written as each completes — so a client
 /// with many in-flight submissions keeps the wire and the handler busy at
 /// the same time. Per-connection backpressure
-/// (Options::pipeline_queue) pauses reading a connection whose reply
+/// (Connection::kMaxOutstanding) pauses reading a connection whose reply
 /// window is full, pushing back through TCP flow control. Error replies
 /// echo the request's session stamp (when one can be recovered) so a
 /// pipelined client can correlate them with the call they answer. With a
@@ -66,10 +66,6 @@ class TcpServer {
     /// Threads in the server-wide dispatch pool shared by every
     /// connection.
     size_t dispatch_workers = 4;
-    /// Backpressure bound per connection: frames dispatched whose replies
-    /// are not yet fully written. Beyond it the reactor stops reading
-    /// that connection until replies drain.
-    size_t pipeline_queue = 64;
     /// Answer kMsgStats admin requests in the server itself (from the
     /// process-wide metrics registry and span collector) instead of
     /// forwarding them to the handler.
@@ -80,11 +76,6 @@ class TcpServer {
     /// and flushes their queued replies for up to this long before
     /// closing sockets. 0 aborts immediately (replies may be dropped).
     double drain_timeout_ms = 5000.0;
-    /// Close connections with no socket activity for this long and no
-    /// requests in flight (counted by sse_net_idle_closed_total). 0
-    /// disables sweeping — the default, since abandoned-socket reclaim
-    /// is an operator policy, not a protocol behavior.
-    uint64_t idle_timeout_ms = 0;
     /// Admission control: consulted on the loop thread for every data
     /// frame before it is queued for dispatch; a refusal sheds the frame
     /// with a retryable RESOURCE_EXHAUSTED carrying the controller's
@@ -140,9 +131,6 @@ class TcpServer {
             Options options);
   /// Accept-loop body, run on loop 0 whenever the listener is readable.
   void AcceptReady();
-  /// Closes connections idle past Options::idle_timeout_ms (periodic on
-  /// loop 0; only fully quiescent connections are eligible).
-  void SweepIdleConnections();
   /// Frame entry from a connection: admission check, accounting, then
   /// hand-off to the pool (or an immediate shed reply).
   void DispatchFrame(const std::shared_ptr<Connection>& conn, Bytes frame);

@@ -239,21 +239,7 @@ FailoverChannel::Node* FailoverChannel::Route(const net::Message& request,
 }
 
 Result<net::Message> FailoverChannel::Call(const net::Message& request) {
-  Status why = Status::OK();
-  Node* node = Route(request, &why);
-  if (node == nullptr) return why;
-  const bool was_primary = primary_ >= 0 && node == &nodes_[primary_];
-  Result<net::Message> reply = node->channel->Call(request);
-  RecordOutcome(node, reply.ok() ? Status::OK() : reply.status());
-  if (!reply.ok() && was_primary) {
-    // A dead transport or an explicit "not primary" both mean the role
-    // cache is stale; anything non-retryable is the application's answer.
-    // A shed (RESOURCE_EXHAUSTED) is neither: the primary is healthy,
-    // demoting it would only add probe traffic to an overloaded node —
-    // the breaker above paces us instead.
-    if (reply.status().IsRetryable()) DemotePrimary();
-  }
-  return reply;
+  return Await(Submit(request));
 }
 
 net::Channel::CallId FailoverChannel::Submit(const net::Message& request) {
@@ -289,6 +275,11 @@ Result<net::Message> FailoverChannel::Await(CallId id) {
   }
   Result<net::Message> reply = node->channel->Await(inner_id);
   RecordOutcome(node, reply.ok() ? Status::OK() : reply.status());
+  // A dead transport or an explicit "not primary" both mean the role
+  // cache is stale; anything non-retryable is the application's answer.
+  // A shed (RESOURCE_EXHAUSTED) is neither: the primary is healthy,
+  // demoting it would only add probe traffic to an overloaded node — the
+  // breaker paces us instead.
   if (!reply.ok() && static_cast<int>(index) == primary_ &&
       reply.status().IsRetryable()) {
     DemotePrimary();

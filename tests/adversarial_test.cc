@@ -35,7 +35,7 @@ TEST_P(AdversarialTest, RandomBytesOnAllTypesNeverCrash) {
   int accepted = 0;
   for (uint16_t base : {net::kMsgRangeCommon, net::kMsgRangeScheme1,
                         net::kMsgRangeScheme2, net::kMsgRangeBaseline,
-                        core::kMsgRangeScheme3}) {
+                        net::kMsgRangeScheme3}) {
     for (uint16_t sub = 0; sub < 30; ++sub) {
       for (size_t len : {0u, 1u, 5u, 64u, 300u}) {
         Bytes payload(len);

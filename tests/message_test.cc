@@ -4,6 +4,7 @@
 
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_messages.h"
+#include "sse/core/scheme3_messages.h"
 
 namespace sse::net {
 namespace {
@@ -143,6 +144,11 @@ TEST(MessageTest, TypeNames) {
   EXPECT_EQ(MessageTypeName(core::kMsgS2UpdateRequest).substr(0, 8),
             "Scheme2.");
   EXPECT_EQ(MessageTypeName(0x0301).substr(0, 9), "Baseline.");
+  EXPECT_EQ(MessageTypeName(core::kMsgS3SearchRequest),
+            "Scheme3.SearchRequest");
+  EXPECT_EQ(MessageTypeName(core::kMsgS3ProbeRequest),
+            "Scheme3.ProbeRequest");
+  EXPECT_EQ(MessageTypeName(kMsgRangeScheme3 + 6), "Scheme3.6");
   EXPECT_EQ(MessageTypeName(0x7001).substr(0, 8), "Unknown.");
 }
 

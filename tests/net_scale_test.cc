@@ -17,7 +17,6 @@
 #include "sse/engine/scheme3_adapter.h"
 #include "sse/engine/server_engine.h"
 #include "sse/net/tcp.h"
-#include "sse/obs/metrics_registry.h"
 
 namespace sse::net {
 namespace {
@@ -249,59 +248,6 @@ TEST(NetScaleTest, ConnectionChurnUnderFaultsKeepsServing) {
             static_cast<uint64_t>(kRounds));
   (*server)->Stop();
   EXPECT_EQ((*server)->connections_active(), 0u);
-}
-
-// Reactor-level idle sweeping: connections with no socket activity and no
-// in-flight work are reclaimed after the configured timeout, while a
-// connection that keeps talking is left alone.
-TEST(NetScaleTest, IdleSweepClosesQuietConnectionsButSparesActiveOnes) {
-  auto* swept_counter = obs::MetricsRegistry::Global().GetCounter(
-      "sse_net_idle_closed_total");
-  const uint64_t swept_before = swept_counter->Value();
-
-  EchoHandler handler;
-  TcpServer::Options opts;
-  opts.serialize_handler = false;
-  opts.idle_timeout_ms = 200;
-  auto server = TcpServer::Start(&handler, 0, opts);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  // A handful of connections that never send a byte...
-  constexpr size_t kIdle = 8;
-  std::vector<int> idle_fds;
-  for (size_t i = 0; i < kIdle; ++i) {
-    const int fd = ConnectLoopback((*server)->port());
-    ASSERT_GE(fd, 0);
-    idle_fds.push_back(fd);
-  }
-  // ...and one client that keeps making real calls through the sweep
-  // window (each call resets its activity clock).
-  auto channel = TcpChannel::Connect((*server)->port());
-  ASSERT_TRUE(channel.ok());
-  ASSERT_TRUE(WaitFor(
-      [&] { return (*server)->connections_active() == kIdle + 1; }, 5000));
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
-  bool survived = true;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto reply = (*channel)->Call(Message{7, Bytes{42}});
-    if (!reply.ok()) {
-      survived = false;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_TRUE(survived) << "active connection was swept";
-  EXPECT_TRUE(WaitFor(
-      [&] { return (*server)->connections_active() == 1; }, 5000))
-      << (*server)->connections_active()
-      << " connections open; idle ones should have been swept";
-  EXPECT_GE(swept_counter->Value(), swept_before + kIdle);
-
-  // The swept sockets read EOF from the client side.
-  for (const int fd : idle_fds) ::close(fd);
-  (*server)->Stop();
 }
 
 }  // namespace

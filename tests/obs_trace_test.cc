@@ -50,6 +50,16 @@ const SpanRecord* FindByName(const std::vector<SpanRecord>& spans,
   return nullptr;
 }
 
+/// The name of the span `child` parents to; empty when it is not in
+/// `spans`.
+std::string ParentName(const std::vector<SpanRecord>& spans,
+                       const SpanRecord& child) {
+  for (const SpanRecord& s : spans) {
+    if (s.span_id == child.parent_id) return s.name;
+  }
+  return "";
+}
+
 bool HasNote(const SpanRecord& span, const char* key, uint64_t* value) {
   for (uint32_t i = 0; i < span.note_count; ++i) {
     if (std::string(span.note_keys[i]) == key) {
@@ -258,6 +268,16 @@ TEST(ObsTraceTest, PropagationThroughBatchEnvelopes) {
   const SpanRecord* envelope = FindByName(spans, "rpc.envelope");
   ASSERT_NE(envelope, nullptr);
   EXPECT_TRUE(HasNote(*envelope, "ops", nullptr));
+  // Each round here fits one envelope, whose span stays open while the
+  // frame is handled, so the server's work parents to it.
+  size_t handled = 0;
+  for (const SpanRecord& s : spans) {
+    if (std::string(s.name) == "engine.handle") {
+      ++handled;
+      EXPECT_EQ(ParentName(spans, s), "rpc.envelope");
+    }
+  }
+  EXPECT_GT(handled, 0u);
 }
 
 TEST(ObsTraceTest, FullStackSpanTreeOverTcpExportsChromeJson) {
@@ -303,6 +323,13 @@ TEST(ObsTraceTest, FullStackSpanTreeOverTcpExportsChromeJson) {
        {"test.traced_search", "rpc.call", "rpc.attempt", "net.send_frame",
         "server.dispatch", "engine.handle", "engine.shard", "wal.append"}) {
     EXPECT_TRUE(names.count(required)) << "missing span: " << required;
+  }
+
+  // Each attempt's frame carries its attempt span across the wire.
+  for (const SpanRecord& s : spans) {
+    if (std::string(s.name) == "server.dispatch") {
+      EXPECT_EQ(ParentName(spans, s), "rpc.attempt");
+    }
   }
 
   // Parent links all resolve inside the trace: the tree is connected even

@@ -1,6 +1,6 @@
 // RetryingChannel policy: classification, decorrelated-jitter backoff,
-// deadlines, session stamping (seq reuse across attempts), and client-side
-// stale/corrupt reply detection.
+// deadlines, session stamping (seq reuse across attempts), client-side
+// stale/corrupt reply detection, and the parity of Call and MultiCall.
 
 #include "sse/net/retry.h"
 
@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sse/net/batch.h"
@@ -505,6 +506,108 @@ TEST(MultiCallTest, EmptyRequestListIsANoOp) {
   EXPECT_TRUE(h.retry.MultiCall({}).empty());
   EXPECT_TRUE(h.inner.seen().empty());
 }
+
+// Call(req) is the one-op case of the loop MultiCall runs: every scripted
+// sequence must read the same through Call(req) and MultiCall({req}), with
+// the op sent as its own frame (batch_size 1) or in an envelope (64).
+struct ParityCase {
+  const char* name;
+  RetryOptions options;
+  int failures;  // retryable transport failures before the inner echoes
+  StatusCode code;
+  uint64_t attempts;  // 0: not fixed by the case (the deadline case)
+};
+
+struct ParityOutcome {
+  RetryStats stats;
+  uint64_t resets = 0;
+  std::vector<double> sleeps;
+  StatusCode code = StatusCode::kOk;
+};
+
+ParityOutcome RunParityCase(const ParityCase& c, bool multicall,
+                            int batch_size) {
+  RetryOptions opts = c.options;
+  opts.batch_size = batch_size;
+  Harness h(opts);
+  for (int i = 0; i < c.failures; ++i) {
+    h.inner.Push([](const Message&) -> Result<Message> {
+      return Status::IoError("link down");
+    });
+  }
+  const Status status = multicall ? h.retry.MultiCall({Request()})[0].status()
+                                  : h.retry.Call(Request()).status();
+  return ParityOutcome{h.retry.retry_stats(), h.inner.resets(), h.sleeps,
+                       status.code()};
+}
+
+class RetryParityTest : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(RetryParityTest, CallAndMultiCallAgree) {
+  const ParityCase& c = GetParam();
+  const ParityOutcome call = RunParityCase(c, /*multicall=*/false, 1);
+  EXPECT_EQ(call.code, c.code);
+  if (c.attempts != 0) {
+    EXPECT_EQ(call.stats.attempts, c.attempts);
+  }
+  EXPECT_EQ(call.stats.retries, call.stats.attempts - 1);
+  // A reset and a sleep precede every retry. Only a deadline that expires
+  // during the sleep leaves one without its retry.
+  EXPECT_EQ(call.sleeps.size(),
+            call.stats.retries + call.stats.deadline_exceeded);
+  EXPECT_EQ(call.resets, call.sleeps.size());
+  for (const int batch_size : {1, 64}) {
+    SCOPED_TRACE("MultiCall with batch_size " + std::to_string(batch_size));
+    const ParityOutcome mc = RunParityCase(c, /*multicall=*/true, batch_size);
+    EXPECT_EQ(mc.stats.attempts, call.stats.attempts);
+    EXPECT_EQ(mc.stats.retries, call.stats.retries);
+    EXPECT_EQ(mc.resets, call.resets);
+    EXPECT_EQ(mc.sleeps, call.sleeps);
+    EXPECT_EQ(mc.stats.exhausted, call.stats.exhausted);
+    EXPECT_EQ(mc.stats.budget_exhausted, call.stats.budget_exhausted);
+    EXPECT_EQ(mc.stats.deadline_exceeded, call.stats.deadline_exceeded);
+    EXPECT_EQ(mc.code, call.code);
+  }
+}
+
+RetryOptions WithMaxAttempts(int max_attempts) {
+  RetryOptions opts = FastOptions();
+  opts.max_attempts = max_attempts;
+  return opts;
+}
+
+RetryOptions WithRetryBudget(double tokens) {
+  RetryOptions opts = FastOptions();
+  opts.retry_budget = tokens;
+  return opts;
+}
+
+RetryOptions WithDeadline() {
+  RetryOptions opts = FastOptions();
+  opts.max_attempts = 100;
+  opts.initial_backoff_ms = 40.0;
+  opts.max_backoff_ms = 40.0;
+  opts.call_deadline_ms = 100.0;
+  return opts;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sequences, RetryParityTest,
+    ::testing::Values(
+        ParityCase{"FirstTrySucceeds", FastOptions(), 0, StatusCode::kOk, 1},
+        ParityCase{"OneFailureThenSuccess", FastOptions(), 1, StatusCode::kOk,
+                   2},
+        ParityCase{"TwoFailuresWithTwoAttempts", WithMaxAttempts(2), 2,
+                   StatusCode::kIoError, 2},
+        ParityCase{"TwoTokenRetryBudget", WithRetryBudget(2.0), 100,
+                   StatusCode::kIoError, 3},
+        ParityCase{"DeadlineDuringBackoff", WithDeadline(), 100,
+                   StatusCode::kDeadlineExceeded, 0},
+        ParityCase{"ZeroMaxAttemptsMeansOne", WithMaxAttempts(0), 100,
+                   StatusCode::kIoError, 1}),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(RetryTest, DistinctChannelsDrawDistinctClientIds) {
   DeterministicRandom rng(3);
