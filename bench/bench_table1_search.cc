@@ -615,22 +615,50 @@ std::string SweepReactorConnectionScale() {
   return json;
 }
 
+// A Scheme 3 system whose "hot" keyword has absorbed `updates` updates,
+// each Stored with a unique churn keyword, so both the hot chain and the
+// index grow per round. `update_us` receives the mean Store time.
+core::SseSystem PreloadScheme3(size_t updates, bool resume_cache,
+                               RandomSource* rng, double* update_us) {
+  core::SystemConfig config = BenchConfig(/*max_documents=*/1 << 12,
+                                          /*chain_length=*/4096);
+  config.scheme.server_plaintext_cache = resume_cache;
+  core::SseSystem sys = MustCreate(core::SystemKind::kScheme3, config, rng);
+  Timer update_timer;
+  for (size_t i = 0; i < updates; ++i) {
+    MustOk(sys.client->Store({core::Document::Make(
+               i, "d", {"hot", "churn" + std::to_string(i)})}),
+           "store");
+  }
+  *update_us = update_timer.ElapsedMicros() / updates;
+  return sys;
+}
+
 // T1-search (g): forward-private Scheme 3 under an update-heavy workload.
-// Every update burns one chain element and adds one encrypted index entry;
-// a search with counter c walks the hash chain c-1 steps and decrypts c
-// entries, so search cost grows linearly with the updates a keyword has
-// absorbed — the price of forward privacy relative to Scheme 2's
-// search-anchored counters. Returns a JSON fragment for BENCH_search.json.
+// Every update burns one chain element and adds one encrypted index entry.
+// Without the resume cache a search with counter c walks the hash chain
+// c-1 steps and decrypts c entries, so search cost grows linearly with
+// the updates a keyword has absorbed — the price of forward privacy
+// relative to Scheme 2's search-anchored counters. With the cache, a
+// repeat search walks and opens only the updates made since the
+// keyword's last search. Returns a JSON fragment for BENCH_search.json.
 std::string SweepScheme3UpdateHeavy() {
+  constexpr int kNewUpdates = 8;
   std::printf(
-      "T1-search (g): Scheme 3 (forward-private) update-heavy sweep. Walk\n"
-      "steps per search should equal updates-1 and entries decrypted should\n"
-      "equal updates: linear search cost is the forward-privacy tradeoff.\n"
-      "update_us prices a Store of the hot keyword plus a fresh churn\n"
-      "keyword (whose first key walks l-1 steps from the seed);\n"
-      "hot_update_us prices a Store of the hot keyword alone.\n\n");
+      "T1-search (g): Scheme 3 (forward-private) update-heavy sweep. With\n"
+      "the resume cache off, walk steps per search should equal updates-1\n"
+      "and entries decrypted should equal updates: linear search cost is\n"
+      "the forward-privacy tradeoff. update_us prices a Store of the hot\n"
+      "keyword plus a fresh churn keyword (whose first key walks l-1 steps\n"
+      "from the seed); hot_update_us prices a Store of the hot keyword\n"
+      "alone. The resume columns run with the cache on: after a search,\n"
+      "%d more hot updates, then a search that should walk and open\n"
+      "exactly those %d; resume_search_us still grows with the result\n"
+      "documents it returns.\n\n",
+      kNewUpdates, kNewUpdates);
   TablePrinter table({"updates", "update_us", "hot_update_us",
                       "walk_steps/search", "entries/search", "search_us",
+                      "resume_search_us", "resume_steps", "resume_entries",
                       "index_bytes"});
   table.PrintHeader();
 
@@ -641,75 +669,105 @@ std::string SweepScheme3UpdateHeavy() {
     double walk_steps;
     double entries;
     double search_us;
+    double resume_walk_steps;
+    double resume_entries;
+    double resume_search_us;
     uint64_t index_bytes;
   };
   std::vector<Point> points;
+  const int probes = 8;
   for (size_t updates : {16u, 64u, 256u, 1024u}) {
-    DeterministicRandom rng(10);
-    core::SystemConfig config = BenchConfig(/*max_documents=*/1 << 12,
-                                            /*chain_length=*/4096);
-    core::SseSystem sys = MustCreate(core::SystemKind::kScheme3, config, &rng);
-    auto* server = static_cast<core::Scheme3Server*>(sys.server.get());
+    Point point{};
+    point.updates = updates;
+    {
+      DeterministicRandom rng(10);
+      core::SseSystem sys =
+          PreloadScheme3(updates, /*resume_cache=*/false, &rng,
+                         &point.update_us);
+      auto* server = static_cast<core::Scheme3Server*>(sys.server.get());
+      const uint64_t steps_before = server->total_chain_steps();
+      const uint64_t entries_before = server->total_entries_decrypted();
+      Timer search_timer;
+      for (int i = 0; i < probes; ++i) {
+        MustValue(sys.client->Search("hot"), "search");
+      }
+      point.search_us = search_timer.ElapsedMicros() / probes;
+      point.walk_steps =
+          static_cast<double>(server->total_chain_steps() - steps_before) /
+          probes;
+      point.entries = static_cast<double>(server->total_entries_decrypted() -
+                                          entries_before) /
+                      probes;
+      point.index_bytes = server->stored_index_bytes();
 
-    // Update-heavy phase: each update carries the hot keyword plus a unique
-    // churn keyword, so both the hot chain and the index grow per round.
-    Timer update_timer;
-    for (size_t i = 0; i < updates; ++i) {
-      MustOk(sys.client->Store({core::Document::Make(
-                 i, "d", {"hot", "churn" + std::to_string(i)})}),
-             "store");
+      // After the searches, so the hot chain they walk holds exactly
+      // `updates` entries: the same number of Stores of the hot keyword
+      // alone, which extend its chain and start none.
+      Timer hot_timer;
+      for (size_t i = 0; i < updates; ++i) {
+        MustOk(sys.client->Store(
+                   {core::Document::Make(updates + i, "d", {"hot"})}),
+               "hot store");
+      }
+      point.hot_update_us = hot_timer.ElapsedMicros() / updates;
     }
-    const double update_us = update_timer.ElapsedMicros() / updates;
-
-    const int probes = 8;
-    const uint64_t steps_before = server->total_chain_steps();
-    const uint64_t entries_before = server->total_entries_decrypted();
-    Timer search_timer;
-    for (int i = 0; i < probes; ++i) {
-      MustValue(sys.client->Search("hot"), "search");
+    {
+      DeterministicRandom rng(10);
+      double update_us = 0;
+      core::SseSystem sys =
+          PreloadScheme3(updates, /*resume_cache=*/true, &rng, &update_us);
+      auto* server = static_cast<core::Scheme3Server*>(sys.server.get());
+      MustValue(sys.client->Search("hot"), "first search");
+      uint64_t next_id = updates;
+      double search_us = 0;
+      uint64_t steps = 0;
+      uint64_t entries = 0;
+      for (int i = 0; i < probes; ++i) {
+        for (int u = 0; u < kNewUpdates; ++u) {
+          MustOk(sys.client->Store(
+                     {core::Document::Make(next_id++, "d", {"hot"})}),
+                 "hot store");
+        }
+        const uint64_t steps_before = server->total_chain_steps();
+        const uint64_t entries_before = server->total_entries_decrypted();
+        Timer search_timer;
+        MustValue(sys.client->Search("hot"), "resumed search");
+        search_us += search_timer.ElapsedMicros();
+        steps += server->total_chain_steps() - steps_before;
+        entries += server->total_entries_decrypted() - entries_before;
+      }
+      point.resume_search_us = search_us / probes;
+      point.resume_walk_steps = static_cast<double>(steps) / probes;
+      point.resume_entries = static_cast<double>(entries) / probes;
     }
-    Point point{
-        updates,
-        update_us,
-        0,
-        static_cast<double>(server->total_chain_steps() - steps_before) /
-            probes,
-        static_cast<double>(server->total_entries_decrypted() -
-                            entries_before) /
-            probes,
-        search_timer.ElapsedMicros() / probes,
-        server->stored_index_bytes()};
-
-    // After the searches, so the hot chain they walk holds exactly
-    // `updates` entries: the same number of Stores of the hot keyword
-    // alone, which extend its chain and start none.
-    Timer hot_timer;
-    for (size_t i = 0; i < updates; ++i) {
-      MustOk(sys.client->Store({core::Document::Make(updates + i, "d",
-                                                     {"hot"})}),
-             "hot store");
-    }
-    point.hot_update_us = hot_timer.ElapsedMicros() / updates;
     points.push_back(point);
     table.PrintRow({FmtU(point.updates), Fmt("%.1f", point.update_us),
                     Fmt("%.1f", point.hot_update_us),
                     Fmt("%.1f", point.walk_steps), Fmt("%.1f", point.entries),
-                    Fmt("%.1f", point.search_us), FmtU(point.index_bytes)});
+                    Fmt("%.1f", point.search_us),
+                    Fmt("%.1f", point.resume_search_us),
+                    Fmt("%.1f", point.resume_walk_steps),
+                    Fmt("%.1f", point.resume_entries),
+                    FmtU(point.index_bytes)});
   }
   table.PrintRule();
   std::printf("\n");
 
   std::string json = "  \"scheme3_update_heavy\": {\n";
   for (size_t i = 0; i < points.size(); ++i) {
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "    \"updates_%zu\": {\"update_us\": %.3f, "
                   "\"hot_update_us\": %.3f, "
                   "\"walk_steps\": %.1f, \"entries_decrypted\": %.1f, "
-                  "\"search_us\": %.3f, \"index_bytes\": %llu}%s\n",
+                  "\"search_us\": %.3f, \"resume_walk_steps\": %.1f, "
+                  "\"resume_entries_decrypted\": %.1f, "
+                  "\"resume_search_us\": %.3f, \"index_bytes\": %llu}%s\n",
                   points[i].updates, points[i].update_us,
                   points[i].hot_update_us, points[i].walk_steps,
                   points[i].entries, points[i].search_us,
+                  points[i].resume_walk_steps, points[i].resume_entries,
+                  points[i].resume_search_us,
                   static_cast<unsigned long long>(points[i].index_bytes),
                   i + 1 < points.size() ? "," : "");
     json += buf;

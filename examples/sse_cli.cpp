@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
   config.scheme.chain_length = 1 << 14;
   const uint64_t batch_size = EnvU64("SSE_BATCH_SIZE", 64);
   config.scheme.batch_ops = batch_size > 0;
-  // Scheme 2 Optimization-1 cache bound (0 = unbounded, paper behavior).
+  // Optimization-1 cache bound (0 = unbounded, paper behavior): per shard
+  // for Scheme 2's posting lists, per engine for Scheme 3's resume cache.
   config.scheme.plaintext_cache_max_entries =
       EnvU64("SSE_S2_CACHE_MAX_ENTRIES", 0);
 
@@ -408,13 +409,17 @@ int main(int argc, char** argv) {
                     (*server)->stored_index_bytes()),
                 (*server)->num_shards());
     // The engine's and the durable shell's series (its reply cache among
-    // them), as the stats RPC serves them.
+    // them) and the schemes' Optimization-1 caches, as the stats RPC
+    // serves them.
     std::istringstream scrape(
         obs::MetricsRegistry::Global().RenderPrometheus());
     for (std::string line; std::getline(scrape, line);) {
-      if (line.rfind("sse_engine_", 0) == 0 ||
-          line.rfind("sse_durable_", 0) == 0) {
-        std::printf("%s\n", line.c_str());
+      for (const char* prefix :
+           {"sse_engine_", "sse_durable_", "sse_s2_", "sse_s3_"}) {
+        if (line.rfind(prefix, 0) == 0) {
+          std::printf("%s\n", line.c_str());
+          break;
+        }
       }
     }
   } else if (command == "serve") {

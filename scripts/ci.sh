@@ -77,6 +77,8 @@ if [[ "$SKIP_TSAN" == "1" ]]; then
   echo "==> skipping TSan pass (--skip-tsan)"
 else
   echo "==> tsan: concurrency + chaos + obs + net + repl + crypto tests under ThreadSanitizer"
+  # SSE_TSAN builds with -Werror=tsan: code TSan cannot model (a standalone
+  # std::atomic_thread_fence) fails this build instead of going unchecked.
   cmake -B build-tsan -S . \
     -DSSE_TSAN=ON \
     -DSSE_BUILD_BENCHMARKS=OFF \
@@ -97,7 +99,8 @@ else
   # role lock and the failover router under the race detector. scheme3_test
   # rides along for its owners searching and storing from several threads
   # through one 4-shard engine: probes under shared shard locks (and the
-  # server's relaxed stat counters) race updates under exclusive ones.
+  # server's relaxed stat counters) race updates under exclusive ones, and
+  # searches race each other on the engine's resume cache.
   # overload_test rides in the TSan pass too: the shed path races the
   # reactor loops against the dispatch pool and the admission EWMA. The
   # crypto label runs the kernel's per-thread contexts from eight threads.

@@ -18,6 +18,7 @@ obs::MetricsRegistry::Counter* CacheEvictionsCounter() {
 
 Scheme2Server::Scheme2Server(const SchemeOptions& options)
     : options_(options) {
+  CacheEvictionsCounter();  // listed from the first scrape on
   registrations_.push_back(obs::MetricsRegistry::Global().RegisterGauge(
       "sse_s2_plaintext_cache_entries",
       [this] {

@@ -36,7 +36,9 @@ namespace sse::core {
 ///
 /// The price is client state linear in the number of distinct keywords
 /// (the counter map — the standard forward-privacy trade-off) and a
-/// search cost of c_w chain steps server-side.
+/// search cost of c_w chain steps server-side (with the server's resume
+/// cache, only for a keyword's first search; a repeat search walks the
+/// updates made since).
 class Scheme3Client : public SseClientInterface {
  public:
   static Result<std::unique_ptr<Scheme3Client>> Create(

@@ -83,7 +83,8 @@ struct S3SearchResult {
   std::vector<uint64_t> ids;
   std::vector<WireDocument> documents;
   /// Server-side work counters for the update-heavy benches: chain steps
-  /// walked (one walk: counter - 1) and entries decrypted for this search.
+  /// walked and entries decrypted for this search, at most counter - 1
+  /// and counter (fewer when the walk resumed from an earlier search).
   uint64_t chain_steps = 0;
   uint64_t entries_decrypted = 0;
 

@@ -1,6 +1,7 @@
 #include "sse/core/scheme3_server.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
@@ -8,30 +9,143 @@
 
 namespace sse::core {
 
-Result<std::vector<S3Probe>> WalkTrapdoor(const S3SearchRequest& req,
-                                          uint32_t chain_length) {
+namespace {
+
+obs::MetricsRegistry::Counter* ResumeEvictionsCounter() {
+  static auto* c = obs::MetricsRegistry::Global().GetCounter(
+      "sse_s3_resume_cache_evictions_total",
+      "Scheme 3 resume-cache entries dropped by the LRU bound");
+  return c;
+}
+
+}  // namespace
+
+size_t S3ResumeCache::AddressHash::operator()(
+    const crypto::Sha256Digest& address) const {
+  // Addresses are SHA-256 outputs: any 8 bytes are uniform.
+  size_t h = 0;
+  std::memcpy(&h, address.data(), sizeof(h));
+  return h;
+}
+
+S3ResumeCache::S3ResumeCache(size_t max_entries) : max_entries_(max_entries) {
+  ResumeEvictionsCounter();  // listed from the first scrape on
+  registration_ = obs::MetricsRegistry::Global().RegisterGauge(
+      "sse_s3_resume_cache_entries",
+      [this] { return static_cast<double>(entries()); },
+      "Scheme 3 searches whose answer the resume cache holds");
+}
+
+std::shared_ptr<const index::DocIdList> S3ResumeCache::Find(
+    const crypto::Sha256Digest& address, uint32_t position) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(address);
+  if (it == entries_.end() || it->second.counter != position) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  return it->second.ids;
+}
+
+void S3ResumeCache::Remember(const S3Walk& walk, const index::DocIdList& ids) {
+  auto shared = std::make_shared<const index::DocIdList>(ids);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (walk.generation != generation_) return;
+  if (walk.resumed_at > 0) {
+    auto superseded = entries_.find(walk.resumed_address);
+    if (superseded != entries_.end() &&
+        superseded->second.counter == walk.resumed_at) {
+      lru_.erase(superseded->second.lru);
+      entries_.erase(superseded);
+    }
+  }
+  auto [it, inserted] = entries_.try_emplace(walk.start);
+  if (inserted) {
+    lru_.push_front(walk.start);
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+  }
+  it->second = Entry{walk.counter, std::move(shared), lru_.begin()};
+  while (max_entries_ > 0 && entries_.size() > max_entries_) {
+    entries_.erase(lru_.back());
+    lru_.pop_back();
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ResumeEvictionsCounter()->Add();
+  }
+}
+
+void S3ResumeCache::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.clear();
+  lru_.clear();
+  ++generation_;
+}
+
+uint64_t S3ResumeCache::generation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return generation_;
+}
+
+size_t S3ResumeCache::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
+Result<S3Walk> WalkTrapdoor(const S3SearchRequest& req, uint32_t chain_length,
+                            S3ResumeCache* cache) {
   if (req.chain_element.size() != crypto::kSha256DigestSize) {
     return Status::InvalidArgument("trapdoor chain element must be 32 bytes");
   }
   if (req.counter > chain_length) {
     return Status::InvalidArgument("trapdoor counter exceeds chain length");
   }
-  // Position 0 is k_c; each later one steps toward older keys, so updates
+  S3Walk walk;
+  walk.counter = req.counter;
+  if (cache != nullptr) walk.generation = cache->generation();
+  // Position c is k_c; each later one steps toward older keys, so updates
   // made after this trapdoor was released live at addresses of keys the
   // walk can never reach.
   crypto::Sha256Digest key;
   std::copy(req.chain_element.begin(), req.chain_element.end(), key.begin());
-  std::vector<S3Probe> probes(req.counter);
-  for (size_t i = 0; i < probes.size(); ++i) {
-    if (i > 0) SSE_ASSIGN_OR_RETURN(key, crypto::HashChain::Step(key));
-    probes[i].key = key;
-    SSE_ASSIGN_OR_RETURN(probes[i].address, crypto::HashChain::Tag(key));
+  for (uint32_t position = req.counter; position >= 1; --position) {
+    if (position < req.counter) {
+      SSE_ASSIGN_OR_RETURN(key, crypto::HashChain::Step(key));
+      ++walk.chain_steps;
+    }
+    crypto::Sha256Digest address{};
+    SSE_ASSIGN_OR_RETURN(address, crypto::HashChain::Tag(key));
+    if (position == req.counter) walk.start = address;
+    if (cache != nullptr) {
+      walk.resumed_ids = cache->Find(address, position);
+      if (walk.resumed_ids != nullptr) {
+        walk.resumed_at = position;
+        walk.resumed_address = address;
+        break;
+      }
+    }
+    walk.probes.push_back(S3Probe{address, key});
   }
-  return probes;
+  return walk;
+}
+
+void FinishWalk(const S3Walk& walk, S3ResumeCache* cache,
+                S3SearchResult& result) {
+  result.chain_steps = walk.chain_steps;
+  if (walk.resumed_ids != nullptr) {
+    result.found = true;
+    result.ids = index::MergeIdLists(result.ids, *walk.resumed_ids);
+  }
+  const uint64_t probed = walk.counter - walk.resumed_at;
+  if (cache != nullptr && probed > 0 && result.entries_decrypted == probed) {
+    cache->Remember(walk, result.ids);
+  }
 }
 
 Scheme3Server::Scheme3Server(const SchemeOptions& options)
-    : options_(options) {}
+    : options_(options) {
+  if (options_.server_plaintext_cache) {
+    resume_ = std::make_unique<S3ResumeCache>(
+        options_.plaintext_cache_max_entries);
+  }
+}
 
 Result<net::Message> Scheme3Server::Handle(const net::Message& request) {
   switch (request.type) {
@@ -82,11 +196,12 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
     const {
   S3SearchRequest req;
   SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(msg));
-  std::vector<S3Probe> probes;
-  SSE_ASSIGN_OR_RETURN(probes, WalkTrapdoor(req, options_.chain_length));
+  S3Walk walk;
+  SSE_ASSIGN_OR_RETURN(walk,
+                       WalkTrapdoor(req, options_.chain_length, resume_.get()));
   S3SearchResult result;
-  SSE_ASSIGN_OR_RETURN(result, Probe(probes));
-  result.chain_steps = probes.empty() ? 0 : probes.size() - 1;
+  SSE_ASSIGN_OR_RETURN(result, Probe(walk.probes));
+  FinishWalk(walk, resume_.get(), result);
   total_chain_steps_.fetch_add(result.chain_steps, std::memory_order_relaxed);
   std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
   for (const auto& [id, blob] : fetched) {
@@ -163,6 +278,7 @@ Status Scheme3Server::RestoreState(BytesView data) {
   index_ = std::move(index);
   docs_ = std::move(docs);
   index_bytes_ = index_bytes;
+  if (resume_ != nullptr) resume_->Clear();
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "sse/engine/scheme3_adapter.h"
 
+#include <any>
 #include <utility>
 
 #include "sse/core/scheme3_messages.h"
@@ -15,8 +16,19 @@ using core::S3SearchResult;
 using core::S3UpdateAck;
 using core::S3UpdateRequest;
 
+Scheme3Adapter::Scheme3Adapter(const core::SchemeOptions& options)
+    : options_(options) {
+  if (options_.server_plaintext_cache) {
+    resume_ = std::make_unique<core::S3ResumeCache>(
+        options_.plaintext_cache_max_entries);
+  }
+}
+
 std::unique_ptr<SchemeShard> Scheme3Adapter::CreateShard() const {
-  return std::make_unique<ServerShard<core::Scheme3Server>>(options_);
+  // Shards see probes, never a trapdoor: the resume cache is the adapter's.
+  core::SchemeOptions shard_options = options_;
+  shard_options.server_plaintext_cache = false;
+  return std::make_unique<ServerShard<core::Scheme3Server>>(shard_options);
 }
 
 bool Scheme3Adapter::IsMutating(uint16_t msg_type) const {
@@ -24,8 +36,8 @@ bool Scheme3Adapter::IsMutating(uint16_t msg_type) const {
 }
 
 LockMode Scheme3Adapter::LockModeFor(uint16_t msg_type) const {
-  // Searches are read-only (no plaintext cache to refresh); everything
-  // that writes is the update.
+  // Probes only read a shard (the resume cache lives here, under its own
+  // lock); everything that writes is the update.
   return msg_type == core::kMsgS3UpdateRequest ? LockMode::kExclusive
                                                : LockMode::kShared;
 }
@@ -47,14 +59,15 @@ Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,
     case core::kMsgS3SearchRequest: {
       S3SearchRequest req;
       SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(request));
-      std::vector<S3Probe> probes;
-      SSE_ASSIGN_OR_RETURN(probes,
-                           core::WalkTrapdoor(req, options_.chain_length));
+      core::S3Walk walk;
+      SSE_ASSIGN_OR_RETURN(walk, core::WalkTrapdoor(req, options_.chain_length,
+                                                    resume_.get()));
       ScatterByShard(
-          &S3ProbeRequest::probes, std::move(probes),
+          &S3ProbeRequest::probes, std::move(walk.probes),
           [](const S3Probe& p) -> BytesView { return p.address; }, num_shards,
           /*every_shard=*/false, plan);
       plan.attach_documents = true;
+      plan.merge_state = std::move(walk);
       return plan;
     }
     case core::kMsgS3ProbeRequest:
@@ -71,15 +84,13 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
                                            std::vector<net::Message> replies,
                                            const DocumentFetcher& fetch_docs)
     const {
-  (void)plan;
   switch (request.type) {
     case core::kMsgS3UpdateRequest:
       return SumAcks(replies, &S3UpdateAck::entries_added);
     case core::kMsgS3SearchRequest: {
-      S3SearchRequest req;
-      SSE_ASSIGN_OR_RETURN(req, S3SearchRequest::FromMessage(request));
+      const auto* walk = std::any_cast<core::S3Walk>(&plan.merge_state);
+      if (walk == nullptr) return Status::Internal("search plan has no walk");
       S3SearchResult merged;
-      merged.chain_steps = req.counter > 0 ? req.counter - 1 : 0;  // one walk
       index::DocIdList ids;
       for (net::Message& reply : replies) {
         S3SearchResult part;
@@ -89,6 +100,7 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
         ids = index::MergeIdLists(ids, part.ids);
       }
       merged.ids = std::move(ids);
+      core::FinishWalk(*walk, resume_.get(), merged);
       SSE_RETURN_IF_ERROR(
           AttachDocuments(fetch_docs, merged.ids, merged.documents));
       return merged.ToMessage();
@@ -99,6 +111,10 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
       }
       return std::move(replies[0]);
   }
+}
+
+void Scheme3Adapter::OnStateRestored() {
+  if (resume_ != nullptr) resume_->Clear();
 }
 
 }  // namespace sse::engine

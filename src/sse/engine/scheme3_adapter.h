@@ -1,6 +1,8 @@
 #ifndef SSE_ENGINE_SCHEME3_ADAPTER_H_
 #define SSE_ENGINE_SCHEME3_ADAPTER_H_
 
+#include <memory>
+
 #include "sse/core/options.h"
 #include "sse/core/scheme3_server.h"
 #include "sse/engine/scheme_shard.h"
@@ -18,13 +20,17 @@ namespace sse::engine {
 /// shard opens only its own probes and the merge unions the decrypted
 /// deltas.
 ///
-/// Searches touch no shard state (Scheme 3 keeps no plaintext cache), so
+/// With SchemeOptions::server_plaintext_cache the adapter keeps the
+/// engine's one core::S3ResumeCache (bounded by
+/// plaintext_cache_max_entries): Route walks only down to the position an
+/// earlier search of the keyword stopped at and probes the positions added
+/// since, and Merge unions in the remembered ids and remembers the new
+/// answer. The cache has its own lock and probes touch no shard state, so
 /// probes run under a shared lock — concurrent searches proceed in
-/// parallel on every shard.
+/// parallel on every shard. RestoreState's swap empties the cache.
 class Scheme3Adapter : public SchemeAdapter {
  public:
-  explicit Scheme3Adapter(const core::SchemeOptions& options)
-      : options_(options) {}
+  explicit Scheme3Adapter(const core::SchemeOptions& options);
 
   std::string_view name() const override { return "scheme3"; }
   std::unique_ptr<SchemeShard> CreateShard() const override;
@@ -36,9 +42,14 @@ class Scheme3Adapter : public SchemeAdapter {
                              const RequestPlan& plan,
                              std::vector<net::Message> replies,
                              const DocumentFetcher& fetch_docs) const override;
+  void OnStateRestored() override;
+
+  /// The engine's resume cache; null when server_plaintext_cache is off.
+  const core::S3ResumeCache* resume_cache() const { return resume_.get(); }
 
  private:
   core::SchemeOptions options_;
+  std::unique_ptr<core::S3ResumeCache> resume_;
 };
 
 }  // namespace sse::engine

@@ -1,6 +1,7 @@
 #ifndef SSE_ENGINE_SCHEME_SHARD_H_
 #define SSE_ENGINE_SCHEME_SHARD_H_
 
+#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,6 +89,9 @@ struct RequestPlan {
   std::vector<core::WireDocument> documents;
   /// Merge needs to attach result.ids' ciphertexts from the engine store.
   bool attach_documents = false;
+  /// What Route learned that Merge needs and no sub-request carries
+  /// (Scheme 3: where a search's walk stopped). Only the adapter reads it.
+  std::any merge_state;
 };
 
 /// Fetches (id, ciphertext) pairs from the engine's shared document store;
@@ -98,9 +102,11 @@ using DocumentFetcher =
 
 /// Scheme-specific sharding policy: how to create shard-local state, how to
 /// split a request across shards, and how to merge the shard replies into
-/// the single reply the (unmodified) scheme client expects. Adapters are
-/// stateless and shared across worker threads — all state lives in shards
-/// or in the engine.
+/// the single reply the (unmodified) scheme client expects. One adapter
+/// serves every thread that calls the engine. Index state lives in shards
+/// or in the engine; an adapter may keep only soft state derived from what
+/// searches revealed (Scheme 3's resume cache), thread-safe on its own and
+/// dropped by OnStateRestored().
 class SchemeAdapter {
  public:
   virtual ~SchemeAdapter() = default;
@@ -121,6 +127,11 @@ class SchemeAdapter {
                                      std::vector<net::Message> replies,
                                      const DocumentFetcher& fetch_docs)
       const = 0;
+
+  /// Called by the engine once RestoreState has swapped every shard, while
+  /// it still holds the shard locks: forget what was learned from the old
+  /// shards.
+  virtual void OnStateRestored() {}
 };
 
 }  // namespace sse::engine

@@ -395,6 +395,7 @@ Status ServerEngine::RestoreState(BytesView data) {
   for (size_t i = 0; i < slots_.size(); ++i) {
     slots_[i]->shard = std::move(shards[i]);
   }
+  adapter_->OnStateRestored();
   return Status::OK();
 }
 

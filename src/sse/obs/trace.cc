@@ -41,9 +41,12 @@ uint64_t CurrentTraceIdForLogs() { return tl_current.trace_id; }
 /// One span slot, written only by the owning thread, read by any. A
 /// per-slot seqlock makes torn reads detectable: seq is odd while a write
 /// is in progress, and a reader accepts a slot only when it observes the
-/// same even seq before and after reading the fields. Every field is an
-/// atomic accessed relaxed inside the seq bracket, so the protocol is both
-/// correct and clean under ThreadSanitizer.
+/// same even seq before and after reading the fields. It is the fence-free
+/// form: every field is an atomic stored with release and loaded with
+/// acquire. A reader that loads a field of a write in progress therefore
+/// also sees that write's odd seq, and its closing seq load cannot move
+/// above its field loads. No standalone fence is needed, which
+/// ThreadSanitizer could not model; on x86 both orders are plain moves.
 struct SpanCollector::Slot {
   std::atomic<uint64_t> seq{0};  // 0 = never written
   std::atomic<uint64_t> epoch{0};
@@ -96,25 +99,23 @@ void SpanCollector::Record(const SpanRecord& record) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
 
   const uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq + 1, std::memory_order_release);  // odd: in progress
-  slot.epoch.store(epoch_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  slot.name.store(reinterpret_cast<uintptr_t>(record.name),
-                  std::memory_order_relaxed);
-  slot.trace_id.store(record.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(record.span_id, std::memory_order_relaxed);
-  slot.parent_id.store(record.parent_id, std::memory_order_relaxed);
-  slot.start_ns.store(record.start_ns, std::memory_order_relaxed);
-  slot.end_ns.store(record.end_ns, std::memory_order_relaxed);
-  slot.tid.store(buffer.tid, std::memory_order_relaxed);
+  slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: in progress
+  constexpr auto kPublish = std::memory_order_release;
+  slot.epoch.store(epoch_.load(std::memory_order_relaxed), kPublish);
+  slot.name.store(reinterpret_cast<uintptr_t>(record.name), kPublish);
+  slot.trace_id.store(record.trace_id, kPublish);
+  slot.span_id.store(record.span_id, kPublish);
+  slot.parent_id.store(record.parent_id, kPublish);
+  slot.start_ns.store(record.start_ns, kPublish);
+  slot.end_ns.store(record.end_ns, kPublish);
+  slot.tid.store(buffer.tid, kPublish);
   const uint64_t notes =
       std::min<uint64_t>(record.note_count, SpanRecord::kMaxNotes);
-  slot.note_count.store(notes, std::memory_order_relaxed);
+  slot.note_count.store(notes, kPublish);
   for (uint64_t i = 0; i < notes; ++i) {
     slot.note_keys[i].store(reinterpret_cast<uintptr_t>(record.note_keys[i]),
-                            std::memory_order_relaxed);
-    slot.note_values[i].store(record.note_values[i],
-                              std::memory_order_relaxed);
+                            kPublish);
+    slot.note_values[i].store(record.note_values[i], kPublish);
   }
   slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
 }
@@ -127,26 +128,24 @@ void SpanCollector::CollectInto(std::vector<SpanRecord>* out,
     for (const Slot& slot : buffer->slots) {
       const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
+      constexpr auto kRead = std::memory_order_acquire;
       SpanRecord r;
-      if (slot.epoch.load(std::memory_order_relaxed) != epoch) continue;
+      if (slot.epoch.load(kRead) != epoch) continue;
       r.name = reinterpret_cast<const char*>(
-          static_cast<uintptr_t>(slot.name.load(std::memory_order_relaxed)));
-      r.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      r.span_id = slot.span_id.load(std::memory_order_relaxed);
-      r.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-      r.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-      r.end_ns = slot.end_ns.load(std::memory_order_relaxed);
-      r.tid = static_cast<uint32_t>(
-          slot.tid.load(std::memory_order_relaxed));
+          static_cast<uintptr_t>(slot.name.load(kRead)));
+      r.trace_id = slot.trace_id.load(kRead);
+      r.span_id = slot.span_id.load(kRead);
+      r.parent_id = slot.parent_id.load(kRead);
+      r.start_ns = slot.start_ns.load(kRead);
+      r.end_ns = slot.end_ns.load(kRead);
+      r.tid = static_cast<uint32_t>(slot.tid.load(kRead));
       r.note_count = static_cast<uint32_t>(std::min<uint64_t>(
-          slot.note_count.load(std::memory_order_relaxed),
-          SpanRecord::kMaxNotes));
+          slot.note_count.load(kRead), SpanRecord::kMaxNotes));
       for (uint32_t i = 0; i < r.note_count; ++i) {
-        r.note_keys[i] = reinterpret_cast<const char*>(static_cast<uintptr_t>(
-            slot.note_keys[i].load(std::memory_order_relaxed)));
-        r.note_values[i] = slot.note_values[i].load(std::memory_order_relaxed);
+        r.note_keys[i] = reinterpret_cast<const char*>(
+            static_cast<uintptr_t>(slot.note_keys[i].load(kRead)));
+        r.note_values[i] = slot.note_values[i].load(kRead);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       const uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
       if (s1 != s2) continue;  // overwritten while reading: drop
       if (filter && r.trace_id != trace_filter) continue;

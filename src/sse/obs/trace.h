@@ -46,11 +46,11 @@ struct SpanRecord {
 };
 
 /// Process-wide span sink: one fixed-size ring buffer per recording thread,
-/// written lock-free by its owning thread (a seqlock per slot, all fields
-/// atomic, relaxed stores bracketed by acquire/release on the slot
-/// sequence) and read by Collect() from any thread without stopping
-/// writers. Old spans are overwritten once a thread's ring wraps — the
-/// collector is a flight recorder, not a durable log.
+/// written lock-free by its owning thread (a fence-free seqlock per slot:
+/// all fields atomic, stored with release and loaded with acquire inside
+/// the slot sequence's bracket) and read by Collect() from any thread
+/// without stopping writers. Old spans are overwritten once a thread's
+/// ring wraps — the collector is a flight recorder, not a durable log.
 class SpanCollector {
  public:
   static constexpr size_t kRingSlots = 1024;  // per recording thread

@@ -1,13 +1,18 @@
 // Scheme 3 (forward-private dynamic SSE) specifics that the shared
 // conformance suite cannot express: the forward-privacy guarantee itself,
 // per-keyword counter state round-trips, chain exhaustion, idempotent
-// update replay, the sharded engine's one-walk search, and concurrent
-// owners through one engine.
+// update replay, the sharded engine's one-walk search, concurrent owners
+// through one engine, and the resume cache that lets a search stop where
+// the keyword's last search did.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sse/core/registry.h"
@@ -226,9 +231,11 @@ TEST(Scheme3Test, ShardedEngineWalksTrapdoorOnce) {
   // With engine shards the per-update addresses scatter across shards.
   // The engine walks the trapdoor once and each shard opens only the
   // probes it owns, so a search costs one walk however many shards hold
-  // the keyword's entries.
+  // the keyword's entries. The resume cache is off, so every search walks
+  // in full.
   DeterministicRandom rng(50);
   SystemConfig config = FastTestConfig();
+  config.scheme.server_plaintext_cache = false;
   config.engine_shards = 4;
   SseSystem sys = MakeTestSystem(SystemKind::kScheme3, &rng, config);
   std::vector<uint64_t> expected;
@@ -251,8 +258,8 @@ TEST(Scheme3Test, ShardedEngineWalksTrapdoorOnce) {
   // The unsharded server, given the same Stores, reports the same ids and
   // the same work for every keyword.
   DeterministicRandom plain_rng(50);
-  SseSystem plain =
-      MakeTestSystem(SystemKind::kScheme3, &plain_rng, FastTestConfig());
+  config.engine_shards = 0;
+  SseSystem plain = MakeTestSystem(SystemKind::kScheme3, &plain_rng, config);
   for (uint64_t i = 0; i < 16; ++i) {
     SSE_ASSERT_OK(plain.client->Store({Document::Make(
         i, "doc" + std::to_string(i),
@@ -271,6 +278,33 @@ TEST(Scheme3Test, ShardedEngineWalksTrapdoorOnce) {
               ClientOf(plain)->last_search_entries_decrypted())
         << keyword;
   }
+
+  // With the resume cache on, the first search walks in full, a repeat
+  // walks nothing, and a search after one more Store walks one step.
+  DeterministicRandom cached_rng(50);
+  config = FastTestConfig();
+  config.engine_shards = 4;
+  SseSystem cached = MakeTestSystem(SystemKind::kScheme3, &cached_rng, config);
+  for (uint64_t i = 0; i < 16; ++i) {
+    SSE_ASSERT_OK(cached.client->Store(
+        {Document::Make(i, "doc" + std::to_string(i), {"all"})}));
+  }
+  for (const auto& [steps, entries] :
+       {std::pair<uint64_t, uint64_t>{15, 16}, {0, 0}}) {
+    auto outcome = cached.client->Search("all");
+    SSE_ASSERT_OK_RESULT(outcome);
+    EXPECT_EQ(outcome->ids, expected);
+    EXPECT_EQ(outcome->documents.size(), 16u);
+    EXPECT_EQ(ClientOf(cached)->last_search_chain_steps(), steps);
+    EXPECT_EQ(ClientOf(cached)->last_search_entries_decrypted(), entries);
+  }
+  SSE_ASSERT_OK(cached.client->Store({Document::Make(16, "doc16", {"all"})}));
+  expected.push_back(16);
+  auto grown = cached.client->Search("all");
+  SSE_ASSERT_OK_RESULT(grown);
+  EXPECT_EQ(grown->ids, expected);
+  EXPECT_EQ(ClientOf(cached)->last_search_chain_steps(), 1u);
+  EXPECT_EQ(ClientOf(cached)->last_search_entries_decrypted(), 1u);
 }
 
 TEST(Scheme3Test, TrapdoorInputIsCheckedByServerAndEngine) {
@@ -323,11 +357,12 @@ TEST(Scheme3Test, WalkTrapdoorProbesEveryOlderPosition) {
   S3SearchRequest req;
   req.chain_element = *newest;
   req.counter = 5;
-  auto probes = WalkTrapdoor(req, chain->length());
-  SSE_ASSERT_OK_RESULT(probes);
-  ASSERT_EQ(probes->size(), 5u);
+  auto walk = WalkTrapdoor(req, chain->length());
+  SSE_ASSERT_OK_RESULT(walk);
+  ASSERT_EQ(walk->probes.size(), 5u);
+  EXPECT_EQ(walk->chain_steps, 4u);
   for (uint32_t ctr = 5; ctr >= 1; --ctr) {
-    const S3Probe& probe = (*probes)[5 - ctr];
+    const S3Probe& probe = walk->probes[5 - ctr];
     auto key = chain->KeyForCounter(ctr);
     SSE_ASSERT_OK_RESULT(key);
     EXPECT_EQ(Bytes(probe.key.begin(), probe.key.end()), *key) << ctr;
@@ -338,50 +373,88 @@ TEST(Scheme3Test, WalkTrapdoorProbesEveryOlderPosition) {
   req.counter = 0;
   auto none = WalkTrapdoor(req, chain->length());
   SSE_ASSERT_OK_RESULT(none);
-  EXPECT_TRUE(none->empty());
+  EXPECT_TRUE(none->probes.empty());
+  EXPECT_EQ(none->chain_steps, 0u);
+}
+
+TEST(Scheme3Test, WalkReadBeforeClearIsNotRemembered) {
+  // An engine search reads the resume cache at Route and fills it at
+  // Merge. A RestoreState in between empties the cache, and the walk that
+  // read the old index must not refill it.
+  auto chain = crypto::HashChain::Create(Bytes(32, 0x44), 16);
+  SSE_ASSERT_OK_RESULT(chain);
+  auto newest = chain->KeyForCounter(3);
+  SSE_ASSERT_OK_RESULT(newest);
+  S3SearchRequest req;
+  req.chain_element = *newest;
+  req.counter = 3;
+  S3SearchResult opened;
+  opened.ids = {1, 2, 3};
+  opened.entries_decrypted = 3;
+
+  S3ResumeCache cache(/*max_entries=*/0);
+  auto walk = WalkTrapdoor(req, chain->length(), &cache);
+  SSE_ASSERT_OK_RESULT(walk);
+  cache.Clear();
+  S3SearchResult result = opened;
+  FinishWalk(*walk, &cache, result);
+  EXPECT_EQ(cache.entries(), 0u);
+
+  walk = WalkTrapdoor(req, chain->length(), &cache);
+  SSE_ASSERT_OK_RESULT(walk);
+  result = opened;
+  FinishWalk(*walk, &cache, result);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 TEST(Scheme3Test, ConcurrentOwnersThroughOneEngine) {
   // Probes run under shared shard locks and updates under exclusive ones.
   // Several owners storing and searching through one 4-shard engine keep
-  // both kinds racing on every shard; CI runs this suite under TSan and
-  // ASan.
-  const SchemeOptions options = FastTestConfig().scheme;
-  std::unique_ptr<engine::ServerEngine> sharded = MakeScheme3Engine(options);
-  constexpr uint64_t kOwners = 4;
-  constexpr uint64_t kStores = 12;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> owners;
-  for (uint64_t t = 0; t < kOwners; ++t) {
-    owners.emplace_back([&, t] {
-      net::InProcessChannel channel(sharded.get());
-      DeterministicRandom rng(60 + t);
-      auto client =
-          Scheme3Client::Create(TestMasterKey(), options, &channel, &rng);
-      if (!client.ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      const std::string own = "owner" + std::to_string(t);
-      std::vector<uint64_t> expected;
-      for (uint64_t i = 0; i < kStores; ++i) {
-        const uint64_t id = t * kStores + i;
-        const std::string group = own + "/" + std::to_string(i % 3);
-        if (!(*client)->Store({Document::Make(id, "doc", {own, group})}).ok()) {
+  // both kinds racing on every shard, and with the resume cache on, on the
+  // engine's one cache too; CI runs this suite under TSan and ASan.
+  for (const bool resume : {false, true}) {
+    SchemeOptions options = FastTestConfig().scheme;
+    options.server_plaintext_cache = resume;
+    std::unique_ptr<engine::ServerEngine> sharded = MakeScheme3Engine(options);
+    constexpr uint64_t kOwners = 4;
+    constexpr uint64_t kStores = 12;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> owners;
+    for (uint64_t t = 0; t < kOwners; ++t) {
+      owners.emplace_back([&, t] {
+        net::InProcessChannel channel(sharded.get());
+        DeterministicRandom rng(60 + t);
+        auto client =
+            Scheme3Client::Create(TestMasterKey(), options, &channel, &rng);
+        if (!client.ok()) {
           failures.fetch_add(1);
-          continue;
+          return;
         }
-        expected.push_back(id);
-        auto outcome = (*client)->Search(own);
-        if (!outcome.ok() || outcome->ids != expected ||
-            (*client)->last_search_chain_steps() != i) {
-          failures.fetch_add(1);
+        const std::string own = "owner" + std::to_string(t);
+        std::vector<uint64_t> expected;
+        for (uint64_t i = 0; i < kStores; ++i) {
+          const uint64_t id = t * kStores + i;
+          const std::string group = own + "/" + std::to_string(i % 3);
+          if (!(*client)->Store({Document::Make(id, "doc", {own, group})})
+                   .ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          expected.push_back(id);
+          // Without the cache a search walks every update; with it, only
+          // the one Stored since the owner's previous search.
+          const uint64_t steps = resume ? std::min<uint64_t>(i, 1) : i;
+          auto outcome = (*client)->Search(own);
+          if (!outcome.ok() || outcome->ids != expected ||
+              (*client)->last_search_chain_steps() != steps) {
+            failures.fetch_add(1);
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& owner : owners) owner.join();
+    EXPECT_EQ(failures.load(), 0) << "resume cache " << resume;
   }
-  for (std::thread& owner : owners) owner.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Scheme3Test, StaleTrapdoorIsForwardPrivateUnderEngine) {
@@ -405,6 +478,247 @@ TEST(Scheme3Test, StaleTrapdoorIsForwardPrivateUnderEngine) {
   SSE_ASSERT_OK_RESULT(stale);
   EXPECT_EQ(stale->ids, std::vector<uint64_t>{0});
 }
+
+/// Delivers calls through `inner`, except that it can hold back one: the
+/// caller sees a transport failure, and the request reaches the server
+/// only when Deliver() runs.
+class HoldBackChannel : public net::Channel {
+ public:
+  explicit HoldBackChannel(net::Channel* inner) : inner_(inner) {}
+
+  Result<net::Message> Call(const net::Message& request) override {
+    if (!hold_next_) return inner_->Call(request);
+    hold_next_ = false;
+    held_ = request;
+    return Status::IoError("request held back");
+  }
+  const net::ChannelStats& stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+  void HoldNext() { hold_next_ = true; }
+  Result<net::Message> Deliver() { return inner_->Call(held_); }
+
+ private:
+  net::Channel* inner_;
+  bool hold_next_ = false;
+  net::Message held_;
+};
+
+/// The resume cache, run against the unsharded server (parameter 0) and a
+/// 4-shard engine (parameter 4): the same client traffic must give the
+/// same ids and the same work on both.
+class Scheme3ResumeTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override { Build(FastTestConfig().scheme); }
+
+  void Build(const SchemeOptions& options) {
+    client_.reset();
+    hold_.reset();
+    channel_.reset();
+    if (GetParam() == 0) {
+      server_ = std::make_unique<Scheme3Server>(options);
+    } else {
+      engine::EngineOptions engine_options;
+      engine_options.num_shards = GetParam();
+      auto engine = engine::ServerEngine::Create(
+          std::make_unique<engine::Scheme3Adapter>(options), engine_options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      server_ = std::move(engine).value();
+    }
+    channel_ = std::make_unique<net::InProcessChannel>(server_.get());
+    hold_ = std::make_unique<HoldBackChannel>(channel_.get());
+    auto client =
+        Scheme3Client::Create(TestMasterKey(), options, hold_.get(), &rng_);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    client_ = std::move(client).value();
+  }
+
+  /// The server's or the engine's resume cache.
+  const S3ResumeCache& cache() const {
+    const S3ResumeCache* cache =
+        GetParam() == 0
+            ? static_cast<const Scheme3Server&>(*server_).resume_cache()
+            : static_cast<const engine::Scheme3Adapter&>(
+                  static_cast<const engine::ServerEngine&>(*server_)
+                      .adapter())
+                  .resume_cache();
+    EXPECT_NE(cache, nullptr);
+    return *cache;
+  }
+
+  /// Stores documents `first`..`last` under `keyword`, one Store each.
+  void StoreRange(uint64_t first, uint64_t last, const std::string& keyword) {
+    for (uint64_t id = first; id <= last; ++id) {
+      SSE_ASSERT_OK(client_->Store({Document::Make(id, "doc", {keyword})}));
+    }
+  }
+
+  /// Searches `keyword` and checks the ids and the work the server reports.
+  void ExpectSearch(const std::string& keyword,
+                    const std::vector<uint64_t>& ids, uint64_t steps,
+                    uint64_t entries) {
+    auto outcome = client_->Search(keyword);
+    SSE_ASSERT_OK_RESULT(outcome);
+    EXPECT_EQ(outcome->ids, ids) << keyword;
+    EXPECT_EQ(outcome->documents.size(), ids.size()) << keyword;
+    EXPECT_EQ(client_->last_search_chain_steps(), steps) << keyword;
+    EXPECT_EQ(client_->last_search_entries_decrypted(), entries) << keyword;
+  }
+
+  /// Sends a raw trapdoor straight to the server.
+  Result<S3SearchResult> Replay(const Bytes& chain_element, uint32_t counter) {
+    S3SearchRequest req;
+    req.chain_element = chain_element;
+    req.counter = counter;
+    net::Message reply;
+    SSE_ASSIGN_OR_RETURN(reply, channel_->Call(req.ToMessage()));
+    return S3SearchResult::FromMessage(reply);
+  }
+
+  static std::vector<uint64_t> Ids(uint64_t first, uint64_t last) {
+    std::vector<uint64_t> ids;
+    for (uint64_t id = first; id <= last; ++id) ids.push_back(id);
+    return ids;
+  }
+
+  DeterministicRandom rng_{70};
+  std::unique_ptr<PersistableHandler> server_;
+  std::unique_ptr<net::InProcessChannel> channel_;
+  std::unique_ptr<HoldBackChannel> hold_;
+  std::unique_ptr<Scheme3Client> client_;
+};
+
+TEST_P(Scheme3ResumeTest, RepeatSearchWalksOnlyNewUpdates) {
+  // A search after k more Stores walks k steps and opens k entries, and
+  // answers what a server without the cache answers.
+  StoreRange(0, 9, "kw");
+  ExpectSearch("kw", Ids(0, 9), 9, 10);
+  EXPECT_EQ(cache().entries(), 1u);
+  for (uint64_t k : {1, 3, 7}) {
+    const uint64_t first = client_->counter("kw").value();
+    StoreRange(first, first + k - 1, "kw");
+    ExpectSearch("kw", Ids(0, first + k - 1), k, k);
+  }
+  ExpectSearch("kw", Ids(0, 20), 0, 0);
+  // Each search replaced the entry it resumed from.
+  EXPECT_EQ(cache().entries(), 1u);
+
+  SchemeOptions off = FastTestConfig().scheme;
+  off.server_plaintext_cache = false;
+  Build(off);
+  StoreRange(0, 20, "kw");
+  ExpectSearch("kw", Ids(0, 20), 20, 21);
+  ExpectSearch("kw", Ids(0, 20), 20, 21);
+}
+
+TEST_P(Scheme3ResumeTest, StaleTrapdoorStaysForwardPrivate) {
+  // Forward privacy with the cache populated: a trapdoor released at
+  // counter 2 opens exactly the two updates made before it, whether the
+  // cache still holds its answer or the answer was superseded.
+  StoreRange(0, 1, "kw");
+  auto trapdoor = client_->MakeTrapdoor("kw");
+  SSE_ASSERT_OK_RESULT(trapdoor);
+  ExpectSearch("kw", Ids(0, 1), 1, 2);
+  StoreRange(2, 3, "kw");
+
+  auto remembered = Replay(trapdoor->chain_element, trapdoor->counter);
+  SSE_ASSERT_OK_RESULT(remembered);
+  EXPECT_EQ(remembered->ids, Ids(0, 1));
+  EXPECT_EQ(remembered->chain_steps, 0u);
+  EXPECT_EQ(remembered->entries_decrypted, 0u);
+
+  ExpectSearch("kw", Ids(0, 3), 2, 2);
+  StoreRange(4, 4, "kw");
+  auto superseded = Replay(trapdoor->chain_element, trapdoor->counter);
+  SSE_ASSERT_OK_RESULT(superseded);
+  EXPECT_EQ(superseded->ids, Ids(0, 1));
+  EXPECT_EQ(superseded->chain_steps, 1u);
+  EXPECT_EQ(superseded->entries_decrypted, 2u);
+  ExpectSearch("kw", Ids(0, 4), 1, 1);
+}
+
+TEST_P(Scheme3ResumeTest, HeldBackUpdateIsFoundOnceDelivered) {
+  // An update whose request is held back burns its counter, so a search
+  // walks past a position with no entry. That search must not be
+  // remembered; once the request arrives, the next search finds it.
+  StoreRange(0, 0, "kw");
+  ExpectSearch("kw", {0}, 0, 1);
+  hold_->HoldNext();
+  EXPECT_FALSE(client_->Store({Document::Make(1, "late", {"kw"})}).ok());
+  StoreRange(2, 2, "kw");
+  ExpectSearch("kw", {0, 2}, 2, 1);
+  EXPECT_EQ(cache().entries(), 1u);  // still only the first search's
+  SSE_ASSERT_OK_RESULT(hold_->Deliver());
+  ExpectSearch("kw", {0, 1, 2}, 2, 2);
+  ExpectSearch("kw", {0, 1, 2}, 0, 0);
+}
+
+TEST_P(Scheme3ResumeTest, MismatchedCounterIsNeverResumedFrom) {
+  // A request (k_5, c') with c' != 5 may leave an entry under f'(k_5), but
+  // it is recorded for c' positions, so an honest walk that reaches k_5 as
+  // position 5 walks on.
+  StoreRange(0, 4, "kw");
+  auto trapdoor = client_->MakeTrapdoor("kw");
+  SSE_ASSERT_OK_RESULT(trapdoor);
+  ASSERT_EQ(trapdoor->counter, 5u);
+  // Three positions from k_5 open updates 5, 4 and 3: ids 4, 3 and 2.
+  auto short_walk = Replay(trapdoor->chain_element, 3);
+  SSE_ASSERT_OK_RESULT(short_walk);
+  EXPECT_EQ(short_walk->ids, Ids(2, 4));
+  // Seven positions from k_5 run past position 1 and open only five.
+  auto long_walk = Replay(trapdoor->chain_element, 7);
+  SSE_ASSERT_OK_RESULT(long_walk);
+  EXPECT_EQ(long_walk->ids, Ids(0, 4));
+  EXPECT_EQ(long_walk->entries_decrypted, 5u);
+
+  StoreRange(5, 6, "kw");
+  ExpectSearch("kw", Ids(0, 6), 6, 7);
+  ExpectSearch("kw", Ids(0, 6), 0, 0);
+}
+
+TEST_P(Scheme3ResumeTest, RestoreForgetsWhatLaterStoresRevealed) {
+  // A restored snapshot predates Stores a cached search has seen; the
+  // search after the restore answers from the snapshot's index alone.
+  StoreRange(0, 1, "kw");
+  auto snapshot = server_->SerializeState();
+  SSE_ASSERT_OK_RESULT(snapshot);
+  StoreRange(2, 3, "kw");
+  ExpectSearch("kw", Ids(0, 3), 3, 4);
+  SSE_ASSERT_OK(server_->RestoreState(*snapshot));
+  EXPECT_EQ(cache().entries(), 0u);
+  ExpectSearch("kw", Ids(0, 1), 3, 2);
+}
+
+TEST_P(Scheme3ResumeTest, LruBoundEvictsAndAnswersStayCorrect) {
+  SchemeOptions bounded = FastTestConfig().scheme;
+  bounded.plaintext_cache_max_entries = 2;
+  Build(bounded);
+  StoreRange(0, 2, "a");
+  StoreRange(3, 4, "b");
+  StoreRange(5, 8, "c");
+  ExpectSearch("a", Ids(0, 2), 2, 3);
+  ExpectSearch("b", Ids(3, 4), 1, 2);
+  ExpectSearch("c", Ids(5, 8), 3, 4);
+  EXPECT_EQ(cache().entries(), 2u);
+  EXPECT_EQ(cache().evictions(), 1u);  // "a", the least recently searched
+
+  StoreRange(9, 9, "b");
+  ExpectSearch("b", {3, 4, 9}, 1, 1);
+  StoreRange(10, 10, "a");
+  ExpectSearch("a", {0, 1, 2, 10}, 3, 4);  // evicted: walks in full
+  ExpectSearch("c", Ids(5, 8), 3, 4);      // evicted by "a"'s answer
+  EXPECT_EQ(cache().entries(), 2u);
+  EXPECT_EQ(cache().evictions(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerAndEngine, Scheme3ResumeTest,
+                         ::testing::Values(size_t{0}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 0 ? std::string("Unsharded")
+                                                  : "Shards" +
+                                                        std::to_string(
+                                                            info.param);
+                         });
 
 // Known-answer vectors. Never regenerate them: they pin the chain
 // elements, update addresses and ciphertexts earlier builds produced, so
