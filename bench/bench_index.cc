@@ -5,9 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "sse/core/token_map.h"
 #include "sse/index/btree.h"
 #include "sse/util/random.h"
 
@@ -43,12 +44,12 @@ BENCHMARK(BM_BTreeLookup)->Range(1 << 10, 1 << 20);
 
 void BM_HashLookup(benchmark::State& state) {
   const size_t u = static_cast<size_t>(state.range(0));
-  core::TokenMap<uint64_t> map(/*use_hash=*/true);
+  std::unordered_map<std::string, uint64_t> map;
   auto tokens = MakeTokens(u, 2);
-  for (size_t i = 0; i < u; ++i) map.Put(tokens[i], i);
+  for (size_t i = 0; i < u; ++i) map.emplace(BytesToString(tokens[i]), i);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map.Get(tokens[i]));
+    benchmark::DoNotOptimize(map.find(BytesToString(tokens[i])));
     i = (i + 7919) % u;
   }
 }

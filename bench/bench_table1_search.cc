@@ -634,6 +634,13 @@ core::SseSystem PreloadScheme3(size_t updates, bool resume_cache,
   return sys;
 }
 
+// The median of `samples` (which it reorders).
+double Median(std::vector<double>& samples) {
+  const auto mid = samples.begin() + static_cast<ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
 // T1-search (g): forward-private Scheme 3 under an update-heavy workload.
 // Every update burns one chain element and adds one encrypted index entry.
 // Without the resume cache a search with counter c walks the hash chain
@@ -641,9 +648,12 @@ core::SseSystem PreloadScheme3(size_t updates, bool resume_cache,
 // the updates a keyword has absorbed — the price of forward privacy
 // relative to Scheme 2's search-anchored counters. With the cache, a
 // repeat search walks and opens only the updates made since the
-// keyword's last search. Returns a JSON fragment for BENCH_search.json.
+// keyword's last search. Search times are medians of kSearches timed
+// searches, so that one host stall does not move a committed figure.
+// Returns a JSON fragment for BENCH_search.json.
 std::string SweepScheme3UpdateHeavy() {
   constexpr int kNewUpdates = 8;
+  constexpr int kSearches = 64;
   std::printf(
       "T1-search (g): Scheme 3 (forward-private) update-heavy sweep. With\n"
       "the resume cache off, walk steps per search should equal updates-1\n"
@@ -652,10 +662,11 @@ std::string SweepScheme3UpdateHeavy() {
       "keyword plus a fresh churn keyword (whose first key walks l-1 steps\n"
       "from the seed); hot_update_us prices a Store of the hot keyword\n"
       "alone. The resume columns run with the cache on: after a search,\n"
-      "%d more hot updates, then a search that should walk and open\n"
-      "exactly those %d; resume_search_us still grows with the result\n"
-      "documents it returns.\n\n",
-      kNewUpdates, kNewUpdates);
+      "%d rounds of %d more hot updates, each followed by a search that\n"
+      "should walk and open exactly those %d; resume_search_us still\n"
+      "grows with the result documents it returns. Both search columns\n"
+      "are medians of %d searches.\n\n",
+      kSearches, kNewUpdates, kNewUpdates, kSearches);
   TablePrinter table({"updates", "update_us", "hot_update_us",
                       "walk_steps/search", "entries/search", "search_us",
                       "resume_search_us", "resume_steps", "resume_entries",
@@ -675,7 +686,6 @@ std::string SweepScheme3UpdateHeavy() {
     uint64_t index_bytes;
   };
   std::vector<Point> points;
-  const int probes = 8;
   for (size_t updates : {16u, 64u, 256u, 1024u}) {
     Point point{};
     point.updates = updates;
@@ -687,17 +697,19 @@ std::string SweepScheme3UpdateHeavy() {
       auto* server = static_cast<core::Scheme3Server*>(sys.server.get());
       const uint64_t steps_before = server->total_chain_steps();
       const uint64_t entries_before = server->total_entries_decrypted();
-      Timer search_timer;
-      for (int i = 0; i < probes; ++i) {
+      std::vector<double> search_us;
+      for (int i = 0; i < kSearches; ++i) {
+        Timer search_timer;
         MustValue(sys.client->Search("hot"), "search");
+        search_us.push_back(search_timer.ElapsedMicros());
       }
-      point.search_us = search_timer.ElapsedMicros() / probes;
+      point.search_us = Median(search_us);
       point.walk_steps =
           static_cast<double>(server->total_chain_steps() - steps_before) /
-          probes;
+          kSearches;
       point.entries = static_cast<double>(server->total_entries_decrypted() -
                                           entries_before) /
-                      probes;
+                      kSearches;
       point.index_bytes = server->stored_index_bytes();
 
       // After the searches, so the hot chain they walk holds exactly
@@ -719,10 +731,10 @@ std::string SweepScheme3UpdateHeavy() {
       auto* server = static_cast<core::Scheme3Server*>(sys.server.get());
       MustValue(sys.client->Search("hot"), "first search");
       uint64_t next_id = updates;
-      double search_us = 0;
+      std::vector<double> search_us;
       uint64_t steps = 0;
       uint64_t entries = 0;
-      for (int i = 0; i < probes; ++i) {
+      for (int i = 0; i < kSearches; ++i) {
         for (int u = 0; u < kNewUpdates; ++u) {
           MustOk(sys.client->Store(
                      {core::Document::Make(next_id++, "d", {"hot"})}),
@@ -732,13 +744,13 @@ std::string SweepScheme3UpdateHeavy() {
         const uint64_t entries_before = server->total_entries_decrypted();
         Timer search_timer;
         MustValue(sys.client->Search("hot"), "resumed search");
-        search_us += search_timer.ElapsedMicros();
+        search_us.push_back(search_timer.ElapsedMicros());
         steps += server->total_chain_steps() - steps_before;
         entries += server->total_entries_decrypted() - entries_before;
       }
-      point.resume_search_us = search_us / probes;
-      point.resume_walk_steps = static_cast<double>(steps) / probes;
-      point.resume_entries = static_cast<double>(entries) / probes;
+      point.resume_search_us = Median(search_us);
+      point.resume_walk_steps = static_cast<double>(steps) / kSearches;
+      point.resume_entries = static_cast<double>(entries) / kSearches;
     }
     points.push_back(point);
     table.PrintRow({FmtU(point.updates), Fmt("%.1f", point.update_us),

@@ -73,7 +73,7 @@ Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
   if (table_count > r.remaining()) {
     return Status::Corruption("table count exceeds payload");
   }
-  core::TokenMap<Bytes> table;
+  index::BTreeMap<Bytes> table;
   for (uint64_t i = 0; i < table_count; ++i) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
@@ -176,7 +176,7 @@ Status CgkoServer::RestoreState(BytesView data) {
   SSE_ASSIGN_OR_RETURN(array, core::GetBytesList(r));
   uint64_t table_count = 0;
   SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
-  core::TokenMap<Bytes> table;
+  index::BTreeMap<Bytes> table;
   for (uint64_t i = 0; i < table_count; ++i) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, r.GetBytes());

@@ -10,11 +10,11 @@
 
 #include "sse/core/client_updates.h"
 #include "sse/core/persistable.h"
-#include "sse/core/token_map.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
+#include "sse/index/btree.h"
 #include "sse/net/channel.h"
 #include "sse/storage/document_store.h"
 
@@ -61,7 +61,7 @@ class CgkoServer : public core::PersistableHandler {
   Result<net::Message> HandleSearch(const net::Message& msg);
 
   std::vector<Bytes> array_;            // A
-  core::TokenMap<Bytes> table_;         // T: token -> masked (addr ‖ key)
+  index::BTreeMap<Bytes> table_;        // T: token -> masked (addr ‖ key)
   storage::DocumentStore docs_;
   uint64_t nodes_walked_ = 0;
   uint64_t index_bytes_uploaded_ = 0;

@@ -20,19 +20,19 @@ struct SchemeOptions {
   /// `l` counted updates can occur before the index must re-initialize.
   uint32_t chain_length = 1 << 12;
 
-  /// Optimization 1: the server keeps what a search decrypted, so a
-  /// repeat search only opens what was added since. Scheme 2 keeps each
-  /// searched keyword's posting list; Scheme 3 keeps each search's answer
-  /// in a resume cache (core::S3ResumeCache), so the next search of the
-  /// keyword walks and opens only the updates made since.
+  /// Optimization 1: the server keeps what a search decrypted in a
+  /// core::SearchCache, so a repeat search only opens what was added
+  /// since. Scheme 2 keeps each searched keyword's posting list and the
+  /// segments it covers; Scheme 3 keeps each search's answer keyed by the
+  /// trapdoor's start address, so the next search of the keyword walks and
+  /// opens only the updates made since.
   bool server_plaintext_cache = true;
 
-  /// Bound on Optimization 1's memory, least recently searched dropped
+  /// Bound on each Optimization-1 cache, least recently searched dropped
   /// first (soft state — a dropped keyword's next search simply opens
-  /// everything again). Scheme 2: at most this many keywords keep a
-  /// decrypted posting list per server, so per engine shard. Scheme 3: at
-  /// most this many answers in the one resume cache per server or engine.
-  /// 0 = unbounded, the paper's original behavior.
+  /// everything again). Scheme 2 keeps one cache per server, so one per
+  /// engine shard; Scheme 3 one per server or engine. 0 = unbounded, the
+  /// paper's original behavior.
   size_t plaintext_cache_max_entries = 0;
 
   /// Scheme 2, Optimization 2: bump the global counter only when a search

@@ -140,7 +140,7 @@ Result<Bytes> Scheme1Server::SerializeState() const {
 }
 
 Status Scheme1Server::RestoreState(BytesView data) {
-  TokenMap<Entry> index;
+  index::BTreeMap<Entry> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 

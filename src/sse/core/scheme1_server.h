@@ -6,7 +6,7 @@
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme1_messages.h"
-#include "sse/core/token_map.h"
+#include "sse/index/btree.h"
 #include "sse/storage/document_store.h"
 
 namespace sse::core {
@@ -50,7 +50,7 @@ class Scheme1Server : public PersistableHandler {
   Result<net::Message> HandleSearchFinish(const net::Message& msg);
 
   SchemeOptions options_;
-  TokenMap<Entry> index_;
+  index::BTreeMap<Entry> index_;
   storage::DocumentStore docs_;
   uint64_t index_bytes_ = 0;
 };

@@ -5,59 +5,13 @@
 
 namespace sse::core {
 
-namespace {
-
-obs::MetricsRegistry::Counter* CacheEvictionsCounter() {
-  static auto* c = obs::MetricsRegistry::Global().GetCounter(
-      "sse_s2_plaintext_cache_evictions_total",
-      "Scheme 2 plaintext-cache entries dropped by the LRU bound");
-  return c;
-}
-
-}  // namespace
-
 Scheme2Server::Scheme2Server(const SchemeOptions& options)
     : options_(options) {
-  CacheEvictionsCounter();  // listed from the first scrape on
-  registrations_.push_back(obs::MetricsRegistry::Global().RegisterGauge(
-      "sse_s2_plaintext_cache_entries",
-      [this] {
-        return static_cast<double>(
-            cache_entries_.load(std::memory_order_relaxed));
-      },
-      "Scheme 2 keywords currently holding a decrypted posting-list cache"));
-}
-
-void Scheme2Server::TouchPlaintextCache(const Bytes& token) {
-  if (options_.plaintext_cache_max_entries == 0) return;
-  auto pos = cache_pos_.find(token);
-  if (pos != cache_pos_.end()) {
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, pos->second);
-  } else {
-    cache_lru_.push_front(token);
-    cache_pos_[token] = cache_lru_.begin();
+  if (options_.server_plaintext_cache) {
+    cache_ = std::make_unique<SearchCache>(options_.plaintext_cache_max_entries,
+                                           "sse_s2_plaintext_cache",
+                                           "Scheme 2 plaintext-cache");
   }
-  while (cache_pos_.size() > options_.plaintext_cache_max_entries) {
-    const Bytes victim = cache_lru_.back();
-    if (Entry* evicted = index_.GetMutable(victim)) {
-      // Soft state only: the segments stay; the next search of this
-      // keyword decrypts them all again instead of the cached suffix.
-      evicted->cached_ids.clear();
-      evicted->cached_ids.shrink_to_fit();
-      evicted->cached_segments = 0;
-    }
-    cache_pos_.erase(victim);
-    cache_lru_.pop_back();
-    cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-    CacheEvictionsCounter()->Add();
-  }
-  cache_entries_.store(cache_pos_.size(), std::memory_order_relaxed);
-}
-
-void Scheme2Server::ResetPlaintextCacheLru() {
-  cache_lru_.clear();
-  cache_pos_.clear();
-  cache_entries_.store(0, std::memory_order_relaxed);
 }
 
 Result<net::Message> Scheme2Server::Handle(const net::Message& request) {
@@ -80,15 +34,15 @@ Result<net::Message> Scheme2Server::HandleUpdate(const net::Message& msg) {
   S2UpdateRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2UpdateRequest::FromMessage(msg));
   for (S2UpdateEntry& e : req.entries) {
-    Entry* entry = index_.GetMutable(e.token);
+    std::vector<S2Segment>* segments = index_.GetMutable(e.token);
     index_bytes_ += e.segment.ciphertext.size() + e.segment.tag.size();
-    if (entry == nullptr) {
-      Entry fresh;
-      fresh.segments.push_back(std::move(e.segment));
+    if (segments == nullptr) {
       index_bytes_ += e.token.size();
+      std::vector<S2Segment> fresh;
+      fresh.push_back(std::move(e.segment));
       index_.Put(e.token, std::move(fresh));
     } else {
-      entry->segments.push_back(std::move(e.segment));
+      segments->push_back(std::move(e.segment));
     }
   }
   for (const WireDocument& doc : req.documents) {
@@ -99,40 +53,43 @@ Result<net::Message> Scheme2Server::HandleUpdate(const net::Message& msg) {
   return ack.ToMessage();
 }
 
-Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg) {
+Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg)
+    const {
   S2SearchRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2SearchRequest::FromMessage(msg));
   S2SearchResult result;
 
-  Entry* entry = index_.GetMutable(req.token);
-  if (entry == nullptr) {
+  const std::vector<S2Segment>* segments = index_.Get(req.token);
+  if (segments == nullptr) {
     result.found = false;
     return result.ToMessage();
   }
   result.found = true;
 
-  // Decide which segments still need decryption (Optimization 1: the ones
-  // beyond the plaintext cache; without the cache, all of them).
-  const size_t start =
-      options_.server_plaintext_cache ? entry->cached_segments : 0;
-  index::DocIdList ids = options_.server_plaintext_cache
-                             ? entry->cached_ids
-                             : index::DocIdList{};
+  // Optimization 1: decrypt only the segments beyond the ones the cached
+  // ids cover; without the cache (or a cached list), all of them.
+  uint64_t generation = 0;
+  SearchCache::Entry cached;
+  if (cache_ != nullptr) {
+    generation = cache_->generation();
+    cached = cache_->Find(req.token);
+  }
+  const size_t start = cached.ids != nullptr ? cached.count : 0;
+  index::DocIdList ids =
+      cached.ids != nullptr ? *cached.ids : index::DocIdList{};
 
   SegmentWalk walk;
-  const Status walked =
-      WalkAndOpenSegments(req.chain_element, entry->segments, start,
-                          options_.chain_length, ids, walk);
-  total_chain_steps_ += walk.chain_steps;
-  total_segments_decrypted_ += walk.segments_opened;
+  const Status walked = WalkAndOpenSegments(
+      req.chain_element, *segments, start, options_.chain_length, ids, walk);
+  total_chain_steps_.fetch_add(walk.chain_steps, std::memory_order_relaxed);
+  total_segments_decrypted_.fetch_add(walk.segments_opened,
+                                      std::memory_order_relaxed);
   SSE_RETURN_IF_ERROR(walked);
   result.chain_steps = walk.chain_steps;
   result.segments_decrypted = walk.segments_opened;
 
-  if (options_.server_plaintext_cache) {
-    entry->cached_ids = ids;
-    entry->cached_segments = entry->segments.size();
-    TouchPlaintextCache(req.token);
+  if (cache_ != nullptr && start < segments->size()) {
+    cache_->Remember(generation, req.token, segments->size(), ids);
   }
 
   result.ids = std::move(ids);
@@ -143,15 +100,17 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg) {
   return result.ToMessage();
 }
 
-Result<net::Message> Scheme2Server::HandleFetchAll(const net::Message& msg) {
+Result<net::Message> Scheme2Server::HandleFetchAll(const net::Message& msg)
+    const {
   S2FetchAllRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2FetchAllRequest::FromMessage(msg));
   S2FetchAllReply reply;
   reply.keywords.reserve(index_.size());
-  index_.ForEach([&](const Bytes& token, const Entry& entry) {
+  index_.ForEach([&](const Bytes& token,
+                     const std::vector<S2Segment>& segments) {
     S2KeywordDump dump;
     dump.token = token;
-    dump.segments = entry.segments;
+    dump.segments = segments;
     reply.keywords.push_back(std::move(dump));
     return true;
   });
@@ -162,13 +121,13 @@ Result<net::Message> Scheme2Server::HandleReinit(const net::Message& msg) {
   S2ReinitRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2ReinitRequest::FromMessage(msg));
   index_.Clear();
-  ResetPlaintextCacheLru();
+  if (cache_ != nullptr) cache_->Clear();
   index_bytes_ = 0;
   for (S2UpdateEntry& e : req.entries) {
-    Entry fresh;
     index_bytes_ +=
         e.token.size() + e.segment.ciphertext.size() + e.segment.tag.size();
-    fresh.segments.push_back(std::move(e.segment));
+    std::vector<S2Segment> fresh;
+    fresh.push_back(std::move(e.segment));
     index_.Put(e.token, std::move(fresh));
   }
   S2ReinitAck ack;
@@ -179,10 +138,11 @@ Result<net::Message> Scheme2Server::HandleReinit(const net::Message& msg) {
 Result<Bytes> Scheme2Server::SerializeState() const {
   BufferWriter w;
   w.PutVarint(index_.size());
-  index_.ForEach([&](const Bytes& token, const Entry& entry) {
+  index_.ForEach([&](const Bytes& token,
+                     const std::vector<S2Segment>& segments) {
     w.PutBytes(token);
-    w.PutVarint(entry.segments.size());
-    for (const S2Segment& seg : entry.segments) {
+    w.PutVarint(segments.size());
+    for (const S2Segment& seg : segments) {
       w.PutBytes(seg.ciphertext);
       w.PutBytes(seg.tag);
     }
@@ -198,7 +158,7 @@ Result<Bytes> Scheme2Server::SerializeState() const {
 }
 
 Status Scheme2Server::RestoreState(BytesView data) {
-  TokenMap<Entry> index;
+  index::BTreeMap<std::vector<S2Segment>> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 
@@ -213,17 +173,17 @@ Status Scheme2Server::RestoreState(BytesView data) {
     if (seg_count > r.remaining()) {
       return Status::Corruption("segment count exceeds payload");
     }
-    Entry entry;
-    entry.segments.reserve(static_cast<size_t>(seg_count));
+    std::vector<S2Segment> segments;
+    segments.reserve(static_cast<size_t>(seg_count));
     index_bytes += token.size();
     for (uint64_t j = 0; j < seg_count; ++j) {
       S2Segment seg;
       SSE_ASSIGN_OR_RETURN(seg.ciphertext, r.GetBytes());
       SSE_ASSIGN_OR_RETURN(seg.tag, r.GetBytes());
       index_bytes += seg.ciphertext.size() + seg.tag.size();
-      entry.segments.push_back(std::move(seg));
+      segments.push_back(std::move(seg));
     }
-    index.Put(token, std::move(entry));
+    index.Put(token, std::move(segments));
   }
   uint64_t doc_count = 0;
   SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
@@ -239,9 +199,9 @@ Status Scheme2Server::RestoreState(BytesView data) {
   index_ = std::move(index);
   docs_ = std::move(docs);
   index_bytes_ = index_bytes;
-  // The restored entries carry no plaintext caches (they are soft state,
-  // never serialized), so the LRU starts over with them.
-  ResetPlaintextCacheLru();
+  // The cache is soft state, never serialized: it starts over with the
+  // restored index.
+  if (cache_ != nullptr) cache_->Clear();
   return Status::OK();
 }
 

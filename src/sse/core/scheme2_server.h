@@ -3,16 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme2_messages.h"
-#include "sse/core/token_map.h"
-#include "sse/index/posting.h"
-#include "sse/obs/metrics_registry.h"
+#include "sse/core/search_cache.h"
+#include "sse/index/btree.h"
 #include "sse/storage/document_store.h"
 
 namespace sse::core {
@@ -27,11 +25,14 @@ namespace sse::core {
 /// to recover each older segment key (Fig. 4); it can never walk backward
 /// to keys of future updates.
 ///
-/// Optimization 1 (paper §5.6): once a search decrypted a keyword's
-/// segments, the union of ids is cached in plaintext, so the next search
-/// only decrypts segments added since. The cache is soft state (never
-/// serialized) — it reflects information the server has legitimately
-/// learned through the access pattern.
+/// Optimization 1 (paper §5.6): with SchemeOptions::server_plaintext_cache
+/// the server keeps one SearchCache, keyed by token, of the ids a search
+/// decrypted and how many segments they cover, so the next search of the
+/// keyword only decrypts segments added since. The cache is soft state
+/// (never serialized) — it reflects information the server has
+/// legitimately learned through the access pattern. It has its own lock,
+/// so a search only reads the index (the stat counters are relaxed
+/// atomics) and an engine shard runs searches under a shared lock.
 class Scheme2Server : public PersistableHandler {
  public:
   explicit Scheme2Server(const SchemeOptions& options);
@@ -49,57 +50,26 @@ class Scheme2Server : public PersistableHandler {
   void ResetIndexStats() { index_.ResetStats(); }
 
   /// Total chain steps walked across all searches (Table 1's l/2x term).
-  uint64_t total_chain_steps() const { return total_chain_steps_; }
+  uint64_t total_chain_steps() const {
+    return total_chain_steps_.load(std::memory_order_relaxed);
+  }
   uint64_t total_segments_decrypted() const {
-    return total_segments_decrypted_;
-  }
-
-  /// Keywords currently holding a decrypted posting-list cache, and how
-  /// many such caches the LRU bound has dropped (see
-  /// SchemeOptions::plaintext_cache_max_entries).
-  size_t plaintext_cache_entries() const {
-    return cache_entries_.load(std::memory_order_relaxed);
-  }
-  uint64_t plaintext_cache_evictions() const {
-    return cache_evictions_.load(std::memory_order_relaxed);
+    return total_segments_decrypted_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Entry {
-    std::vector<S2Segment> segments;
-    // Optimization 1 cache (soft state): ids decrypted so far and how many
-    // segments they cover.
-    index::DocIdList cached_ids;
-    size_t cached_segments = 0;
-  };
-
   Result<net::Message> HandleUpdate(const net::Message& msg);
-  Result<net::Message> HandleSearch(const net::Message& msg);
-  Result<net::Message> HandleFetchAll(const net::Message& msg);
+  Result<net::Message> HandleSearch(const net::Message& msg) const;
+  Result<net::Message> HandleFetchAll(const net::Message& msg) const;
   Result<net::Message> HandleReinit(const net::Message& msg);
 
-  /// Marks `token` most-recently-searched in the plaintext-cache LRU and
-  /// evicts over-bound victims (clearing their Entry cache fields). No-op
-  /// when the bound is off.
-  void TouchPlaintextCache(const Bytes& token);
-  /// Forgets all LRU bookkeeping (index rebuilt: reinit/restore).
-  void ResetPlaintextCacheLru();
-
   SchemeOptions options_;
-  TokenMap<Entry> index_;
+  index::BTreeMap<std::vector<S2Segment>> index_;  // token -> S(w)'s segments
   storage::DocumentStore docs_;
   uint64_t index_bytes_ = 0;
-  uint64_t total_chain_steps_ = 0;
-  uint64_t total_segments_decrypted_ = 0;
-
-  // LRU over tokens with a live plaintext cache, MRU at the front. The
-  // atomics mirror sizes for the metrics scrape thread; all structural
-  // mutation happens under the owner's handler serialization.
-  std::list<Bytes> cache_lru_;
-  std::map<Bytes, std::list<Bytes>::iterator> cache_pos_;
-  std::atomic<size_t> cache_entries_{0};
-  std::atomic<uint64_t> cache_evictions_{0};
-  std::vector<obs::MetricsRegistry::Registration> registrations_;
+  std::unique_ptr<SearchCache> cache_;  // null: server_plaintext_cache off
+  mutable std::atomic<uint64_t> total_chain_steps_{0};
+  mutable std::atomic<uint64_t> total_segments_decrypted_{0};
 };
 
 }  // namespace sse::core

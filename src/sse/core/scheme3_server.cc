@@ -1,7 +1,7 @@
 #include "sse/core/scheme3_server.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
@@ -9,88 +9,15 @@
 
 namespace sse::core {
 
-namespace {
-
-obs::MetricsRegistry::Counter* ResumeEvictionsCounter() {
-  static auto* c = obs::MetricsRegistry::Global().GetCounter(
-      "sse_s3_resume_cache_evictions_total",
-      "Scheme 3 resume-cache entries dropped by the LRU bound");
-  return c;
-}
-
-}  // namespace
-
-size_t S3ResumeCache::AddressHash::operator()(
-    const crypto::Sha256Digest& address) const {
-  // Addresses are SHA-256 outputs: any 8 bytes are uniform.
-  size_t h = 0;
-  std::memcpy(&h, address.data(), sizeof(h));
-  return h;
-}
-
-S3ResumeCache::S3ResumeCache(size_t max_entries) : max_entries_(max_entries) {
-  ResumeEvictionsCounter();  // listed from the first scrape on
-  registration_ = obs::MetricsRegistry::Global().RegisterGauge(
-      "sse_s3_resume_cache_entries",
-      [this] { return static_cast<double>(entries()); },
-      "Scheme 3 searches whose answer the resume cache holds");
-}
-
-std::shared_ptr<const index::DocIdList> S3ResumeCache::Find(
-    const crypto::Sha256Digest& address, uint32_t position) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(address);
-  if (it == entries_.end() || it->second.counter != position) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return it->second.ids;
-}
-
-void S3ResumeCache::Remember(const S3Walk& walk, const index::DocIdList& ids) {
-  auto shared = std::make_shared<const index::DocIdList>(ids);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (walk.generation != generation_) return;
-  if (walk.resumed_at > 0) {
-    auto superseded = entries_.find(walk.resumed_address);
-    if (superseded != entries_.end() &&
-        superseded->second.counter == walk.resumed_at) {
-      lru_.erase(superseded->second.lru);
-      entries_.erase(superseded);
-    }
-  }
-  auto [it, inserted] = entries_.try_emplace(walk.start);
-  if (inserted) {
-    lru_.push_front(walk.start);
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-  }
-  it->second = Entry{walk.counter, std::move(shared), lru_.begin()};
-  while (max_entries_ > 0 && entries_.size() > max_entries_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    ResumeEvictionsCounter()->Add();
-  }
-}
-
-void S3ResumeCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  ++generation_;
-}
-
-uint64_t S3ResumeCache::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
-}
-
-size_t S3ResumeCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+std::unique_ptr<SearchCache> NewResumeCache(const SchemeOptions& options) {
+  if (!options.server_plaintext_cache) return nullptr;
+  return std::make_unique<SearchCache>(options.plaintext_cache_max_entries,
+                                       "sse_s3_resume_cache",
+                                       "Scheme 3 resume-cache");
 }
 
 Result<S3Walk> WalkTrapdoor(const S3SearchRequest& req, uint32_t chain_length,
-                            S3ResumeCache* cache) {
+                            SearchCache* cache) {
   if (req.chain_element.size() != crypto::kSha256DigestSize) {
     return Status::InvalidArgument("trapdoor chain element must be 32 bytes");
   }
@@ -114,8 +41,9 @@ Result<S3Walk> WalkTrapdoor(const S3SearchRequest& req, uint32_t chain_length,
     SSE_ASSIGN_OR_RETURN(address, crypto::HashChain::Tag(key));
     if (position == req.counter) walk.start = address;
     if (cache != nullptr) {
-      walk.resumed_ids = cache->Find(address, position);
-      if (walk.resumed_ids != nullptr) {
+      SearchCache::Entry hit = cache->Find(address);
+      if (hit.ids != nullptr && hit.count == position) {
+        walk.resumed_ids = std::move(hit.ids);
         walk.resumed_at = position;
         walk.resumed_address = address;
         break;
@@ -126,7 +54,7 @@ Result<S3Walk> WalkTrapdoor(const S3SearchRequest& req, uint32_t chain_length,
   return walk;
 }
 
-void FinishWalk(const S3Walk& walk, S3ResumeCache* cache,
+void FinishWalk(const S3Walk& walk, SearchCache* cache,
                 S3SearchResult& result) {
   result.chain_steps = walk.chain_steps;
   if (walk.resumed_ids != nullptr) {
@@ -135,17 +63,17 @@ void FinishWalk(const S3Walk& walk, S3ResumeCache* cache,
   }
   const uint64_t probed = walk.counter - walk.resumed_at;
   if (cache != nullptr && probed > 0 && result.entries_decrypted == probed) {
-    cache->Remember(walk, result.ids);
+    // The new answer supersedes the one the walk resumed from.
+    const BytesView resumed_from = walk.resumed_ids != nullptr
+                                       ? BytesView(walk.resumed_address)
+                                       : BytesView();
+    cache->Remember(walk.generation, walk.start, walk.counter, result.ids,
+                    resumed_from, walk.resumed_at);
   }
 }
 
 Scheme3Server::Scheme3Server(const SchemeOptions& options)
-    : options_(options) {
-  if (options_.server_plaintext_cache) {
-    resume_ = std::make_unique<S3ResumeCache>(
-        options_.plaintext_cache_max_entries);
-  }
-}
+    : options_(options), resume_(NewResumeCache(options)) {}
 
 Result<net::Message> Scheme3Server::Handle(const net::Message& request) {
   switch (request.type) {
@@ -246,7 +174,7 @@ Result<Bytes> Scheme3Server::SerializeState() const {
 }
 
 Status Scheme3Server::RestoreState(BytesView data) {
-  TokenMap<Bytes> index;
+  index::BTreeMap<Bytes> index;
   storage::DocumentStore docs;
   uint64_t index_bytes = 0;
 

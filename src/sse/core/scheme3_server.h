@@ -3,18 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme3_messages.h"
-#include "sse/core/token_map.h"
+#include "sse/core/search_cache.h"
+#include "sse/index/btree.h"
 #include "sse/index/posting.h"
-#include "sse/obs/metrics_registry.h"
 #include "sse/storage/document_store.h"
 
 namespace sse::core {
@@ -38,70 +35,21 @@ struct S3Walk {
   uint32_t resumed_at = 0;
   crypto::Sha256Digest resumed_address{};
   std::shared_ptr<const index::DocIdList> resumed_ids;
-  /// The resume cache's generation when the walk read it.
+  /// The cache's generation when the walk read it.
   uint64_t generation = 0;
 };
 
-/// Scheme 3's counterpart of Optimization 1 (paper §5.6; DESIGN.md §13):
-/// the server remembers what a search revealed, so the next search of the
-/// keyword walks and opens only the updates made since.
-///
-/// An entry is keyed by a trapdoor's start address f'(k_c) and holds c
-/// and the merged ids of positions c..1. A walk resumes only from an entry
-/// recorded for the position it reached, so a request (k_c, c') with
-/// c' != c is never resumed from. A search is remembered only when every
-/// position it probed opened an entry, so no entry covers a position whose
-/// update has not arrived (a burned counter, a held-back request); a later
-/// walk passes through it again. Never serialized, journaled or shipped.
-/// Thread-safe: one mutex, held per lookup or insert, never across a chain
-/// step.
-class S3ResumeCache {
- public:
-  /// Keeps at most `max_entries` answers, dropping the least recently
-  /// used one first (0 = unbounded).
-  explicit S3ResumeCache(size_t max_entries);
-
-  S3ResumeCache(const S3ResumeCache&) = delete;
-  S3ResumeCache& operator=(const S3ResumeCache&) = delete;
-
-  /// The ids remembered under `address` for walk position `position`, or
-  /// null; a hit becomes the most recently used entry.
-  std::shared_ptr<const index::DocIdList> Find(
-      const crypto::Sha256Digest& address, uint32_t position);
-
-  /// Remembers `ids` as the answer of `walk`'s trapdoor and drops the
-  /// entry the walk resumed from, which the new one supersedes. Ignored
-  /// when Clear() ran since the walk read the cache.
-  void Remember(const S3Walk& walk, const index::DocIdList& ids);
-
-  /// Drops every entry and voids walks already under way (their answers
-  /// are not remembered): the index they read was replaced.
-  void Clear();
-
-  uint64_t generation() const;
-  size_t entries() const;
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct AddressHash {
-    size_t operator()(const crypto::Sha256Digest& address) const;
-  };
-  struct Entry {
-    uint32_t counter = 0;
-    std::shared_ptr<const index::DocIdList> ids;
-    std::list<crypto::Sha256Digest>::iterator lru;
-  };
-
-  const size_t max_entries_;
-  mutable std::mutex mu_;
-  std::unordered_map<crypto::Sha256Digest, Entry, AddressHash> entries_;
-  std::list<crypto::Sha256Digest> lru_;  // most recently used first
-  uint64_t generation_ = 0;
-  std::atomic<uint64_t> evictions_{0};
-  obs::MetricsRegistry::Registration registration_;
-};
+/// The resume cache that `options` ask for (SchemeOptions::
+/// server_plaintext_cache, bounded by plaintext_cache_max_entries), or null.
+/// Scheme 3's Optimization 1 (DESIGN.md §13): an entry is keyed by a
+/// trapdoor's start address f'(k_c) and holds c and the merged ids of
+/// positions c..1. A walk resumes only from an entry recorded for the
+/// position it reached, so a request (k_c, c') with c' != c is never
+/// resumed from. A search is remembered only when every position it probed
+/// opened an entry, so no entry covers a position whose update has not
+/// arrived (a burned counter, a held-back request); a later walk passes
+/// through it again.
+std::unique_ptr<SearchCache> NewResumeCache(const SchemeOptions& options);
 
 /// Walks trapdoor `req` = (k_c, c) toward older keys and returns the
 /// probes of the positions left to open. With a `cache`, the walk stops at
@@ -110,14 +58,14 @@ class S3ResumeCache {
 /// 32-byte chain element or c exceeds `chain_length`; a counter of 0
 /// yields no probes.
 Result<S3Walk> WalkTrapdoor(const S3SearchRequest& req, uint32_t chain_length,
-                            S3ResumeCache* cache = nullptr);
+                            SearchCache* cache = nullptr);
 
 /// Completes a search from its walk and from what the walk's probes
 /// opened (`result`: canonical ids, entries decrypted): reports the
 /// walk's chain steps, unions in the ids the walk resumed from and, when
 /// every probed position opened an entry, remembers the answer in `cache`
 /// (if any).
-void FinishWalk(const S3Walk& walk, S3ResumeCache* cache,
+void FinishWalk(const S3Walk& walk, SearchCache* cache,
                 S3SearchResult& result);
 
 /// The honest-but-curious server of Scheme 3 (forward-private dynamic SSE,
@@ -132,10 +80,10 @@ void FinishWalk(const S3Walk& walk, S3ResumeCache* cache,
 /// (or address) of an update made after the trapdoor was released — that
 /// is the forward-privacy guarantee.
 ///
-/// With SchemeOptions::server_plaintext_cache, the server keeps one
-/// S3ResumeCache, so a repeat search walks and opens only the updates made
-/// since the keyword's last search. The cache has its own lock, so a
-/// search still only reads the index (the stat counters are relaxed
+/// With SchemeOptions::server_plaintext_cache, the server keeps one resume
+/// cache (NewResumeCache), so a repeat search walks and opens only the
+/// updates made since the keyword's last search. The cache has its own
+/// lock, so a search only reads the index (the stat counters are relaxed
 /// atomics) and the engine runs probes under a shared lock. An engine
 /// shard never sees a trapdoor, only a kMsgS3ProbeRequest: the probes of
 /// the engine's one walk that land on it. The engine's adapter keeps the
@@ -165,7 +113,7 @@ class Scheme3Server : public PersistableHandler {
 
   /// The resume cache; null when SchemeOptions::server_plaintext_cache is
   /// off.
-  const S3ResumeCache* resume_cache() const { return resume_.get(); }
+  const SearchCache* resume_cache() const { return resume_.get(); }
 
   /// Total chain steps walked / entries decrypted across all searches.
   uint64_t total_chain_steps() const {
@@ -180,10 +128,10 @@ class Scheme3Server : public PersistableHandler {
   Result<net::Message> HandleSearch(const net::Message& msg) const;
 
   SchemeOptions options_;
-  TokenMap<Bytes> index_;  // f'(k_j) -> E_{k_j}(delta id list)
+  index::BTreeMap<Bytes> index_;  // f'(k_j) -> E_{k_j}(delta id list)
   storage::DocumentStore docs_;
   uint64_t index_bytes_ = 0;
-  std::unique_ptr<S3ResumeCache> resume_;
+  std::unique_ptr<SearchCache> resume_;
   // Search-path stats; relaxed atomics because searches run concurrently
   // under the engine's shared shard lock.
   mutable std::atomic<uint64_t> total_chain_steps_{0};

@@ -23,11 +23,6 @@ bool Scheme1Adapter::IsMutating(uint16_t msg_type) const {
   return msg_type == core::kMsgS1UpdateRequest;
 }
 
-LockMode Scheme1Adapter::LockModeFor(uint16_t msg_type) const {
-  return msg_type == core::kMsgS1UpdateRequest ? LockMode::kExclusive
-                                               : LockMode::kShared;
-}
-
 Result<RequestPlan> Scheme1Adapter::Route(const net::Message& request,
                                           size_t num_shards) const {
   RequestPlan plan;

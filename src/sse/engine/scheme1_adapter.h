@@ -22,7 +22,6 @@ class Scheme1Adapter : public SchemeAdapter {
   std::string_view name() const override { return "scheme1"; }
   std::unique_ptr<SchemeShard> CreateShard() const override;
   bool IsMutating(uint16_t msg_type) const override;
-  LockMode LockModeFor(uint16_t msg_type) const override;
   Result<RequestPlan> Route(const net::Message& request,
                             size_t num_shards) const override;
   Result<net::Message> Merge(const net::Message& request,

@@ -29,20 +29,6 @@ bool Scheme2Adapter::IsMutating(uint16_t msg_type) const {
          msg_type == core::kMsgS2ReinitRequest;
 }
 
-LockMode Scheme2Adapter::LockModeFor(uint16_t msg_type) const {
-  switch (msg_type) {
-    case core::kMsgS2UpdateRequest:
-    case core::kMsgS2ReinitRequest:
-      return LockMode::kExclusive;
-    case core::kMsgS2SearchRequest:
-      // Searching refreshes the Optimization-1 plaintext cache in place.
-      return options_.server_plaintext_cache ? LockMode::kExclusive
-                                             : LockMode::kShared;
-    default:
-      return LockMode::kShared;
-  }
-}
-
 Result<RequestPlan> Scheme2Adapter::Route(const net::Message& request,
                                           size_t num_shards) const {
   RequestPlan plan;

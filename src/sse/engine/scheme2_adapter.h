@@ -15,9 +15,9 @@ namespace sse::engine {
 /// concatenates every shard's dump, Reinit clears all shards and re-seeds
 /// each with its slice of the new epoch's segments.
 ///
-/// Lock discipline caveat: a Scheme 2 *search* refreshes the server's
-/// Optimization-1 plaintext cache, so with the cache enabled searches take
-/// the shard lock exclusively; disable the cache to make searches shared.
+/// Each shard's server keeps its own Optimization-1 cache, under the
+/// cache's own lock, so a search only reads its shard and shares the
+/// shard lock.
 class Scheme2Adapter : public SchemeAdapter {
  public:
   explicit Scheme2Adapter(const core::SchemeOptions& options)
@@ -26,7 +26,6 @@ class Scheme2Adapter : public SchemeAdapter {
   std::string_view name() const override { return "scheme2"; }
   std::unique_ptr<SchemeShard> CreateShard() const override;
   bool IsMutating(uint16_t msg_type) const override;
-  LockMode LockModeFor(uint16_t msg_type) const override;
   Result<RequestPlan> Route(const net::Message& request,
                             size_t num_shards) const override;
   Result<net::Message> Merge(const net::Message& request,

@@ -17,12 +17,7 @@ using core::S3UpdateAck;
 using core::S3UpdateRequest;
 
 Scheme3Adapter::Scheme3Adapter(const core::SchemeOptions& options)
-    : options_(options) {
-  if (options_.server_plaintext_cache) {
-    resume_ = std::make_unique<core::S3ResumeCache>(
-        options_.plaintext_cache_max_entries);
-  }
-}
+    : options_(options), resume_(core::NewResumeCache(options)) {}
 
 std::unique_ptr<SchemeShard> Scheme3Adapter::CreateShard() const {
   // Shards see probes, never a trapdoor: the resume cache is the adapter's.
@@ -33,13 +28,6 @@ std::unique_ptr<SchemeShard> Scheme3Adapter::CreateShard() const {
 
 bool Scheme3Adapter::IsMutating(uint16_t msg_type) const {
   return msg_type == core::kMsgS3UpdateRequest;
-}
-
-LockMode Scheme3Adapter::LockModeFor(uint16_t msg_type) const {
-  // Probes only read a shard (the resume cache lives here, under its own
-  // lock); everything that writes is the update.
-  return msg_type == core::kMsgS3UpdateRequest ? LockMode::kExclusive
-                                               : LockMode::kShared;
 }
 
 Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,

@@ -21,13 +21,14 @@ namespace sse::engine {
 /// deltas.
 ///
 /// With SchemeOptions::server_plaintext_cache the adapter keeps the
-/// engine's one core::S3ResumeCache (bounded by
+/// engine's one resume cache (core::NewResumeCache, bounded by
 /// plaintext_cache_max_entries): Route walks only down to the position an
 /// earlier search of the keyword stopped at and probes the positions added
 /// since, and Merge unions in the remembered ids and remembers the new
-/// answer. The cache has its own lock and probes touch no shard state, so
-/// probes run under a shared lock — concurrent searches proceed in
-/// parallel on every shard. RestoreState's swap empties the cache.
+/// answer. The cache has its own lock and probes only read their shard, so
+/// probes take the shared lock like every other non-mutating message —
+/// concurrent searches proceed in parallel on every shard. RestoreState's
+/// swap empties the cache.
 class Scheme3Adapter : public SchemeAdapter {
  public:
   explicit Scheme3Adapter(const core::SchemeOptions& options);
@@ -35,7 +36,6 @@ class Scheme3Adapter : public SchemeAdapter {
   std::string_view name() const override { return "scheme3"; }
   std::unique_ptr<SchemeShard> CreateShard() const override;
   bool IsMutating(uint16_t msg_type) const override;
-  LockMode LockModeFor(uint16_t msg_type) const override;
   Result<RequestPlan> Route(const net::Message& request,
                             size_t num_shards) const override;
   Result<net::Message> Merge(const net::Message& request,
@@ -45,11 +45,11 @@ class Scheme3Adapter : public SchemeAdapter {
   void OnStateRestored() override;
 
   /// The engine's resume cache; null when server_plaintext_cache is off.
-  const core::S3ResumeCache* resume_cache() const { return resume_.get(); }
+  const core::SearchCache* resume_cache() const { return resume_.get(); }
 
  private:
   core::SchemeOptions options_;
-  std::unique_ptr<core::S3ResumeCache> resume_;
+  std::unique_ptr<core::SearchCache> resume_;
 };
 
 }  // namespace sse::engine

@@ -16,17 +16,20 @@
 
 namespace sse::engine {
 
-/// How a message type must lock the shard it is dispatched to. Searches on
-/// Scheme 1 only read the token tree, so they share; anything that writes
-/// shard state — including Scheme 2's Optimization-1 plaintext cache, which
-/// a *search* refreshes — is exclusive.
+/// How a message type must lock the shard it is dispatched to: a mutation
+/// exclusively, everything else shared. No search writes its shard; what a
+/// search remembers (Optimization 1) goes into a core::SearchCache, which
+/// has its own lock.
 enum class LockMode { kShared, kExclusive };
 
 /// One shard's slice of a scheme server: the keyword entries whose tokens
 /// route to it. Shards never store document ciphertexts — those live in the
 /// engine's shared store — and they never see messages for tokens they do
-/// not own. Implementations wrap an unmodified scheme server; thread safety
-/// is the engine's job (per-shard reader-writer lock), not the shard's.
+/// not own. Implementations wrap an unmodified scheme server. The engine's
+/// per-shard reader-writer lock keeps a mutation apart from everything
+/// else; messages that share the lock must be safe to handle concurrently,
+/// so a server's search path may write only relaxed stat counters and its
+/// own thread-safe SearchCache.
 class SchemeShard {
  public:
   virtual ~SchemeShard() = default;
@@ -41,7 +44,9 @@ class SchemeShard {
 
 /// Wraps any scheme server type (Scheme1Server, Scheme2Server, ...) as a
 /// SchemeShard. The server's own document store stays empty — the routing
-/// adapter strips documents out of updates before they reach a shard.
+/// adapter strips documents out of updates before they reach a shard. The
+/// server handles its non-mutating messages under a shared lock (LockMode),
+/// so several searches may run in it at once.
 template <typename Server>
 class ServerShard : public SchemeShard {
  public:
@@ -114,7 +119,11 @@ class SchemeAdapter {
   virtual std::string_view name() const = 0;
   virtual std::unique_ptr<SchemeShard> CreateShard() const = 0;
   virtual bool IsMutating(uint16_t msg_type) const = 0;
-  virtual LockMode LockModeFor(uint16_t msg_type) const = 0;
+  /// Mutations lock their shard exclusively, everything else shared.
+  /// Virtual so that a wrapping adapter can forward to the one it wraps.
+  virtual LockMode LockModeFor(uint16_t msg_type) const {
+    return IsMutating(msg_type) ? LockMode::kExclusive : LockMode::kShared;
+  }
 
   /// Decodes `request` and splits it into per-shard sub-requests.
   virtual Result<RequestPlan> Route(const net::Message& request,

@@ -117,12 +117,6 @@ std::vector<core::Document> PhrWorkload::ToDocuments() const {
   return docs;
 }
 
-std::string PhrWorkload::ConditionTag(size_t rank) {
-  return Tag("condition", kConditions[rank % kConditions.size()]);
-}
-
-size_t PhrWorkload::ConditionVocabularySize() { return kConditions.size(); }
-
 std::string SyntheticKeyword(size_t rank) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "kw%06zu", rank);

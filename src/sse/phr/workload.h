@@ -49,11 +49,6 @@ class PhrWorkload {
   /// Documents ready for SseClientInterface::Store, ids 0..n-1.
   std::vector<core::Document> ToDocuments() const;
 
-  /// Condition tag of rank `rank` ("condition:hypertension" etc.), for
-  /// querying in examples and benches.
-  static std::string ConditionTag(size_t rank);
-  static size_t ConditionVocabularySize();
-
  private:
   std::vector<PatientRecord> records_;
 };

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <memory>
-#include <mutex>
+#include <string>
 
 namespace sse {
 
@@ -13,11 +13,6 @@ namespace {
 
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
 std::atomic<uint64_t (*)()> g_trace_provider{nullptr};
-
-// The sink is swapped under a mutex and used via shared_ptr so a log
-// statement racing with SetLogSink never calls a destroyed callable.
-std::mutex g_sink_mu;
-std::shared_ptr<LogSink> g_sink;  // null = default stderr text sink
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -60,85 +55,11 @@ void FormatIsoTime(uint64_t wall_micros, char* buf, size_t buf_size) {
   std::snprintf(buf + n, buf_size - n, ".%03uZ", millis);
 }
 
-void DefaultSink(const LogRecord& record) {
-  char ts[40];
-  FormatIsoTime(record.wall_micros, ts, sizeof(ts));
-  if (record.trace_id != 0) {
-    std::fprintf(stderr, "[%s %s tid=%u trace=%llx] %s:%d %s\n",
-                 LevelName(record.level), ts, record.tid,
-                 static_cast<unsigned long long>(record.trace_id), record.file,
-                 record.line, record.message.c_str());
-  } else {
-    std::fprintf(stderr, "[%s %s tid=%u] %s:%d %s\n", LevelName(record.level),
-                 ts, record.tid, record.file, record.line,
-                 record.message.c_str());
-  }
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
 LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
-void SetLogSink(LogSink sink) {
-  std::lock_guard<std::mutex> lock(g_sink_mu);
-  g_sink = sink ? std::make_shared<LogSink>(std::move(sink)) : nullptr;
-}
-
-LogSink MakeJsonLinesSink(std::FILE* out) {
-  return [out](const LogRecord& record) {
-    std::string line = "{\"ts\":" + std::to_string(record.wall_micros) +
-                       ",\"level\":\"" + LevelName(record.level) +
-                       "\",\"file\":\"";
-    AppendJsonEscaped(&line, record.file);
-    line += "\",\"line\":" + std::to_string(record.line) +
-            ",\"tid\":" + std::to_string(record.tid);
-    if (record.trace_id != 0) {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%llx",
-                    static_cast<unsigned long long>(record.trace_id));
-      line += ",\"trace\":\"";
-      line += buf;
-      line += "\"";
-    }
-    line += ",\"msg\":\"";
-    AppendJsonEscaped(&line, record.message);
-    line += "\"}\n";
-    std::fwrite(line.data(), 1, line.size(), out);
-    std::fflush(out);
-  };
-}
 
 void SetLogTraceIdProvider(uint64_t (*provider)()) {
   g_trace_provider.store(provider, std::memory_order_relaxed);
@@ -151,24 +72,19 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 
 LogMessage::~LogMessage() {
   if (static_cast<int>(level_) < g_level.load()) return;
-  LogRecord record;
-  record.level = level_;
-  record.file = Basename(file_);
-  record.line = line_;
-  record.wall_micros = WallMicros();
-  record.tid = ThreadNumber();
+  char ts[40];
+  FormatIsoTime(WallMicros(), ts, sizeof(ts));
   auto* provider = g_trace_provider.load(std::memory_order_relaxed);
-  record.trace_id = provider != nullptr ? provider() : 0;
-  record.message = stream_.str();
-  std::shared_ptr<LogSink> sink;
-  {
-    std::lock_guard<std::mutex> lock(g_sink_mu);
-    sink = g_sink;
-  }
-  if (sink) {
-    (*sink)(record);
+  const uint64_t trace_id = provider != nullptr ? provider() : 0;
+  const std::string message = stream_.str();
+  if (trace_id != 0) {
+    std::fprintf(stderr, "[%s %s tid=%u trace=%llx] %s:%d %s\n",
+                 LevelName(level_), ts, ThreadNumber(),
+                 static_cast<unsigned long long>(trace_id), Basename(file_),
+                 line_, message.c_str());
   } else {
-    DefaultSink(record);
+    std::fprintf(stderr, "[%s %s tid=%u] %s:%d %s\n", LevelName(level_), ts,
+                 ThreadNumber(), Basename(file_), line_, message.c_str());
   }
 }
 

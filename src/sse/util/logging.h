@@ -2,10 +2,7 @@
 #define SSE_UTIL_LOGGING_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <sstream>
-#include <string>
 
 namespace sse {
 
@@ -16,38 +13,17 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
-/// One emitted log line, as handed to a sink.
-struct LogRecord {
-  LogLevel level;
-  const char* file;  // basename
-  int line;
-  uint64_t wall_micros;  // wall-clock µs since Unix epoch
-  uint32_t tid;          // small per-process thread number
-  uint64_t trace_id;     // active trace on the logging thread, 0 if none
-  std::string message;   // user text only (no prefix)
-};
-
-/// Replaces the output sink. The default (also restored by passing
-/// nullptr) writes human-readable text to stderr:
-///   [LEVEL 2026-08-05T12:34:56.789Z tid=3 trace=1a2b] file.cc:42 message
-/// Sinks must be callable from any thread; installation is not
-/// synchronized with in-flight log statements, so install at startup.
-using LogSink = std::function<void(const LogRecord&)>;
-void SetLogSink(LogSink sink);
-
-/// A sink that writes one JSON object per line to `out` (caller keeps the
-/// FILE open for the sink's lifetime):
-///   {"ts":1754412896789123,"level":"INFO","file":"x.cc","line":7,
-///    "tid":3,"trace":"1a2b","msg":"..."}
-LogSink MakeJsonLinesSink(std::FILE* out);
-
 /// Lets log lines carry the calling thread's active trace id (installed by
 /// the obs layer; returns 0 when the thread has no sampled trace open).
 void SetLogTraceIdProvider(uint64_t (*provider)());
 
 namespace internal_logging {
 
-/// Stream-style one-shot logger; emits on destruction.
+/// Stream-style one-shot logger; on destruction it writes one line to
+/// stderr:
+///   [LEVEL 2026-08-05T12:34:56.789Z tid=3 trace=1a2b] file.cc:42 message
+/// where tid is a small per-process thread number and trace the logging
+/// thread's active trace id (omitted when it has none).
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);

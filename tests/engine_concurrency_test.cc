@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,7 +14,9 @@
 
 #include "sse/core/durable_server.h"
 #include "sse/core/scheme1_client.h"
+#include "sse/core/scheme2_client.h"
 #include "sse/engine/scheme1_adapter.h"
+#include "sse/engine/scheme2_adapter.h"
 #include "sse/engine/server_engine.h"
 #include "sse/net/tcp.h"
 #include "test_util.h"
@@ -169,6 +172,71 @@ TEST(EngineConcurrencyTest, SnapshotUnderReadLoad) {
   auto outcome = client->Search("k1");
   SSE_ASSERT_OK_RESULT(outcome);
   EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{1, 4, 7, 10}));
+}
+
+// Owners store and search their own Scheme 2 keywords through one 4-shard
+// engine whose shards each cache the lists of at most 2 keywords. Searches
+// share their shard's lock, so evictions race cache hits and one another;
+// every answer must still be exact.
+TEST(EngineConcurrencyTest, BoundedScheme2CacheUnderConcurrentOwners) {
+  core::SchemeOptions options = FastTestConfig().scheme;
+  options.plaintext_cache_max_entries = 2;
+  engine::EngineOptions engine_options;
+  engine_options.num_shards = 4;
+  auto eng = engine::ServerEngine::Create(
+      std::make_unique<engine::Scheme2Adapter>(options), engine_options);
+  SSE_ASSERT_OK_RESULT(eng);
+  auto* evictions = obs::MetricsRegistry::Global().GetCounter(
+      "sse_s2_plaintext_cache_evictions_total");
+  const uint64_t evictions_before = evictions->Value();
+
+  constexpr uint64_t kOwners = 4;
+  constexpr uint64_t kRounds = 12;
+  std::atomic<int> failures{0};
+  std::atomic<int> hits{0};
+  std::vector<std::thread> owners;
+  for (uint64_t t = 0; t < kOwners; ++t) {
+    owners.emplace_back([&, t] {
+      net::InProcessChannel channel(eng->get());
+      DeterministicRandom rng(500 + t);
+      auto client = core::Scheme2Client::Create(TestMasterKey(), options,
+                                                &channel, &rng);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      const std::string own = "o" + std::to_string(t);
+      std::map<std::string, std::vector<uint64_t>> expected;
+      auto search = [&](const std::string& keyword) {
+        auto outcome = (*client)->Search(keyword);
+        if (!outcome.ok() || outcome->ids != expected[keyword]) {
+          failures.fetch_add(1);
+        } else if ((*client)->last_search_segments_decrypted() <
+                   expected[keyword].size()) {
+          hits.fetch_add(1);  // opened only what the cache did not hold
+        }
+      };
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        const uint64_t id = t * kRounds + i;
+        const std::string group = own + "/" + std::to_string(i % 3);
+        if (!(*client)
+                 ->Store({core::Document::Make(id, "doc", {own, group})})
+                 .ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        expected[own].push_back(id);
+        expected[group].push_back(id);
+        search(group);
+        search(own);
+        search(own);
+      }
+    });
+  }
+  for (std::thread& owner : owners) owner.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_GT(evictions->Value() - evictions_before, 0u);
 }
 
 // Multiple TCP connections reach a thread-safe engine concurrently when

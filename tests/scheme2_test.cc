@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "sse/core/registry.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
+#include "sse/engine/shard_router.h"
+#include "sse/obs/metrics_registry.h"
+#include "sse/repl/failover_channel.h"
 #include "test_util.h"
 
 namespace sse::core {
@@ -364,6 +371,181 @@ std::vector<std::string> SegmentTags(const std::vector<net::Exchange>& transcrip
   }
   return tags;
 }
+
+/// Optimization 1's cache, on the unsharded server (parameter 0) and on a
+/// 4-shard engine (parameter 4), whose shards each keep their own.
+class Scheme2CacheTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void Build(size_t max_entries) {
+    SystemConfig config = FastTestConfig();
+    config.engine_shards = GetParam();
+    config.scheme.plaintext_cache_max_entries = max_entries;
+    sys_ = MakeTestSystem(SystemKind::kScheme2, &rng_, config);
+  }
+
+  Scheme2Client* client() {
+    return static_cast<Scheme2Client*>(sys_.client.get());
+  }
+
+  /// `n` keywords whose tokens route to one shard, so that they share one
+  /// cache on the engine too.
+  std::vector<std::string> KeywordsSharingACache(size_t n) {
+    std::vector<std::string> keywords;
+    size_t shard = 0;
+    for (int i = 0; keywords.size() < n; ++i) {
+      const std::string keyword = "kw" + std::to_string(i);
+      auto trapdoor = client()->MakeTrapdoor(keyword);
+      EXPECT_TRUE(trapdoor.ok());
+      const size_t s = GetParam() == 0
+                           ? 0
+                           : engine::ShardForToken(trapdoor->token, GetParam());
+      if (keywords.empty()) shard = s;
+      if (s == shard) keywords.push_back(keyword);
+    }
+    return keywords;
+  }
+
+  /// Searches `keyword` and checks the ids and the work the server reports.
+  void ExpectSearch(const std::string& keyword,
+                    const std::vector<uint64_t>& ids, uint64_t steps,
+                    uint64_t segments) {
+    auto outcome = sys_.client->Search(keyword);
+    SSE_ASSERT_OK_RESULT(outcome);
+    EXPECT_EQ(outcome->ids, ids) << keyword;
+    EXPECT_EQ(client()->last_search_chain_steps(), steps) << keyword;
+    EXPECT_EQ(client()->last_search_segments_decrypted(), segments) << keyword;
+  }
+
+  void StoreOne(uint64_t id, const std::string& keyword) {
+    SSE_ASSERT_OK(sys_.client->Store({Document::Make(id, "doc", {keyword})}));
+  }
+
+  static uint64_t Evictions() {
+    return obs::MetricsRegistry::Global()
+        .GetCounter("sse_s2_plaintext_cache_evictions_total")
+        ->Value();
+  }
+
+  /// The entries gauge, summed over every live server (here: this
+  /// system's server or its engine's shards).
+  static double EntriesGauge() {
+    double value = -1;
+    EXPECT_TRUE(repl::FindMetricValue(
+        obs::MetricsRegistry::Global().RenderPrometheus(),
+        "sse_s2_plaintext_cache_entries", &value));
+    return value;
+  }
+
+  DeterministicRandom rng_{41};
+  SseSystem sys_;
+};
+
+TEST_P(Scheme2CacheTest, EntriesGaugeCountsCachedKeywords) {
+  // Unbounded and bounded alike, every searched keyword holds a cached
+  // list, and the gauge counts them.
+  for (size_t bound : {size_t{0}, size_t{64}}) {
+    Build(bound);
+    for (uint64_t k = 0; k < 10; ++k) StoreOne(k, "kw" + std::to_string(k));
+    EXPECT_EQ(EntriesGauge(), 0.0) << "bound " << bound;
+    for (uint64_t k = 0; k < 10; ++k) {
+      ExpectSearch("kw" + std::to_string(k), {k}, 0, 1);
+    }
+    EXPECT_EQ(EntriesGauge(), 10.0) << "bound " << bound;
+  }
+}
+
+TEST_P(Scheme2CacheTest, LruBoundEvictsAndAnswersStayCorrect) {
+  Build(/*max_entries=*/2);
+  const std::vector<std::string> kw = KeywordsSharingACache(3);
+  const uint64_t evictions_before = Evictions();
+  // Updates share counter 1 until the first search, so the first searches
+  // step nowhere.
+  for (uint64_t id = 0; id <= 2; ++id) StoreOne(id, kw[0]);
+  for (uint64_t id = 3; id <= 4; ++id) StoreOne(id, kw[1]);
+  for (uint64_t id = 5; id <= 8; ++id) StoreOne(id, kw[2]);
+  ExpectSearch(kw[0], {0, 1, 2}, 0, 3);
+  ExpectSearch(kw[1], {3, 4}, 0, 2);
+  ExpectSearch(kw[2], {5, 6, 7, 8}, 0, 4);
+  EXPECT_EQ(EntriesGauge(), 2.0);
+  EXPECT_EQ(Evictions() - evictions_before, 1u);  // kw[0], least recent
+
+  StoreOne(9, kw[1]);
+  ExpectSearch(kw[1], {3, 4, 9}, 0, 1);
+  StoreOne(10, kw[0]);
+  ExpectSearch(kw[0], {0, 1, 2, 10}, 2, 4);  // evicted: opens everything
+  ExpectSearch(kw[2], {5, 6, 7, 8}, 2, 4);   // evicted by kw[0]'s list
+  EXPECT_EQ(EntriesGauge(), 2.0);
+  EXPECT_EQ(Evictions() - evictions_before, 3u);
+}
+
+TEST_P(Scheme2CacheTest, RestoreForgetsWhatLaterStoresRevealed) {
+  // A restored snapshot predates a Store a cached search has seen; the
+  // search after the restore answers from the snapshot's index alone.
+  Build(/*max_entries=*/0);
+  StoreOne(0, "kw");
+  StoreOne(1, "kw");
+  auto snapshot = sys_.server->SerializeState();
+  SSE_ASSERT_OK_RESULT(snapshot);
+  StoreOne(2, "kw");
+  ExpectSearch("kw", {0, 1, 2}, 0, 3);
+  SSE_ASSERT_OK(sys_.server->RestoreState(*snapshot));
+  EXPECT_EQ(EntriesGauge(), 0.0);
+  ExpectSearch("kw", {0, 1}, 0, 2);
+}
+
+TEST_P(Scheme2CacheTest, BoundedSequenceDoesTheRecordedWork) {
+  // A fixed single-threaded mix of Stores and searches over eight keywords
+  // under a bound of 2. The per-search chain steps and segments opened,
+  // and the evictions, were recorded from an earlier build whose cache
+  // kept ids inside each index entry. Never regenerate them: the same
+  // traffic must do the same work whatever holds the cache.
+  Build(/*max_entries=*/2);
+  const uint64_t evictions_before = Evictions();
+  DeterministicRandom workload(17);
+  std::map<std::string, std::vector<uint64_t>> oracle;
+  std::string work;
+  uint64_t next_id = 0;
+  for (int op = 0; op < 64; ++op) {
+    const std::string keyword = "k" + std::to_string(workload.Next() % 8);
+    if (workload.Next() % 2 == 0) {
+      const std::string other = "k" + std::to_string(workload.Next() % 8);
+      std::vector<std::string> keywords = {keyword};
+      if (other != keyword) keywords.push_back(other);
+      SSE_ASSERT_OK(
+          sys_.client->Store({Document::Make(next_id, "doc", keywords)}));
+      for (const std::string& k : keywords) oracle[k].push_back(next_id);
+      ++next_id;
+      continue;
+    }
+    auto outcome = sys_.client->Search(keyword);
+    SSE_ASSERT_OK_RESULT(outcome);
+    EXPECT_EQ(outcome->ids, oracle[keyword]) << "op " << op;
+    work += std::to_string(client()->last_search_chain_steps()) + "/" +
+            std::to_string(client()->last_search_segments_decrypted()) + " ";
+  }
+  if (GetParam() == 0) {
+    EXPECT_EQ(work,
+              "0/0 0/0 0/1 0/0 0/0 0/1 1/1 0/1 0/0 0/1 2/2 4/1 0/2 2/2 0/0 5/5 "
+              "4/4 0/0 7/2 6/5 1/1 0/0 0/0 0/0 5/4 2/2 0/0 8/2 3/1 0/0 4/2 9/6 "
+              "10/2 8/6 10/9 0/0 6/2 0/1 10/4 13/4 8/2 0/1 ");
+    EXPECT_EQ(Evictions() - evictions_before, 24u);
+  } else {
+    EXPECT_EQ(work,
+              "0/0 0/0 0/1 0/0 0/0 0/1 1/1 0/1 0/0 0/1 1/1 0/0 0/2 2/2 0/0 5/5 "
+              "3/3 0/0 1/1 6/5 1/1 0/0 0/0 0/0 0/0 2/2 0/0 0/0 0/0 0/0 0/0 1/1 "
+              "0/0 2/2 4/4 0/0 0/0 0/1 10/4 1/2 0/0 0/1 ");
+    EXPECT_EQ(Evictions() - evictions_before, 5u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerAndEngine, Scheme2CacheTest,
+                         ::testing::Values(size_t{0}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 0 ? std::string("Unsharded")
+                                                  : "Shards" +
+                                                        std::to_string(
+                                                            info.param);
+                         });
 
 TEST(Scheme2KnownAnswerTest, TrapdoorsTagsAndReinitialize) {
   const SchemeOptions options = FastTestConfig().scheme;

@@ -392,19 +392,19 @@ TEST(Scheme3Test, WalkReadBeforeClearIsNotRemembered) {
   opened.ids = {1, 2, 3};
   opened.entries_decrypted = 3;
 
-  S3ResumeCache cache(/*max_entries=*/0);
-  auto walk = WalkTrapdoor(req, chain->length(), &cache);
+  std::unique_ptr<SearchCache> cache = NewResumeCache(FastTestConfig().scheme);
+  auto walk = WalkTrapdoor(req, chain->length(), cache.get());
   SSE_ASSERT_OK_RESULT(walk);
-  cache.Clear();
+  cache->Clear();
   S3SearchResult result = opened;
-  FinishWalk(*walk, &cache, result);
-  EXPECT_EQ(cache.entries(), 0u);
+  FinishWalk(*walk, cache.get(), result);
+  EXPECT_EQ(cache->entries(), 0u);
 
-  walk = WalkTrapdoor(req, chain->length(), &cache);
+  walk = WalkTrapdoor(req, chain->length(), cache.get());
   SSE_ASSERT_OK_RESULT(walk);
   result = opened;
-  FinishWalk(*walk, &cache, result);
-  EXPECT_EQ(cache.entries(), 1u);
+  FinishWalk(*walk, cache.get(), result);
+  EXPECT_EQ(cache->entries(), 1u);
 }
 
 TEST(Scheme3Test, ConcurrentOwnersThroughOneEngine) {
@@ -534,8 +534,8 @@ class Scheme3ResumeTest : public ::testing::TestWithParam<size_t> {
   }
 
   /// The server's or the engine's resume cache.
-  const S3ResumeCache& cache() const {
-    const S3ResumeCache* cache =
+  const SearchCache& cache() const {
+    const SearchCache* cache =
         GetParam() == 0
             ? static_cast<const Scheme3Server&>(*server_).resume_cache()
             : static_cast<const engine::Scheme3Adapter&>(
