@@ -91,9 +91,7 @@ Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
   index_bytes_uploaded_ += msg.payload.size();
   array_ = std::move(array);
   table_ = std::move(table);
-  for (const core::WireDocument& doc : new_docs) {
-    docs_.Put(doc.id, doc.ciphertext);
-  }
+  docs_.Put(std::move(new_docs));
   BufferWriter w;
   w.PutVarint(array_.size());
   return net::Message{kMsgCgkoBuildAck, w.TakeData()};
@@ -143,12 +141,7 @@ Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
 
   BufferWriter w;
   core::PutIdList(w, ids);
-  std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
-  for (const auto& [id, blob] : fetched) {
-    wire_docs.push_back(core::WireDocument{id, blob});
-  }
-  core::PutWireDocuments(w, wire_docs);
+  core::PutWireDocuments(w, docs_.Fetch(ids));
   return net::Message{kMsgCgkoSearchResult, w.TakeData()};
 }
 
@@ -161,12 +154,7 @@ Result<Bytes> CgkoServer::SerializeState() const {
     w.PutBytes(masked);
     return true;
   });
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
@@ -184,16 +172,8 @@ Status CgkoServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(masked, r.GetBytes());
     table.Put(token, std::move(masked));
   }
-  storage::DocumentStore docs;
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  core::DocumentStore docs;
+  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   array_ = std::move(array);
   table_ = std::move(table);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sse/core/client_updates.h"
+#include "sse/core/document_store.h"
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
@@ -16,7 +17,6 @@
 #include "sse/crypto/prf.h"
 #include "sse/index/btree.h"
 #include "sse/net/channel.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::baselines {
 
@@ -62,7 +62,7 @@ class CgkoServer : public core::PersistableHandler {
 
   std::vector<Bytes> array_;            // A
   index::BTreeMap<Bytes> table_;        // T: token -> masked (addr ‖ key)
-  storage::DocumentStore docs_;
+  core::DocumentStore docs_;
   uint64_t nodes_walked_ = 0;
   uint64_t index_bytes_uploaded_ = 0;
 };

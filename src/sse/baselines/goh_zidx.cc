@@ -100,12 +100,7 @@ Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
 
   BufferWriter w;
   core::PutIdList(w, ids);
-  std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
-  for (const auto& [id, blob] : fetched) {
-    wire_docs.push_back(core::WireDocument{id, blob});
-  }
-  core::PutWireDocuments(w, wire_docs);
+  core::PutWireDocuments(w, docs_.Fetch(ids));
   return net::Message{kMsgGohSearchResult, w.TakeData()};
 }
 
@@ -116,18 +111,13 @@ Result<Bytes> GohServer::SerializeState() const {
     w.PutVarint(id);
     w.PutBytes(filter.ToBytes());
   }
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
 Status GohServer::RestoreState(BytesView data) {
   decltype(filters_) filters;
-  storage::DocumentStore docs;
+  core::DocumentStore docs;
   BufferReader r(data);
   uint64_t filter_count = 0;
   SSE_ASSIGN_OR_RETURN(filter_count, r.GetVarint());
@@ -140,15 +130,7 @@ Status GohServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(filter, BitVec::FromBytes(options_.bloom_bits, bits));
     filters.emplace_back(id, std::move(filter));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   filters_ = std::move(filters);
   docs_ = std::move(docs);

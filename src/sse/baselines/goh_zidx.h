@@ -6,13 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "sse/core/document_store.h"
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
-#include "sse/storage/document_store.h"
 #include "sse/util/bitvec.h"
 
 namespace sse::baselines {
@@ -58,7 +58,7 @@ class GohServer : public core::PersistableHandler {
 
   GohOptions options_;
   std::vector<std::pair<uint64_t, BitVec>> filters_;
-  storage::DocumentStore docs_;
+  core::DocumentStore docs_;
   uint64_t filters_probed_ = 0;
 };
 

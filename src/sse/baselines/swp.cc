@@ -104,12 +104,7 @@ Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
 
   BufferWriter w;
   core::PutIdList(w, ids);
-  std::vector<core::WireDocument> wire_docs;
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(ids);
-  for (const auto& [id, blob] : fetched) {
-    wire_docs.push_back(core::WireDocument{id, blob});
-  }
-  core::PutWireDocuments(w, wire_docs);
+  core::PutWireDocuments(w, docs_.Fetch(ids));
   return net::Message{kMsgSwpSearchResult, w.TakeData()};
 }
 
@@ -120,18 +115,13 @@ Result<Bytes> SwpServer::SerializeState() const {
     w.PutVarint(id);
     w.PutBytes(doc_blocks);
   }
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
 Status SwpServer::RestoreState(BytesView data) {
   decltype(blocks_) blocks;
-  storage::DocumentStore docs;
+  core::DocumentStore docs;
   BufferReader r(data);
   uint64_t block_count = 0;
   SSE_ASSIGN_OR_RETURN(block_count, r.GetVarint());
@@ -142,15 +132,7 @@ Status SwpServer::RestoreState(BytesView data) {
     SSE_ASSIGN_OR_RETURN(doc_blocks, r.GetBytes());
     blocks.emplace_back(id, std::move(doc_blocks));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   blocks_ = std::move(blocks);
   docs_ = std::move(docs);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
@@ -13,7 +14,6 @@
 #include "sse/crypto/keys.h"
 #include "sse/crypto/prf.h"
 #include "sse/net/channel.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::baselines {
 
@@ -58,7 +58,7 @@ class SwpServer : public core::PersistableHandler {
 
   // Per document: its searchable word blocks (32 bytes each, concatenated).
   std::vector<std::pair<uint64_t, Bytes>> blocks_;
-  storage::DocumentStore docs_;
+  core::DocumentStore docs_;
   uint64_t blocks_scanned_ = 0;
 };
 

@@ -199,17 +199,14 @@ class DurableServer : public net::MessageHandler {
   /// Dedup table for session-stamped requests; null when disabled.
   const ReplyCache* reply_cache() const { return reply_cache_.get(); }
 
-  /// Per-stage storage latency (also scraped via the metrics registry as
-  /// sse_wal_append_seconds / sse_wal_fsync_seconds /
-  /// sse_checkpoint_seconds).
+  /// WAL append and fsync latency (also scraped via the metrics registry
+  /// as sse_wal_append_seconds / sse_wal_fsync_seconds; checkpoint
+  /// latency is scraped only, as sse_checkpoint_seconds).
   obs::LatencyHistogram::Snapshot wal_append_latency() const {
     return wal_append_hist_.Snap();
   }
   obs::LatencyHistogram::Snapshot wal_fsync_latency() const {
     return wal_fsync_hist_.Snap();
-  }
-  obs::LatencyHistogram::Snapshot checkpoint_latency() const {
-    return checkpoint_hist_.Snap();
   }
 
  private:

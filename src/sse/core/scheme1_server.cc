@@ -74,9 +74,7 @@ Result<net::Message> Scheme1Server::HandleUpdate(const net::Message& msg) {
       entry->enc_nonce = e.new_enc_nonce;
     }
   }
-  for (const WireDocument& doc : req.documents) {
-    docs_.Put(doc.id, doc.ciphertext);
-  }
+  docs_.Put(std::move(req.documents));
   S1UpdateAck ack;
   ack.keywords_updated = req.entries.size();
   return ack.ToMessage();
@@ -114,10 +112,7 @@ Result<net::Message> Scheme1Server::HandleSearchFinish(
 
   S1SearchResult result;
   result.ids = bitmap.Ones();
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
-  for (const auto& [id, blob] : fetched) {
-    result.documents.push_back(WireDocument{id, blob});
-  }
+  result.documents = docs_.Fetch(result.ids);
   return result.ToMessage();
 }
 
@@ -130,18 +125,13 @@ Result<Bytes> Scheme1Server::SerializeState() const {
     w.PutBytes(entry.enc_nonce);
     return true;
   });
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
 Status Scheme1Server::RestoreState(BytesView data) {
   index::BTreeMap<Entry> index;
-  storage::DocumentStore docs;
+  DocumentStore docs;
   uint64_t index_bytes = 0;
 
   BufferReader r(data);
@@ -156,15 +146,7 @@ Status Scheme1Server::RestoreState(BytesView data) {
     index_bytes += entry.masked_bitmap.size() + entry.enc_nonce.size();
     index.Put(token, std::move(entry));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
   index_ = std::move(index);

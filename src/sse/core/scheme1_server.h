@@ -3,11 +3,11 @@
 
 #include <cstdint>
 
+#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/index/btree.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::core {
 
@@ -36,7 +36,6 @@ class Scheme1Server : public PersistableHandler {
 
   /// Lookup comparisons performed by the token tree (for T1-search).
   uint64_t index_comparisons() const { return index_.comparisons(); }
-  void ResetIndexStats() { index_.ResetStats(); }
 
  private:
   struct Entry {
@@ -51,7 +50,7 @@ class Scheme1Server : public PersistableHandler {
 
   SchemeOptions options_;
   index::BTreeMap<Entry> index_;
-  storage::DocumentStore docs_;
+  DocumentStore docs_;
   uint64_t index_bytes_ = 0;
 };
 

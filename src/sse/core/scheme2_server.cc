@@ -45,9 +45,7 @@ Result<net::Message> Scheme2Server::HandleUpdate(const net::Message& msg) {
       segments->push_back(std::move(e.segment));
     }
   }
-  for (const WireDocument& doc : req.documents) {
-    docs_.Put(doc.id, doc.ciphertext);
-  }
+  docs_.Put(std::move(req.documents));
   S2UpdateAck ack;
   ack.keywords_updated = req.entries.size();
   return ack.ToMessage();
@@ -93,10 +91,7 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg)
   }
 
   result.ids = std::move(ids);
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
-  for (const auto& [id, blob] : fetched) {
-    result.documents.push_back(WireDocument{id, blob});
-  }
+  result.documents = docs_.Fetch(result.ids);
   return result.ToMessage();
 }
 
@@ -148,18 +143,13 @@ Result<Bytes> Scheme2Server::SerializeState() const {
     }
     return true;
   });
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
 Status Scheme2Server::RestoreState(BytesView data) {
   index::BTreeMap<std::vector<S2Segment>> index;
-  storage::DocumentStore docs;
+  DocumentStore docs;
   uint64_t index_bytes = 0;
 
   BufferReader r(data);
@@ -185,15 +175,7 @@ Status Scheme2Server::RestoreState(BytesView data) {
     }
     index.Put(token, std::move(segments));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
   index_ = std::move(index);

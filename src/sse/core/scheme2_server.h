@@ -6,12 +6,12 @@
 #include <memory>
 #include <vector>
 
+#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/search_cache.h"
 #include "sse/index/btree.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::core {
 
@@ -47,7 +47,6 @@ class Scheme2Server : public PersistableHandler {
   size_t document_count() const { return docs_.size(); }
   uint64_t stored_index_bytes() const { return index_bytes_; }
   uint64_t index_comparisons() const { return index_.comparisons(); }
-  void ResetIndexStats() { index_.ResetStats(); }
 
   /// Total chain steps walked across all searches (Table 1's l/2x term).
   uint64_t total_chain_steps() const {
@@ -65,7 +64,7 @@ class Scheme2Server : public PersistableHandler {
 
   SchemeOptions options_;
   index::BTreeMap<std::vector<S2Segment>> index_;  // token -> S(w)'s segments
-  storage::DocumentStore docs_;
+  DocumentStore docs_;
   uint64_t index_bytes_ = 0;
   std::unique_ptr<SearchCache> cache_;  // null: server_plaintext_cache off
   mutable std::atomic<uint64_t> total_chain_steps_{0};

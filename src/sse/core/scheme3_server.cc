@@ -112,9 +112,7 @@ Result<net::Message> Scheme3Server::HandleUpdate(const net::Message& msg) {
       *existing = std::move(e.ciphertext);
     }
   }
-  for (const WireDocument& doc : req.documents) {
-    docs_.Put(doc.id, doc.ciphertext);
-  }
+  docs_.Put(std::move(req.documents));
   S3UpdateAck ack;
   ack.entries_added = req.entries.size();
   return ack.ToMessage();
@@ -131,10 +129,7 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
   SSE_ASSIGN_OR_RETURN(result, Probe(walk.probes));
   FinishWalk(walk, resume_.get(), result);
   total_chain_steps_.fetch_add(result.chain_steps, std::memory_order_relaxed);
-  std::vector<std::pair<uint64_t, Bytes>> fetched = docs_.GetMany(result.ids);
-  for (const auto& [id, blob] : fetched) {
-    result.documents.push_back(WireDocument{id, blob});
-  }
+  result.documents = docs_.Fetch(result.ids);
   return result.ToMessage();
 }
 
@@ -164,18 +159,13 @@ Result<Bytes> Scheme3Server::SerializeState() const {
     w.PutBytes(ciphertext);
     return true;
   });
-  w.PutVarint(docs_.size());
-  docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-    return true;
-  });
+  docs_.Serialize(w);
   return w.TakeData();
 }
 
 Status Scheme3Server::RestoreState(BytesView data) {
   index::BTreeMap<Bytes> index;
-  storage::DocumentStore docs;
+  DocumentStore docs;
   uint64_t index_bytes = 0;
 
   BufferReader r(data);
@@ -192,15 +182,7 @@ Status Scheme3Server::RestoreState(BytesView data) {
     index_bytes += address.size() + ciphertext.size();
     index.Put(address, std::move(ciphertext));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
   index_ = std::move(index);

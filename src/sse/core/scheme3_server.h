@@ -6,13 +6,13 @@
 #include <memory>
 #include <vector>
 
+#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme3_messages.h"
 #include "sse/core/search_cache.h"
 #include "sse/index/btree.h"
 #include "sse/index/posting.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::core {
 
@@ -105,7 +105,6 @@ class Scheme3Server : public PersistableHandler {
   size_t document_count() const { return docs_.size(); }
   uint64_t stored_index_bytes() const { return index_bytes_; }
   uint64_t index_comparisons() const { return index_.comparisons(); }
-  void ResetIndexStats() { index_.ResetStats(); }
 
   /// Opens the index entries at `probes` (ids and entries decrypted);
   /// both a search and a probe request end here.
@@ -129,7 +128,7 @@ class Scheme3Server : public PersistableHandler {
 
   SchemeOptions options_;
   index::BTreeMap<Bytes> index_;  // f'(k_j) -> E_{k_j}(delta id list)
-  storage::DocumentStore docs_;
+  DocumentStore docs_;
   uint64_t index_bytes_ = 0;
   std::unique_ptr<SearchCache> resume_;
   // Search-path stats; relaxed atomics because searches run concurrently

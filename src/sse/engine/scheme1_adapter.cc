@@ -58,7 +58,6 @@ Result<RequestPlan> Scheme1Adapter::Route(const net::Message& request,
       SSE_ASSIGN_OR_RETURN(req, S1SearchFinish::FromMessage(request));
       plan.subs.push_back(
           SubRequest{ShardForToken(req.token, num_shards), request, {}});
-      plan.attach_documents = true;
       return plan;
     }
     default:
@@ -98,8 +97,7 @@ Result<net::Message> Scheme1Adapter::Merge(const net::Message& request,
     case core::kMsgS1SearchFinish: {
       S1SearchResult result;
       SSE_ASSIGN_OR_RETURN(result, S1SearchResult::FromMessage(replies.at(0)));
-      SSE_RETURN_IF_ERROR(
-          AttachDocuments(fetch_docs, result.ids, result.documents));
+      result.documents = fetch_docs(result.ids);
       return result.ToMessage();
     }
     default:

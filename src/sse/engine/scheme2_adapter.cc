@@ -46,7 +46,6 @@ Result<RequestPlan> Scheme2Adapter::Route(const net::Message& request,
       SSE_ASSIGN_OR_RETURN(req, S2SearchRequest::FromMessage(request));
       plan.subs.push_back(
           SubRequest{ShardForToken(req.token, num_shards), request, {}});
-      plan.attach_documents = true;
       return plan;
     }
     case core::kMsgS2FetchAllRequest: {
@@ -82,8 +81,7 @@ Result<net::Message> Scheme2Adapter::Merge(const net::Message& request,
     case core::kMsgS2SearchRequest: {
       S2SearchResult result;
       SSE_ASSIGN_OR_RETURN(result, S2SearchResult::FromMessage(replies.at(0)));
-      SSE_RETURN_IF_ERROR(
-          AttachDocuments(fetch_docs, result.ids, result.documents));
+      result.documents = fetch_docs(result.ids);
       return result.ToMessage();
     }
     case core::kMsgS2FetchAllRequest: {

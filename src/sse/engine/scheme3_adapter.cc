@@ -54,7 +54,6 @@ Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,
           &S3ProbeRequest::probes, std::move(walk.probes),
           [](const S3Probe& p) -> BytesView { return p.address; }, num_shards,
           /*every_shard=*/false, plan);
-      plan.attach_documents = true;
       plan.merge_state = std::move(walk);
       return plan;
     }
@@ -89,8 +88,7 @@ Result<net::Message> Scheme3Adapter::Merge(const net::Message& request,
       }
       merged.ids = std::move(ids);
       core::FinishWalk(*walk, resume_.get(), merged);
-      SSE_RETURN_IF_ERROR(
-          AttachDocuments(fetch_docs, merged.ids, merged.documents));
+      merged.documents = fetch_docs(merged.ids);
       return merged.ToMessage();
     }
     default:

@@ -92,18 +92,16 @@ struct RequestPlan {
   /// Documents stripped from a mutating request; the engine stores them in
   /// its shared document store after every sub-request succeeded.
   std::vector<core::WireDocument> documents;
-  /// Merge needs to attach result.ids' ciphertexts from the engine store.
-  bool attach_documents = false;
   /// What Route learned that Merge needs and no sub-request carries
   /// (Scheme 3: where a search's walk stopped). Only the adapter reads it.
   std::any merge_state;
 };
 
-/// Fetches (id, ciphertext) pairs from the engine's shared document store;
-/// handed to Merge so reply assembly can fill in search-result documents.
-using DocumentFetcher =
-    std::function<Result<std::vector<std::pair<uint64_t, Bytes>>>(
-        const std::vector<uint64_t>&)>;
+/// Fetches the documents of the given ids from the engine's shared
+/// document store (core::DocumentStore::Fetch, under the store's lock);
+/// handed to Merge so a search reply carries its result's documents.
+using DocumentFetcher = std::function<std::vector<core::WireDocument>(
+    const std::vector<uint64_t>&)>;
 
 /// Scheme-specific sharding policy: how to create shard-local state, how to
 /// split a request across shards, and how to merge the shard replies into

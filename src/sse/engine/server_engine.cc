@@ -249,19 +249,15 @@ Result<net::Message> ServerEngine::HandleInternal(const net::Message& request) {
   SSE_RETURN_IF_ERROR(first_error);
 
   if (!plan.documents.empty()) {
-    std::unique_lock<std::shared_mutex> lock(docs_mutex_);
-    for (core::WireDocument& doc : plan.documents) {
-      docs_.Put(doc.id, std::move(doc.ciphertext));
-    }
     EngineCounters::Get().doc_puts->Add(plan.documents.size());
+    std::unique_lock<std::shared_mutex> lock(docs_mutex_);
+    docs_.Put(std::move(plan.documents));
   }
 
-  DocumentFetcher fetcher =
-      [this](const std::vector<uint64_t>& ids)
-      -> Result<std::vector<std::pair<uint64_t, Bytes>>> {
+  DocumentFetcher fetcher = [this](const std::vector<uint64_t>& ids) {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
     EngineCounters::Get().doc_fetches->Add(ids.size());
-    return docs_.GetMany(ids);
+    return docs_.Fetch(ids);
   };
   return adapter_->Merge(request, plan, std::move(replies), fetcher);
 }
@@ -308,12 +304,7 @@ Result<Bytes> ServerEngine::SerializeState() const {
   w.PutVarint(slots_.size());
   {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-    w.PutVarint(docs_.size());
-    docs_.ForEach([&](uint64_t id, const Bytes& blob) {
-      w.PutVarint(id);
-      w.PutBytes(blob);
-      return true;
-    });
+    docs_.Serialize(w);
   }
   for (const std::unique_ptr<Slot>& slot : slots_) {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
@@ -350,16 +341,8 @@ Status ServerEngine::RestoreState(BytesView data) {
 
   // Parse and restore into fresh state before touching live state, so a
   // corrupt snapshot leaves the engine unchanged.
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  storage::DocumentStore docs;
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    docs.Put(id, std::move(blob));
-  }
+  core::DocumentStore docs;
+  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
   std::vector<std::unique_ptr<SchemeShard>> shards;
   shards.reserve(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -420,11 +403,6 @@ uint64_t ServerEngine::stored_index_bytes() const {
 size_t ServerEngine::document_count() const {
   std::shared_lock<std::shared_mutex> lock(docs_mutex_);
   return docs_.size();
-}
-
-uint64_t ServerEngine::document_bytes() const {
-  std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-  return docs_.total_bytes();
 }
 
 }  // namespace sse::engine

@@ -6,12 +6,12 @@
 #include <shared_mutex>
 #include <vector>
 
+#include "sse/core/document_store.h"
 #include "sse/core/persistable.h"
 #include "sse/core/reply_cache.h"
 #include "sse/engine/scheme_shard.h"
 #include "sse/obs/histogram.h"
 #include "sse/obs/metrics_registry.h"
-#include "sse/storage/document_store.h"
 
 namespace sse::engine {
 
@@ -75,7 +75,6 @@ class ServerEngine : public core::PersistableHandler {
   size_t unique_keywords() const;
   uint64_t stored_index_bytes() const;
   size_t document_count() const;
-  uint64_t document_bytes() const;
 
   /// Dedup table for session-stamped requests; null when disabled.
   const core::ReplyCache* reply_cache() const { return reply_cache_.get(); }
@@ -106,7 +105,7 @@ class ServerEngine : public core::PersistableHandler {
   std::unique_ptr<core::ReplyCache> reply_cache_;
   std::vector<std::unique_ptr<Slot>> slots_;
   mutable std::shared_mutex docs_mutex_;
-  storage::DocumentStore docs_;
+  core::DocumentStore docs_;
   /// Per-engine state behind the registry's gauge and histograms; the
   /// engine's counters are process-wide registry counters (the
   /// sse_engine_*_total series).

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "sse/core/wire_common.h"
 #include "sse/engine/scheme_shard.h"
 #include "sse/net/message.h"
 #include "sse/util/bytes.h"
@@ -60,11 +59,6 @@ Result<net::Message> SumAcks(const std::vector<net::Message>& replies,
   }
   return merged.ToMessage();
 }
-
-/// Replaces `documents` with the engine store's ciphertexts of `ids`.
-Status AttachDocuments(const DocumentFetcher& fetch_docs,
-                       const std::vector<uint64_t>& ids,
-                       std::vector<core::WireDocument>& documents);
 
 }  // namespace sse::engine
 

@@ -26,7 +26,7 @@ enum class OpClass : uint8_t { kSearch, kMutation, kControl };
 /// Unknown types classify as kMutation — the conservative direction, and
 /// the same default repl::FailoverChannel uses for routing.
 /// The mutation set is the normative wire protocol's (docs/PROTOCOL.md):
-/// Scheme 1/2/3 update + reinit requests and the common document put.
+/// Scheme 1/2/3 update + reinit requests.
 OpClass ClassifyFrame(BytesView frame);
 
 /// Attaches a machine-readable retry-after hint to a shed/overload status.

@@ -109,10 +109,6 @@ std::string MessageTypeName(uint16_t type) {
   switch (type) {
     case kMsgError:
       return "Error";
-    case kMsgPutDocument:
-      return "PutDocument";
-    case kMsgPutDocumentAck:
-      return "PutDocumentAck";
     case kMsgBatch:
       return "Batch";
     case kMsgBatchReply:

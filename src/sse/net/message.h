@@ -120,10 +120,9 @@ inline constexpr uint16_t kMsgRangeScheme3 = 0x0400;
 
 /// Common messages.
 inline constexpr uint16_t kMsgError = kMsgRangeCommon + 1;
-inline constexpr uint16_t kMsgPutDocument = kMsgRangeCommon + 2;
-inline constexpr uint16_t kMsgPutDocumentAck = kMsgRangeCommon + 3;
-// kMsgRangeCommon + 4 and + 5 belonged to a retired document-fetch RPC;
-// they stay unassigned so an old peer's frame is never read as a new type.
+// kMsgRangeCommon + 2 to + 5 belonged to retired document put and fetch
+// RPCs (documents travel inside update requests and search replies); they
+// stay unassigned so an old peer's frame is never read as a new type.
 /// Batch envelope: N logical sub-ops in one frame (see sse/net/batch.h).
 inline constexpr uint16_t kMsgBatch = kMsgRangeCommon + 6;
 inline constexpr uint16_t kMsgBatchReply = kMsgRangeCommon + 7;

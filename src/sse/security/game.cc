@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "sse/core/document_store.h"
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme1_server.h"
@@ -62,22 +63,14 @@ Result<View> CaptureScheme1View(const History& history,
     SSE_ASSIGN_OR_RETURN(entry.enc_nonce, r.GetBytes());
     view.index.push_back(std::move(entry));
   }
-  uint64_t doc_count = 0;
-  SSE_ASSIGN_OR_RETURN(doc_count, r.GetVarint());
-  std::map<uint64_t, Bytes> blobs;
-  for (uint64_t i = 0; i < doc_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    blobs[id] = std::move(blob);
+  core::DocumentStore docs;
+  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
+  std::vector<core::WireDocument> stored = docs.Fetch(view.ids);
+  if (stored.size() != view.ids.size()) {
+    return Status::Internal("document missing from captured state");
   }
-  for (uint64_t id : view.ids) {
-    auto it = blobs.find(id);
-    if (it == blobs.end()) {
-      return Status::Internal("document missing from captured state");
-    }
-    view.encrypted_documents.push_back(it->second);
+  for (core::WireDocument& doc : stored) {
+    view.encrypted_documents.push_back(std::move(doc.ciphertext));
   }
 
   // Trapdoors in query order, from the transcript.

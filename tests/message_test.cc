@@ -51,7 +51,7 @@ TEST(MessageTest, ErrorMessageRoundTrip) {
 }
 
 TEST(MessageTest, NonErrorDecodesToOk) {
-  Message msg{kMsgPutDocument, {}};
+  Message msg{kMsgStats, {}};
   EXPECT_TRUE(DecodeErrorMessage(msg).ok());
 }
 

@@ -91,6 +91,26 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms) {
   return cond();
 }
 
+/// The live thread count once it has held still for 100 ms (bounded by
+/// WaitFor): a thread of an earlier test, such as a stopped server's, can
+/// still be exiting when the next test takes its baseline.
+size_t SettledThreadCount() {
+  size_t count = ThreadCount();
+  auto since = std::chrono::steady_clock::now();
+  WaitFor(
+      [&] {
+        const size_t now = ThreadCount();
+        if (now != count) {
+          count = now;
+          since = std::chrono::steady_clock::now();
+        }
+        return std::chrono::steady_clock::now() - since >=
+               std::chrono::milliseconds(100);
+      },
+      10000);
+  return count;
+}
+
 // The refactor's core claim: connections cost file descriptors, not
 // threads. Thousands of idle connections leave the process thread count
 // exactly where it was, and the server still answers requests promptly.
@@ -162,7 +182,7 @@ TEST(NetScaleTest, IdleConnectionSoakKeepsThreadBudgetFixed) {
 // server's alone, whatever the shard count.
 TEST(NetScaleTest, EngineStartsNoThreads) {
   for (size_t shards : {4u, 8u}) {
-    const size_t threads_before = ThreadCount();
+    const size_t threads_before = SettledThreadCount();
     engine::EngineOptions options;
     options.num_shards = shards;
     auto engine = engine::ServerEngine::Create(
@@ -241,11 +261,20 @@ TEST(NetScaleTest, ConnectionChurnUnderFaultsKeepsServing) {
   polite.join();
   rude.join();
   EXPECT_FALSE(failed.load()) << "polite client failed during churn";
+  // A rude client's connect returns before the reactor accepts it, so
+  // both counts are waited for: every connection accepted, then every one
+  // closed.
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        return (*server)->connections_accepted() >=
+               static_cast<uint64_t>(kRounds);
+      },
+      10000))
+      << "accepted " << (*server)->connections_accepted() << " of "
+      << kRounds;
   EXPECT_TRUE(WaitFor(
       [&] { return (*server)->connections_active() == 0; }, 10000))
       << (*server)->connections_active() << " connections leaked";
-  EXPECT_GE((*server)->connections_accepted(),
-            static_cast<uint64_t>(kRounds));
   (*server)->Stop();
   EXPECT_EQ((*server)->connections_active(), 0u);
 }

@@ -44,7 +44,7 @@ TEST(ObsStatsRpcTest, PayloadsRoundTrip) {
 
   // A non-stats message is rejected, not misparsed.
   net::Message wrong;
-  wrong.type = net::kMsgPutDocument;
+  wrong.type = core::kMsgS1SearchRequest;
   EXPECT_FALSE(StatsRequest::FromMessage(wrong).ok());
   EXPECT_FALSE(StatsReply::FromMessage(wrong).ok());
 }

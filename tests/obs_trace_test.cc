@@ -128,7 +128,7 @@ TEST(ObsTraceTest, ClearHidesOldSpansAndKeepsNewOnes) {
 
 TEST(ObsTraceTest, TraceHeaderSurvivesEncodeDecodeWithSession) {
   net::Message msg;
-  msg.type = net::kMsgPutDocument;
+  msg.type = core::kMsgS1UpdateRequest;
   msg.payload = StringToBytes("payload-bytes");
   msg.StampSession(/*client=*/7, /*sequence=*/9);
 
@@ -141,7 +141,7 @@ TEST(ObsTraceTest, TraceHeaderSurvivesEncodeDecodeWithSession) {
 
   auto decoded = net::Message::Decode(msg.Encode());
   SSE_ASSERT_OK_RESULT(decoded);
-  EXPECT_EQ(decoded->type, net::kMsgPutDocument);
+  EXPECT_EQ(decoded->type, core::kMsgS1UpdateRequest);
   EXPECT_TRUE(decoded->has_session);  // CRC still validates with the header
   EXPECT_EQ(decoded->seq, 9u);
   const TraceContext wire = obs::ContextOf(*decoded);
@@ -151,7 +151,7 @@ TEST(ObsTraceTest, TraceHeaderSurvivesEncodeDecodeWithSession) {
 
   // Unstamped messages decode to an inactive context and cost no bytes.
   net::Message plain;
-  plain.type = net::kMsgPutDocument;
+  plain.type = core::kMsgS1UpdateRequest;
   plain.payload = msg.payload;
   EXPECT_FALSE(obs::ContextOf(plain).active());
   EXPECT_EQ(plain.WireSize() + net::Message::kTraceHeaderSize +
@@ -161,7 +161,7 @@ TEST(ObsTraceTest, TraceHeaderSurvivesEncodeDecodeWithSession) {
 
 TEST(ObsTraceTest, StampingIsANoOpForUnsampledContext) {
   net::Message msg;
-  msg.type = net::kMsgPutDocument;
+  msg.type = core::kMsgS1UpdateRequest;
   obs::StampMessage(&msg, TraceContext{});
   EXPECT_FALSE(msg.has_trace);
 }

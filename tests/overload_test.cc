@@ -174,7 +174,6 @@ TEST(AdmissionTest, ClassifiesFramesByWireType) {
             OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(frame_of(core::kMsgS2ReinitRequest)),
             OpClass::kMutation);
-  EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgPutDocument)), OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(frame_of(core::kMsgS1SearchRequest)),
             OpClass::kSearch);
   EXPECT_EQ(ClassifyFrame(frame_of(core::kMsgS2SearchRequest)),
