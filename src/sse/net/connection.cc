@@ -12,8 +12,6 @@ namespace sse::net {
 
 namespace {
 
-/// Same series TcpServer's counters live in; GetCounter is idempotent per
-/// name, so both layers share one counter.
 obs::MetricsRegistry::Counter* ReadPauseCounter() {
   static auto* counter = obs::MetricsRegistry::Global().GetCounter(
       "sse_net_read_pauses_total",
@@ -24,7 +22,7 @@ obs::MetricsRegistry::Counter* ReadPauseCounter() {
 }  // namespace
 
 Connection::Connection(int fd, EventLoop* loop, Callbacks callbacks)
-    : fd_(fd), loop_(loop), callbacks_(std::move(callbacks)) {}
+    : loop_(loop), callbacks_(std::move(callbacks)), fd_(fd) {}
 
 Connection::~Connection() {
   if (fd_ >= 0) ::close(fd_);
@@ -43,12 +41,52 @@ void Connection::Register() {
   });
 }
 
-void Connection::SendFrame(Bytes payload) {
-  Bytes framed = EncodeFrame(payload);
+void Connection::SendFrame(Bytes frame) {
+  // What the loop must do after this send, if anything.
+  void (Connection::*then)() = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (closed_) {
+      // The reply raced a close: drop the bytes but retire the slot so
+      // drains and backpressure never wedge.
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    if (!write_queue_.empty()) {
+      // The loop is writing the queue (EPOLLOUT is armed, or an arm is
+      // posted): go behind it.
+      write_queue_.push_back(std::move(frame));
+      return;
+    }
+    size_t written = 0;
+    IoResult r = IoResult::kOk;
+    while (written < frame.size()) {
+      size_t n = 0;
+      r = WriteSomeNonBlocking(fd_, frame.data() + written,
+                               frame.size() - written, &n);
+      if (r != IoResult::kOk) break;
+      written += n;
+    }
+    if (written == frame.size()) {
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      // Reading stopped (full window, drain or peer EOF): only the loop can
+      // resume it or close, and it may be waiting for this slot.
+      if (!reading_) then = &Connection::AfterRetire;
+    } else if (r == IoResult::kWouldBlock) {
+      // The socket is full: the loop writes the rest on EPOLLOUT.
+      write_queue_.push_back(std::move(frame));
+      write_offset_ = written;
+      then = &Connection::UpdateInterest;
+    } else {
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      then = &Connection::CloseNow;
+    }
+  }
+  if (then == nullptr) return;
+  // Posted even on the loop thread: a shed reply is sent from inside
+  // DeliverFrames, which must not re-enter itself.
   auto self = shared_from_this();
-  loop_->RunInLoop([self, framed = std::move(framed)]() mutable {
-    self->QueueReply(std::move(framed));
-  });
+  loop_->Post([self, then] { (self.get()->*then)(); });
 }
 
 void Connection::BeginDrain() {
@@ -56,12 +94,12 @@ void Connection::BeginDrain() {
   loop_->RunInLoop([self] {
     if (self->closed_) return;
     self->draining_ = true;
-    self->reading_ = false;
-    self->UpdateInterest();
-    if (self->outstanding_.load(std::memory_order_relaxed) == 0 &&
-        self->write_queue_.empty()) {
-      self->CloseNow();
+    {
+      std::lock_guard<std::mutex> lock(self->write_mu_);
+      self->reading_ = false;
     }
+    self->UpdateInterest();
+    self->CloseIfDone();
   });
 }
 
@@ -81,9 +119,9 @@ void Connection::OnEvents(uint32_t events) {
   }
   if ((events & (EPOLLIN | EPOLLHUP)) != 0 && reading_) HandleReadable();
   if (closed_) return;
-  if ((events & EPOLLOUT) != 0) HandleWritable();
+  if ((events & EPOLLOUT) != 0) FlushWrites();
   if (closed_) return;
-  if ((events & EPOLLHUP) != 0 && !reading_ && write_queue_.empty() &&
+  if ((events & EPOLLHUP) != 0 && !reading_ &&
       outstanding_.load(std::memory_order_relaxed) == 0) {
     CloseNow();
   }
@@ -110,15 +148,12 @@ void Connection::HandleReadable() {
       break;
     } else if (r == IoResult::kEof) {
       peer_eof_ = true;
-      reading_ = false;
-      // Frames already received still get served; replies flush to the
-      // (possibly half-closed) peer, then the connection retires.
+      // Frames already received still get served (DeliverFrames stops
+      // reading under the lock); replies flush to the (possibly
+      // half-closed) peer, then the connection retires.
       DeliverFrames();
       UpdateInterest();
-      if (outstanding_.load(std::memory_order_relaxed) == 0 &&
-          write_queue_.empty()) {
-        CloseNow();
-      }
+      CloseIfDone();
       return;
     } else {
       CloseNow();
@@ -130,72 +165,66 @@ void Connection::HandleReadable() {
 
 void Connection::DeliverFrames() {
   Bytes frame;
-  while (!closed_ &&
-         outstanding_.load(std::memory_order_relaxed) < kMaxOutstanding &&
-         assembler_.Next(&frame)) {
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
-    callbacks_.on_frame(shared_from_this(), std::move(frame));
-  }
-  if (closed_) return;
-  // Backpressure: pause the socket while a full window of replies is in
-  // flight (or frames are still buffered waiting for a free slot).
-  const bool was_reading = reading_;
-  reading_ = !draining_ && !peer_eof_ &&
-             outstanding_.load(std::memory_order_relaxed) <
-                 kMaxOutstanding &&
-             assembler_.ready() == 0;
-  if (was_reading && !reading_ && !draining_ && !peer_eof_) {
-    ReadPauseCounter()->Add();
-  }
-}
-
-void Connection::QueueReply(Bytes framed) {
-  if (closed_) {
-    // The reply raced a close: drop the bytes but keep the accounting
-    // balanced so drains and backpressure never wedge.
-    ReplyRetired();
+  for (;;) {
+    while (!closed_ &&
+           outstanding_.load(std::memory_order_relaxed) < kMaxOutstanding &&
+           assembler_.Next(&frame)) {
+      outstanding_.fetch_add(1, std::memory_order_relaxed);
+      callbacks_.on_frame(shared_from_this(), std::move(frame));
+    }
+    if (closed_) return;
+    // Backpressure: pause the socket while a full window of replies is in
+    // flight (or frames are still buffered waiting for a free slot). The
+    // decision is made under the lock a sender retires its slot under.
+    bool paused = false;
+    {
+      std::lock_guard<std::mutex> lock(write_mu_);
+      const bool window_open =
+          outstanding_.load(std::memory_order_relaxed) < kMaxOutstanding;
+      // A reply retired since the loop above stopped: deliver more.
+      if (window_open && assembler_.ready() > 0) continue;
+      const bool was_reading = reading_;
+      reading_ = !draining_ && !peer_eof_ && window_open;
+      paused = was_reading && !reading_ && !draining_ && !peer_eof_;
+    }
+    if (paused) ReadPauseCounter()->Add();
     return;
   }
-  write_queue_.push_back(std::move(framed));
-  queued_replies_.fetch_add(1, std::memory_order_relaxed);
-  FlushWrites();
 }
 
-void Connection::HandleWritable() { FlushWrites(); }
-
 void Connection::FlushWrites() {
-  while (!closed_ && !write_queue_.empty()) {
-    const Bytes& front = write_queue_.front();
-    size_t n = 0;
-    const IoResult r = WriteSomeNonBlocking(
-        fd_, front.data() + write_offset_, front.size() - write_offset_, &n);
-    if (r == IoResult::kOk) {
+  size_t retired = 0;
+  bool failed = false;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    while (!write_queue_.empty()) {
+      const Bytes& front = write_queue_.front();
+      size_t n = 0;
+      const IoResult r = WriteSomeNonBlocking(
+          fd_, front.data() + write_offset_, front.size() - write_offset_, &n);
+      if (r == IoResult::kWouldBlock) break;  // resume here on EPOLLOUT
+      if (r != IoResult::kOk) {
+        failed = true;
+        break;
+      }
       write_offset_ += n;
       if (write_offset_ == front.size()) {
         write_queue_.pop_front();
         write_offset_ = 0;
-        queued_replies_.fetch_sub(1, std::memory_order_relaxed);
-        ReplyRetired();
+        outstanding_.fetch_sub(1, std::memory_order_relaxed);
+        ++retired;
       }
-    } else if (r == IoResult::kWouldBlock) {
-      // Partial write: resume exactly here on the next EPOLLOUT.
-      UpdateInterest();
-      return;
-    } else {
-      CloseNow();
-      return;
     }
   }
-  if (closed_) return;
-  UpdateInterest();
-  if ((draining_ || peer_eof_) && write_queue_.empty() &&
-      outstanding_.load(std::memory_order_relaxed) == 0) {
+  if (failed) {
     CloseNow();
+    return;
   }
+  UpdateInterest();
+  if (retired > 0) AfterRetire();
 }
 
-void Connection::ReplyRetired() {
-  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+void Connection::AfterRetire() {
   if (closed_) return;
   if (!reading_ && !draining_ && !peer_eof_) {
     // A backpressure slot opened: serve any frames buffered while paused,
@@ -203,7 +232,13 @@ void Connection::ReplyRetired() {
     DeliverFrames();
     UpdateInterest();
   }
-  if ((draining_ || peer_eof_) && write_queue_.empty() &&
+  CloseIfDone();
+}
+
+void Connection::CloseIfDone() {
+  // Queued replies hold slots too, so no slot outstanding means nothing
+  // left to send.
+  if (!closed_ && (draining_ || peer_eof_) &&
       outstanding_.load(std::memory_order_relaxed) == 0) {
     CloseNow();
   }
@@ -211,29 +246,36 @@ void Connection::ReplyRetired() {
 
 void Connection::UpdateInterest() {
   if (!registered_ || closed_) return;
-  const uint32_t wanted = (reading_ ? EPOLLIN : 0u) |
-                          (!write_queue_.empty() ? EPOLLOUT : 0u);
+  bool want_write = false;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    want_write = !write_queue_.empty();
+  }
+  const uint32_t wanted =
+      (reading_ ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   if (wanted == interest_) return;
   if (loop_->Mod(fd_, wanted).ok()) interest_ = wanted;
 }
 
 void Connection::CloseNow() {
   if (closed_) return;
-  closed_ = true;
-  reading_ = false;
-  // Undispatched replies die with the connection; retire their slots so
-  // server-wide in-flight accounting reaches zero.
-  const size_t dropped = write_queue_.size();
-  write_queue_.clear();
-  queued_replies_.store(0, std::memory_order_relaxed);
-  outstanding_.fetch_sub(dropped, std::memory_order_relaxed);
   if (registered_) {
     loop_->Del(fd_);
     registered_ = false;
   }
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    closed_ = true;
+    reading_ = false;
+    // Queued replies die with the connection; retire their slots so
+    // server-wide in-flight accounting reaches zero.
+    outstanding_.fetch_sub(write_queue_.size(), std::memory_order_relaxed);
+    write_queue_.clear();
+    write_offset_ = 0;
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
   }
   if (callbacks_.on_close) callbacks_.on_close(this);
 }

@@ -5,20 +5,6 @@
 
 namespace sse::net {
 
-Bytes EncodeFrame(const Bytes& payload) {
-  Bytes framed(kFrameHeaderSize + payload.size());
-  for (size_t i = 0; i < kFrameHeaderSize; ++i) {
-    framed[i] = static_cast<uint8_t>(payload.size() >> (8 * i));
-  }
-  // Zero-length frames are legal; an empty Bytes may hand out a null
-  // data() pointer, which memcpy forbids even for zero sizes.
-  if (!payload.empty()) {
-    std::memcpy(framed.data() + kFrameHeaderSize, payload.data(),
-                payload.size());
-  }
-  return framed;
-}
-
 Status FrameAssembler::Feed(const uint8_t* data, size_t len) {
   if (poisoned_) {
     return Status::ProtocolError("frame stream previously poisoned");

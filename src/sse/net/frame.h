@@ -11,14 +11,11 @@
 namespace sse::net {
 
 /// Wire framing: a little-endian u32 length prefix around
-/// `Message::Encode()` bytes. Frames above this bound are rejected as
-/// protocol errors before any allocation happens.
+/// `Message::Encode()` bytes; `Message::EncodeFrame()` writes both in one
+/// pass. Frames above this bound are rejected as protocol errors before
+/// any allocation happens.
 inline constexpr uint32_t kMaxFrameSize = 1u << 30;
 inline constexpr size_t kFrameHeaderSize = 4;
-
-/// Prepends the length header to `payload`, producing the exact bytes that
-/// go on the wire.
-Bytes EncodeFrame(const Bytes& payload);
 
 /// Incremental reassembly of length-prefixed frames from an arbitrarily
 /// chopped byte stream. This is the ONE framing state machine in the

@@ -1,5 +1,6 @@
 #include "sse/net/message.h"
 
+#include "sse/net/frame.h"
 #include "sse/util/crc32.h"
 #include "sse/util/serde.h"
 
@@ -17,30 +18,49 @@ void Message::EchoSession(const Message& request) {
   StampSession(request.client_id, request.seq);
 }
 
+namespace {
+
+/// The one envelope writer behind Encode() and EncodeFrame().
+void PutEnvelope(const Message& m, BufferWriter& w) {
+  uint16_t tag = m.type;
+  if (m.has_session) tag |= kMsgFlagSession;
+  if (m.has_trace) tag |= kMsgFlagTrace;
+  if (m.has_deadline) tag |= kMsgFlagDeadline;
+  w.PutU16(tag);
+  const size_t body = m.payload.size() +
+                      (m.has_session ? Message::kSessionHeaderSize : 0) +
+                      (m.has_trace ? Message::kTraceHeaderSize : 0) +
+                      (m.has_deadline ? Message::kDeadlineHeaderSize : 0);
+  w.PutU32(static_cast<uint32_t>(body));
+  if (m.has_session) {
+    w.PutU64(m.client_id);
+    w.PutU64(m.seq);
+    w.PutU32(m.payload_crc);
+  }
+  if (m.has_trace) {
+    w.PutU64(m.trace_id);
+    w.PutU64(m.trace_parent);
+    w.PutU8(m.trace_flags);
+  }
+  if (m.has_deadline) w.PutU32(m.deadline_ms);
+  w.PutRaw(m.payload);
+}
+
+}  // namespace
+
 Bytes Message::Encode() const {
   BufferWriter w;
-  uint16_t tag = type;
-  if (has_session) tag |= kMsgFlagSession;
-  if (has_trace) tag |= kMsgFlagTrace;
-  if (has_deadline) tag |= kMsgFlagDeadline;
-  w.PutU16(tag);
-  const size_t body = payload.size() +
-                      (has_session ? kSessionHeaderSize : 0) +
-                      (has_trace ? kTraceHeaderSize : 0) +
-                      (has_deadline ? kDeadlineHeaderSize : 0);
-  w.PutU32(static_cast<uint32_t>(body));
-  if (has_session) {
-    w.PutU64(client_id);
-    w.PutU64(seq);
-    w.PutU32(payload_crc);
-  }
-  if (has_trace) {
-    w.PutU64(trace_id);
-    w.PutU64(trace_parent);
-    w.PutU8(trace_flags);
-  }
-  if (has_deadline) w.PutU32(deadline_ms);
-  w.PutRaw(payload);
+  w.Reserve(WireSize());
+  PutEnvelope(*this, w);
+  return w.TakeData();
+}
+
+Bytes Message::EncodeFrame() const {
+  const size_t size = WireSize();
+  BufferWriter w;
+  w.Reserve(kFrameHeaderSize + size);
+  w.PutU32(static_cast<uint32_t>(size));
+  PutEnvelope(*this, w);
   return w.TakeData();
 }
 

@@ -90,8 +90,13 @@ struct Message {
   /// duplicated or reordered stream). Recomputes the CRC for this payload.
   void EchoSession(const Message& request);
 
-  /// Serializes to the framed wire form.
+  /// Serializes the envelope (type, length, headers, payload): the bytes
+  /// the WAL, the reply cache and the in-process channel keep.
   Bytes Encode() const;
+
+  /// Serializes into a TCP frame in one pass: the little-endian u32 length
+  /// of the Encode() bytes, then those bytes, in one buffer.
+  Bytes EncodeFrame() const;
 
   /// Parses a framed message; rejects trailing bytes. A session-stamped
   /// message whose payload fails its checksum comes back as CORRUPTION —

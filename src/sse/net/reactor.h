@@ -15,12 +15,12 @@
 namespace sse::net {
 
 /// Event-driven network core: N epoll loop threads, each owning a set of
-/// non-blocking fds, level-triggered. Everything that touches an fd's
-/// state (epoll interest, buffers, lifecycle) runs on the loop thread
-/// that owns it; other threads communicate exclusively through Post(),
-/// which enqueues a closure under a mutex and wakes the loop via an
-/// eventfd. That single-writer discipline is what keeps the per-
-/// connection state machines lock-free and TSan-clean.
+/// non-blocking fds, level-triggered. An fd's epoll interest, reads and
+/// lifecycle run on the loop thread that owns it; other threads reach the
+/// loop through Post(), which enqueues a closure under a mutex and wakes
+/// the loop via an eventfd. A handler may let other threads write to its
+/// fd under a lock of its own: `Connection` does, so that the worker that
+/// produced a reply can send it without a post (see net/connection.h).
 ///
 /// The reactor replaces thread-per-connection serving: however many
 /// connections are registered, the thread budget stays `loops` here plus

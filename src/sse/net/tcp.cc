@@ -46,7 +46,6 @@ struct NetCounters {
   obs::MetricsRegistry::Counter* timeouts;
   obs::MetricsRegistry::Counter* reconnects;
   obs::MetricsRegistry::Counter* server_frames;
-  obs::MetricsRegistry::Counter* read_pauses;
 
   static NetCounters& Get() {
     static NetCounters c = [] {
@@ -66,9 +65,6 @@ struct NetCounters {
                                     "Automatic client redials");
       n.server_frames = reg.GetCounter("sse_net_server_frames_total",
                                        "Frames dispatched by TCP servers");
-      n.read_pauses = reg.GetCounter(
-          "sse_net_read_pauses_total",
-          "Connections paused by reply-window backpressure");
       return n;
     }();
     return c;
@@ -146,11 +142,6 @@ struct AdmissionCounters {
     return c;
   }
 };
-
-Status WriteFrameBlocking(int fd, const Bytes& payload) {
-  const Bytes framed = EncodeFrame(payload);
-  return WriteAllBlocking(fd, framed.data(), framed.size());
-}
 
 uint64_t SteadyNowNs() {
   return static_cast<uint64_t>(
@@ -285,7 +276,7 @@ void TcpServer::ShedFrame(const std::shared_ptr<Connection>& conn,
                           const Status& status) {
   Message error = MakeErrorMessage(status);
   if (has_session) error.StampSession(client_id, seq);
-  conn->SendFrame(error.Encode());
+  conn->SendFrame(error.EncodeFrame());
 }
 
 void TcpServer::NoteShed(const char* reason) {
@@ -315,8 +306,8 @@ void TcpServer::MaybeExitBrownout() {
 
 void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                               Bytes frame) {
-  // Loop thread: admission, accounting, hand-off. The pool runs the
-  // handler and posts the encoded reply back to the connection's loop.
+  // Loop thread: admission, accounting, hand-off. The pool worker runs
+  // the handler and writes the reply itself (Connection::SendFrame).
   const size_t queue_depth = pool_->queue_depth();
   DispatchQueueDepthHistogram().Record(queue_depth);
   // The session stamp is salvaged up front: a shed reply must be
@@ -368,8 +359,7 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                                            SteadyNowNs() - enqueued_ns,
                                            reply.type != kMsgError);
         }
-        Bytes encoded = reply.Encode();
-        conn->SendFrame(std::move(encoded));
+        conn->SendFrame(reply.EncodeFrame());
         inflight_requests_.fetch_sub(1);
       },
       options_.max_dispatch_queue);
@@ -496,7 +486,7 @@ void TcpServer::Stop() {
       bool all_flushed = true;
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (auto& [raw, shared] : conns_) {
-        if (shared->outstanding() > 0 || shared->queued_replies() > 0) {
+        if (shared->outstanding() > 0) {
           all_flushed = false;
           break;
         }
@@ -512,7 +502,7 @@ void TcpServer::Stop() {
   // Shutdown (not destruction): loop threads may still be delivering
   // already-read frames into DispatchFrame until the reactor stops below,
   // and they must find a stopped pool, not freed memory.
-  pool_->Shutdown();  // joins workers; their reply posts drop on closed conns
+  pool_->Shutdown();  // joins workers; their replies drop on closed conns
   reactor_->Stop();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -671,16 +661,19 @@ Channel::CallId TcpChannel::Submit(const Message& request) {
   InflightWindowHistogram().Record(inflight_order_.size());
   Status status = EnsureConnected();
   if (status.ok()) {
-    Bytes wire = request.Encode();
-    send_span.Annotate("bytes", wire.size());
-    status = WriteFrameBlocking(fd_, wire);
+    const Bytes frame = request.EncodeFrame();
+    // Byte counts cover the message, not its length prefix, as the
+    // in-process channel counts them.
+    const size_t bytes = frame.size() - kFrameHeaderSize;
+    send_span.Annotate("bytes", bytes);
+    status = WriteAllBlocking(fd_, frame.data(), frame.size());
     if (status.ok()) {
       stats_.rounds += 1;
       stats_.frames_sent += 1;
-      stats_.bytes_sent += wire.size();
+      stats_.bytes_sent += bytes;
       stats_.calls_by_type[request.type] += 1;
       NetCounters::Get().frames_sent->Add();
-      NetCounters::Get().bytes_sent->Add(wire.size());
+      NetCounters::Get().bytes_sent->Add(bytes);
     } else {
       if (status.code() == StatusCode::kDeadlineExceeded) {
         NetCounters::Get().timeouts->Add();

@@ -29,12 +29,15 @@ namespace sse::net {
 /// any `MessageHandler`, and a matching `Channel` client. Framing is a
 /// little-endian u32 length prefix around `Message::Encode()` bytes — the
 /// same bytes the in-process channel counts, so measurements transfer.
+/// Both ends write each frame once, with `Message::EncodeFrame()`.
 ///
 /// The server is an event-driven reactor (`net/reactor.h`): a fixed set of
 /// epoll loop threads owns every accepted socket as a non-blocking
 /// `Connection` state machine (`net/connection.h`), and decoded request
 /// frames are dispatched into ONE process-wide worker pool shared by all
-/// connections. The thread budget is therefore `reactor_loops +
+/// connections. The worker that ran the handler writes the reply to the
+/// socket itself; only a reply the socket cannot take at once goes back to
+/// the loop. The thread budget is therefore `reactor_loops +
 /// dispatch_workers`, independent of how many clients are connected —
 /// 5k idle connections cost file descriptors and buffers, not threads.
 ///

@@ -14,7 +14,8 @@ namespace sse::net {
 /// Fixed-size worker pool executing submitted closures FIFO.
 ///
 /// TcpServer's dispatch pool: the reactor loops hand each decoded request
-/// frame to it, and a worker runs the handler and posts the reply back.
+/// frame to it, and a worker runs the handler and writes the reply to the
+/// connection itself (Connection::SendFrame).
 /// Nothing waits on a task it submitted, so tasks never block a worker on
 /// work queued behind it.
 class WorkerPool {

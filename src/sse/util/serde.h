@@ -33,6 +33,9 @@ class BufferWriter {
   void PutString(std::string_view s);
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
+  /// Pre-sizes the buffer for `n` bytes in all.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   const Bytes& data() const { return buf_; }
   Bytes TakeData() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

@@ -5,6 +5,7 @@
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/scheme3_messages.h"
+#include "test_util.h"
 
 namespace sse::net {
 namespace {
@@ -76,6 +77,26 @@ TEST(MessageTest, UnstampedEncodingIsByteIdenticalToLegacy) {
   const Bytes wire = msg.Encode();
   const Bytes expected = {0x05, 0x01, 0x04, 0x00, 0x00, 0x00, 1, 2, 3, 4};
   EXPECT_EQ(wire, expected);
+}
+
+TEST(MessageTest, EncodeFrameIsLengthPrefixThenEncode) {
+  Message plain{0x0105, Bytes{1, 2, 3, 4}};
+  const Bytes expected = {0x0a, 0x00, 0x00, 0x00, 0x05, 0x01, 0x04,
+                          0x00, 0x00, 0x00, 1,    2,    3,    4};
+  EXPECT_EQ(plain.EncodeFrame(), expected);
+  // Every header combination frames exactly the bytes Encode() produces.
+  for (int headers = 0; headers < 8; ++headers) {
+    Message msg{0x0203, Bytes(300, 0x5a)};
+    if ((headers & 1) != 0) msg.StampSession(0x0102030405060708u, 77);
+    msg.has_trace = (headers & 2) != 0;
+    msg.trace_id = 0x1111;
+    msg.trace_parent = 0x2222;
+    msg.trace_flags = kTraceFlagSampled;
+    msg.has_deadline = (headers & 4) != 0;
+    msg.deadline_ms = 1234;
+    EXPECT_EQ(msg.EncodeFrame(), sse::testing::FrameBytes(msg.Encode()))
+        << "headers " << headers;
+  }
 }
 
 TEST(MessageTest, SessionWireSizeAddsExactlyTheHeader) {

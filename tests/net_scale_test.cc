@@ -17,6 +17,7 @@
 #include "sse/engine/scheme3_adapter.h"
 #include "sse/engine/server_engine.h"
 #include "sse/net/tcp.h"
+#include "test_util.h"
 
 namespace sse::net {
 namespace {
@@ -245,7 +246,7 @@ TEST(NetScaleTest, ConnectionChurnUnderFaultsKeepsServing) {
         case 1: {
           // Framed garbage: decodes as a frame, fails as a Message. The
           // server answers with an error frame instead of dying.
-          Bytes wire = EncodeFrame(Bytes{0xDE, 0xAD, 0xBE, 0xEF});
+          Bytes wire = sse::testing::FrameBytes(Bytes{0xDE, 0xAD, 0xBE, 0xEF});
           (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           break;

@@ -12,9 +12,12 @@
 #include <vector>
 
 #include "sse/net/frame.h"
+#include "test_util.h"
 
 namespace sse::net {
 namespace {
+
+using sse::testing::FrameBytes;
 
 // ------------------------------------------------------------- framing --
 
@@ -34,7 +37,7 @@ TEST(FrameAssemblerTest, RoundTripOneByteAtATime) {
       MakePayload(17, 4)};
   Bytes wire;
   for (const Bytes& p : payloads) {
-    Bytes framed = EncodeFrame(p);
+    Bytes framed = FrameBytes(p);
     wire.insert(wire.end(), framed.begin(), framed.end());
   }
 
@@ -53,7 +56,7 @@ TEST(FrameAssemblerTest, RoundTripOneByteAtATime) {
 
 TEST(FrameAssemblerTest, TornPrefixReportsMidFrame) {
   const Bytes payload = MakePayload(64, 9);
-  const Bytes framed = EncodeFrame(payload);
+  const Bytes framed = FrameBytes(payload);
   FrameAssembler assembler;
 
   // Two bytes of the length prefix: mid-frame, nothing ready.
@@ -77,7 +80,7 @@ TEST(FrameAssemblerTest, TornPrefixReportsMidFrame) {
 
 TEST(FrameAssemblerTest, ZeroLengthFramesAreFrames) {
   FrameAssembler assembler;
-  const Bytes framed = EncodeFrame(Bytes{});
+  const Bytes framed = FrameBytes(Bytes{});
   ASSERT_TRUE(assembler.Feed(framed.data(), framed.size()).ok());
   ASSERT_TRUE(assembler.Feed(framed.data(), framed.size()).ok());
   Bytes out{1, 2, 3};
@@ -99,7 +102,7 @@ TEST(FrameAssemblerTest, FuzzRandomChunkingPreservesFrameSequence) {
   Bytes wire;
   for (int i = 0; i < 200; ++i) {
     payloads.push_back(MakePayload(payload_size(rng), static_cast<uint32_t>(i)));
-    Bytes framed = EncodeFrame(payloads.back());
+    Bytes framed = FrameBytes(payloads.back());
     wire.insert(wire.end(), framed.begin(), framed.end());
   }
 
@@ -121,7 +124,7 @@ TEST(FrameAssemblerTest, FuzzRandomChunkingPreservesFrameSequence) {
 
 TEST(FrameAssemblerTest, OversizeFramePoisonsTheStream) {
   FrameAssembler assembler(/*max_frame=*/1024);
-  Bytes huge_header = EncodeFrame(Bytes{});  // patch the length below
+  Bytes huge_header = FrameBytes(Bytes{});  // patch the length below
   const uint32_t huge = 4096;
   for (size_t i = 0; i < kFrameHeaderSize; ++i) {
     huge_header[i] = static_cast<uint8_t>(huge >> (8 * i));
@@ -132,7 +135,7 @@ TEST(FrameAssemblerTest, OversizeFramePoisonsTheStream) {
 
   // Poisoned: even valid bytes are rejected — the stream cannot be
   // resynchronized after a framing breach.
-  const Bytes valid = EncodeFrame(Bytes{1});
+  const Bytes valid = FrameBytes(Bytes{1});
   EXPECT_FALSE(assembler.Feed(valid.data(), valid.size()).ok());
 
   // Reset (a fresh connection) clears the poison.
@@ -147,7 +150,7 @@ TEST(FrameAssemblerTest, OversizeRejectedBeforePayloadArrives) {
   // The length check happens on the prefix alone: a would-be 1 GiB bomb
   // is refused without buffering any payload bytes.
   FrameAssembler assembler(/*max_frame=*/16);
-  Bytes framed = EncodeFrame(MakePayload(17, 5));
+  Bytes framed = FrameBytes(MakePayload(17, 5));
   EXPECT_FALSE(assembler.Feed(framed.data(), framed.size()).ok());
   // Only the 4 prefix bytes were ever buffered — none of the payload.
   EXPECT_LE(assembler.partial_bytes(), kFrameHeaderSize);

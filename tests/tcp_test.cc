@@ -1,6 +1,8 @@
 #include "sse/net/tcp.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +16,8 @@
 #include "sse/engine/scheme1_adapter.h"
 #include "sse/engine/server_engine.h"
 #include "sse/net/retry.h"
+#include "sse/net/socket_util.h"
+#include "sse/obs/metrics_registry.h"
 #include "test_util.h"
 
 namespace sse::net {
@@ -487,6 +491,181 @@ TEST(TcpPipelineTest, BatchedStoreOverTcpCostsFewFrames) {
   for (const auto& outcome : *outcomes) {
     EXPECT_EQ(outcome.ids, (std::vector<uint64_t>{1}));
   }
+}
+
+// ------------------------------------------------------------ reply path --
+// The dispatch worker writes its reply itself when the socket takes it at
+// once. These cases drive what the common path never reaches: full socket
+// buffers (partial writes queued for the loop), a full reply window (reads
+// paused until a slot retires), and a peer that closes mid-flight.
+
+template <typename Pred>
+bool WaitFor(Pred pred, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+uint64_t ReadPauses() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sse_net_read_pauses_total")
+      ->Value();
+}
+
+/// Answers every request with a 256 KiB payload derived from its seq, so a
+/// reply's bytes show which call it answers and whether it arrived whole.
+class BigReplyHandler : public MessageHandler {
+ public:
+  static Bytes Payload(uint64_t seq) {
+    Bytes payload(256 * 1024);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<uint8_t>(seq * 131 + i / 1024 + i);
+    }
+    return payload;
+  }
+  Result<Message> Handle(const Message& request) override {
+    Message reply{static_cast<uint16_t>(request.type + 1),
+                  Payload(request.seq)};
+    reply.EchoSession(request);
+    return reply;
+  }
+};
+
+TEST(TcpReplyPathTest, FullWindowAndPartialWritesDeliverEachReplyOnce) {
+  BigReplyHandler handler;
+  auto server = TcpServer::Start(&handler);
+  ASSERT_TRUE(server.ok());
+  auto channel = TcpChannel::Connect((*server)->port());
+  ASSERT_TRUE(channel.ok());
+
+  // 80 calls, more than the reply window holds, whose 20 MiB of replies
+  // the client does not read yet: the socket fills, replies go partial and
+  // queue behind each other, and the full window pauses reading.
+  constexpr uint64_t kCalls = 80;
+  static_assert(kCalls > Connection::kMaxOutstanding);
+  const uint64_t pauses_before = ReadPauses();
+  std::vector<Channel::CallId> ids;
+  for (uint64_t seq = 1; seq <= kCalls; ++seq) {
+    Message request{7, Bytes{static_cast<uint8_t>(seq)}};
+    request.StampSession(77, seq);
+    ids.push_back((*channel)->Submit(request));
+  }
+  ASSERT_TRUE(WaitFor([&] { return ReadPauses() > pauses_before; },
+                      std::chrono::seconds(10)))
+      << "the reply window never filled";
+
+  // Every reply arrives whole, matched to its own call.
+  for (uint64_t seq = 1; seq <= kCalls; ++seq) {
+    auto reply = (*channel)->Await(ids[seq - 1]);
+    ASSERT_TRUE(reply.ok()) << "seq " << seq << ": "
+                            << reply.status().ToString();
+    EXPECT_EQ(reply->client_id, 77u);
+    EXPECT_EQ(reply->seq, seq);
+    EXPECT_TRUE(reply->payload == BigReplyHandler::Payload(seq))
+        << "seq " << seq;
+  }
+  // The paused connection resumed: a further call is served, and no reply
+  // came twice (a duplicate would have arrived ahead of this one).
+  Message more{7, Bytes{0}};
+  more.StampSession(77, kCalls + 1);
+  auto reply = (*channel)->Call(more);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->seq, kCalls + 1);
+  EXPECT_EQ((*channel)->stats().frames_received, kCalls + 1);
+  EXPECT_EQ((*server)->requests_served(), kCalls + 1);
+}
+
+/// Sleeps about 20 ms per request, so replies are still being produced
+/// after the peer has gone.
+class SleepyEchoHandler : public MessageHandler {
+ public:
+  Result<Message> Handle(const Message& request) override {
+    arrived_.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Message reply{static_cast<uint16_t>(request.type + 1), request.payload};
+    reply.EchoSession(request);
+    return reply;
+  }
+  std::atomic<int> arrived_{0};
+};
+
+TEST(TcpReplyPathTest, ClientCloseMidFlightLetsStopReturnPromptly) {
+  SleepyEchoHandler handler;
+  TcpServer::Options server_opts;
+  server_opts.serialize_handler = false;
+  server_opts.drain_timeout_ms = 5000.0;
+  auto server = TcpServer::Start(&handler, 0, server_opts);
+  ASSERT_TRUE(server.ok());
+  auto channel = TcpChannel::Connect((*server)->port());
+  ASSERT_TRUE(channel.ok());
+
+  for (uint64_t seq = 1; seq <= 32; ++seq) {
+    Message request{7, Bytes{static_cast<uint8_t>(seq)}};
+    request.StampSession(5, seq);
+    (*channel)->Submit(request);
+  }
+  ASSERT_TRUE(WaitFor([&] { return handler.arrived_.load() >= 4; },
+                      std::chrono::seconds(5)));
+  channel->reset();  // closes the socket with most replies still to come
+
+  // Every reply slot retires — written into the dying socket or dropped at
+  // the close — so the drain ends long before its budget.
+  const auto start = std::chrono::steady_clock::now();
+  (*server)->Stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 2500) << "a reply slot never retired";
+  EXPECT_EQ((*server)->connections_active(), 0u);
+}
+
+TEST(TcpReplyPathTest, HalfClosedPeerGetsEveryReplyThenEof) {
+  SleepyEchoHandler handler;
+  TcpServer::Options server_opts;
+  server_opts.serialize_handler = false;
+  auto server = TcpServer::Start(&handler, 0, server_opts);
+  ASSERT_TRUE(server.ok());
+  Result<int> fd = DialTcp("127.0.0.1", (*server)->port(), 5000.0, 5000.0,
+                           5000.0);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+  // Eight requests, then EOF. The loop sees the EOF long before the
+  // handler's replies exist, so each worker that writes one finds reading
+  // stopped and must wake the loop; the last wake-up closes the socket.
+  constexpr uint64_t kCalls = 8;
+  Bytes wire;
+  for (uint64_t seq = 1; seq <= kCalls; ++seq) {
+    Message request{7, Bytes{static_cast<uint8_t>(seq)}};
+    request.StampSession(6, seq);
+    const Bytes frame = request.EncodeFrame();
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  SSE_ASSERT_OK(WriteAllBlocking(*fd, wire.data(), wire.size()));
+  ASSERT_EQ(::shutdown(*fd, SHUT_WR), 0);
+
+  FrameAssembler rx;
+  std::set<uint64_t> seqs;
+  uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(*fd, buf, sizeof(buf), 0);
+    ASSERT_GE(n, 0) << "no EOF before the receive timeout";
+    if (n == 0) break;
+    SSE_ASSERT_OK(rx.Feed(buf, static_cast<size_t>(n)));
+    Bytes frame;
+    while (rx.Next(&frame)) {
+      auto reply = Message::Decode(frame);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_TRUE(seqs.insert(reply->seq).second) << "seq " << reply->seq;
+    }
+  }
+  ::close(*fd);
+  EXPECT_FALSE(rx.mid_frame());
+  EXPECT_EQ(seqs.size(), kCalls);
+  EXPECT_TRUE(WaitFor([&] { return (*server)->connections_active() == 0; },
+                      std::chrono::seconds(5)));
 }
 
 TEST(TcpTest, FullSchemeOverTcp) {

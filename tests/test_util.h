@@ -13,6 +13,7 @@
 #include "sse/core/registry.h"
 #include "sse/crypto/keys.h"
 #include "sse/index/posting.h"
+#include "sse/net/frame.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/util/random.h"
 #include "sse/util/status.h"
@@ -98,6 +99,19 @@ inline std::vector<index::DocIdList> OverlappingIdLists(size_t n,
     lists.push_back(index::Canonicalize(std::move(ids)));
   }
   return lists;
+}
+
+/// Prepends the TCP frame's little-endian u32 length to raw bytes, for
+/// tests that put bytes on the wire which need not decode as a Message.
+/// (Messages frame themselves with Message::EncodeFrame.)
+inline Bytes FrameBytes(const Bytes& payload) {
+  Bytes framed;
+  framed.reserve(net::kFrameHeaderSize + payload.size());
+  for (size_t i = 0; i < net::kFrameHeaderSize; ++i) {
+    framed.push_back(static_cast<uint8_t>(payload.size() >> (8 * i)));
+  }
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  return framed;
 }
 
 /// Decodes the hex literal of a known-answer vector; a malformed literal
