@@ -48,7 +48,9 @@ namespace sse::net {
 ///    otherwise its frame goes behind what is queued, so one thread's
 ///    replies also leave in the order it sent them.
 ///  - No write reaches a closed or reused fd: CloseNow closes the fd under
-///    `write_mu_`, and a sender checks `closed_` under the same lock.
+///    `write_mu_`, and a sender checks `closed_` under the same lock. A
+///    dispatch task holds the connection by shared_ptr, so a late reply
+///    finds it closed, never freed.
 ///  - No wake-up is lost: a sender retires its slot and reads `reading_`
 ///    in one critical section, and the loop clears `reading_` (pause,
 ///    drain, peer EOF) under the same lock before it re-checks the
