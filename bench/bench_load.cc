@@ -473,12 +473,15 @@ int Run(bool smoke, const char* json_path) {
   ThrottledHandler throttled(sys.server.get(),
                              std::chrono::microseconds(smoke ? 300 : 0));
   net::QueueAdmissionController::Options admission_options;
-  // Watermarks sized so a full client-side burst (connections x window
-  // frames arriving back-to-back after a late pacer wake-up) does not by
-  // itself cross the search watermark at healthy load; sustained overload
-  // still does, and mutations brown out first at half the depth.
-  admission_options.max_queue_depth = 48;
-  admission_options.mutation_queue_depth = 24;
+  // The healthy points keep at most connections x window calls in flight,
+  // so an arriving frame finds fewer than that many queued ahead of it:
+  // with the mutation watermark at connections x window, neither a
+  // closed-loop window nor a burst of it after a late pacer wake-up sheds
+  // anything. The past-watermark point's deeper window still crosses
+  // both, and mutations brown out first at half the search depth.
+  admission_options.mutation_queue_depth = load.connections * load.window;
+  admission_options.max_queue_depth =
+      2 * admission_options.mutation_queue_depth;
   admission_options.retry_after_ms = 5;
   auto controller =
       std::make_shared<net::QueueAdmissionController>(admission_options);
@@ -586,13 +589,19 @@ int Run(bool smoke, const char* json_path) {
       "  \"admission\": {\"search_depth\": %zu, \"mutation_depth\": %zu, "
       "\"dispatch_cap\": %zu, \"workers\": %zu},\n"
       "  \"calibrated_capacity_ops_s\": %.1f,\n"
+      "  \"calibration\": {\"search_sent\": %llu, \"search_shed\": %llu, "
+      "\"update_sent\": %llu, \"update_shed\": %llu},\n"
       "  \"points\": [\n",
       smoke ? "true" : "false", std::thread::hardware_concurrency(),
       load.sessions, load.connections, load.window,
       load.update_fraction, load.zipf_s, load.search_keywords,
       admission_options.max_queue_depth,
       admission_options.mutation_queue_depth, server_opts.max_dispatch_queue,
-      server_opts.dispatch_workers, capacity);
+      server_opts.dispatch_workers, capacity,
+      static_cast<unsigned long long>(cal.search_sent),
+      static_cast<unsigned long long>(cal.search_shed),
+      static_cast<unsigned long long>(cal.update_sent),
+      static_cast<unsigned long long>(cal.update_shed));
   for (size_t i = 0; i < points.size(); ++i) {
     std::fprintf(out, "%s%s\n", PhaseJson(points[i]).c_str(),
                  i + 1 < points.size() ? "," : "");

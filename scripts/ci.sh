@@ -129,7 +129,7 @@ else
              engine_test retry_test fault_test \
              crash_recovery_test env_test reactor_test net_scale_test \
              scheme3_test overload_test durable_server_test repl_test \
-             document_store_test snapshot_test \
+             document_store_test snapshot_test messages_test \
              sha256_test hash_chain_test prf_test hkdf_test \
              stream_cipher_test aead_test prg_test crypto_kernel_test
   # cluster_test is excluded as in the TSan pass; repl_test covers the
@@ -145,8 +145,9 @@ else
   # asserts recovery + exactly-once retries; a date-derived seed rotates
   # the torn-write patterns across days without losing reproducibility
   # (the failing seed is printed by the test on mismatch). The label also
-  # carries the durable-server and batch suites, and the snapshot file and
-  # document-section decoders.
+  # carries the durable-server and batch suites, the snapshot file and
+  # document-section decoders, and every message decoder's fuzz, truncation
+  # and golden cases.
   SSE_CRASH_SEED="${SSE_CRASH_SEED:-$(date -u +%Y%m%d)}" \
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan -L "crash" --output-on-failure

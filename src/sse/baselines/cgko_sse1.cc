@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "sse/baselines/search_reply.h"
 #include "sse/crypto/stream_cipher.h"
+#include "sse/net/wire.h"
 #include "sse/util/serde.h"
 
 namespace sse::baselines {
@@ -11,14 +13,6 @@ namespace {
 
 constexpr uint32_t kEndOfList = 0xffffffffu;
 constexpr size_t kNodeKeySize = 32;
-
-Status CheckType(const net::Message& msg, uint16_t want) {
-  if (msg.type != want) {
-    return Status::ProtocolError("expected " + net::MessageTypeName(want) +
-                                 ", got " + net::MessageTypeName(msg.type));
-  }
-  return Status::OK();
-}
 
 /// Plaintext of one list node: doc id ‖ next key ‖ next addr.
 Bytes EncodeNode(uint64_t doc_id, const Bytes& next_key, uint32_t next_addr) {
@@ -67,7 +61,7 @@ Result<net::Message> CgkoServer::Handle(const net::Message& request) {
 Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
   BufferReader r(msg.payload);
   std::vector<Bytes> array;
-  SSE_ASSIGN_OR_RETURN(array, core::GetBytesList(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, array));
   uint64_t table_count = 0;
   SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
   if (table_count > r.remaining()) {
@@ -85,7 +79,7 @@ Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
     table.Put(token, std::move(masked));
   }
   std::vector<core::WireDocument> new_docs;
-  SSE_ASSIGN_OR_RETURN(new_docs, core::GetWireDocuments(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, new_docs));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
   index_bytes_uploaded_ += msg.payload.size();
@@ -139,15 +133,12 @@ Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
   }
   std::sort(ids.begin(), ids.end());
 
-  BufferWriter w;
-  core::PutIdList(w, ids);
-  core::PutWireDocuments(w, docs_.Fetch(ids));
-  return net::Message{kMsgCgkoSearchResult, w.TakeData()};
+  return SearchReply<kMsgCgkoSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
 }
 
 Result<Bytes> CgkoServer::SerializeState() const {
   BufferWriter w;
-  core::PutBytesList(w, array_);
+  net::wire::Put(w, array_);
   w.PutVarint(table_.size());
   table_.ForEach([&](const Bytes& token, const Bytes& masked) {
     w.PutBytes(token);
@@ -161,7 +152,7 @@ Result<Bytes> CgkoServer::SerializeState() const {
 Status CgkoServer::RestoreState(BytesView data) {
   BufferReader r(data);
   std::vector<Bytes> array;
-  SSE_ASSIGN_OR_RETURN(array, core::GetBytesList(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, array));
   uint64_t table_count = 0;
   SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
   index::BTreeMap<Bytes> table;
@@ -287,16 +278,16 @@ Status CgkoClient::Store(const std::vector<core::Document>& docs) {
   }
 
   BufferWriter w;
-  core::PutBytesList(w, array);
+  net::wire::Put(w, array);
   w.PutRaw(table_w.data());
   std::vector<core::WireDocument> wire_docs;
   SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(docs, *rng_));
-  core::PutWireDocuments(w, wire_docs);
+  net::wire::Put(w, wire_docs);
 
   net::Message ack;
   SSE_ASSIGN_OR_RETURN(
       ack, channel_->Call(net::Message{kMsgCgkoBuild, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(ack, kMsgCgkoBuildAck));
+  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgCgkoBuildAck));
   used_ids_.Add(docs);
   return Status::OK();
 }
@@ -312,15 +303,7 @@ Result<core::SearchOutcome> CgkoClient::Search(std::string_view keyword) {
   net::Message reply;
   SSE_ASSIGN_OR_RETURN(
       reply, channel_->Call(net::Message{kMsgCgkoSearch, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(reply, kMsgCgkoSearchResult));
-  BufferReader r(reply.payload);
-  core::SearchOutcome outcome;
-  SSE_ASSIGN_OR_RETURN(outcome.ids, core::GetIdList(r));
-  std::vector<core::WireDocument> wire_docs;
-  SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
-  return outcome;
+  return OpenSearchReply<kMsgCgkoSearchResult>(reply, data_);
 }
 
 }  // namespace sse::baselines

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 
+#include "sse/baselines/search_reply.h"
 #include "sse/crypto/hkdf.h"
+#include "sse/net/wire.h"
 #include "sse/util/serde.h"
 
 namespace sse::baselines {
-
-namespace {
-
-Status CheckType(const net::Message& msg, uint16_t want) {
-  if (msg.type != want) {
-    return Status::ProtocolError("expected " + net::MessageTypeName(want) +
-                                 ", got " + net::MessageTypeName(msg.type));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<uint64_t> GohBitPosition(const Bytes& subkey, uint64_t doc_id,
                                 size_t bloom_bits) {
@@ -74,7 +64,7 @@ Result<net::Message> GohServer::HandleStore(const net::Message& msg) {
 Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
   BufferReader r(msg.payload);
   std::vector<Bytes> subkeys;
-  SSE_ASSIGN_OR_RETURN(subkeys, core::GetBytesList(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, subkeys));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   if (subkeys.size() != options_.num_keys) {
     return Status::ProtocolError("trapdoor has wrong subkey count");
@@ -98,10 +88,7 @@ Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
   }
   std::sort(ids.begin(), ids.end());
 
-  BufferWriter w;
-  core::PutIdList(w, ids);
-  core::PutWireDocuments(w, docs_.Fetch(ids));
-  return net::Message{kMsgGohSearchResult, w.TakeData()};
+  return SearchReply<kMsgGohSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
 }
 
 Result<Bytes> GohServer::SerializeState() const {
@@ -218,7 +205,7 @@ Status GohClient::Store(const std::vector<core::Document>& docs) {
   net::Message ack;
   SSE_ASSIGN_OR_RETURN(
       ack, channel_->Call(net::Message{kMsgGohStore, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(ack, kMsgGohStoreAck));
+  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgGohStoreAck));
   return Status::OK();
 }
 
@@ -226,19 +213,11 @@ Result<core::SearchOutcome> GohClient::Search(std::string_view keyword) {
   std::vector<Bytes> subkeys;
   SSE_ASSIGN_OR_RETURN(subkeys, MakeTrapdoor(keyword));
   BufferWriter w;
-  core::PutBytesList(w, subkeys);
+  net::wire::Put(w, subkeys);
   net::Message reply;
   SSE_ASSIGN_OR_RETURN(
       reply, channel_->Call(net::Message{kMsgGohSearch, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(reply, kMsgGohSearchResult));
-  BufferReader r(reply.payload);
-  core::SearchOutcome outcome;
-  SSE_ASSIGN_OR_RETURN(outcome.ids, core::GetIdList(r));
-  std::vector<core::WireDocument> wire_docs;
-  SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
-  return outcome;
+  return OpenSearchReply<kMsgGohSearchResult>(reply, data_);
 }
 
 }  // namespace sse::baselines

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sse/baselines/search_reply.h"
+#include "sse/net/wire.h"
 #include "sse/util/serde.h"
 
 namespace sse::baselines {
@@ -10,14 +12,6 @@ namespace {
 
 constexpr size_t kBlockSize = 32;
 constexpr size_t kHalfSize = 16;
-
-Status CheckType(const net::Message& msg, uint16_t want) {
-  if (msg.type != want) {
-    return Status::ProtocolError("expected " + net::MessageTypeName(want) +
-                                 ", got " + net::MessageTypeName(msg.type));
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -36,7 +30,6 @@ Result<net::Message> SwpServer::Handle(const net::Message& request) {
 }
 
 Result<net::Message> SwpServer::HandleStore(const net::Message& msg) {
-  SSE_RETURN_IF_ERROR(CheckType(msg, kMsgSwpStore));
   BufferReader r(msg.payload);
   uint64_t count = 0;
   SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
@@ -63,7 +56,6 @@ Result<net::Message> SwpServer::HandleStore(const net::Message& msg) {
 }
 
 Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
-  SSE_RETURN_IF_ERROR(CheckType(msg, kMsgSwpSearch));
   BufferReader r(msg.payload);
   Bytes x;
   SSE_ASSIGN_OR_RETURN(x, r.GetBytes());
@@ -102,10 +94,7 @@ Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
-  BufferWriter w;
-  core::PutIdList(w, ids);
-  core::PutWireDocuments(w, docs_.Fetch(ids));
-  return net::Message{kMsgSwpSearchResult, w.TakeData()};
+  return SearchReply<kMsgSwpSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
 }
 
 Result<Bytes> SwpServer::SerializeState() const {
@@ -215,7 +204,7 @@ Status SwpClient::Store(const std::vector<core::Document>& docs) {
   net::Message ack;
   SSE_ASSIGN_OR_RETURN(ack, channel_->Call(net::Message{kMsgSwpStore,
                                                         w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(ack, kMsgSwpStoreAck));
+  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgSwpStoreAck));
   return Status::OK();
 }
 
@@ -232,15 +221,7 @@ Result<core::SearchOutcome> SwpClient::Search(std::string_view keyword) {
   net::Message reply;
   SSE_ASSIGN_OR_RETURN(reply, channel_->Call(net::Message{kMsgSwpSearch,
                                                           w.TakeData()}));
-  SSE_RETURN_IF_ERROR(CheckType(reply, kMsgSwpSearchResult));
-  BufferReader r(reply.payload);
-  core::SearchOutcome outcome;
-  SSE_ASSIGN_OR_RETURN(outcome.ids, core::GetIdList(r));
-  std::vector<core::WireDocument> wire_docs;
-  SSE_ASSIGN_OR_RETURN(wire_docs, core::GetWireDocuments(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  SSE_RETURN_IF_ERROR(data_.OpenAll(wire_docs, outcome));
-  return outcome;
+  return OpenSearchReply<kMsgSwpSearchResult>(reply, data_);
 }
 
 }  // namespace sse::baselines

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sse/net/wire.h"
+
 namespace sse::core {
 
 void DocumentStore::Put(uint64_t id, Bytes ciphertext) {
@@ -33,7 +35,7 @@ void DocumentStore::Serialize(BufferWriter& w) const {
 
 Result<DocumentStore> DocumentStore::Read(BufferReader& r) {
   std::vector<WireDocument> docs;
-  SSE_ASSIGN_OR_RETURN(docs, GetWireDocuments(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, docs));
   DocumentStore store;
   store.Put(std::move(docs));
   return store;

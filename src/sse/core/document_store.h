@@ -37,7 +37,7 @@ class DocumentStore {
 
   /// Appends the document section every server state carries
   /// (docs/PROTOCOL.md §4): `count:varint (id:varint blob:bytes)*`, ids
-  /// ascending. It is the layout of a wire document list (wire_common.h).
+  /// ascending. It is the layout of a wire document list (sse/net/wire.h).
   void Serialize(BufferWriter& w) const;
   /// Reads a document section into a new store; fails on a truncated or
   /// malformed section, leaving the caller's state untouched.

@@ -6,6 +6,7 @@
 
 #include "sse/core/wire_common.h"
 #include "sse/net/message.h"
+#include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -34,20 +35,22 @@ inline constexpr uint16_t kMsgS1SearchResult = net::kMsgRangeScheme1 + 8;
 struct S1NonceRequest {
   std::vector<Bytes> tokens;  // f_{k_w}(w), one per unique keyword
 
-  net::Message ToMessage() const;
-  static Result<S1NonceRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1NonceRequest, kMsgS1NonceRequest,
+                   &S1NonceRequest::tokens)
 };
 
 struct S1NonceEntry {
   bool present = false;  // does S(w) exist on the server yet?
   Bytes enc_nonce;       // F(r), empty when !present
+
+  static constexpr auto kFields =
+      std::tuple{&S1NonceEntry::present, &S1NonceEntry::enc_nonce};
 };
 
 struct S1NonceReply {
   std::vector<S1NonceEntry> entries;  // aligned with request.tokens
 
-  net::Message ToMessage() const;
-  static Result<S1NonceReply> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1NonceReply, kMsgS1NonceReply, &S1NonceReply::entries)
 };
 
 /// One keyword's contribution to round 2 of an update.
@@ -58,52 +61,56 @@ struct S1UpdateEntry {
   Bytes masked_delta;
   Bytes new_enc_nonce;  // F(r')
   bool is_new = false;
+
+  static constexpr auto kFields =
+      std::tuple{&S1UpdateEntry::token, &S1UpdateEntry::masked_delta,
+                 &S1UpdateEntry::new_enc_nonce, &S1UpdateEntry::is_new};
 };
 
 struct S1UpdateRequest {
   std::vector<S1UpdateEntry> entries;
   std::vector<WireDocument> documents;
 
-  net::Message ToMessage() const;
-  static Result<S1UpdateRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1UpdateRequest, kMsgS1UpdateRequest,
+                   &S1UpdateRequest::entries, &S1UpdateRequest::documents)
 };
 
 struct S1UpdateAck {
   uint64_t keywords_updated = 0;
 
-  net::Message ToMessage() const;
-  static Result<S1UpdateAck> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1UpdateAck, kMsgS1UpdateAck,
+                   &S1UpdateAck::keywords_updated)
 };
 
 struct S1SearchRequest {
   Bytes token;
 
-  net::Message ToMessage() const;
-  static Result<S1SearchRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1SearchRequest, kMsgS1SearchRequest,
+                   &S1SearchRequest::token)
 };
 
 struct S1SearchNonceReply {
   bool found = false;
   Bytes enc_nonce;  // F(r) when found
 
-  net::Message ToMessage() const;
-  static Result<S1SearchNonceReply> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1SearchNonceReply, kMsgS1SearchNonceReply,
+                   &S1SearchNonceReply::found, &S1SearchNonceReply::enc_nonce)
 };
 
 struct S1SearchFinish {
   Bytes token;
   Bytes nonce;  // r, recovered by the client
 
-  net::Message ToMessage() const;
-  static Result<S1SearchFinish> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1SearchFinish, kMsgS1SearchFinish, &S1SearchFinish::token,
+                   &S1SearchFinish::nonce)
 };
 
 struct S1SearchResult {
   std::vector<uint64_t> ids;
   std::vector<WireDocument> documents;
 
-  net::Message ToMessage() const;
-  static Result<S1SearchResult> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S1SearchResult, kMsgS1SearchResult, &S1SearchResult::ids,
+                   &S1SearchResult::documents)
 };
 
 }  // namespace sse::core

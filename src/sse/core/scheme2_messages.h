@@ -6,6 +6,7 @@
 
 #include "sse/core/wire_common.h"
 #include "sse/net/message.h"
+#include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -32,34 +33,40 @@ inline constexpr uint16_t kMsgS2ReinitAck = net::kMsgRangeScheme2 + 8;
 struct S2Segment {
   Bytes ciphertext;
   Bytes tag;
+
+  static constexpr auto kFields =
+      std::tuple{&S2Segment::ciphertext, &S2Segment::tag};
 };
 
 struct S2UpdateEntry {
   Bytes token;  // f_{k_w}(w)
   S2Segment segment;
+
+  static constexpr auto kFields =
+      std::tuple{&S2UpdateEntry::token, &S2UpdateEntry::segment};
 };
 
 struct S2UpdateRequest {
   std::vector<S2UpdateEntry> entries;
   std::vector<WireDocument> documents;
 
-  net::Message ToMessage() const;
-  static Result<S2UpdateRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2UpdateRequest, kMsgS2UpdateRequest,
+                   &S2UpdateRequest::entries, &S2UpdateRequest::documents)
 };
 
 struct S2UpdateAck {
   uint64_t keywords_updated = 0;
 
-  net::Message ToMessage() const;
-  static Result<S2UpdateAck> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2UpdateAck, kMsgS2UpdateAck,
+                   &S2UpdateAck::keywords_updated)
 };
 
 struct S2SearchRequest {
   Bytes token;
   Bytes chain_element;  // t'_w = f^{l-ctr}(seed), the newest usable key
 
-  net::Message ToMessage() const;
-  static Result<S2SearchRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2SearchRequest, kMsgS2SearchRequest,
+                   &S2SearchRequest::token, &S2SearchRequest::chain_element)
 };
 
 struct S2SearchResult {
@@ -71,25 +78,29 @@ struct S2SearchResult {
   uint64_t chain_steps = 0;
   uint64_t segments_decrypted = 0;
 
-  net::Message ToMessage() const;
-  static Result<S2SearchResult> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2SearchResult, kMsgS2SearchResult, &S2SearchResult::found,
+                   &S2SearchResult::ids, &S2SearchResult::documents,
+                   &S2SearchResult::chain_steps,
+                   &S2SearchResult::segments_decrypted)
 };
 
 struct S2KeywordDump {
   Bytes token;
   std::vector<S2Segment> segments;
+
+  static constexpr auto kFields =
+      std::tuple{&S2KeywordDump::token, &S2KeywordDump::segments};
 };
 
 struct S2FetchAllRequest {
-  net::Message ToMessage() const;
-  static Result<S2FetchAllRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2FetchAllRequest, kMsgS2FetchAllRequest)
 };
 
 struct S2FetchAllReply {
   std::vector<S2KeywordDump> keywords;
 
-  net::Message ToMessage() const;
-  static Result<S2FetchAllReply> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2FetchAllReply, kMsgS2FetchAllReply,
+                   &S2FetchAllReply::keywords)
 };
 
 /// Replaces the entire keyword index with one fresh segment per keyword
@@ -98,15 +109,14 @@ struct S2FetchAllReply {
 struct S2ReinitRequest {
   std::vector<S2UpdateEntry> entries;
 
-  net::Message ToMessage() const;
-  static Result<S2ReinitRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2ReinitRequest, kMsgS2ReinitRequest,
+                   &S2ReinitRequest::entries)
 };
 
 struct S2ReinitAck {
   uint64_t keywords = 0;
 
-  net::Message ToMessage() const;
-  static Result<S2ReinitAck> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S2ReinitAck, kMsgS2ReinitAck, &S2ReinitAck::keywords)
 };
 
 }  // namespace sse::core

@@ -7,6 +7,7 @@
 #include "sse/core/wire_common.h"
 #include "sse/crypto/sha256.h"
 #include "sse/net/message.h"
+#include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -34,21 +35,23 @@ inline constexpr uint16_t kMsgS3ProbeRequest = net::kMsgRangeScheme3 + 5;
 struct S3UpdateEntry {
   Bytes address;     // f'(k_j)
   Bytes ciphertext;  // E_{k_j}(delta id list)
+
+  static constexpr auto kFields =
+      std::tuple{&S3UpdateEntry::address, &S3UpdateEntry::ciphertext};
 };
 
 struct S3UpdateRequest {
   std::vector<S3UpdateEntry> entries;
   std::vector<WireDocument> documents;
 
-  net::Message ToMessage() const;
-  static Result<S3UpdateRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S3UpdateRequest, kMsgS3UpdateRequest,
+                   &S3UpdateRequest::entries, &S3UpdateRequest::documents)
 };
 
 struct S3UpdateAck {
   uint64_t entries_added = 0;
 
-  net::Message ToMessage() const;
-  static Result<S3UpdateAck> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S3UpdateAck, kMsgS3UpdateAck, &S3UpdateAck::entries_added)
 };
 
 /// Trapdoor(w) = (k_c, c): the newest chain key and the update counter.
@@ -57,8 +60,8 @@ struct S3SearchRequest {
   Bytes chain_element;
   uint32_t counter = 0;
 
-  net::Message ToMessage() const;
-  static Result<S3SearchRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S3SearchRequest, kMsgS3SearchRequest,
+                   &S3SearchRequest::chain_element, &S3SearchRequest::counter)
 };
 
 /// One position i of a trapdoor's walk: the address f'(k_i) an update
@@ -66,6 +69,8 @@ struct S3SearchRequest {
 struct S3Probe {
   crypto::Sha256Digest address;
   crypto::Sha256Digest key;
+
+  static constexpr auto kFields = std::tuple{&S3Probe::address, &S3Probe::key};
 };
 
 /// The probes whose addresses one engine shard owns, newest first. On the
@@ -74,8 +79,8 @@ struct S3Probe {
 struct S3ProbeRequest {
   std::vector<S3Probe> probes;
 
-  net::Message ToMessage() const;
-  static Result<S3ProbeRequest> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S3ProbeRequest, kMsgS3ProbeRequest,
+                   &S3ProbeRequest::probes)
 };
 
 struct S3SearchResult {
@@ -88,8 +93,10 @@ struct S3SearchResult {
   uint64_t chain_steps = 0;
   uint64_t entries_decrypted = 0;
 
-  net::Message ToMessage() const;
-  static Result<S3SearchResult> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(S3SearchResult, kMsgS3SearchResult, &S3SearchResult::found,
+                   &S3SearchResult::ids, &S3SearchResult::documents,
+                   &S3SearchResult::chain_steps,
+                   &S3SearchResult::entries_decrypted)
 };
 
 }  // namespace sse::core

@@ -2,31 +2,21 @@
 #define SSE_CORE_WIRE_COMMON_H_
 
 #include <cstdint>
-#include <vector>
+#include <tuple>
 
 #include "sse/util/bytes.h"
-#include "sse/util/result.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
-/// An encrypted document on the wire: (E_{k_m}(M_i), i).
+/// An encrypted document on the wire: (E_{k_m}(M_i), i), encoded as
+/// varint id ‖ bytes ciphertext (sse/net/wire.h).
 struct WireDocument {
   uint64_t id = 0;
   Bytes ciphertext;
+
+  static constexpr auto kFields =
+      std::tuple{&WireDocument::id, &WireDocument::ciphertext};
 };
-
-/// count ‖ (varint id ‖ bytes ciphertext)*
-void PutWireDocuments(BufferWriter& w, const std::vector<WireDocument>& docs);
-Result<std::vector<WireDocument>> GetWireDocuments(BufferReader& r);
-
-/// count ‖ varint id* (ids must fit memory; capped against the reader).
-void PutIdList(BufferWriter& w, const std::vector<uint64_t>& ids);
-Result<std::vector<uint64_t>> GetIdList(BufferReader& r);
-
-/// count ‖ bytes*
-void PutBytesList(BufferWriter& w, const std::vector<Bytes>& items);
-Result<std::vector<Bytes>> GetBytesList(BufferReader& r);
 
 }  // namespace sse::core
 

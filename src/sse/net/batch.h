@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sse/net/message.h"
+#include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -29,11 +30,13 @@ struct BatchRequest {
     uint64_t seq = 0;
     uint16_t type = 0;
     Bytes payload;
+
+    static constexpr auto kFields =
+        std::tuple{&Op::seq, &Op::type, &Op::payload};
   };
   std::vector<Op> ops;
 
-  Message ToMessage() const;
-  static Result<BatchRequest> FromMessage(const Message& msg);
+  SSE_WIRE_MESSAGE(BatchRequest, kMsgBatch, &BatchRequest::ops)
 };
 
 /// Per-op replies, aligned with the request's ops by index. A failed sub-op
@@ -43,11 +46,12 @@ struct BatchReply {
   struct Entry {
     uint16_t type = 0;
     Bytes payload;
+
+    static constexpr auto kFields = std::tuple{&Entry::type, &Entry::payload};
   };
   std::vector<Entry> entries;
 
-  Message ToMessage() const;
-  static Result<BatchReply> FromMessage(const Message& msg);
+  SSE_WIRE_MESSAGE(BatchReply, kMsgBatchReply, &BatchReply::entries)
 };
 
 /// Server side of an envelope, step one: its sub-ops as standalone

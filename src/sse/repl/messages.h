@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sse/net/message.h"
+#include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -30,8 +31,10 @@ struct ReplAppend {
   uint64_t first_seq = 0;
   std::vector<Bytes> records;
 
-  net::Message ToMessage() const;
-  static Result<ReplAppend> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(ReplAppend, net::kMsgReplAppend,
+                   net::wire::Fixed(&ReplAppend::epoch),
+                   net::wire::Fixed(&ReplAppend::first_seq),
+                   &ReplAppend::records)
 };
 
 /// kMsgReplAck: the follower's reply to every append or snapshot.
@@ -45,8 +48,8 @@ struct ReplAck {
   uint64_t next_seq = 1;
   bool accepted = true;
 
-  net::Message ToMessage() const;
-  static Result<ReplAck> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(ReplAck, net::kMsgReplAck, net::wire::Fixed(&ReplAck::epoch),
+                   net::wire::Fixed(&ReplAck::next_seq), &ReplAck::accepted)
 };
 
 /// kMsgReplSnapshot: full-state catch-up for a follower whose cursor fell
@@ -59,8 +62,10 @@ struct ReplSnapshot {
   uint64_t cut_seq = 1;
   Bytes blob;
 
-  net::Message ToMessage() const;
-  static Result<ReplSnapshot> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(ReplSnapshot, net::kMsgReplSnapshot,
+                   net::wire::Fixed(&ReplSnapshot::epoch),
+                   net::wire::Fixed(&ReplSnapshot::cut_seq),
+                   &ReplSnapshot::blob)
 };
 
 /// kMsgReplPromote: operator RPC ordering a follower to become primary.
@@ -70,8 +75,8 @@ struct ReplSnapshot {
 struct ReplPromote {
   uint64_t min_epoch = 0;
 
-  net::Message ToMessage() const;
-  static Result<ReplPromote> FromMessage(const net::Message& msg);
+  SSE_WIRE_MESSAGE(ReplPromote, net::kMsgReplPromote,
+                   net::wire::Fixed(&ReplPromote::min_epoch))
 };
 
 }  // namespace sse::repl

@@ -1,5 +1,7 @@
 #include "sse/util/serde.h"
 
+#include <algorithm>
+
 namespace sse {
 
 void BufferWriter::PutU8(uint8_t v) { buf_.push_back(v); }
@@ -98,6 +100,13 @@ Result<Bytes> BufferReader::GetRaw(size_t n) {
   Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
   pos_ += n;
   return out;
+}
+
+Status BufferReader::GetRawInto(std::span<uint8_t> out) {
+  SSE_RETURN_IF_ERROR(Need(out.size()));
+  std::copy_n(data_.begin() + pos_, out.size(), out.begin());
+  pos_ += out.size();
+  return Status::OK();
 }
 
 Result<Bytes> BufferReader::GetBytes(size_t max_len) {

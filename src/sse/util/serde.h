@@ -2,6 +2,7 @@
 #define SSE_UTIL_SERDE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -58,6 +59,8 @@ class BufferReader {
   Result<uint64_t> GetVarint();
   /// Reads exactly `n` raw bytes.
   Result<Bytes> GetRaw(size_t n);
+  /// Reads exactly `out.size()` raw bytes into `out`.
+  Status GetRawInto(std::span<uint8_t> out);
   /// Reads a varint length prefix then that many bytes. `max_len` bounds
   /// the accepted length to keep adversarial inputs from provoking huge
   /// allocations.

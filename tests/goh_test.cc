@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sse/core/registry.h"
+#include "sse/net/wire.h"
 #include "test_util.h"
 
 namespace sse::baselines {
@@ -72,7 +73,8 @@ TEST_F(GohTest, FalsePositiveRateBounded) {
 
 TEST_F(GohTest, WrongTrapdoorSizeRejected) {
   BufferWriter w;
-  core::PutBytesList(w, {Bytes(32, 1)});  // only 1 subkey, server expects 8
+  // Only 1 subkey; the server expects 8.
+  net::wire::Put(w, std::vector<Bytes>{Bytes(32, 1)});
   auto reply = sys_.channel->Call(net::Message{kMsgGohSearch, w.TakeData()});
   EXPECT_FALSE(reply.ok());
 }

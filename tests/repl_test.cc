@@ -30,6 +30,7 @@
 #include "sse/repl/messages.h"
 #include "sse/repl/node.h"
 #include "sse/storage/snapshot.h"
+#include "sse/util/serde.h"
 #include "test_util.h"
 
 namespace sse::repl {
@@ -467,6 +468,37 @@ TEST(ReplNodeTest, DeposedPrimaryIsFencedByHigherEpochAck) {
   EXPECT_EQ(stale_ack->epoch, fence.epoch);
 
   primary.StopAll();
+  follower.StopAll();
+}
+
+TEST(ReplNodeTest, FollowerRefusesAppendWithImpossibleRecordCount) {
+  TestNode follower;
+  follower.Start(FollowerOptions());
+  auto channel = net::TcpChannel::Connect(follower.port());
+  SSE_ASSERT_OK(channel.status());
+
+  // Epoch and first sequence, then a record count of 2^60 with no bytes
+  // left to hold it: refused before anything is sized by the count.
+  BufferWriter w;
+  w.PutU64(follower.node->epoch());
+  w.PutU64(follower.node->receiver()->next_seq());
+  w.PutVarint(uint64_t{1} << 60);
+  auto refused =
+      (*channel)->Call(net::Message{net::kMsgReplAppend, w.TakeData()});
+  EXPECT_FALSE(refused.ok());
+
+  // The follower keeps serving and accepts the next valid append.
+  ReplAppend append;
+  append.epoch = follower.node->epoch();
+  append.first_seq = follower.node->receiver()->next_seq();
+  append.records.push_back(SetOp(3, 7).Encode());
+  auto reply = (*channel)->Call(append.ToMessage());
+  SSE_ASSERT_OK(reply.status());
+  auto ack = ReplAck::FromMessage(*reply);
+  SSE_ASSERT_OK(ack.status());
+  EXPECT_TRUE(ack->accepted);
+  EXPECT_EQ(ack->next_seq, append.first_seq + 1);
+
   follower.StopAll();
 }
 
