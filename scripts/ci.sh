@@ -38,9 +38,11 @@ ctest --test-dir build -L cluster --output-on-failure
 
 echo "==> obs: observability suite + machine-readable search bench"
 ctest --test-dir build -L obs --output-on-failure
-# Emits p50/p95/p99 and the tracing-overhead delta for trend tracking.
-./build/bench/bench_table1_search BENCH_search.json >/dev/null
-echo "    wrote BENCH_search.json"
+# Emits p50/p95/p99 and the tracing-overhead delta for trend tracking. The
+# run goes to the build directory: scripts/bench_snapshot.sh is the only
+# writer of the committed BENCH_*.json.
+./build/bench/bench_table1_search build/BENCH_search.json >/dev/null
+echo "    wrote build/BENCH_search.json"
 
 echo "==> overload: deadline propagation, admission control, retry budgets"
 # Deadline wire/scope units, the admission policy, the bounded dispatch
@@ -130,6 +132,7 @@ else
              crash_recovery_test env_test reactor_test net_scale_test \
              scheme3_test overload_test durable_server_test repl_test \
              document_store_test snapshot_test messages_test \
+             client_state_test \
              sha256_test hash_chain_test prf_test hkdf_test \
              stream_cipher_test aead_test prg_test crypto_kernel_test
   # cluster_test is excluded as in the TSan pass; repl_test covers the
@@ -146,8 +149,8 @@ else
   # the torn-write patterns across days without losing reproducibility
   # (the failing seed is printed by the test on mismatch). The label also
   # carries the durable-server and batch suites, the snapshot file and
-  # document-section decoders, and every message decoder's fuzz, truncation
-  # and golden cases.
+  # server-state decoders, the client-state decoders, and every message
+  # decoder's fuzz, truncation and golden cases.
   SSE_CRASH_SEED="${SSE_CRASH_SEED:-$(date -u +%Y%m%d)}" \
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan -L "crash" --output-on-failure

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sse/baselines/search_reply.h"
 #include "sse/crypto/stream_cipher.h"
 #include "sse/net/wire.h"
 #include "sse/util/serde.h"
@@ -59,55 +58,36 @@ Result<net::Message> CgkoServer::Handle(const net::Message& request) {
 }
 
 Result<net::Message> CgkoServer::HandleBuild(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  std::vector<Bytes> array;
-  SSE_RETURN_IF_ERROR(net::wire::Get(r, array));
-  uint64_t table_count = 0;
-  SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
-  if (table_count > r.remaining()) {
-    return Status::Corruption("table count exceeds payload");
-  }
+  CgkoBuild req;
+  SSE_ASSIGN_OR_RETURN(req, CgkoBuild::FromMessage(msg));
   index::BTreeMap<Bytes> table;
-  for (uint64_t i = 0; i < table_count; ++i) {
-    Bytes token;
-    SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
-    Bytes masked;
-    SSE_ASSIGN_OR_RETURN(masked, r.GetBytes());
-    if (masked.size() != kHeadSize) {
+  for (CgkoTableEntry& entry : req.table) {
+    if (entry.masked_head.size() != kHeadSize) {
       return Status::ProtocolError("table entry has wrong size");
     }
-    table.Put(token, std::move(masked));
+    table.Put(entry.token, std::move(entry.masked_head));
   }
-  std::vector<core::WireDocument> new_docs;
-  SSE_RETURN_IF_ERROR(net::wire::Get(r, new_docs));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
 
   index_bytes_uploaded_ += msg.payload.size();
-  array_ = std::move(array);
-  table_ = std::move(table);
-  docs_.Put(std::move(new_docs));
-  BufferWriter w;
-  w.PutVarint(array_.size());
-  return net::Message{kMsgCgkoBuildAck, w.TakeData()};
+  state_.array = std::move(req.array);
+  state_.table = std::move(table);
+  state_.docs.Put(std::move(req.documents));
+  return CgkoBuildAck{state_.array.size()}.ToMessage();
 }
 
 Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  Bytes token;
-  SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
-  Bytes mask;
-  SSE_ASSIGN_OR_RETURN(mask, r.GetBytes());
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  if (mask.size() != kHeadSize) {
+  CgkoSearch req;
+  SSE_ASSIGN_OR_RETURN(req, CgkoSearch::FromMessage(msg));
+  if (req.mask.size() != kHeadSize) {
     return Status::ProtocolError("trapdoor mask has wrong size");
   }
 
   std::vector<uint64_t> ids;
-  const Bytes* masked_head = table_.Get(token);
+  const Bytes* masked_head = state_.table.Get(req.token);
   if (masked_head != nullptr) {
     // Unmask the list head.
     Bytes head = *masked_head;
-    SSE_RETURN_IF_ERROR(XorInPlace(head, mask));
+    SSE_RETURN_IF_ERROR(XorInPlace(head, req.mask));
     BufferReader hr(head);
     uint32_t addr = 0;
     SSE_ASSIGN_OR_RETURN(addr, hr.GetU32());
@@ -116,13 +96,13 @@ Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
 
     // Walk the encrypted linked list.
     while (addr != kEndOfList) {
-      if (addr >= array_.size()) {
+      if (addr >= state_.array.size()) {
         return Status::Corruption("list address out of range");
       }
       Result<crypto::StreamCipher> cipher = crypto::StreamCipher::Create(key);
       if (!cipher.ok()) return cipher.status();
       Bytes plain;
-      SSE_ASSIGN_OR_RETURN(plain, cipher->Decrypt(array_[addr]));
+      SSE_ASSIGN_OR_RETURN(plain, cipher->Decrypt(state_.array[addr]));
       Node node;
       SSE_ASSIGN_OR_RETURN(node, DecodeNode(plain));
       ids.push_back(node.doc_id);
@@ -133,42 +113,16 @@ Result<net::Message> CgkoServer::HandleSearch(const net::Message& msg) {
   }
   std::sort(ids.begin(), ids.end());
 
-  return SearchReply<kMsgCgkoSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
+  return SearchReply<kMsgCgkoSearchResult>{ids, state_.docs.Fetch(ids)}
+      .ToMessage();
 }
 
 Result<Bytes> CgkoServer::SerializeState() const {
-  BufferWriter w;
-  net::wire::Put(w, array_);
-  w.PutVarint(table_.size());
-  table_.ForEach([&](const Bytes& token, const Bytes& masked) {
-    w.PutBytes(token);
-    w.PutBytes(masked);
-    return true;
-  });
-  docs_.Serialize(w);
-  return w.TakeData();
+  return net::wire::Serialize(state_);
 }
 
 Status CgkoServer::RestoreState(BytesView data) {
-  BufferReader r(data);
-  std::vector<Bytes> array;
-  SSE_RETURN_IF_ERROR(net::wire::Get(r, array));
-  uint64_t table_count = 0;
-  SSE_ASSIGN_OR_RETURN(table_count, r.GetVarint());
-  index::BTreeMap<Bytes> table;
-  for (uint64_t i = 0; i < table_count; ++i) {
-    Bytes token;
-    SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
-    Bytes masked;
-    SSE_ASSIGN_OR_RETURN(masked, r.GetBytes());
-    table.Put(token, std::move(masked));
-  }
-  core::DocumentStore docs;
-  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  array_ = std::move(array);
-  table_ = std::move(table);
-  docs_ = std::move(docs);
+  SSE_ASSIGN_OR_RETURN(state_, net::wire::Parse<State>(data));
   return Status::OK();
 }
 
@@ -236,9 +190,8 @@ Status CgkoClient::Store(const std::vector<core::Document>& docs) {
     std::swap(slots[i - 1], slots[j]);
   }
 
-  std::vector<Bytes> array(total_nodes);
-  BufferWriter table_w;
-  table_w.PutVarint(postings_.size());
+  CgkoBuild build;
+  build.array.resize(total_nodes);
   size_t slot_cursor = 0;
   for (const auto& [kw, ids] : postings_) {
     // Build this keyword's chain back-to-front.
@@ -258,7 +211,7 @@ Status CgkoClient::Store(const std::vector<core::Document>& docs) {
       if (!cipher.ok()) return cipher.status();
       Bytes ct;
       SSE_ASSIGN_OR_RETURN(ct, cipher->Encrypt(plain, *rng_));
-      array[my_slots[j]] = std::move(ct);
+      build.array[my_slots[j]] = std::move(ct);
       next_key = node_key;
       next_addr = my_slots[j];
     }
@@ -271,38 +224,26 @@ Status CgkoClient::Store(const std::vector<core::Document>& docs) {
     Bytes mask;
     SSE_ASSIGN_OR_RETURN(mask, TableMask(kw));
     SSE_RETURN_IF_ERROR(XorInPlace(head, mask));
-    Bytes token;
-    SSE_ASSIGN_OR_RETURN(token, TableToken(kw));
-    table_w.PutBytes(token);
-    table_w.PutBytes(head);
+    CgkoTableEntry entry;
+    SSE_ASSIGN_OR_RETURN(entry.token, TableToken(kw));
+    entry.masked_head = std::move(head);
+    build.table.push_back(std::move(entry));
   }
-
-  BufferWriter w;
-  net::wire::Put(w, array);
-  w.PutRaw(table_w.data());
-  std::vector<core::WireDocument> wire_docs;
-  SSE_ASSIGN_OR_RETURN(wire_docs, data_.SealAll(docs, *rng_));
-  net::wire::Put(w, wire_docs);
+  SSE_ASSIGN_OR_RETURN(build.documents, data_.SealAll(docs, *rng_));
 
   net::Message ack;
-  SSE_ASSIGN_OR_RETURN(
-      ack, channel_->Call(net::Message{kMsgCgkoBuild, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgCgkoBuildAck));
+  SSE_ASSIGN_OR_RETURN(ack, channel_->Call(build.ToMessage()));
+  SSE_RETURN_IF_ERROR(CgkoBuildAck::FromMessage(ack).status());
   used_ids_.Add(docs);
   return Status::OK();
 }
 
 Result<core::SearchOutcome> CgkoClient::Search(std::string_view keyword) {
-  Bytes token;
-  SSE_ASSIGN_OR_RETURN(token, TableToken(keyword));
-  Bytes mask;
-  SSE_ASSIGN_OR_RETURN(mask, TableMask(keyword));
-  BufferWriter w;
-  w.PutBytes(token);
-  w.PutBytes(mask);
+  CgkoSearch req;
+  SSE_ASSIGN_OR_RETURN(req.token, TableToken(keyword));
+  SSE_ASSIGN_OR_RETURN(req.mask, TableMask(keyword));
   net::Message reply;
-  SSE_ASSIGN_OR_RETURN(
-      reply, channel_->Call(net::Message{kMsgCgkoSearch, w.TakeData()}));
+  SSE_ASSIGN_OR_RETURN(reply, channel_->Call(req.ToMessage()));
   return OpenSearchReply<kMsgCgkoSearchResult>(reply, data_);
 }
 

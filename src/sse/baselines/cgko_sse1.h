@@ -6,8 +6,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "sse/baselines/search_reply.h"
 #include "sse/core/client_updates.h"
 #include "sse/core/document_store.h"
 #include "sse/core/persistable.h"
@@ -41,6 +43,37 @@ inline constexpr uint16_t kMsgCgkoBuildAck = net::kMsgRangeBaseline + 22;
 inline constexpr uint16_t kMsgCgkoSearch = net::kMsgRangeBaseline + 23;
 inline constexpr uint16_t kMsgCgkoSearchResult = net::kMsgRangeBaseline + 24;
 
+/// T[PRF(k1, w)] = (addr_1 ‖ key_1) ⊕ PRF(k2, w).
+struct CgkoTableEntry {
+  Bytes token;
+  Bytes masked_head;
+
+  static constexpr auto kFields =
+      std::tuple{&CgkoTableEntry::token, &CgkoTableEntry::masked_head};
+};
+
+/// Build: the whole index (A, T) and the documents new since the last
+/// build. T arrives in the client's keyword order, not token order.
+struct CgkoBuild {
+  std::vector<Bytes> array;
+  std::vector<CgkoTableEntry> table;
+  std::vector<core::WireDocument> documents;
+
+  SSE_WIRE_MESSAGE(CgkoBuild, kMsgCgkoBuild, &CgkoBuild::array,
+                   &CgkoBuild::table, &CgkoBuild::documents)
+};
+
+using CgkoBuildAck = StoreAck<kMsgCgkoBuildAck>;
+
+/// Search: the trapdoor (PRF(k1, w), PRF(k2, w)).
+struct CgkoSearch {
+  Bytes token;
+  Bytes mask;
+
+  SSE_WIRE_MESSAGE(CgkoSearch, kMsgCgkoSearch, &CgkoSearch::token,
+                   &CgkoSearch::mask)
+};
+
 class CgkoServer : public core::PersistableHandler {
  public:
   Result<net::Message> Handle(const net::Message& request) override;
@@ -48,8 +81,8 @@ class CgkoServer : public core::PersistableHandler {
   Status RestoreState(BytesView data) override;
   bool IsMutating(uint16_t msg_type) const override;
 
-  size_t array_size() const { return array_.size(); }
-  size_t table_size() const { return table_.size(); }
+  size_t array_size() const { return state_.array.size(); }
+  size_t table_size() const { return state_.table.size(); }
   /// List nodes decrypted across all searches (O(|D(w)|) per search).
   uint64_t nodes_walked() const { return nodes_walked_; }
   /// Total bytes of index uploaded over the connection lifetime — the
@@ -60,9 +93,16 @@ class CgkoServer : public core::PersistableHandler {
   Result<net::Message> HandleBuild(const net::Message& msg);
   Result<net::Message> HandleSearch(const net::Message& msg);
 
-  std::vector<Bytes> array_;            // A
-  index::BTreeMap<Bytes> table_;        // T: token -> masked (addr ‖ key)
-  core::DocumentStore docs_;
+  struct State {
+    std::vector<Bytes> array;      // A
+    index::BTreeMap<Bytes> table;  // T: token -> masked (addr ‖ key)
+    core::DocumentStore docs;
+
+    static constexpr auto kFields =
+        std::tuple{&State::array, &State::table, &State::docs};
+  };
+
+  State state_;
   uint64_t nodes_walked_ = 0;
   uint64_t index_bytes_uploaded_ = 0;
 };

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "sse/baselines/search_reply.h"
 #include "sse/crypto/hkdf.h"
 #include "sse/net/wire.h"
-#include "sse/util/serde.h"
 
 namespace sse::baselines {
 
@@ -23,63 +21,28 @@ Result<uint64_t> GohBitPosition(const Bytes& subkey, uint64_t doc_id,
 
 GohServer::GohServer(const GohOptions& options) : options_(options) {}
 
-Result<net::Message> GohServer::Handle(const net::Message& request) {
-  switch (request.type) {
-    case kMsgGohStore:
-      return HandleStore(request);
-    case kMsgGohSearch:
-      return HandleSearch(request);
-    default:
-      return Status::ProtocolError("goh server: unexpected message " +
-                                   net::MessageTypeName(request.type));
-  }
-}
-
-Result<net::Message> GohServer::HandleStore(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > r.remaining()) {
-    return Status::Corruption("document count exceeds payload");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    Bytes filter_bytes;
-    SSE_ASSIGN_OR_RETURN(filter_bytes, r.GetBytes());
-    BitVec filter;
-    SSE_ASSIGN_OR_RETURN(filter,
-                         BitVec::FromBytes(options_.bloom_bits, filter_bytes));
-    docs_.Put(id, std::move(blob));
-    filters_.emplace_back(id, std::move(filter));
-  }
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  BufferWriter w;
-  w.PutVarint(count);
-  return net::Message{kMsgGohStoreAck, w.TakeData()};
+Status GohServer::CheckScanned(const Bytes& filter) const {
+  return BitVec::FromBytes(options_.bloom_bits, filter).status();
 }
 
 Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  std::vector<Bytes> subkeys;
-  SSE_RETURN_IF_ERROR(net::wire::Get(r, subkeys));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  if (subkeys.size() != options_.num_keys) {
+  GohSearch req;
+  SSE_ASSIGN_OR_RETURN(req, GohSearch::FromMessage(msg));
+  if (req.subkeys.size() != options_.num_keys) {
     return Status::ProtocolError("trapdoor has wrong subkey count");
   }
 
   // The O(n) scan: probe every document's filter with the r codewords.
   std::vector<uint64_t> ids;
-  for (const auto& [id, filter] : filters_) {
+  for (const auto& [id, filter] : state_.entries) {
     ++filters_probed_;
     bool all_set = true;
-    for (const Bytes& subkey : subkeys) {
+    for (const Bytes& subkey : req.subkeys) {
       uint64_t pos = 0;
       SSE_ASSIGN_OR_RETURN(pos,
                            GohBitPosition(subkey, id, options_.bloom_bits));
-      if (!filter.Get(static_cast<size_t>(pos))) {
+      // Bit `pos` in BitVec's byte layout: byte pos / 8, lowest bit first.
+      if (((filter[pos / 8] >> (pos % 8)) & 1) == 0) {
         all_set = false;
         break;
       }
@@ -88,44 +51,8 @@ Result<net::Message> GohServer::HandleSearch(const net::Message& msg) {
   }
   std::sort(ids.begin(), ids.end());
 
-  return SearchReply<kMsgGohSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
-}
-
-Result<Bytes> GohServer::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(filters_.size());
-  for (const auto& [id, filter] : filters_) {
-    w.PutVarint(id);
-    w.PutBytes(filter.ToBytes());
-  }
-  docs_.Serialize(w);
-  return w.TakeData();
-}
-
-Status GohServer::RestoreState(BytesView data) {
-  decltype(filters_) filters;
-  core::DocumentStore docs;
-  BufferReader r(data);
-  uint64_t filter_count = 0;
-  SSE_ASSIGN_OR_RETURN(filter_count, r.GetVarint());
-  for (uint64_t i = 0; i < filter_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes bits;
-    SSE_ASSIGN_OR_RETURN(bits, r.GetBytes());
-    BitVec filter;
-    SSE_ASSIGN_OR_RETURN(filter, BitVec::FromBytes(options_.bloom_bits, bits));
-    filters.emplace_back(id, std::move(filter));
-  }
-  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  filters_ = std::move(filters);
-  docs_ = std::move(docs);
-  return Status::OK();
-}
-
-bool GohServer::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgGohStore;
+  return SearchReply<kMsgGohSearchResult>{ids, state_.docs.Fetch(ids)}
+      .ToMessage();
 }
 
 // ---------------------------------------------------------------- client --
@@ -133,11 +60,9 @@ bool GohServer::IsMutating(uint16_t msg_type) const {
 GohClient::GohClient(std::vector<crypto::Prf> keys, core::DataCipher data,
                      const GohOptions& options, net::Channel* channel,
                      RandomSource* rng)
-    : keys_(std::move(keys)),
-      data_(std::move(data)),
-      options_(options),
-      channel_(channel),
-      rng_(rng) {}
+    : ScanClient(std::move(data), channel, rng),
+      keys_(std::move(keys)),
+      options_(options) {}
 
 Result<std::unique_ptr<GohClient>> GohClient::Create(
     const crypto::MasterKey& key, const GohOptions& options,
@@ -179,44 +104,26 @@ Result<std::vector<Bytes>> GohClient::MakeTrapdoor(
   return subkeys;
 }
 
-Status GohClient::Store(const std::vector<core::Document>& docs) {
-  if (docs.empty()) return Status::OK();
-  BufferWriter w;
-  w.PutVarint(docs.size());
-  for (const core::Document& doc : docs) {
-    w.PutVarint(doc.id);
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, data_.Seal(doc, *rng_));
-    w.PutBytes(blob);
-
-    BitVec filter(options_.bloom_bits);
-    for (const std::string& kw : doc.keywords) {
-      std::vector<Bytes> subkeys;
-      SSE_ASSIGN_OR_RETURN(subkeys, MakeTrapdoor(kw));
-      for (const Bytes& subkey : subkeys) {
-        uint64_t pos = 0;
-        SSE_ASSIGN_OR_RETURN(
-            pos, GohBitPosition(subkey, doc.id, options_.bloom_bits));
-        filter.Set(static_cast<size_t>(pos));
-      }
+Result<Bytes> GohClient::Scanned(const core::Document& doc) const {
+  BitVec filter(options_.bloom_bits);
+  for (const std::string& kw : doc.keywords) {
+    std::vector<Bytes> subkeys;
+    SSE_ASSIGN_OR_RETURN(subkeys, MakeTrapdoor(kw));
+    for (const Bytes& subkey : subkeys) {
+      uint64_t pos = 0;
+      SSE_ASSIGN_OR_RETURN(pos,
+                           GohBitPosition(subkey, doc.id, options_.bloom_bits));
+      filter.Set(static_cast<size_t>(pos));
     }
-    w.PutBytes(filter.ToBytes());
   }
-  net::Message ack;
-  SSE_ASSIGN_OR_RETURN(
-      ack, channel_->Call(net::Message{kMsgGohStore, w.TakeData()}));
-  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgGohStoreAck));
-  return Status::OK();
+  return filter.ToBytes();
 }
 
 Result<core::SearchOutcome> GohClient::Search(std::string_view keyword) {
-  std::vector<Bytes> subkeys;
-  SSE_ASSIGN_OR_RETURN(subkeys, MakeTrapdoor(keyword));
-  BufferWriter w;
-  net::wire::Put(w, subkeys);
+  GohSearch req;
+  SSE_ASSIGN_OR_RETURN(req.subkeys, MakeTrapdoor(keyword));
   net::Message reply;
-  SSE_ASSIGN_OR_RETURN(
-      reply, channel_->Call(net::Message{kMsgGohSearch, w.TakeData()}));
+  SSE_ASSIGN_OR_RETURN(reply, channel_->Call(req.ToMessage()));
   return OpenSearchReply<kMsgGohSearchResult>(reply, data_);
 }
 

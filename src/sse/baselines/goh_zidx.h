@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "sse/core/document_store.h"
+#include "sse/baselines/search_reply.h"
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
@@ -39,36 +39,38 @@ inline constexpr uint16_t kMsgGohStoreAck = net::kMsgRangeBaseline + 12;
 inline constexpr uint16_t kMsgGohSearch = net::kMsgRangeBaseline + 13;
 inline constexpr uint16_t kMsgGohSearchResult = net::kMsgRangeBaseline + 14;
 
-class GohServer : public core::PersistableHandler {
+/// Search: the trapdoor's r subkeys.
+struct GohSearch {
+  std::vector<Bytes> subkeys;
+
+  SSE_WIRE_MESSAGE(GohSearch, kMsgGohSearch, &GohSearch::subkeys)
+};
+
+/// The server scans each document's filter.
+class GohServer
+    : public ScanServer<kMsgGohStore, kMsgGohStoreAck, kMsgGohSearch> {
  public:
   explicit GohServer(const GohOptions& options);
 
-  Result<net::Message> Handle(const net::Message& request) override;
-  Result<Bytes> SerializeState() const override;
-  Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
-
-  size_t document_count() const { return docs_.size(); }
   /// Bloom filters probed across all searches (n per search).
   uint64_t filters_probed() const { return filters_probed_; }
 
  private:
-  Result<net::Message> HandleStore(const net::Message& msg);
-  Result<net::Message> HandleSearch(const net::Message& msg);
+  /// INVALID_ARGUMENT unless `filter` holds exactly m bits.
+  Status CheckScanned(const Bytes& filter) const override;
+  Result<net::Message> HandleSearch(const net::Message& msg) override;
 
   GohOptions options_;
-  std::vector<std::pair<uint64_t, BitVec>> filters_;
-  core::DocumentStore docs_;
   uint64_t filters_probed_ = 0;
 };
 
-class GohClient : public core::SseClientInterface {
+/// Stores per document its m-bit filter (BitVec's bytes).
+class GohClient : public ScanClient<kMsgGohStore, kMsgGohStoreAck> {
  public:
   static Result<std::unique_ptr<GohClient>> Create(
       const crypto::MasterKey& key, const GohOptions& options,
       net::Channel* channel, RandomSource* rng);
 
-  Status Store(const std::vector<core::Document>& docs) override;
   Result<core::SearchOutcome> Search(std::string_view keyword) override;
   std::string name() const override { return "goh-zidx"; }
 
@@ -80,11 +82,10 @@ class GohClient : public core::SseClientInterface {
             const GohOptions& options, net::Channel* channel,
             RandomSource* rng);
 
+  Result<Bytes> Scanned(const core::Document& doc) const override;
+
   std::vector<crypto::Prf> keys_;  // k_1 .. k_r
-  core::DataCipher data_;
   GohOptions options_;
-  net::Channel* channel_;
-  RandomSource* rng_;
 };
 
 /// Bit position a codeword selects in an m-bit filter (shared by client

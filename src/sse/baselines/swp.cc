@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "sse/baselines/search_reply.h"
 #include "sse/net/wire.h"
-#include "sse/util/serde.h"
 
 namespace sse::baselines {
 
@@ -17,60 +15,26 @@ constexpr size_t kHalfSize = 16;
 
 // ---------------------------------------------------------------- server --
 
-Result<net::Message> SwpServer::Handle(const net::Message& request) {
-  switch (request.type) {
-    case kMsgSwpStore:
-      return HandleStore(request);
-    case kMsgSwpSearch:
-      return HandleSearch(request);
-    default:
-      return Status::ProtocolError("swp server: unexpected message " +
-                                   net::MessageTypeName(request.type));
+Status SwpServer::CheckScanned(const Bytes& blocks) const {
+  if (blocks.size() % kBlockSize != 0) {
+    return Status::ProtocolError("word block payload not a block multiple");
   }
-}
-
-Result<net::Message> SwpServer::HandleStore(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > r.remaining()) {
-    return Status::Corruption("document count exceeds payload");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, r.GetBytes());
-    Bytes word_blocks;
-    SSE_ASSIGN_OR_RETURN(word_blocks, r.GetBytes());
-    if (word_blocks.size() % kBlockSize != 0) {
-      return Status::ProtocolError("word block payload not a block multiple");
-    }
-    docs_.Put(id, std::move(blob));
-    blocks_.emplace_back(id, std::move(word_blocks));
-  }
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  BufferWriter w;
-  w.PutVarint(count);
-  return net::Message{kMsgSwpStoreAck, w.TakeData()};
+  return Status::OK();
 }
 
 Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
-  BufferReader r(msg.payload);
-  Bytes x;
-  SSE_ASSIGN_OR_RETURN(x, r.GetBytes());
-  Bytes check_key;
-  SSE_ASSIGN_OR_RETURN(check_key, r.GetBytes());
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
+  SwpSearch req;
+  SSE_ASSIGN_OR_RETURN(req, SwpSearch::FromMessage(msg));
+  const Bytes& x = req.word;
   if (x.size() != kBlockSize) {
     return Status::ProtocolError("word ciphertext must be 32 bytes");
   }
-  Result<crypto::Prf> prf = crypto::Prf::Create(check_key);
+  Result<crypto::Prf> prf = crypto::Prf::Create(req.check_key);
   if (!prf.ok()) return prf.status();
 
   // The linear scan: every block of every document.
   std::vector<uint64_t> ids;
-  for (const auto& [id, doc_blocks] : blocks_) {
+  for (const auto& [id, doc_blocks] : state_.entries) {
     bool matched = false;
     for (size_t off = 0; off + kBlockSize <= doc_blocks.size();
          off += kBlockSize) {
@@ -94,42 +58,8 @@ Result<net::Message> SwpServer::HandleSearch(const net::Message& msg) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
-  return SearchReply<kMsgSwpSearchResult>{ids, docs_.Fetch(ids)}.ToMessage();
-}
-
-Result<Bytes> SwpServer::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(blocks_.size());
-  for (const auto& [id, doc_blocks] : blocks_) {
-    w.PutVarint(id);
-    w.PutBytes(doc_blocks);
-  }
-  docs_.Serialize(w);
-  return w.TakeData();
-}
-
-Status SwpServer::RestoreState(BytesView data) {
-  decltype(blocks_) blocks;
-  core::DocumentStore docs;
-  BufferReader r(data);
-  uint64_t block_count = 0;
-  SSE_ASSIGN_OR_RETURN(block_count, r.GetVarint());
-  for (uint64_t i = 0; i < block_count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    Bytes doc_blocks;
-    SSE_ASSIGN_OR_RETURN(doc_blocks, r.GetBytes());
-    blocks.emplace_back(id, std::move(doc_blocks));
-  }
-  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  blocks_ = std::move(blocks);
-  docs_ = std::move(docs);
-  return Status::OK();
-}
-
-bool SwpServer::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgSwpStore;
+  return SearchReply<kMsgSwpSearchResult>{ids, state_.docs.Fetch(ids)}
+      .ToMessage();
 }
 
 // ---------------------------------------------------------------- client --
@@ -137,11 +67,9 @@ bool SwpServer::IsMutating(uint16_t msg_type) const {
 SwpClient::SwpClient(crypto::Prf word_prf, crypto::Prf check_prf,
                      core::DataCipher data, net::Channel* channel,
                      RandomSource* rng)
-    : word_prf_(std::move(word_prf)),
-      check_prf_(std::move(check_prf)),
-      data_(std::move(data)),
-      channel_(channel),
-      rng_(rng) {}
+    : ScanClient(std::move(data), channel, rng),
+      word_prf_(std::move(word_prf)),
+      check_prf_(std::move(check_prf)) {}
 
 Result<std::unique_ptr<SwpClient>> SwpClient::Create(
     const crypto::MasterKey& key, net::Channel* channel, RandomSource* rng) {
@@ -167,45 +95,30 @@ Result<Bytes> SwpClient::WordCiphertext(std::string_view keyword) const {
   return word_prf_.EvalLabeled("swp.word", StringToBytes(keyword));
 }
 
-Status SwpClient::Store(const std::vector<core::Document>& docs) {
-  if (docs.empty()) return Status::OK();
-  BufferWriter w;
-  w.PutVarint(docs.size());
-  for (const core::Document& doc : docs) {
-    w.PutVarint(doc.id);
-    Bytes blob;
-    SSE_ASSIGN_OR_RETURN(blob, data_.Seal(doc, *rng_));
-    w.PutBytes(blob);
-
-    Bytes blocks;
-    blocks.reserve(doc.keywords.size() * kBlockSize);
-    for (const std::string& kw : doc.keywords) {
-      Bytes x;
-      SSE_ASSIGN_OR_RETURN(x, WordCiphertext(kw));
-      Bytes l(x.begin(), x.begin() + kHalfSize);
-      Bytes k;
-      SSE_ASSIGN_OR_RETURN(k, check_prf_.Eval(l));
-      Bytes s;
-      SSE_ASSIGN_OR_RETURN(s, rng_->Generate(kHalfSize));
-      Result<crypto::Prf> stream = crypto::Prf::Create(k);
-      if (!stream.ok()) return stream.status();
-      Bytes t;
-      SSE_ASSIGN_OR_RETURN(t, stream->Eval(s));
-      // C = X ⊕ (S ‖ PRF(k, S)[0..16)).
-      for (size_t j = 0; j < kHalfSize; ++j) {
-        blocks.push_back(x[j] ^ s[j]);
-      }
-      for (size_t j = 0; j < kHalfSize; ++j) {
-        blocks.push_back(x[kHalfSize + j] ^ t[j]);
-      }
+Result<Bytes> SwpClient::Scanned(const core::Document& doc) const {
+  Bytes blocks;
+  blocks.reserve(doc.keywords.size() * kBlockSize);
+  for (const std::string& kw : doc.keywords) {
+    Bytes x;
+    SSE_ASSIGN_OR_RETURN(x, WordCiphertext(kw));
+    Bytes l(x.begin(), x.begin() + kHalfSize);
+    Bytes k;
+    SSE_ASSIGN_OR_RETURN(k, check_prf_.Eval(l));
+    Bytes s;
+    SSE_ASSIGN_OR_RETURN(s, rng_->Generate(kHalfSize));
+    Result<crypto::Prf> stream = crypto::Prf::Create(k);
+    if (!stream.ok()) return stream.status();
+    Bytes t;
+    SSE_ASSIGN_OR_RETURN(t, stream->Eval(s));
+    // C = X ⊕ (S ‖ PRF(k, S)[0..16)).
+    for (size_t j = 0; j < kHalfSize; ++j) {
+      blocks.push_back(x[j] ^ s[j]);
     }
-    w.PutBytes(blocks);
+    for (size_t j = 0; j < kHalfSize; ++j) {
+      blocks.push_back(x[kHalfSize + j] ^ t[j]);
+    }
   }
-  net::Message ack;
-  SSE_ASSIGN_OR_RETURN(ack, channel_->Call(net::Message{kMsgSwpStore,
-                                                        w.TakeData()}));
-  SSE_RETURN_IF_ERROR(net::wire::CheckType(ack, kMsgSwpStoreAck));
-  return Status::OK();
+  return blocks;
 }
 
 Result<core::SearchOutcome> SwpClient::Search(std::string_view keyword) {
@@ -215,12 +128,8 @@ Result<core::SearchOutcome> SwpClient::Search(std::string_view keyword) {
   Bytes k;
   SSE_ASSIGN_OR_RETURN(k, check_prf_.Eval(l));
 
-  BufferWriter w;
-  w.PutBytes(x);
-  w.PutBytes(k);
   net::Message reply;
-  SSE_ASSIGN_OR_RETURN(reply, channel_->Call(net::Message{kMsgSwpSearch,
-                                                          w.TakeData()}));
+  SSE_ASSIGN_OR_RETURN(reply, channel_->Call(SwpSearch{x, k}.ToMessage()));
   return OpenSearchReply<kMsgSwpSearchResult>(reply, data_);
 }
 

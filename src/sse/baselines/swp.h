@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "sse/core/document_store.h"
+#include "sse/baselines/search_reply.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/types.h"
@@ -39,35 +39,36 @@ inline constexpr uint16_t kMsgSwpStoreAck = net::kMsgRangeBaseline + 2;
 inline constexpr uint16_t kMsgSwpSearch = net::kMsgRangeBaseline + 3;
 inline constexpr uint16_t kMsgSwpSearchResult = net::kMsgRangeBaseline + 4;
 
-class SwpServer : public core::PersistableHandler {
+/// Search: the trapdoor (X, k).
+struct SwpSearch {
+  Bytes word;       // X, 32 bytes
+  Bytes check_key;  // k
+
+  SSE_WIRE_MESSAGE(SwpSearch, kMsgSwpSearch, &SwpSearch::word,
+                   &SwpSearch::check_key)
+};
+
+/// The server scans each document's word blocks (32 bytes each,
+/// concatenated).
+class SwpServer
+    : public ScanServer<kMsgSwpStore, kMsgSwpStoreAck, kMsgSwpSearch> {
  public:
-  SwpServer() = default;
-
-  Result<net::Message> Handle(const net::Message& request) override;
-  Result<Bytes> SerializeState() const override;
-  Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
-
-  size_t document_count() const { return docs_.size(); }
   /// Total searchable blocks scanned across all searches.
   uint64_t blocks_scanned() const { return blocks_scanned_; }
 
  private:
-  Result<net::Message> HandleStore(const net::Message& msg);
-  Result<net::Message> HandleSearch(const net::Message& msg);
+  Status CheckScanned(const Bytes& blocks) const override;
+  Result<net::Message> HandleSearch(const net::Message& msg) override;
 
-  // Per document: its searchable word blocks (32 bytes each, concatenated).
-  std::vector<std::pair<uint64_t, Bytes>> blocks_;
-  core::DocumentStore docs_;
   uint64_t blocks_scanned_ = 0;
 };
 
-class SwpClient : public core::SseClientInterface {
+/// Stores per document its word blocks, 32 bytes per keyword occurrence.
+class SwpClient : public ScanClient<kMsgSwpStore, kMsgSwpStoreAck> {
  public:
   static Result<std::unique_ptr<SwpClient>> Create(
       const crypto::MasterKey& key, net::Channel* channel, RandomSource* rng);
 
-  Status Store(const std::vector<core::Document>& docs) override;
   Result<core::SearchOutcome> Search(std::string_view keyword) override;
   std::string name() const override { return "swp"; }
 
@@ -75,13 +76,11 @@ class SwpClient : public core::SseClientInterface {
   SwpClient(crypto::Prf word_prf, crypto::Prf check_prf, core::DataCipher data,
             net::Channel* channel, RandomSource* rng);
 
+  Result<Bytes> Scanned(const core::Document& doc) const override;
   Result<Bytes> WordCiphertext(std::string_view keyword) const;
 
   crypto::Prf word_prf_;
   crypto::Prf check_prf_;
-  core::DataCipher data_;
-  net::Channel* channel_;
-  RandomSource* rng_;
 };
 
 }  // namespace sse::baselines

@@ -46,24 +46,4 @@ void UsedIds::Add(const std::vector<Document>& docs) {
   for (const Document& doc : docs) ids_.insert(doc.id);
 }
 
-void UsedIds::Serialize(BufferWriter& w) const {
-  w.PutVarint(ids_.size());
-  for (uint64_t id : ids_) w.PutVarint(id);
-}
-
-Result<UsedIds> UsedIds::Read(BufferReader& r) {
-  uint64_t count = 0;
-  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-  if (count > r.remaining()) {
-    return Status::Corruption("used-id count exceeds payload");
-  }
-  UsedIds used;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    SSE_ASSIGN_OR_RETURN(id, r.GetVarint());
-    used.ids_.insert(id);
-  }
-  return used;
-}
-
 }  // namespace sse::core

@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sse/core/types.h"
 #include "sse/core/wire_common.h"
 #include "sse/net/channel.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -43,12 +43,12 @@ class UsedIds {
   bool Contains(uint64_t id) const { return ids_.count(id) > 0; }
   void Erase(uint64_t id) { ids_.erase(id); }
 
-  /// count ‖ varint id*, ascending.
-  void Serialize(BufferWriter& w) const;
-  static Result<UsedIds> Read(BufferReader& r);
-
  private:
   std::set<uint64_t> ids_;
+
+ public:
+  /// count ‖ varint id*, ascending.
+  static constexpr auto kFields = std::tuple{&UsedIds::ids_};
 };
 
 /// Sends one update round and checks that the server applied every entry,

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sse/net/wire.h"
-
 namespace sse::core {
 
 void DocumentStore::Put(uint64_t id, Bytes ciphertext) {
@@ -23,22 +21,6 @@ std::vector<WireDocument> DocumentStore::Fetch(
     if (it != docs_.end()) out.push_back(WireDocument{id, it->second});
   }
   return out;
-}
-
-void DocumentStore::Serialize(BufferWriter& w) const {
-  w.PutVarint(docs_.size());
-  for (const auto& [id, blob] : docs_) {
-    w.PutVarint(id);
-    w.PutBytes(blob);
-  }
-}
-
-Result<DocumentStore> DocumentStore::Read(BufferReader& r) {
-  std::vector<WireDocument> docs;
-  SSE_RETURN_IF_ERROR(net::wire::Get(r, docs));
-  DocumentStore store;
-  store.Put(std::move(docs));
-  return store;
 }
 
 }  // namespace sse::core

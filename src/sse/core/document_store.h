@@ -3,12 +3,11 @@
 
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "sse/core/wire_common.h"
 #include "sse/util/bytes.h"
-#include "sse/util/result.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -17,10 +16,10 @@ namespace sse::core {
 /// only ever sees opaque ciphertext; this container indexes it by the
 /// client-chosen document identifier. It is the one owner of a server's
 /// documents: every scheme server, baseline and the sharded engine stores
-/// them here, fetches a reply's documents from here, and writes and reads
-/// the document section of its state through Serialize/Read. Blobs live in
-/// memory; DurableServer makes them durable as part of the server state
-/// (WAL records and snapshots).
+/// them here, fetches a reply's documents from here, and carries it as the
+/// document section of its state (sse/net/wire.h). Blobs live in memory;
+/// DurableServer makes them durable as part of the server state (WAL
+/// records and snapshots).
 class DocumentStore {
  public:
   /// Stores `ciphertext` under `id`, replacing any previous version.
@@ -35,16 +34,13 @@ class DocumentStore {
 
   size_t size() const { return docs_.size(); }
 
-  /// Appends the document section every server state carries
-  /// (docs/PROTOCOL.md §4): `count:varint (id:varint blob:bytes)*`, ids
-  /// ascending. It is the layout of a wire document list (sse/net/wire.h).
-  void Serialize(BufferWriter& w) const;
-  /// Reads a document section into a new store; fails on a truncated or
-  /// malformed section, leaving the caller's state untouched.
-  static Result<DocumentStore> Read(BufferReader& r);
-
  private:
   std::map<uint64_t, Bytes> docs_;
+
+ public:
+  /// The document section every server state carries (docs/PROTOCOL.md
+  /// §4): `count:varint (id:varint blob:bytes)*`, ids ascending.
+  static constexpr auto kFields = std::tuple{&DocumentStore::docs_};
 };
 
 }  // namespace sse::core

@@ -8,7 +8,6 @@
 #include "sse/net/deadline.h"
 #include "sse/obs/events.h"
 #include "sse/obs/trace.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -20,27 +19,15 @@ uint64_t NanosSince(std::chrono::steady_clock::time_point t0) {
           std::chrono::steady_clock::now() - t0)
           .count());
 }
-/// Snapshot wrapper magic, "SDR2": the blob is [magic ‖ u64 wal_seq ‖
-/// bytes(inner state) ‖ bytes(reply cache)]. `wal_seq` is the WAL sequence
-/// the checkpoint was cut at — recovery replays records with seq >= it, so
-/// a snapshot generation plus the retained WAL segments always form a
-/// consistent pair, whichever generation recovery ends up restoring.
-constexpr uint32_t kDurableSnapshotMagic = 0x53445232;
 }  // namespace
 
 Result<DurableServer::SnapshotBlob> DurableServer::DecodeSnapshot(
     BytesView blob) {
-  BufferReader r(blob);
-  uint32_t magic = 0;
-  SSE_ASSIGN_OR_RETURN(magic, r.GetU32());
-  if (magic != kDurableSnapshotMagic) {
+  SnapshotBlob out;
+  SSE_ASSIGN_OR_RETURN(out, net::wire::Parse<SnapshotBlob>(blob));
+  if (out.magic != SnapshotBlob::kMagic) {
     return Status::Corruption("durable snapshot magic mismatch");
   }
-  SnapshotBlob out;
-  SSE_ASSIGN_OR_RETURN(out.wal_seq, r.GetU64());
-  SSE_ASSIGN_OR_RETURN(out.state, r.GetBytes());
-  SSE_ASSIGN_OR_RETURN(out.cache, r.GetBytes());
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
 }
 
@@ -153,14 +140,11 @@ Result<DurableServer::Recovered> DurableServer::Recover(
 Result<Bytes> DurableServer::EncodeCheckpoint(uint64_t cut_seq,
                                               const PersistableHandler& handler,
                                               const ReplyCache* cache) {
-  Bytes state;
-  SSE_ASSIGN_OR_RETURN(state, handler.SerializeState());
-  BufferWriter w;
-  w.PutU32(kDurableSnapshotMagic);
-  w.PutU64(cut_seq);
-  w.PutBytes(state);
-  w.PutBytes(cache != nullptr ? cache->Serialize() : Bytes{});
-  return w.TakeData();
+  SnapshotBlob blob;
+  blob.wal_seq = cut_seq;
+  SSE_ASSIGN_OR_RETURN(blob.state, handler.SerializeState());
+  if (cache != nullptr) blob.cache = cache->Serialize();
+  return net::wire::Serialize(blob);
 }
 
 Result<std::unique_ptr<DurableServer>> DurableServer::Open(

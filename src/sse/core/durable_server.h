@@ -9,11 +9,13 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sse/core/persistable.h"
 #include "sse/core/reply_cache.h"
 #include "sse/net/deadline.h"
+#include "sse/net/wire.h"
 #include "sse/obs/histogram.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/storage/env.h"
@@ -110,14 +112,24 @@ class DurableServer : public net::MessageHandler {
     WalShipper* shipper = nullptr;
   };
 
-  /// One durable checkpoint blob (magic "SDR2"): the WAL sequence the
-  /// checkpoint was cut at plus the serialized inner state and reply
-  /// cache. Public so the replication layer can ship whole snapshots to a
-  /// follower that fell behind WAL compaction.
+  /// One durable checkpoint blob: the WAL sequence the checkpoint was cut
+  /// at plus the serialized inner state and reply cache. Recovery replays
+  /// records with seq >= `wal_seq`, so a snapshot generation plus the
+  /// retained WAL segments always form a consistent pair, whichever
+  /// generation recovery ends up restoring. Public so the replication
+  /// layer can ship whole snapshots to a follower that fell behind WAL
+  /// compaction.
   struct SnapshotBlob {
+    static constexpr uint32_t kMagic = 0x53445232;  // "SDR2"
+
+    uint32_t magic = kMagic;
     uint64_t wal_seq = 1;
     Bytes state;
     Bytes cache;
+
+    static constexpr auto kFields = std::tuple{
+        &SnapshotBlob::magic, net::wire::Fixed(&SnapshotBlob::wal_seq),
+        &SnapshotBlob::state, &SnapshotBlob::cache};
   };
   static Result<SnapshotBlob> DecodeSnapshot(BytesView blob);
 

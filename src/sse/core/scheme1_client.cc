@@ -6,7 +6,7 @@
 #include "sse/crypto/hkdf.h"
 #include "sse/crypto/prg.h"
 #include "sse/util/bitvec.h"
-#include "sse/util/serde.h"
+#include "sse/net/wire.h"
 
 namespace sse::core {
 
@@ -186,17 +186,11 @@ Status Scheme1Client::RunUpdateProtocol(
 }
 
 Bytes Scheme1Client::SerializeState() const {
-  BufferWriter w;
-  used_ids_.Serialize(w);
-  return w.TakeData();
+  return net::wire::Serialize(used_ids_);
 }
 
 Status Scheme1Client::RestoreState(BytesView data) {
-  BufferReader r(data);
-  Result<UsedIds> used_ids = UsedIds::Read(r);
-  if (!used_ids.ok()) return used_ids.status();
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  used_ids_ = std::move(used_ids).value();
+  SSE_ASSIGN_OR_RETURN(used_ids_, net::wire::Parse<UsedIds>(data));
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 
 #include "sse/crypto/prg.h"
 #include "sse/util/bitvec.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -33,7 +32,7 @@ Result<net::Message> Scheme1Server::HandleNonceRequest(
   reply.entries.reserve(req.tokens.size());
   for (const Bytes& token : req.tokens) {
     S1NonceEntry e;
-    const Entry* entry = index_.Get(token);
+    const S1IndexEntry* entry = state_.index.Get(token);
     if (entry != nullptr) {
       e.present = true;
       e.enc_nonce = entry->enc_nonce;
@@ -55,14 +54,14 @@ Result<net::Message> Scheme1Server::HandleUpdate(const net::Message& msg) {
           std::to_string(bitmap_bytes));
     }
     if (e.is_new) {
-      if (index_.Contains(e.token)) {
+      if (state_.index.Contains(e.token)) {
         return Status::ProtocolError(
             "update marks token as new but it already exists");
       }
       index_bytes_ += e.masked_delta.size() + e.new_enc_nonce.size();
-      index_.Put(e.token, Entry{e.masked_delta, e.new_enc_nonce});
+      state_.index.Put(e.token, S1IndexEntry{e.masked_delta, e.new_enc_nonce});
     } else {
-      Entry* entry = index_.GetMutable(e.token);
+      S1IndexEntry* entry = state_.index.GetMutable(e.token);
       if (entry == nullptr) {
         return Status::ProtocolError(
             "update targets a token the server does not hold");
@@ -74,7 +73,7 @@ Result<net::Message> Scheme1Server::HandleUpdate(const net::Message& msg) {
       entry->enc_nonce = e.new_enc_nonce;
     }
   }
-  docs_.Put(std::move(req.documents));
+  state_.docs.Put(std::move(req.documents));
   S1UpdateAck ack;
   ack.keywords_updated = req.entries.size();
   return ack.ToMessage();
@@ -85,7 +84,7 @@ Result<net::Message> Scheme1Server::HandleSearchRequest(
   S1SearchRequest req;
   SSE_ASSIGN_OR_RETURN(req, S1SearchRequest::FromMessage(msg));
   S1SearchNonceReply reply;
-  const Entry* entry = index_.Get(req.token);
+  const S1IndexEntry* entry = state_.index.Get(req.token);
   if (entry != nullptr) {
     reply.found = true;
     reply.enc_nonce = entry->enc_nonce;
@@ -97,7 +96,7 @@ Result<net::Message> Scheme1Server::HandleSearchFinish(
     const net::Message& msg) {
   S1SearchFinish req;
   SSE_ASSIGN_OR_RETURN(req, S1SearchFinish::FromMessage(msg));
-  const Entry* entry = index_.Get(req.token);
+  const S1IndexEntry* entry = state_.index.Get(req.token);
   if (entry == nullptr) {
     return Status::ProtocolError("search finish for unknown token");
   }
@@ -112,47 +111,13 @@ Result<net::Message> Scheme1Server::HandleSearchFinish(
 
   S1SearchResult result;
   result.ids = bitmap.Ones();
-  result.documents = docs_.Fetch(result.ids);
+  result.documents = state_.docs.Fetch(result.ids);
   return result.ToMessage();
 }
 
-Result<Bytes> Scheme1Server::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(index_.size());
-  index_.ForEach([&](const Bytes& token, const Entry& entry) {
-    w.PutBytes(token);
-    w.PutBytes(entry.masked_bitmap);
-    w.PutBytes(entry.enc_nonce);
-    return true;
-  });
-  docs_.Serialize(w);
-  return w.TakeData();
-}
-
-Status Scheme1Server::RestoreState(BytesView data) {
-  index::BTreeMap<Entry> index;
-  DocumentStore docs;
-  uint64_t index_bytes = 0;
-
-  BufferReader r(data);
-  uint64_t keyword_count = 0;
-  SSE_ASSIGN_OR_RETURN(keyword_count, r.GetVarint());
-  for (uint64_t i = 0; i < keyword_count; ++i) {
-    Bytes token;
-    SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
-    Entry entry;
-    SSE_ASSIGN_OR_RETURN(entry.masked_bitmap, r.GetBytes());
-    SSE_ASSIGN_OR_RETURN(entry.enc_nonce, r.GetBytes());
-    index_bytes += entry.masked_bitmap.size() + entry.enc_nonce.size();
-    index.Put(token, std::move(entry));
-  }
-  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-
-  index_ = std::move(index);
-  docs_ = std::move(docs);
-  index_bytes_ = index_bytes;
-  return Status::OK();
+uint64_t Scheme1Server::IndexBytes(const Bytes& /*token*/,
+                                   const S1IndexEntry& entry) const {
+  return entry.masked_bitmap.size() + entry.enc_nonce.size();
 }
 
 bool Scheme1Server::IsMutating(uint16_t msg_type) const {

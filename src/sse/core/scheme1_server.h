@@ -2,14 +2,22 @@
 #define SSE_CORE_SCHEME1_SERVER_H_
 
 #include <cstdint>
+#include <tuple>
 
-#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme1_messages.h"
-#include "sse/index/btree.h"
 
 namespace sse::core {
+
+/// S(w) less its token, which keys it in the tree.
+struct S1IndexEntry {
+  Bytes masked_bitmap;  // I(w) ⊕ G(r)
+  Bytes enc_nonce;      // F(r)
+
+  static constexpr auto kFields =
+      std::tuple{&S1IndexEntry::masked_bitmap, &S1IndexEntry::enc_nonce};
+};
 
 /// The honest-but-curious server of Scheme 1.
 ///
@@ -19,39 +27,22 @@ namespace sse::core {
 /// plaintext bitmap during updates — it only XORs client-supplied deltas —
 /// and during a search it unmasks exactly the one bitmap whose nonce the
 /// client released (the access-pattern leakage the trace permits).
-class Scheme1Server : public PersistableHandler {
+class Scheme1Server : public TokenIndexServer<S1IndexEntry> {
  public:
   explicit Scheme1Server(const SchemeOptions& options);
 
   Result<net::Message> Handle(const net::Message& request) override;
-
-  Result<Bytes> SerializeState() const override;
-  Status RestoreState(BytesView data) override;
   bool IsMutating(uint16_t msg_type) const override;
 
-  /// Number of unique keywords stored (u in the paper).
-  size_t unique_keywords() const { return index_.size(); }
-  size_t document_count() const { return docs_.size(); }
-  uint64_t stored_index_bytes() const { return index_bytes_; }
-
-  /// Lookup comparisons performed by the token tree (for T1-search).
-  uint64_t index_comparisons() const { return index_.comparisons(); }
-
  private:
-  struct Entry {
-    Bytes masked_bitmap;  // I(w) ⊕ G(r)
-    Bytes enc_nonce;      // F(r)
-  };
-
   Result<net::Message> HandleNonceRequest(const net::Message& msg);
   Result<net::Message> HandleUpdate(const net::Message& msg);
   Result<net::Message> HandleSearchRequest(const net::Message& msg);
   Result<net::Message> HandleSearchFinish(const net::Message& msg);
+  uint64_t IndexBytes(const Bytes& token,
+                      const S1IndexEntry& entry) const override;
 
   SchemeOptions options_;
-  index::BTreeMap<Entry> index_;
-  DocumentStore docs_;
-  uint64_t index_bytes_ = 0;
 };
 
 }  // namespace sse::core

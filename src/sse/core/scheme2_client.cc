@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "sse/core/segment.h"
-#include "sse/util/serde.h"
+#include "sse/net/wire.h"
 
 namespace sse::core {
 
@@ -57,7 +57,7 @@ Result<Bytes> Scheme2Client::ChainKey(BytesView token, uint32_t ctr) const {
   const std::string hex = HexEncode(token);
   auto it = cursors_.find(hex);
   if (it == cursors_.end()) {
-    Result<crypto::ChainCursor> cursor = NewCursor(token, epoch_);
+    Result<crypto::ChainCursor> cursor = NewCursor(token, state_.epoch);
     if (!cursor.ok()) return cursor.status();
     it = cursors_.emplace(hex, std::move(cursor).value()).first;
   }
@@ -70,7 +70,7 @@ Result<Scheme2Client::Trapdoor> Scheme2Client::MakeTrapdoor(
   SSE_ASSIGN_OR_RETURN(t.token, Token(keyword));
   // Before any counted update the chain is untouched; use the ctr=1
   // element, which is the deepest any future segment key can sit.
-  const uint32_t effective_ctr = ctr_ == 0 ? 1 : ctr_;
+  const uint32_t effective_ctr = state_.ctr == 0 ? 1 : state_.ctr;
   SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKey(t.token, effective_ctr));
   return t;
 }
@@ -79,25 +79,25 @@ Result<uint32_t> Scheme2Client::NextUpdateCounter() {
   // Optimization 2: reuse the previous counter unless a search happened
   // since the last update (the server has not seen that key yet, so
   // reusing it leaks nothing and spends no chain element).
-  const bool must_increment =
-      !options_.counter_after_search_only || searched_since_update_ || ctr_ == 0;
+  const bool must_increment = !options_.counter_after_search_only ||
+                              state_.searched_since_update || state_.ctr == 0;
   if (must_increment) {
-    if (ctr_ >= options_.chain_length) {
-      return Status::ResourceExhausted(
-          "pseudo-random chain exhausted after " + std::to_string(ctr_) +
-          " counted updates; call Reinitialize()");
+    if (state_.ctr >= options_.chain_length) {
+      return Status::ResourceExhausted("pseudo-random chain exhausted after " +
+                                       std::to_string(state_.ctr) +
+                                       " counted updates; call Reinitialize()");
     }
-    ++ctr_;
-    searched_since_update_ = false;
+    ++state_.ctr;
+    state_.searched_since_update = false;
   }
-  return ctr_;
+  return state_.ctr;
 }
 
 Status Scheme2Client::Store(const std::vector<Document>& docs) {
   if (docs.empty()) return Status::OK();
-  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
+  SSE_RETURN_IF_ERROR(state_.used_ids.CheckFresh(docs));
   SSE_RETURN_IF_ERROR(RunUpdateProtocol(GroupByKeyword(docs), docs));
-  used_ids_.Add(docs);
+  state_.used_ids.Add(docs);
   return Status::OK();
 }
 
@@ -138,7 +138,7 @@ Result<SearchOutcome> Scheme2Client::Search(std::string_view keyword) {
 
   net::Message reply_msg;
   SSE_ASSIGN_OR_RETURN(reply_msg, channel_->Call(req.ToMessage()));
-  searched_since_update_ = true;
+  state_.searched_since_update = true;
   return ParseSearchResult(reply_msg);
 }
 
@@ -176,7 +176,7 @@ Result<std::vector<SearchOutcome>> Scheme2Client::MultiSearch(
     round.push_back(req.ToMessage());
   }
   std::vector<Result<net::Message>> replies = channel_->MultiCall(round);
-  searched_since_update_ = true;
+  state_.searched_since_update = true;
   for (size_t i = 0; i < n; ++i) {
     if (!replies[i].ok()) return replies[i].status();
     SSE_ASSIGN_OR_RETURN(outcomes[i], ParseSearchResult(*replies[i]));
@@ -185,32 +185,16 @@ Result<std::vector<SearchOutcome>> Scheme2Client::MultiSearch(
 }
 
 Bytes Scheme2Client::SerializeState() const {
-  BufferWriter w;
-  w.PutU32(ctr_);
-  w.PutU32(epoch_);
-  w.PutBool(searched_since_update_);
-  used_ids_.Serialize(w);
-  return w.TakeData();
+  return net::wire::Serialize(state_);
 }
 
 Status Scheme2Client::RestoreState(BytesView data) {
-  BufferReader r(data);
-  uint32_t ctr = 0;
-  SSE_ASSIGN_OR_RETURN(ctr, r.GetU32());
-  uint32_t epoch = 0;
-  SSE_ASSIGN_OR_RETURN(epoch, r.GetU32());
-  bool searched = false;
-  SSE_ASSIGN_OR_RETURN(searched, r.GetBool());
-  Result<UsedIds> used_ids = UsedIds::Read(r);
-  if (!used_ids.ok()) return used_ids.status();
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  if (ctr > options_.chain_length) {
+  State state;
+  SSE_ASSIGN_OR_RETURN(state, net::wire::Parse<State>(data));
+  if (state.ctr > options_.chain_length) {
     return Status::Corruption("restored counter exceeds chain length");
   }
-  ctr_ = ctr;
-  epoch_ = epoch;
-  searched_since_update_ = searched;
-  used_ids_ = std::move(used_ids).value();
+  state_ = std::move(state);
   cursors_.clear();  // memoized positions may postdate the restored state
   return Status::OK();
 }
@@ -226,8 +210,8 @@ Status Scheme2Client::Reinitialize() {
   // Open and merge every keyword's segments locally, exactly as the server
   // would on a search, using the current epoch's chains; then seal the
   // merged list as the single first segment (counter 1) of the next epoch.
-  const uint32_t old_ctr = ctr_ == 0 ? 1 : ctr_;
-  const uint32_t new_epoch = epoch_ + 1;
+  const uint32_t old_ctr = state_.ctr == 0 ? 1 : state_.ctr;
+  const uint32_t new_epoch = state_.epoch + 1;
 
   S2ReinitRequest reinit;
   reinit.entries.reserve(dump.keywords.size());
@@ -258,10 +242,11 @@ Status Scheme2Client::Reinitialize() {
     return Status::ProtocolError("reinit acknowledged wrong keyword count");
   }
 
-  epoch_ = new_epoch;
-  ctr_ = reinit.entries.empty() ? 0 : 1;
-  searched_since_update_ = true;  // next update must take a fresh element
-  cursors_.clear();               // old-epoch chains are dead weight
+  state_.epoch = new_epoch;
+  state_.ctr = reinit.entries.empty() ? 0 : 1;
+  // The next update must take a fresh element.
+  state_.searched_since_update = true;
+  cursors_.clear();  // old-epoch chains are dead weight
   return Status::OK();
 }
 

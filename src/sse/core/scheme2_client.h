@@ -55,11 +55,13 @@ class Scheme2Client : public SseClientInterface {
 
   /// Current global counter; at most chain_length counted updates fit in
   /// one epoch.
-  uint32_t counter() const { return ctr_; }
-  uint32_t epoch() const { return epoch_; }
+  uint32_t counter() const { return state_.ctr; }
+  uint32_t epoch() const { return state_.epoch; }
 
   /// Remaining counted updates before the chain is exhausted.
-  uint32_t remaining_updates() const { return options_.chain_length - ctr_; }
+  uint32_t remaining_updates() const {
+    return options_.chain_length - state_.ctr;
+  }
 
   /// Rebuilds the whole index under a fresh chain epoch (paper
   /// Optimization 2 discussion: "the whole process should be repeated again
@@ -121,10 +123,18 @@ class Scheme2Client : public SseClientInterface {
   /// hex token).
   mutable std::map<std::string, crypto::ChainCursor> cursors_;
 
-  uint32_t ctr_ = 0;
-  uint32_t epoch_ = 0;
-  bool searched_since_update_ = true;  // first update always increments
-  UsedIds used_ids_;
+  /// The protocol state SerializeState persists (docs/PROTOCOL.md §5).
+  struct State {
+    uint32_t ctr = 0;
+    uint32_t epoch = 0;
+    bool searched_since_update = true;  // first update always increments
+    UsedIds used_ids;
+
+    static constexpr auto kFields =
+        std::tuple{&State::ctr, &State::epoch, &State::searched_since_update,
+                   &State::used_ids};
+  };
+  State state_;
   uint64_t last_chain_steps_ = 0;
   uint64_t last_segments_ = 0;
 };

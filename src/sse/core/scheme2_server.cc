@@ -1,7 +1,6 @@
 #include "sse/core/scheme2_server.h"
 
 #include "sse/core/segment.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -34,18 +33,18 @@ Result<net::Message> Scheme2Server::HandleUpdate(const net::Message& msg) {
   S2UpdateRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2UpdateRequest::FromMessage(msg));
   for (S2UpdateEntry& e : req.entries) {
-    std::vector<S2Segment>* segments = index_.GetMutable(e.token);
+    std::vector<S2Segment>* segments = state_.index.GetMutable(e.token);
     index_bytes_ += e.segment.ciphertext.size() + e.segment.tag.size();
     if (segments == nullptr) {
       index_bytes_ += e.token.size();
       std::vector<S2Segment> fresh;
       fresh.push_back(std::move(e.segment));
-      index_.Put(e.token, std::move(fresh));
+      state_.index.Put(e.token, std::move(fresh));
     } else {
       segments->push_back(std::move(e.segment));
     }
   }
-  docs_.Put(std::move(req.documents));
+  state_.docs.Put(std::move(req.documents));
   S2UpdateAck ack;
   ack.keywords_updated = req.entries.size();
   return ack.ToMessage();
@@ -57,7 +56,7 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg)
   SSE_ASSIGN_OR_RETURN(req, S2SearchRequest::FromMessage(msg));
   S2SearchResult result;
 
-  const std::vector<S2Segment>* segments = index_.Get(req.token);
+  const std::vector<S2Segment>* segments = state_.index.Get(req.token);
   if (segments == nullptr) {
     result.found = false;
     return result.ToMessage();
@@ -91,7 +90,7 @@ Result<net::Message> Scheme2Server::HandleSearch(const net::Message& msg)
   }
 
   result.ids = std::move(ids);
-  result.documents = docs_.Fetch(result.ids);
+  result.documents = state_.docs.Fetch(result.ids);
   return result.ToMessage();
 }
 
@@ -100,8 +99,8 @@ Result<net::Message> Scheme2Server::HandleFetchAll(const net::Message& msg)
   S2FetchAllRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2FetchAllRequest::FromMessage(msg));
   S2FetchAllReply reply;
-  reply.keywords.reserve(index_.size());
-  index_.ForEach([&](const Bytes& token,
+  reply.keywords.reserve(state_.index.size());
+  state_.index.ForEach([&](const Bytes& token,
                      const std::vector<S2Segment>& segments) {
     S2KeywordDump dump;
     dump.token = token;
@@ -115,7 +114,7 @@ Result<net::Message> Scheme2Server::HandleFetchAll(const net::Message& msg)
 Result<net::Message> Scheme2Server::HandleReinit(const net::Message& msg) {
   S2ReinitRequest req;
   SSE_ASSIGN_OR_RETURN(req, S2ReinitRequest::FromMessage(msg));
-  index_.Clear();
+  state_.index.Clear();
   if (cache_ != nullptr) cache_->Clear();
   index_bytes_ = 0;
   for (S2UpdateEntry& e : req.entries) {
@@ -123,68 +122,28 @@ Result<net::Message> Scheme2Server::HandleReinit(const net::Message& msg) {
         e.token.size() + e.segment.ciphertext.size() + e.segment.tag.size();
     std::vector<S2Segment> fresh;
     fresh.push_back(std::move(e.segment));
-    index_.Put(e.token, std::move(fresh));
+    state_.index.Put(e.token, std::move(fresh));
   }
   S2ReinitAck ack;
   ack.keywords = req.entries.size();
   return ack.ToMessage();
 }
 
-Result<Bytes> Scheme2Server::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(index_.size());
-  index_.ForEach([&](const Bytes& token,
-                     const std::vector<S2Segment>& segments) {
-    w.PutBytes(token);
-    w.PutVarint(segments.size());
-    for (const S2Segment& seg : segments) {
-      w.PutBytes(seg.ciphertext);
-      w.PutBytes(seg.tag);
-    }
-    return true;
-  });
-  docs_.Serialize(w);
-  return w.TakeData();
-}
-
 Status Scheme2Server::RestoreState(BytesView data) {
-  index::BTreeMap<std::vector<S2Segment>> index;
-  DocumentStore docs;
-  uint64_t index_bytes = 0;
-
-  BufferReader r(data);
-  uint64_t keyword_count = 0;
-  SSE_ASSIGN_OR_RETURN(keyword_count, r.GetVarint());
-  for (uint64_t i = 0; i < keyword_count; ++i) {
-    Bytes token;
-    SSE_ASSIGN_OR_RETURN(token, r.GetBytes());
-    uint64_t seg_count = 0;
-    SSE_ASSIGN_OR_RETURN(seg_count, r.GetVarint());
-    if (seg_count > r.remaining()) {
-      return Status::Corruption("segment count exceeds payload");
-    }
-    std::vector<S2Segment> segments;
-    segments.reserve(static_cast<size_t>(seg_count));
-    index_bytes += token.size();
-    for (uint64_t j = 0; j < seg_count; ++j) {
-      S2Segment seg;
-      SSE_ASSIGN_OR_RETURN(seg.ciphertext, r.GetBytes());
-      SSE_ASSIGN_OR_RETURN(seg.tag, r.GetBytes());
-      index_bytes += seg.ciphertext.size() + seg.tag.size();
-      segments.push_back(std::move(seg));
-    }
-    index.Put(token, std::move(segments));
-  }
-  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-
-  index_ = std::move(index);
-  docs_ = std::move(docs);
-  index_bytes_ = index_bytes;
+  SSE_RETURN_IF_ERROR(TokenIndexServer::RestoreState(data));
   // The cache is soft state, never serialized: it starts over with the
   // restored index.
   if (cache_ != nullptr) cache_->Clear();
   return Status::OK();
+}
+
+uint64_t Scheme2Server::IndexBytes(
+    const Bytes& token, const std::vector<S2Segment>& segments) const {
+  uint64_t bytes = token.size();
+  for (const S2Segment& seg : segments) {
+    bytes += seg.ciphertext.size() + seg.tag.size();
+  }
+  return bytes;
 }
 
 bool Scheme2Server::IsMutating(uint16_t msg_type) const {

@@ -6,12 +6,10 @@
 #include <memory>
 #include <vector>
 
-#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/search_cache.h"
-#include "sse/index/btree.h"
 
 namespace sse::core {
 
@@ -33,20 +31,13 @@ namespace sse::core {
 /// legitimately learned through the access pattern. It has its own lock,
 /// so a search only reads the index (the stat counters are relaxed
 /// atomics) and an engine shard runs searches under a shared lock.
-class Scheme2Server : public PersistableHandler {
+class Scheme2Server : public TokenIndexServer<std::vector<S2Segment>> {
  public:
   explicit Scheme2Server(const SchemeOptions& options);
 
   Result<net::Message> Handle(const net::Message& request) override;
-
-  Result<Bytes> SerializeState() const override;
   Status RestoreState(BytesView data) override;
   bool IsMutating(uint16_t msg_type) const override;
-
-  size_t unique_keywords() const { return index_.size(); }
-  size_t document_count() const { return docs_.size(); }
-  uint64_t stored_index_bytes() const { return index_bytes_; }
-  uint64_t index_comparisons() const { return index_.comparisons(); }
 
   /// Total chain steps walked across all searches (Table 1's l/2x term).
   uint64_t total_chain_steps() const {
@@ -61,11 +52,10 @@ class Scheme2Server : public PersistableHandler {
   Result<net::Message> HandleSearch(const net::Message& msg) const;
   Result<net::Message> HandleFetchAll(const net::Message& msg) const;
   Result<net::Message> HandleReinit(const net::Message& msg);
+  uint64_t IndexBytes(const Bytes& token,
+                      const std::vector<S2Segment>& segments) const override;
 
   SchemeOptions options_;
-  index::BTreeMap<std::vector<S2Segment>> index_;  // token -> S(w)'s segments
-  DocumentStore docs_;
-  uint64_t index_bytes_ = 0;
   std::unique_ptr<SearchCache> cache_;  // null: server_plaintext_cache off
   mutable std::atomic<uint64_t> total_chain_steps_{0};
   mutable std::atomic<uint64_t> total_segments_decrypted_{0};

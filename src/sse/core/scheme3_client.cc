@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "sse/core/segment.h"
-#include "sse/util/serde.h"
+#include "sse/net/wire.h"
 
 namespace sse::core {
 
@@ -44,52 +44,45 @@ Result<Bytes> Scheme3Client::Token(std::string_view keyword) const {
   return prf_.EvalLabeled(kTokenLabel, StringToBytes(keyword));
 }
 
-Scheme3Client::KeywordState& Scheme3Client::StateFor(
-    const Bytes& token) const {
-  KeywordState& state = states_[HexEncode(token)];
-  if (state.token.empty()) state.token = token;
-  return state;
-}
-
-Result<Bytes> Scheme3Client::ChainKey(KeywordState& state,
-                                      uint32_t ctr) const {
+Result<Bytes> Scheme3Client::ChainKey(const Bytes& token,
+                                      KeywordState& state) const {
   if (!state.cursor.has_value()) {
     Bytes seed;
-    SSE_ASSIGN_OR_RETURN(seed, prf_.EvalLabeled(kChainLabel, state.token));
+    SSE_ASSIGN_OR_RETURN(seed, prf_.EvalLabeled(kChainLabel, token));
     Result<crypto::ChainCursor> cursor =
         crypto::ChainCursor::Create(seed, options_.chain_length);
     if (!cursor.ok()) return cursor.status();
     state.cursor = std::move(cursor).value();
   }
-  return state.cursor->KeyAt(ctr);
+  return state.cursor->KeyAt(state.ctr);
 }
 
 Result<Scheme3Client::Trapdoor> Scheme3Client::MakeTrapdoor(
     std::string_view keyword) const {
   Bytes token;
   SSE_ASSIGN_OR_RETURN(token, Token(keyword));
-  KeywordState& state = StateFor(token);
+  KeywordState& state = state_.keywords[token];
   if (state.ctr == 0) {
     return Status::FailedPrecondition(
         "keyword has no updates; nothing to release");
   }
   Trapdoor t;
   t.counter = state.ctr;
-  SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKey(state, state.ctr));
+  SSE_ASSIGN_OR_RETURN(t.chain_element, ChainKey(token, state));
   return t;
 }
 
 Result<uint32_t> Scheme3Client::counter(std::string_view keyword) const {
   Bytes token;
   SSE_ASSIGN_OR_RETURN(token, Token(keyword));
-  return StateFor(token).ctr;
+  return state_.keywords[token].ctr;
 }
 
 Status Scheme3Client::Store(const std::vector<Document>& docs) {
   if (docs.empty()) return Status::OK();
-  SSE_RETURN_IF_ERROR(used_ids_.CheckFresh(docs));
+  SSE_RETURN_IF_ERROR(state_.used_ids.CheckFresh(docs));
   SSE_RETURN_IF_ERROR(RunUpdateProtocol(GroupByKeyword(docs), docs));
-  used_ids_.Add(docs);
+  state_.used_ids.Add(docs);
   return Status::OK();
 }
 
@@ -106,7 +99,7 @@ Status Scheme3Client::RunUpdateProtocol(
   for (const KeywordUpdate& u : updates) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, Token(u.keyword));
-    KeywordState& state = StateFor(token);
+    KeywordState& state = state_.keywords[token];
     if (state.ctr >= options_.chain_length) {
       return Status::ResourceExhausted(
           "keyword's forward-private chain exhausted after " +
@@ -117,7 +110,7 @@ Status Scheme3Client::RunUpdateProtocol(
     // shadow the stored entry.
     ++state.ctr;
     Bytes key;
-    SSE_ASSIGN_OR_RETURN(key, ChainKey(state, state.ctr));
+    SSE_ASSIGN_OR_RETURN(key, ChainKey(token, state));
     S2Segment sealed;
     SSE_ASSIGN_OR_RETURN(sealed, SealSegment(key, u.ids, *rng_));
     entries.push_back(
@@ -134,7 +127,7 @@ Status Scheme3Client::RunUpdateProtocol(
 Result<SearchOutcome> Scheme3Client::Search(std::string_view keyword) {
   Bytes token;
   SSE_ASSIGN_OR_RETURN(token, Token(keyword));
-  KeywordState& state = StateFor(token);
+  KeywordState& state = state_.keywords[token];
   if (state.ctr == 0) {
     // Never updated: nothing searchable exists and no trapdoor need be
     // released (a keyword the server has never seen stays unseen).
@@ -144,7 +137,7 @@ Result<SearchOutcome> Scheme3Client::Search(std::string_view keyword) {
   }
   S3SearchRequest req;
   req.counter = state.ctr;
-  SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(state, state.ctr));
+  SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(token, state));
 
   net::Message reply_msg;
   SSE_ASSIGN_OR_RETURN(reply_msg, channel_->Call(req.ToMessage()));
@@ -180,11 +173,11 @@ Result<std::vector<SearchOutcome>> Scheme3Client::MultiSearch(
   for (size_t i = 0; i < n; ++i) {
     Bytes token;
     SSE_ASSIGN_OR_RETURN(token, Token(keywords[i]));
-    KeywordState& state = StateFor(token);
+    KeywordState& state = state_.keywords[token];
     if (state.ctr == 0) continue;
     S3SearchRequest req;
     req.counter = state.ctr;
-    SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(state, state.ctr));
+    SSE_ASSIGN_OR_RETURN(req.chain_element, ChainKey(token, state));
     round.push_back(req.ToMessage());
     positions.push_back(i);
   }
@@ -199,38 +192,18 @@ Result<std::vector<SearchOutcome>> Scheme3Client::MultiSearch(
 }
 
 Bytes Scheme3Client::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(states_.size());
-  for (const auto& [hex, state] : states_) {
-    w.PutBytes(state.token);
-    w.PutU32(state.ctr);
-  }
-  used_ids_.Serialize(w);
-  return w.TakeData();
+  return net::wire::Serialize(state_);
 }
 
 Status Scheme3Client::RestoreState(BytesView data) {
-  BufferReader r(data);
-  uint64_t keyword_count = 0;
-  SSE_ASSIGN_OR_RETURN(keyword_count, r.GetVarint());
-  if (keyword_count > data.size()) {
-    return Status::Corruption("keyword count exceeds payload");
-  }
-  std::map<std::string, KeywordState> states;
-  for (uint64_t i = 0; i < keyword_count; ++i) {
-    KeywordState state;
-    SSE_ASSIGN_OR_RETURN(state.token, r.GetBytes());
-    SSE_ASSIGN_OR_RETURN(state.ctr, r.GetU32());
-    if (state.ctr > options_.chain_length) {
+  State state;
+  SSE_ASSIGN_OR_RETURN(state, net::wire::Parse<State>(data));
+  for (const auto& [token, keyword] : state.keywords) {
+    if (keyword.ctr > options_.chain_length) {
       return Status::Corruption("restored counter exceeds chain length");
     }
-    states[HexEncode(state.token)] = std::move(state);
   }
-  Result<UsedIds> used_ids = UsedIds::Read(r);
-  if (!used_ids.ok()) return used_ids.status();
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-  states_ = std::move(states);  // cursors reset with the map
-  used_ids_ = std::move(used_ids).value();
+  state_ = std::move(state);  // cursors reset with the map
   return Status::OK();
 }
 

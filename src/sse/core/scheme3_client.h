@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "sse/core/client_updates.h"
@@ -86,20 +87,28 @@ class Scheme3Client : public SseClientInterface {
                 const SchemeOptions& options, net::Channel* channel,
                 RandomSource* rng);
 
-  /// Per-keyword protocol state, keyed in `states_` by the hex token. The
-  /// chain cursor is created on the keyword's first key derivation.
+  /// Per-keyword protocol state. The chain cursor is created on the
+  /// keyword's first key derivation and is not persisted.
   struct KeywordState {
-    Bytes token;
     uint32_t ctr = 0;
     std::optional<crypto::ChainCursor> cursor;
+
+    static constexpr auto kFields = std::tuple{&KeywordState::ctr};
+  };
+
+  /// The protocol state SerializeState persists (docs/PROTOCOL.md §5).
+  struct State {
+    std::map<Bytes, KeywordState> keywords;  // by token; [] creates a slot
+    UsedIds used_ids;
+
+    static constexpr auto kFields =
+        std::tuple{&State::keywords, &State::used_ids};
   };
 
   Result<Bytes> Token(std::string_view keyword) const;
-  /// Looks up (creating if absent) the state slot for `token`.
-  KeywordState& StateFor(const Bytes& token) const;
-  /// The key k_{ctr} of the keyword's chain, seeded
+  /// The key k_{ctr} of `token`'s chain at its slot's counter, seeded
   /// PRF_{k_w}("s3.chain" ‖ token).
-  Result<Bytes> ChainKey(KeywordState& state, uint32_t ctr) const;
+  Result<Bytes> ChainKey(const Bytes& token, KeywordState& state) const;
 
   /// One protocol round: each pending keyword consumes its next counter
   /// (burned even if the round later fails — an ambiguous failure may
@@ -118,8 +127,7 @@ class Scheme3Client : public SseClientInterface {
   net::Channel* channel_;
   RandomSource* rng_;
 
-  mutable std::map<std::string, KeywordState> states_;  // key: hex token
-  UsedIds used_ids_;
+  mutable State state_;
   uint64_t last_chain_steps_ = 0;
   uint64_t last_entries_ = 0;
 };

@@ -5,7 +5,6 @@
 
 #include "sse/core/segment.h"
 #include "sse/crypto/hash_chain.h"
-#include "sse/util/serde.h"
 
 namespace sse::core {
 
@@ -98,10 +97,10 @@ Result<net::Message> Scheme3Server::HandleUpdate(const net::Message& msg) {
   S3UpdateRequest req;
   SSE_ASSIGN_OR_RETURN(req, S3UpdateRequest::FromMessage(msg));
   for (S3UpdateEntry& e : req.entries) {
-    Bytes* existing = index_.GetMutable(e.address);
+    Bytes* existing = state_.index.GetMutable(e.address);
     if (existing == nullptr) {
       index_bytes_ += e.address.size() + e.ciphertext.size();
-      index_.Put(e.address, std::move(e.ciphertext));
+      state_.index.Put(e.address, std::move(e.ciphertext));
     } else {
       // A chain key is used for exactly one logical update, so a
       // duplicate address can only be a re-delivered update (e.g. a WAL
@@ -112,7 +111,7 @@ Result<net::Message> Scheme3Server::HandleUpdate(const net::Message& msg) {
       *existing = std::move(e.ciphertext);
     }
   }
-  docs_.Put(std::move(req.documents));
+  state_.docs.Put(std::move(req.documents));
   S3UpdateAck ack;
   ack.entries_added = req.entries.size();
   return ack.ToMessage();
@@ -129,7 +128,7 @@ Result<net::Message> Scheme3Server::HandleSearch(const net::Message& msg)
   SSE_ASSIGN_OR_RETURN(result, Probe(walk.probes));
   FinishWalk(walk, resume_.get(), result);
   total_chain_steps_.fetch_add(result.chain_steps, std::memory_order_relaxed);
-  result.documents = docs_.Fetch(result.ids);
+  result.documents = state_.docs.Fetch(result.ids);
   return result.ToMessage();
 }
 
@@ -138,7 +137,7 @@ Result<S3SearchResult> Scheme3Server::Probe(
   S3SearchResult result;
   index::DocIdList ids;
   for (const S3Probe& probe : probes) {
-    const Bytes* segment = index_.Get(probe.address);
+    const Bytes* segment = state_.index.Get(probe.address);
     if (segment == nullptr) continue;
     SSE_RETURN_IF_ERROR(OpenSegmentInto(probe.key, *segment, ids));
     ++result.entries_decrypted;
@@ -151,45 +150,15 @@ Result<S3SearchResult> Scheme3Server::Probe(
   return result;
 }
 
-Result<Bytes> Scheme3Server::SerializeState() const {
-  BufferWriter w;
-  w.PutVarint(index_.size());
-  index_.ForEach([&](const Bytes& address, const Bytes& ciphertext) {
-    w.PutBytes(address);
-    w.PutBytes(ciphertext);
-    return true;
-  });
-  docs_.Serialize(w);
-  return w.TakeData();
-}
-
 Status Scheme3Server::RestoreState(BytesView data) {
-  index::BTreeMap<Bytes> index;
-  DocumentStore docs;
-  uint64_t index_bytes = 0;
-
-  BufferReader r(data);
-  uint64_t entry_count = 0;
-  SSE_ASSIGN_OR_RETURN(entry_count, r.GetVarint());
-  if (entry_count > r.remaining()) {
-    return Status::Corruption("entry count exceeds payload");
-  }
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    Bytes address;
-    SSE_ASSIGN_OR_RETURN(address, r.GetBytes());
-    Bytes ciphertext;
-    SSE_ASSIGN_OR_RETURN(ciphertext, r.GetBytes());
-    index_bytes += address.size() + ciphertext.size();
-    index.Put(address, std::move(ciphertext));
-  }
-  SSE_ASSIGN_OR_RETURN(docs, DocumentStore::Read(r));
-  SSE_RETURN_IF_ERROR(r.ExpectEnd());
-
-  index_ = std::move(index);
-  docs_ = std::move(docs);
-  index_bytes_ = index_bytes;
+  SSE_RETURN_IF_ERROR(TokenIndexServer::RestoreState(data));
   if (resume_ != nullptr) resume_->Clear();
   return Status::OK();
+}
+
+uint64_t Scheme3Server::IndexBytes(const Bytes& address,
+                                   const Bytes& ciphertext) const {
+  return address.size() + ciphertext.size();
 }
 
 bool Scheme3Server::IsMutating(uint16_t msg_type) const {

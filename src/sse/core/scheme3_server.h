@@ -6,12 +6,10 @@
 #include <memory>
 #include <vector>
 
-#include "sse/core/document_store.h"
 #include "sse/core/options.h"
 #include "sse/core/persistable.h"
 #include "sse/core/scheme3_messages.h"
 #include "sse/core/search_cache.h"
-#include "sse/index/btree.h"
 #include "sse/index/posting.h"
 
 namespace sse::core {
@@ -88,23 +86,13 @@ void FinishWalk(const S3Walk& walk, SearchCache* cache,
 /// shard never sees a trapdoor, only a kMsgS3ProbeRequest: the probes of
 /// the engine's one walk that land on it. The engine's adapter keeps the
 /// resume cache, so shards are built without one.
-class Scheme3Server : public PersistableHandler {
+class Scheme3Server : public TokenIndexServer<Bytes> {
  public:
   explicit Scheme3Server(const SchemeOptions& options);
 
   Result<net::Message> Handle(const net::Message& request) override;
-
-  Result<Bytes> SerializeState() const override;
   Status RestoreState(BytesView data) override;
   bool IsMutating(uint16_t msg_type) const override;
-
-  /// Index entries — one per counted update. The server cannot know how
-  /// many unique keywords they cover; this is the closest analogue the
-  /// shard interface's `unique_keywords` can have for this scheme.
-  size_t unique_keywords() const { return index_.size(); }
-  size_t document_count() const { return docs_.size(); }
-  uint64_t stored_index_bytes() const { return index_bytes_; }
-  uint64_t index_comparisons() const { return index_.comparisons(); }
 
   /// Opens the index entries at `probes` (ids and entries decrypted);
   /// both a search and a probe request end here.
@@ -125,11 +113,10 @@ class Scheme3Server : public PersistableHandler {
  private:
   Result<net::Message> HandleUpdate(const net::Message& msg);
   Result<net::Message> HandleSearch(const net::Message& msg) const;
+  uint64_t IndexBytes(const Bytes& address,
+                      const Bytes& ciphertext) const override;
 
   SchemeOptions options_;
-  index::BTreeMap<Bytes> index_;  // f'(k_j) -> E_{k_j}(delta id list)
-  DocumentStore docs_;
-  uint64_t index_bytes_ = 0;
   std::unique_ptr<SearchCache> resume_;
   // Search-path stats; relaxed atomics because searches run concurrently
   // under the engine's shared shard lock.

@@ -5,6 +5,7 @@
 
 #include "sse/net/batch.h"
 #include "sse/net/deadline.h"
+#include "sse/net/wire.h"
 #include "sse/obs/trace.h"
 #include "sse/util/serde.h"
 
@@ -304,7 +305,7 @@ Result<Bytes> ServerEngine::SerializeState() const {
   w.PutVarint(slots_.size());
   {
     std::shared_lock<std::shared_mutex> lock(docs_mutex_);
-    docs_.Serialize(w);
+    net::wire::Put(w, docs_);
   }
   for (const std::unique_ptr<Slot>& slot : slots_) {
     std::shared_lock<std::shared_mutex> lock(slot->mutex);
@@ -342,7 +343,7 @@ Status ServerEngine::RestoreState(BytesView data) {
   // Parse and restore into fresh state before touching live state, so a
   // corrupt snapshot leaves the engine unchanged.
   core::DocumentStore docs;
-  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
+  SSE_RETURN_IF_ERROR(net::wire::Get(r, docs));
   std::vector<std::unique_ptr<SchemeShard>> shards;
   shards.reserve(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {

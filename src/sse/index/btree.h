@@ -31,6 +31,9 @@ namespace sse::index {
 template <typename V>
 class BTreeMap {
  public:
+  using key_type = Bytes;
+  using mapped_type = V;
+
   /// `order` = max children per internal node (max keys per leaf). 8..1024.
   explicit BTreeMap(size_t order = 64)
       : order_(order < 8 ? 8 : (order > 1024 ? 1024 : order)) {

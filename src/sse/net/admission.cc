@@ -12,10 +12,10 @@ namespace sse::net {
 
 namespace {
 
-// Read-only request types per docs/PROTOCOL.md §2/§3/§8. net/ sits below
-// the core scheme headers that name these constants, so the values are
-// spelled numerically here; the protocol doc is the one normative source
-// both layers encode.
+// Read-only request types per docs/PROTOCOL.md §2/§3/§8/§9. net/ sits
+// below the core scheme and baseline headers that name these constants, so
+// the values are spelled numerically here; the protocol doc is the one
+// normative source both layers encode.
 bool IsSearchType(uint16_t type) {
   switch (type) {
     case 0x0101:  // Scheme1.NonceRequest (update round 1: reads state)
@@ -23,7 +23,11 @@ bool IsSearchType(uint16_t type) {
     case 0x0107:  // Scheme1.SearchFinish
     case 0x0203:  // Scheme2.SearchRequest
     case 0x0205:  // Scheme2.FetchAllRequest
+    case 0x0303:  // Swp.Search
+    case 0x030d:  // Goh.Search
+    case 0x0317:  // Cgko.Search
     case 0x0403:  // Scheme3.SearchRequest
+    case 0x0405:  // Scheme3.ProbeRequest
       return true;
     default:
       return false;

@@ -26,7 +26,9 @@ enum class OpClass : uint8_t { kSearch, kMutation, kControl };
 /// Unknown types classify as kMutation — the conservative direction, and
 /// the same default repl::FailoverChannel uses for routing.
 /// The mutation set is the normative wire protocol's (docs/PROTOCOL.md):
-/// Scheme 1/2/3 update + reinit requests.
+/// the Scheme 1/2/3 update requests, Scheme 2's reinit request and the
+/// baselines' store (CGKO: build) requests, each type for which its
+/// server's IsMutating holds.
 OpClass ClassifyFrame(BytesView frame);
 
 /// Attaches a machine-readable retry-after hint to a shed/overload status.

@@ -14,9 +14,10 @@
 #include "sse/util/result.h"
 #include "sse/util/serde.h"
 
-/// The one codec for the protocol's message payloads. A message states its
-/// layout once, as its type constant and the list of its fields in wire
-/// order; ToMessage() and FromMessage() are built from that list:
+/// The one codec for the protocol's message payloads and the persisted
+/// states (docs/PROTOCOL.md §4-§5). A message states its layout once, as
+/// its type constant and the list of its fields in wire order;
+/// ToMessage() and FromMessage() are built from that list:
 ///
 ///   struct S2SearchRequest {
 ///     Bytes token;
@@ -34,9 +35,16 @@
 ///   Bytes                     varint length ‖ bytes
 ///   std::array<uint8_t, N>    N raw bytes, no length
 ///   std::vector<T>            varint count ‖ T*
+///   ordered container         varint count ‖ (key value)* in key order:
+///                             std::map, std::set (keys only), and any
+///                             map type with key_type, mapped_type,
+///                             ForEach and Put (index::BTreeMap)
 ///   struct with kFields       its fields in order, no framing of its own
-/// Decoding checks the type tag, bounds every list count by the bytes
-/// left before sizing anything by it, and refuses trailing bytes.
+/// Decoding checks the type tag, bounds every list or container count by
+/// the bytes left before sizing anything by it, refuses a container key
+/// that is not strictly greater than the one before (CORRUPTION), and
+/// refuses trailing bytes. A state that is not a message uses
+/// Serialize/Parse, the same codec without a type tag.
 namespace sse::net::wire {
 
 /// A uint64_t member that travels as a fixed 8-byte field, not a varint.
@@ -48,17 +56,6 @@ struct Fixed64 {
 template <typename C>
 constexpr Fixed64<C> Fixed(uint64_t C::*member) {
   return {member};
-}
-
-/// The protocol's one message type check: PROTOCOL_ERROR unless `msg` is
-/// of type `want`.
-inline Status CheckType(const Message& msg, uint16_t want) {
-  if (msg.type != want) {
-    return Status::ProtocolError("expected message type " +
-                                 MessageTypeName(want) + ", got " +
-                                 MessageTypeName(msg.type));
-  }
-  return Status::OK();
 }
 
 /// Appends `value` in its wire encoding.
@@ -79,6 +76,27 @@ template <typename T>
 struct IsVector : std::false_type {};
 template <typename T>
 struct IsVector<std::vector<T>> : std::true_type {};
+
+template <typename T>
+concept Ordered = requires { typename T::key_type; };
+template <typename T>
+concept OrderedMap = Ordered<T> && requires { typename T::mapped_type; };
+
+/// Calls fn(key) for each key of a set, fn(key, value) for each entry of a
+/// map, in key order.
+template <typename T, typename Fn>
+void ForEachEntry(const T& container, Fn fn) {
+  if constexpr (!OrderedMap<T>) {
+    for (const auto& key : container) fn(key);
+  } else if constexpr (requires { container.begin(); }) {
+    for (const auto& [key, value] : container) fn(key, value);
+  } else {
+    container.ForEach([&](const auto& key, const auto& value) {
+      fn(key, value);
+      return true;
+    });
+  }
+}
 
 template <typename T>
 constexpr size_t MinSize();
@@ -104,13 +122,26 @@ constexpr size_t MinSize() {
     return std::tuple_size_v<T>;
   } else if constexpr (std::is_same_v<T, bool> ||
                        std::is_same_v<T, uint64_t> ||
-                       std::is_same_v<T, Bytes> || IsVector<T>::value) {
+                       std::is_same_v<T, Bytes> || IsVector<T>::value ||
+                       Ordered<T>) {
     return 1;
   } else {
     return std::apply(
         [](auto... field) { return (size_t{0} + ... + FieldMinSize(field)); },
         T::kFields);
   }
+}
+
+/// Reads a list or container count, bounded by the bytes left: each of
+/// the `count` elements takes at least `min_element` bytes.
+inline Status GetCount(BufferReader& r, size_t min_element, uint64_t& count) {
+  SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
+  if (count > r.remaining() / min_element) {
+    return Status::Corruption("count " + std::to_string(count) +
+                              " exceeds the " + std::to_string(r.remaining()) +
+                              " bytes left");
+  }
+  return Status::OK();
 }
 
 template <typename C, typename T>
@@ -151,6 +182,10 @@ void Put(BufferWriter& w, const T& value) {
   } else if constexpr (internal::IsVector<T>::value) {
     w.PutVarint(value.size());
     for (const auto& element : value) Put(w, element);
+  } else if constexpr (internal::Ordered<T>) {
+    w.PutVarint(value.size());
+    internal::ForEachEntry(
+        value, [&](const auto&... entry) { (Put(w, entry), ...); });
   } else {
     std::apply(
         [&](auto... field) { (internal::PutField(w, value, field), ...); },
@@ -177,14 +212,39 @@ Status Get(BufferReader& r, T& value) {
         internal::MinSize<typename T::value_type>();
     static_assert(kMinElement > 0, "a list element encodes to >= 1 byte");
     uint64_t count = 0;
-    SSE_ASSIGN_OR_RETURN(count, r.GetVarint());
-    if (count > r.remaining() / kMinElement) {
-      return Status::Corruption("list count " + std::to_string(count) +
-                                " exceeds the " +
-                                std::to_string(r.remaining()) + " bytes left");
-    }
+    SSE_RETURN_IF_ERROR(internal::GetCount(r, kMinElement, count));
     value.resize(static_cast<size_t>(count));
     for (auto& element : value) SSE_RETURN_IF_ERROR(Get(r, element));
+  } else if constexpr (internal::Ordered<T>) {
+    using Key = typename T::key_type;
+    size_t min_entry = internal::MinSize<Key>();
+    if constexpr (internal::OrderedMap<T>) {
+      min_entry += internal::MinSize<typename T::mapped_type>();
+    }
+    uint64_t count = 0;
+    SSE_RETURN_IF_ERROR(internal::GetCount(r, min_entry, count));
+    value = T();
+    Key previous;
+    for (uint64_t i = 0; i < count; ++i) {
+      Key key;
+      SSE_RETURN_IF_ERROR(Get(r, key));
+      if (i > 0 && !(previous < key)) {
+        return Status::Corruption(
+            "keys out of order: each must be greater than the one before");
+      }
+      if constexpr (!internal::OrderedMap<T>) {
+        value.emplace_hint(value.end(), key);
+      } else {
+        typename T::mapped_type mapped;
+        SSE_RETURN_IF_ERROR(Get(r, mapped));
+        if constexpr (requires { value.emplace_hint(value.end(), key, mapped); }) {
+          value.emplace_hint(value.end(), key, std::move(mapped));
+        } else {
+          value.Put(key, std::move(mapped));
+        }
+      }
+      previous = std::move(key);
+    }
   } else {
     Status status;
     std::apply(
@@ -198,23 +258,40 @@ Status Get(BufferReader& r, T& value) {
   return Status::OK();
 }
 
-/// The message `m` as (M::kType, its fields in order).
-template <typename M>
-Message Encode(const M& m) {
+/// `value`'s fields in order, as a byte string of their own.
+template <typename T>
+Bytes Serialize(const T& value) {
   BufferWriter w;
-  Put(w, m);
-  return Message{M::kType, w.TakeData()};
+  Put(w, value);
+  return w.TakeData();
 }
 
-/// Parses a message of type M::kType whose payload holds exactly M.
-template <typename M>
-Result<M> Decode(const Message& msg) {
-  SSE_RETURN_IF_ERROR(CheckType(msg, M::kType));
-  BufferReader r(msg.payload);
-  M out;
+/// Parses bytes that hold exactly one T.
+template <typename T>
+Result<T> Parse(BytesView data) {
+  BufferReader r(data);
+  T out;
   SSE_RETURN_IF_ERROR(Get(r, out));
   SSE_RETURN_IF_ERROR(r.ExpectEnd());
   return out;
+}
+
+/// The message `m` as (M::kType, its fields in order).
+template <typename M>
+Message Encode(const M& m) {
+  return Message{M::kType, Serialize(m)};
+}
+
+/// Parses a message of type M::kType whose payload holds exactly M; the
+/// protocol's one message type check.
+template <typename M>
+Result<M> Decode(const Message& msg) {
+  if (msg.type != M::kType) {
+    return Status::ProtocolError("expected message type " +
+                                 MessageTypeName(M::kType) + ", got " +
+                                 MessageTypeName(msg.type));
+  }
+  return Parse<M>(msg.payload);
 }
 
 }  // namespace sse::net::wire

@@ -4,13 +4,12 @@
 #include <map>
 #include <set>
 
-#include "sse/core/document_store.h"
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme1_server.h"
+#include "sse/net/wire.h"
 #include "sse/security/stats.h"
 #include "sse/util/bitvec.h"
-#include "sse/util/serde.h"
 
 namespace sse::security {
 
@@ -50,22 +49,18 @@ Result<View> CaptureScheme1View(const History& history,
   for (const core::Document& doc : history.documents) view.ids.push_back(doc.id);
 
   // Index entries and document ciphertexts from the server's state.
-  auto* server = static_cast<core::Scheme1Server*>(sys.server.get());
-  Bytes state;
-  SSE_ASSIGN_OR_RETURN(state, server->SerializeState());
-  BufferReader r(state);
-  uint64_t keyword_count = 0;
-  SSE_ASSIGN_OR_RETURN(keyword_count, r.GetVarint());
-  for (uint64_t i = 0; i < keyword_count; ++i) {
-    View::IndexEntry entry;
-    SSE_ASSIGN_OR_RETURN(entry.token, r.GetBytes());
-    SSE_ASSIGN_OR_RETURN(entry.masked_bitmap, r.GetBytes());
-    SSE_ASSIGN_OR_RETURN(entry.enc_nonce, r.GetBytes());
-    view.index.push_back(std::move(entry));
-  }
-  core::DocumentStore docs;
-  SSE_ASSIGN_OR_RETURN(docs, core::DocumentStore::Read(r));
-  std::vector<core::WireDocument> stored = docs.Fetch(view.ids);
+  using State = core::Scheme1Server::State;
+  Bytes serialized;
+  SSE_ASSIGN_OR_RETURN(serialized, sys.server->SerializeState());
+  State state;
+  SSE_ASSIGN_OR_RETURN(state, net::wire::Parse<State>(serialized));
+  state.index.ForEach(
+      [&](const Bytes& token, const core::S1IndexEntry& entry) {
+        view.index.push_back(
+            View::IndexEntry{token, entry.masked_bitmap, entry.enc_nonce});
+        return true;
+      });
+  std::vector<core::WireDocument> stored = state.docs.Fetch(view.ids);
   if (stored.size() != view.ids.size()) {
     return Status::Internal("document missing from captured state");
   }

@@ -152,6 +152,18 @@ TEST(ClientStateTest, Scheme1RejectsGarbage) {
 // written by earlier builds must restore, and new builds must keep writing
 // the same bytes.
 
+/// Every proper prefix of the known-answer state `hex` is refused, and
+/// `client` keeps the state it had restored from it.
+void ExpectEveryPrefixRefused(SseClientInterface& client, const char* hex) {
+  const Bytes state = FromHex(hex);
+  for (size_t cut = 0; cut < state.size(); ++cut) {
+    SCOPED_TRACE("state cut at byte " + std::to_string(cut));
+    EXPECT_FALSE(
+        client.RestoreState(Bytes(state.begin(), state.begin() + cut)).ok());
+    EXPECT_EQ(HexEncode(client.SerializeState()), hex);
+  }
+}
+
 /// Runs the fixed op sequence of the Scheme 2/3 known-answer tests and
 /// returns the client, still connected to `channel`.
 template <typename Client>
@@ -193,6 +205,7 @@ TEST(ClientStateKnownAnswerTest, Scheme1StateBytes) {
   SSE_ASSERT_OK_RESULT(restored);
   SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kState)));
   EXPECT_EQ(HexEncode((*restored)->SerializeState()), kState);
+  ExpectEveryPrefixRefused(**restored, kState);
   EXPECT_EQ((*restored)->Store({Document::Make(200, "dup", {"beta"})}).code(),
             StatusCode::kAlreadyExists);
 }
@@ -216,6 +229,7 @@ TEST(ClientStateKnownAnswerTest, Scheme2StateBytes) {
   SSE_ASSERT_OK_RESULT(restored);
   SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kReinitState)));
   EXPECT_EQ(HexEncode((*restored)->SerializeState()), kReinitState);
+  ExpectEveryPrefixRefused(**restored, kReinitState);
   auto outcome = (*restored)->Search("gamma");
   SSE_ASSERT_OK_RESULT(outcome);
   EXPECT_EQ(outcome->ids, std::vector<uint64_t>{2});
@@ -249,9 +263,35 @@ TEST(ClientStateKnownAnswerTest, Scheme3StateBytes) {
   SSE_ASSERT_OK_RESULT(restored);
   SSE_ASSERT_OK((*restored)->RestoreState(FromHex(kState)));
   EXPECT_EQ(HexEncode((*restored)->SerializeState()), kState);
+  ExpectEveryPrefixRefused(**restored, kState);
   auto outcome = (*restored)->Search("alpha");
   SSE_ASSERT_OK_RESULT(outcome);
   EXPECT_EQ(outcome->ids, (std::vector<uint64_t>{0, 1, 3}));
+}
+
+TEST(ClientStateTest, Scheme3RefusesRepeatedKeyword) {
+  // A state that lists one keyword's token twice is corrupt. Keeping the
+  // later entry could roll that keyword's counter back, and the next
+  // update would then reuse a chain key the server has already seen.
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme3Server server(options);
+  net::InProcessChannel channel(&server);
+  DeterministicRandom rng(8);
+  auto client = Scheme3Client::Create(TestMasterKey(1), options, &channel, &rng);
+  SSE_ASSERT_OK_RESULT(client);
+  const std::string token(64, 'a');
+  const std::string good = "02"
+                           "20" + token + "05000000"
+                           "20" + std::string(64, 'b') + "01000000"
+                           "00";
+  const std::string repeated = "02"
+                               "20" + token + "05000000"
+                               "20" + token + "01000000"
+                               "00";
+  SSE_ASSERT_OK((*client)->RestoreState(FromHex(good)));
+  const Status status = (*client)->RestoreState(FromHex(repeated));
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(HexEncode((*client)->SerializeState()), good);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Exhaustive round-trip and adversarial-decode tests for every protocol
 // message of Schemes 1-3 (Scheme 3's engine-internal probe request
-// included), replication and the batch envelope, plus golden encodings
-// that pin each type's bytes on the wire.
+// included), replication, the batch envelope and the baselines, plus
+// golden encodings that pin each type's bytes on the wire.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,11 @@
 #include <tuple>
 #include <type_traits>
 
+#include "sse/baselines/cgko_sse1.h"
 #include "sse/baselines/goh_zidx.h"
 #include "sse/baselines/search_reply.h"
+#include "sse/baselines/swp.h"
+#include "sse/core/registry.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_messages.h"
 #include "sse/core/scheme3_messages.h"
@@ -19,6 +22,7 @@
 #include "sse/repl/messages.h"
 #include "sse/util/random.h"
 #include "sse/util/serde.h"
+#include "test_util.h"
 
 namespace sse::core {
 namespace {
@@ -355,6 +359,144 @@ TEST(MessagesGoldenTest, BaselineSearchReply) {
   EXPECT_EQ(GoldenHex(*reply), "030e:0203ac02020302d0d1ac0201e0");
 }
 
+// The baselines' store (CGKO: build), ack and search messages, pinned
+// through their real clients and servers: one Store of two documents whose
+// ids take a two- and a one-byte varint, then one Search of their keyword.
+// The master key and the random source are fixed, so every byte of the
+// transcript is too. Requests are decoded by the server, acks by the
+// client.
+
+struct BaselineTypes {
+  SystemKind kind;
+  uint16_t store;
+  uint16_t ack;
+  uint16_t search;
+};
+
+constexpr BaselineTypes kBaselines[] = {
+    {SystemKind::kSwp, baselines::kMsgSwpStore, baselines::kMsgSwpStoreAck,
+     baselines::kMsgSwpSearch},
+    {SystemKind::kGohZidx, baselines::kMsgGohStore,
+     baselines::kMsgGohStoreAck, baselines::kMsgGohSearch},
+    {SystemKind::kCgkoSse1, baselines::kMsgCgkoBuild,
+     baselines::kMsgCgkoBuildAck, baselines::kMsgCgkoSearch},
+};
+
+SystemConfig BaselineConfig() {
+  SystemConfig config = sse::testing::FastTestConfig();
+  config.goh = baselines::GohOptions{8, 1};  // one-byte filters, one subkey
+  config.channel.record_transcript = true;
+  return config;
+}
+
+std::vector<net::Exchange> BaselineTranscript(SystemKind kind) {
+  DeterministicRandom rng(9);
+  auto sys = CreateSystem(kind, sse::testing::TestMasterKey(),
+                          BaselineConfig(), &rng);
+  EXPECT_TRUE(sys.ok()) << sys.status();
+  if (!sys.ok()) return {};
+  EXPECT_TRUE(sys->client
+                  ->Store({Document::Make(300, "", {"kw"}),
+                           Document::Make(3, "", {"kw"})})
+                  .ok());
+  EXPECT_TRUE(sys->client->Search("kw").ok());
+  return sys->channel->transcript();
+}
+
+/// Answers every call with `reply`.
+class CannedChannel : public net::Channel {
+ public:
+  explicit CannedChannel(net::Message reply) : reply_(std::move(reply)) {}
+  Result<net::Message> Call(const net::Message&) override { return reply_; }
+  const net::ChannelStats& stats() const override { return stats_; }
+  void ResetStats() override {}
+
+ private:
+  net::Message reply_;
+  net::ChannelStats stats_;
+};
+
+/// A fresh server of `kind` handles `request`.
+Status ServerHandles(SystemKind kind, const net::Message& request) {
+  auto server = FindScheme(kind)->make_server(BaselineConfig());
+  if (!server.ok()) return server.status();
+  return (*server)->Handle(request).status();
+}
+
+/// A fresh client of `kind` stores document `id` and is answered `reply`.
+Status ClientTakesReply(SystemKind kind, const net::Message& reply,
+                        uint64_t id) {
+  CannedChannel channel(reply);
+  DeterministicRandom rng(id);
+  auto client = FindScheme(kind)->make_client(
+      sse::testing::TestMasterKey(), BaselineConfig(), &channel, &rng);
+  if (!client.ok()) return client.status();
+  return (*client)->Store({Document::Make(id, "", {"kw"})});
+}
+
+TEST(MessagesGoldenTest, BaselineMessagesEncodeAsCaptured) {
+  // Per baseline: store (CGKO: build), its ack, search, its reply.
+  // Captured from the hand-written codecs the baselines had before their
+  // messages were declared in sse/net/wire.h.
+  const std::vector<std::string> golden[] = {
+      {"0301:"
+          "02ac021c60a019f6ec4ea900f9fb52d1e5e5883e6d7b0ac1c45544ceaa8d3690"
+          "2030cbe0d6720270bbaaa4d6b76688487bc068ecf3b9ab159acfe97d1efe0775"
+          "ef031c65096c76b275abeba0d2ffe26e399508e944b663831808ecf73c385320"
+          "7405e1bef8e5493489cea52f21e1dc4126df40a5d0908542a8d8a2f3ce629e02",
+       "0302:02",
+       "0303:"
+          "20279060e6ba09999ae6e8385ac454d9c01f0564e4a56e629d95ba694576db22"
+          "f920c9c400e244ff1100f982cf92d94b327241b6d9b0ab11c1386266048e8502"
+          "c8a8",
+       "0304:"
+          "0203ac0202031c65096c76b275abeba0d2ffe26e399508e944b663831808ecf7"
+          "3c3853ac021c60a019f6ec4ea900f9fb52d1e5e5883e6d7b0ac1c45544ceaa8d"
+          "3690"},
+      {"030b:"
+          "02ac021c60a019f6ec4ea900f9fb52d1e5e5883e6d7b0ac1c45544ceaa8d3690"
+          "0101031c175b8030c80be9214c4ceeed66ac1639c2c2a164b1cdcb9e249e48bc"
+          "0104",
+       "030c:02",
+       "030d:"
+          "01206952c983f72179b9d54b9a82fd1b898af299a732682474c7ee6c80ebfcb9"
+          "5cfb",
+       "030e:"
+          "0203ac0202031c175b8030c80be9214c4ceeed66ac1639c2c2a164b1cdcb9e24"
+          "9e48bcac021c60a019f6ec4ea900f9fb52d1e5e5883e6d7b0ac1c45544ceaa8d"
+          "3690"},
+      {"0315:"
+          "025ca0d2ffe2bb9191be5395815842ecd0aecae04fce4305fc40937ce5d9c5af"
+          "7a5803de4cfd1edf53cefedfb8bf0a2ac1634e17278644089adfff75d892a059"
+          "bf1b5f98a9e068065e67b32d5ed2ac004dedb4b93e25c743950dca8506c85ce1"
+          "81d73c1a9a3afd2c425617d3adeb2b1c02e159bd6869013153001201b1a59265"
+          "91a4767bc903167c2b71f54cb457088352c00eae4c17202f43761b8a452aa6f7"
+          "f453b5bb83be7ace2889570a3bea4b930cdc1093948ecf7041ab550120871268"
+          "0d3484821a7e0683f99391c268dd9d0ac5bb73bfe25739fdccf6d0cb6b24765b"
+          "7f1502100d2c6ae2d59016fd79fa903aa3ee9c26167bd91ba1e25ef3d32d4dd9"
+          "59c802ac021c49f0cb52347db0c2139e6608e8d7263b4339d091fd905b39f682"
+          "0156031c74a8ada6b8dca2f2485174a1c3556ddf24f507c958083ffe134c3936",
+       "0316:02",
+       "0317:"
+          "208712680d3484821a7e0683f99391c268dd9d0ac5bb73bfe25739fdccf6d0cb"
+          "6b24775b7f156d3690598f57d01113d976510cf0e2c8b9b5caf10a468c9658f9"
+          "3cc3c0f5d108",
+       "0318:"
+          "0203ac0202031c74a8ada6b8dca2f2485174a1c3556ddf24f507c958083ffe13"
+          "4c3936ac021c49f0cb52347db0c2139e6608e8d7263b4339d091fd905b39f682"
+          "0156"},
+  };
+  for (size_t i = 0; i < std::size(kBaselines); ++i) {
+    SCOPED_TRACE(std::string(SystemKindName(kBaselines[i].kind)));
+    std::vector<std::string> got;
+    for (const net::Exchange& exchange : BaselineTranscript(kBaselines[i].kind)) {
+      got.push_back(GoldenHex(exchange.request));
+      got.push_back(GoldenHex(exchange.reply));
+    }
+    EXPECT_EQ(got, golden[i]);
+  }
+}
+
 /// The golden instances plus the baselines' shared search reply: one valid
 /// message of every type the codec decodes.
 auto EveryDecoder() {
@@ -381,6 +523,11 @@ TEST(MessagesFuzzTest, RandomPayloadsNeverCrashDecoders) {
           (feed(golden), ...);
         },
         EveryDecoder());
+    for (const BaselineTypes& b : kBaselines) {
+      (void)ServerHandles(b.kind, {b.store, payload});
+      (void)ServerHandles(b.kind, {b.search, payload});
+      (void)ClientTakesReply(b.kind, {b.ack, payload}, trial);
+    }
   }
   SUCCEED();
 }
@@ -402,6 +549,34 @@ TEST(MessagesFuzzTest, TruncationsOfValidMessagesRejected) {
         (check(golden), ...);
       },
       EveryDecoder());
+
+  for (const BaselineTypes& b : kBaselines) {
+    SCOPED_TRACE(std::string(SystemKindName(b.kind)));
+    const std::vector<net::Exchange> transcript = BaselineTranscript(b.kind);
+    ASSERT_EQ(transcript.size(), 2u);
+    const net::Message& store = transcript[0].request;
+    const net::Message& ack = transcript[0].reply;
+    const net::Message& search = transcript[1].request;
+    SSE_ASSERT_OK(ServerHandles(b.kind, store));
+    SSE_ASSERT_OK(ClientTakesReply(b.kind, ack, 1));
+    SSE_ASSERT_OK(ServerHandles(b.kind, search));
+    auto prefix = [](const net::Message& msg, size_t keep) {
+      return net::Message{
+          msg.type, Bytes(msg.payload.begin(), msg.payload.begin() + keep)};
+    };
+    for (size_t keep = 0; keep < store.payload.size(); ++keep) {
+      EXPECT_FALSE(ServerHandles(b.kind, prefix(store, keep)).ok())
+          << "store prefix " << keep;
+    }
+    for (size_t keep = 0; keep < ack.payload.size(); ++keep) {
+      EXPECT_FALSE(ClientTakesReply(b.kind, prefix(ack, keep), 1).ok())
+          << "ack prefix " << keep;
+    }
+    for (size_t keep = 0; keep < search.payload.size(); ++keep) {
+      EXPECT_FALSE(ServerHandles(b.kind, prefix(search, keep)).ok())
+          << "search prefix " << keep;
+    }
+  }
 }
 
 }  // namespace

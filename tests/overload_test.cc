@@ -18,12 +18,17 @@
 #include <thread>
 #include <vector>
 
+#include "sse/baselines/cgko_sse1.h"
+#include "sse/baselines/goh_zidx.h"
+#include "sse/baselines/swp.h"
 #include "sse/core/durable_server.h"
 #include "sse/core/persistable.h"
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_client.h"
 #include "sse/core/scheme2_messages.h"
+#include "sse/core/scheme3_messages.h"
+#include "sse/engine/scheme_shard.h"
 #include "sse/net/admission.h"
 #include "sse/net/batch.h"
 #include "sse/net/deadline.h"
@@ -202,6 +207,47 @@ TEST(AdmissionTest, ClassifiesFramesByWireType) {
             OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(batch_of(core::kMsgS2SearchRequest)),
             OpClass::kSearch);
+}
+
+TEST(AdmissionTest, MutationClassMatchesEveryServer) {
+  // Every request type of the six systems: admission classifies a type as
+  // a mutation (shed first) exactly when the scheme's classic server says
+  // it mutates, and an engine-capable scheme's adapter agrees with it.
+  const std::map<SystemKind, std::vector<uint16_t>> requests = {
+      {SystemKind::kScheme1,
+       {core::kMsgS1NonceRequest, core::kMsgS1UpdateRequest,
+        core::kMsgS1SearchRequest, core::kMsgS1SearchFinish}},
+      {SystemKind::kScheme2,
+       {core::kMsgS2UpdateRequest, core::kMsgS2SearchRequest,
+        core::kMsgS2FetchAllRequest, core::kMsgS2ReinitRequest}},
+      {SystemKind::kSwp, {baselines::kMsgSwpStore, baselines::kMsgSwpSearch}},
+      {SystemKind::kGohZidx,
+       {baselines::kMsgGohStore, baselines::kMsgGohSearch}},
+      {SystemKind::kCgkoSse1,
+       {baselines::kMsgCgkoBuild, baselines::kMsgCgkoSearch}},
+      {SystemKind::kScheme3,
+       {core::kMsgS3UpdateRequest, core::kMsgS3SearchRequest,
+        core::kMsgS3ProbeRequest}},
+  };
+  ASSERT_EQ(requests.size(), core::AllSchemes().size());
+  const core::SystemConfig config = FastTestConfig();
+  for (const core::SchemeDescriptor& scheme : core::AllSchemes()) {
+    SCOPED_TRACE(std::string(scheme.name));
+    auto server = scheme.make_server(config);
+    SSE_ASSERT_OK_RESULT(server);
+    std::unique_ptr<engine::SchemeAdapter> adapter;
+    if (scheme.traits.engine_capable) adapter = scheme.make_adapter(config);
+    for (uint16_t type : requests.at(scheme.kind)) {
+      SCOPED_TRACE(net::MessageTypeName(type));
+      const bool mutating = (*server)->IsMutating(type);
+      EXPECT_EQ(ClassifyFrame(Message{type, Bytes{0xAA}}.Encode()) ==
+                    OpClass::kMutation,
+                mutating);
+      if (adapter != nullptr) {
+        EXPECT_EQ(adapter->IsMutating(type), mutating);
+      }
+    }
+  }
 }
 
 TEST(AdmissionTest, RetryAfterHintRoundTripsThroughErrorMessages) {
