@@ -80,13 +80,19 @@ TEST_F(GohTest, WrongTrapdoorSizeRejected) {
 }
 
 TEST_F(GohTest, FilterSizeValidatedOnStore) {
+  // A store is applied whole or not at all: the well-formed first document
+  // is not kept when the second one's filter is refused.
   BufferWriter w;
+  w.PutVarint(2);
   w.PutVarint(1);
+  w.PutBytes(Bytes{1});
+  w.PutBytes(Bytes(256, 0));  // 2048 bits
   w.PutVarint(0);          // id
   w.PutBytes(Bytes{1});    // ciphertext
   w.PutBytes(Bytes(10, 0));  // wrong filter size (needs 2048 bits = 256B)
   auto reply = sys_.channel->Call(net::Message{kMsgGohStore, w.TakeData()});
   EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(server()->document_count(), 0u);
 }
 
 TEST_F(GohTest, StateSerializationRoundTrip) {
