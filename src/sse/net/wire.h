@@ -237,10 +237,10 @@ Status Get(BufferReader& r, T& value) {
       } else {
         typename T::mapped_type mapped;
         SSE_RETURN_IF_ERROR(Get(r, mapped));
-        if constexpr (requires { value.emplace_hint(value.end(), key, mapped); }) {
-          value.emplace_hint(value.end(), key, std::move(mapped));
-        } else {
+        if constexpr (requires { value.Put(key, mapped); }) {
           value.Put(key, std::move(mapped));
+        } else {
+          value.emplace_hint(value.end(), key, std::move(mapped));
         }
       }
       previous = std::move(key);

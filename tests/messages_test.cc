@@ -489,7 +489,8 @@ TEST(MessagesGoldenTest, BaselineMessagesEncodeAsCaptured) {
   for (size_t i = 0; i < std::size(kBaselines); ++i) {
     SCOPED_TRACE(std::string(SystemKindName(kBaselines[i].kind)));
     std::vector<std::string> got;
-    for (const net::Exchange& exchange : BaselineTranscript(kBaselines[i].kind)) {
+    for (const net::Exchange& exchange :
+         BaselineTranscript(kBaselines[i].kind)) {
       got.push_back(GoldenHex(exchange.request));
       got.push_back(GoldenHex(exchange.reply));
     }
