@@ -8,6 +8,7 @@
 #include <set>
 
 #include "bench_common.h"
+#include "sse/core/padding.h"
 #include "sse/security/leakage.h"
 
 namespace sse::bench {
@@ -65,20 +66,18 @@ void FakePadding() {
   for (bool pad : {false, true}) {
     DeterministicRandom rng(52);
     core::SseSystem sys = TranscribingSystem(&rng);
+    const core::PaddingPolicy policy =
+        pad ? core::PaddingPolicy{core::PaddingPolicy::Mode::kFixedBucket, 6}
+            : core::PaddingPolicy{};
+    core::PaddedClient client(sys.client.get(), policy, &rng);
     DeterministicRandom shape(53);
-    const size_t pad_to = 6;
     for (int i = 0; i < 48; ++i) {
       std::vector<std::string> kws;
       const size_t real = 1 + shape.Next() % 5;
       for (size_t k = 0; k < real; ++k) {
         kws.push_back("kw" + std::to_string(i) + "_" + std::to_string(k));
       }
-      if (pad) {
-        for (size_t k = kws.size(); k < pad_to; ++k) {
-          kws.push_back("pad" + std::to_string(i) + "_" + std::to_string(k));
-        }
-      }
-      MustOk(sys.client->FakeUpdate(kws), "padded update");
+      MustOk(client.FakeUpdate(kws), "padded update");
     }
     security::LeakageReport report =
         security::AnalyzeTranscript(sys.channel->transcript());

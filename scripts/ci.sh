@@ -2,8 +2,8 @@
 # Tier-1 verification plus sanitizer passes. Usage:
 #   scripts/ci.sh [--skip-tsan] [--skip-asan]
 #
-# 1. Configure + build everything, run the full ctest suite (the repo's
-#    tier-1 gate from ROADMAP.md).
+# 1. Configure + build everything with -Werror, run the full ctest suite
+#    (the repo's tier-1 gate from ROADMAP.md).
 # 2. Rebuild the engine/concurrency test targets with -fsanitize=thread in
 #    a separate build dir and run only the "concurrency"/"chaos"/... labels.
 # 3. Rebuild the net/engine test targets with -fsanitize=address,undefined
@@ -21,7 +21,9 @@ for arg in "$@"; do
 done
 
 echo "==> tier-1: build + full test suite"
-cmake -B build -S . >/dev/null
+# Warnings fail the build here as in the workflow. The setting stays in
+# build/CMakeCache.txt for later configures of that directory.
+cmake -B build -S . -DSSE_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 

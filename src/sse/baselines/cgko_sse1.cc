@@ -126,10 +126,6 @@ Status CgkoServer::RestoreState(BytesView data) {
   return Status::OK();
 }
 
-bool CgkoServer::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgCgkoBuild;
-}
-
 // ---------------------------------------------------------------- client --
 
 CgkoClient::CgkoClient(crypto::Prf prf, core::DataCipher data,

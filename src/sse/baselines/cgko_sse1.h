@@ -79,7 +79,6 @@ class CgkoServer : public core::PersistableHandler {
   Result<net::Message> Handle(const net::Message& request) override;
   Result<Bytes> SerializeState() const override;
   Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
 
   size_t array_size() const { return state_.array.size(); }
   size_t table_size() const { return state_.table.size(); }

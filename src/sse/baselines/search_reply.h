@@ -136,10 +136,6 @@ class ScanServer : public core::PersistableHandler {
     return Status::OK();
   }
 
-  bool IsMutating(uint16_t msg_type) const override {
-    return msg_type == kStore;
-  }
-
   size_t document_count() const { return state_.docs.size(); }
 
  protected:

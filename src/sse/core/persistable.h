@@ -8,6 +8,7 @@
 #include "sse/core/document_store.h"
 #include "sse/index/btree.h"
 #include "sse/net/channel.h"
+#include "sse/net/message_types.h"
 #include "sse/net/wire.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
@@ -28,9 +29,12 @@ class PersistableHandler : public net::MessageHandler {
   /// Replaces the server state with a previously serialized one.
   virtual Status RestoreState(BytesView data) = 0;
 
-  /// True if handling a message of this type changes durable state.
+  /// True if handling a message of this type may change durable state:
+  /// by default, when the type's row in net/message_types.h says mutation.
   /// (Optimization-1 plaintext caches are soft state and do not count.)
-  virtual bool IsMutating(uint16_t msg_type) const = 0;
+  virtual bool IsMutating(uint16_t msg_type) const {
+    return net::IsKind(msg_type, net::MessageKind::kMutation);
+  }
 
   /// Called at most once when the DurableServer wrapping this handler
   /// fail-stops into read-only degraded mode after a storage fault (failed

@@ -1,9 +1,20 @@
 #include "sse/core/scheme1_server.h"
 
+#include <set>
+#include <string>
+
 #include "sse/crypto/prg.h"
 #include "sse/util/bitvec.h"
 
 namespace sse::core {
+
+Status CheckMaskedDelta(const S1UpdateEntry& entry, size_t max_documents) {
+  const size_t bitmap_bytes = (max_documents + 7) / 8;
+  if (entry.masked_delta.size() == bitmap_bytes) return Status::OK();
+  return Status::ProtocolError("masked bitmap has wrong size: got " +
+                               std::to_string(entry.masked_delta.size()) +
+                               ", want " + std::to_string(bitmap_bytes));
+}
 
 Scheme1Server::Scheme1Server(const SchemeOptions& options)
     : options_(options) {}
@@ -42,30 +53,38 @@ Result<net::Message> Scheme1Server::HandleNonceRequest(
   return reply.ToMessage();
 }
 
+Status Scheme1Server::CheckUpdate(
+    const std::vector<S1UpdateEntry>& entries) const {
+  std::set<Bytes> made_new;  // tokens an earlier entry of this update adds
+  for (const S1UpdateEntry& e : entries) {
+    SSE_RETURN_IF_ERROR(CheckMaskedDelta(e, options_.max_documents));
+    const bool present =
+        state_.index.Contains(e.token) || made_new.count(e.token) > 0;
+    if (e.is_new && present) {
+      return Status::ProtocolError(
+          "update marks token as new but it already exists");
+    }
+    if (!e.is_new && !present) {
+      return Status::ProtocolError(
+          "update targets a token the server does not hold");
+    }
+    if (e.is_new) made_new.insert(e.token);
+  }
+  return Status::OK();
+}
+
 Result<net::Message> Scheme1Server::HandleUpdate(const net::Message& msg) {
   S1UpdateRequest req;
   SSE_ASSIGN_OR_RETURN(req, S1UpdateRequest::FromMessage(msg));
-  const size_t bitmap_bytes = (options_.max_documents + 7) / 8;
+  // DurableServer journals only the updates that succeed, so a refused
+  // update must leave the index as it was.
+  SSE_RETURN_IF_ERROR(CheckUpdate(req.entries));
   for (const S1UpdateEntry& e : req.entries) {
-    if (e.masked_delta.size() != bitmap_bytes) {
-      return Status::ProtocolError(
-          "masked bitmap has wrong size: got " +
-          std::to_string(e.masked_delta.size()) + ", want " +
-          std::to_string(bitmap_bytes));
-    }
     if (e.is_new) {
-      if (state_.index.Contains(e.token)) {
-        return Status::ProtocolError(
-            "update marks token as new but it already exists");
-      }
       index_bytes_ += e.masked_delta.size() + e.new_enc_nonce.size();
       state_.index.Put(e.token, S1IndexEntry{e.masked_delta, e.new_enc_nonce});
     } else {
       S1IndexEntry* entry = state_.index.GetMutable(e.token);
-      if (entry == nullptr) {
-        return Status::ProtocolError(
-            "update targets a token the server does not hold");
-      }
       // (I(w) ⊕ G(r)) ⊕ (U(w) ⊕ G(r) ⊕ G(r')) = I'(w) ⊕ G(r').
       SSE_RETURN_IF_ERROR(XorInPlace(entry->masked_bitmap, e.masked_delta));
       index_bytes_ -= entry->enc_nonce.size();
@@ -118,10 +137,6 @@ Result<net::Message> Scheme1Server::HandleSearchFinish(
 uint64_t Scheme1Server::IndexBytes(const Bytes& /*token*/,
                                    const S1IndexEntry& entry) const {
   return entry.masked_bitmap.size() + entry.enc_nonce.size();
-}
-
-bool Scheme1Server::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgS1UpdateRequest;
 }
 
 }  // namespace sse::core

@@ -19,6 +19,11 @@ struct S1IndexEntry {
       std::tuple{&S1IndexEntry::masked_bitmap, &S1IndexEntry::enc_nonce};
 };
 
+/// Refuses an update entry whose masked delta is not one bitmap of
+/// `max_documents` bits. The server and the engine's router both check
+/// every entry before any is applied.
+Status CheckMaskedDelta(const S1UpdateEntry& entry, size_t max_documents);
+
 /// The honest-but-curious server of Scheme 1.
 ///
 /// Per unique keyword it stores the paper's triple
@@ -32,11 +37,13 @@ class Scheme1Server : public TokenIndexServer<S1IndexEntry> {
   explicit Scheme1Server(const SchemeOptions& options);
 
   Result<net::Message> Handle(const net::Message& request) override;
-  bool IsMutating(uint16_t msg_type) const override;
 
  private:
   Result<net::Message> HandleNonceRequest(const net::Message& msg);
   Result<net::Message> HandleUpdate(const net::Message& msg);
+  /// Refuses the update if any entry would be refused, so that a refused
+  /// update changes nothing.
+  Status CheckUpdate(const std::vector<S1UpdateEntry>& entries) const;
   Result<net::Message> HandleSearchRequest(const net::Message& msg);
   Result<net::Message> HandleSearchFinish(const net::Message& msg);
   uint64_t IndexBytes(const Bytes& token,

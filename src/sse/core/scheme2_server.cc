@@ -146,8 +146,4 @@ uint64_t Scheme2Server::IndexBytes(
   return bytes;
 }
 
-bool Scheme2Server::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgS2UpdateRequest || msg_type == kMsgS2ReinitRequest;
-}
-
 }  // namespace sse::core

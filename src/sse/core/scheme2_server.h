@@ -37,7 +37,6 @@ class Scheme2Server : public TokenIndexServer<std::vector<S2Segment>> {
 
   Result<net::Message> Handle(const net::Message& request) override;
   Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
 
   /// Total chain steps walked across all searches (Table 1's l/2x term).
   uint64_t total_chain_steps() const {

@@ -161,8 +161,4 @@ uint64_t Scheme3Server::IndexBytes(const Bytes& address,
   return address.size() + ciphertext.size();
 }
 
-bool Scheme3Server::IsMutating(uint16_t msg_type) const {
-  return msg_type == kMsgS3UpdateRequest;
-}
-
 }  // namespace sse::core

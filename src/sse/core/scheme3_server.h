@@ -92,7 +92,6 @@ class Scheme3Server : public TokenIndexServer<Bytes> {
 
   Result<net::Message> Handle(const net::Message& request) override;
   Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
 
   /// Opens the index entries at `probes` (ids and entries decrypted);
   /// both a search and a probe request end here.

@@ -19,10 +19,6 @@ std::unique_ptr<SchemeShard> Scheme1Adapter::CreateShard() const {
   return std::make_unique<ServerShard<core::Scheme1Server>>(options_);
 }
 
-bool Scheme1Adapter::IsMutating(uint16_t msg_type) const {
-  return msg_type == core::kMsgS1UpdateRequest;
-}
-
 Result<RequestPlan> Scheme1Adapter::Route(const net::Message& request,
                                           size_t num_shards) const {
   RequestPlan plan;
@@ -39,6 +35,10 @@ Result<RequestPlan> Scheme1Adapter::Route(const net::Message& request,
     case core::kMsgS1UpdateRequest: {
       S1UpdateRequest req;
       SSE_ASSIGN_OR_RETURN(req, S1UpdateRequest::FromMessage(request));
+      // Refused before any shard runs, so no shard keeps its part.
+      for (const core::S1UpdateEntry& e : req.entries) {
+        SSE_RETURN_IF_ERROR(core::CheckMaskedDelta(e, options_.max_documents));
+      }
       ScatterByShard(
           &S1UpdateRequest::entries, std::move(req.entries),
           [](const core::S1UpdateEntry& e) -> BytesView { return e.token; },

@@ -24,11 +24,6 @@ std::unique_ptr<SchemeShard> Scheme2Adapter::CreateShard() const {
   return std::make_unique<ServerShard<core::Scheme2Server>>(options_);
 }
 
-bool Scheme2Adapter::IsMutating(uint16_t msg_type) const {
-  return msg_type == core::kMsgS2UpdateRequest ||
-         msg_type == core::kMsgS2ReinitRequest;
-}
-
 Result<RequestPlan> Scheme2Adapter::Route(const net::Message& request,
                                           size_t num_shards) const {
   RequestPlan plan;

@@ -25,7 +25,6 @@ class Scheme2Adapter : public SchemeAdapter {
 
   std::string_view name() const override { return "scheme2"; }
   std::unique_ptr<SchemeShard> CreateShard() const override;
-  bool IsMutating(uint16_t msg_type) const override;
   Result<RequestPlan> Route(const net::Message& request,
                             size_t num_shards) const override;
   Result<net::Message> Merge(const net::Message& request,

@@ -26,10 +26,6 @@ std::unique_ptr<SchemeShard> Scheme3Adapter::CreateShard() const {
   return std::make_unique<ServerShard<core::Scheme3Server>>(shard_options);
 }
 
-bool Scheme3Adapter::IsMutating(uint16_t msg_type) const {
-  return msg_type == core::kMsgS3UpdateRequest;
-}
-
 Result<RequestPlan> Scheme3Adapter::Route(const net::Message& request,
                                           size_t num_shards) const {
   RequestPlan plan;

@@ -11,6 +11,7 @@
 
 #include "sse/core/wire_common.h"
 #include "sse/net/message.h"
+#include "sse/net/message_types.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 
@@ -116,7 +117,10 @@ class SchemeAdapter {
 
   virtual std::string_view name() const = 0;
   virtual std::unique_ptr<SchemeShard> CreateShard() const = 0;
-  virtual bool IsMutating(uint16_t msg_type) const = 0;
+  /// By default, when the type's row in net/message_types.h says mutation.
+  virtual bool IsMutating(uint16_t msg_type) const {
+    return net::IsKind(msg_type, net::MessageKind::kMutation);
+  }
   /// Mutations lock their shard exclusively, everything else shared.
   /// Virtual so that a wrapping adapter can forward to the one it wraps.
   virtual LockMode LockModeFor(uint16_t msg_type) const {

@@ -292,13 +292,6 @@ void ServerEngine::OnStorageDegraded(const Status& cause) {
   degraded_.store(true, std::memory_order_release);
 }
 
-bool ServerEngine::IsMutating(uint16_t msg_type) const {
-  // A batch envelope may carry mutating sub-ops; callers that cannot see
-  // inside it (WAL policy, serialization guards) must assume it does.
-  if (msg_type == net::kMsgBatch) return true;
-  return adapter_->IsMutating(msg_type);
-}
-
 Result<Bytes> ServerEngine::SerializeState() const {
   BufferWriter w;
   w.PutU32(kEngineSnapshotMagic);

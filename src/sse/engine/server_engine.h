@@ -58,7 +58,6 @@ class ServerEngine : public core::PersistableHandler {
   Result<net::Message> Handle(const net::Message& request) override;
   Result<Bytes> SerializeState() const override;
   Status RestoreState(BytesView data) override;
-  bool IsMutating(uint16_t msg_type) const override;
 
   /// Storage fail-stop notification (see PersistableHandler): flips the
   /// engine read-only and surfaces the state as the sse_engine_degraded

@@ -5,82 +5,53 @@
 #include <cstdlib>
 #include <string>
 
-#include "sse/net/message.h"
+#include "sse/net/message_types.h"
 #include "sse/util/serde.h"
 
 namespace sse::net {
 
 namespace {
 
-// Read-only request types per docs/PROTOCOL.md §2/§3/§8/§9. net/ sits
-// below the core scheme and baseline headers that name these constants, so
-// the values are spelled numerically here; the protocol doc is the one
-// normative source both layers encode.
-bool IsSearchType(uint16_t type) {
-  switch (type) {
-    case 0x0101:  // Scheme1.NonceRequest (update round 1: reads state)
-    case 0x0105:  // Scheme1.SearchRequest
-    case 0x0107:  // Scheme1.SearchFinish
-    case 0x0203:  // Scheme2.SearchRequest
-    case 0x0205:  // Scheme2.FetchAllRequest
-    case 0x0303:  // Swp.Search
-    case 0x030d:  // Goh.Search
-    case 0x0317:  // Cgko.Search
-    case 0x0403:  // Scheme3.SearchRequest
-    case 0x0405:  // Scheme3.ProbeRequest
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsControlType(uint16_t type) {
-  return type == kMsgStats || type == kMsgReplAppend ||
-         type == kMsgReplAck || type == kMsgReplSnapshot ||
-         type == kMsgReplPromote;
-}
-
-OpClass ClassifyType(uint16_t type) {
-  if (IsControlType(type)) return OpClass::kControl;
-  if (IsSearchType(type)) return OpClass::kSearch;
-  // Mutations and anything unknown: the conservative class (shed first).
-  return OpClass::kMutation;
+obs::OpClass ClassOf(uint16_t type) {
+  if (IsKind(type, MessageKind::kSearch)) return obs::OpClass::kSearch;
+  if (IsKind(type, MessageKind::kControl)) return obs::OpClass::kControl;
+  return obs::OpClass::kMutation;
 }
 
 constexpr char kRetryAfterPrefix[] = " [retry-after-ms=";
 
 }  // namespace
 
-OpClass ClassifyFrame(BytesView frame) {
+obs::OpClass ClassifyFrame(BytesView frame) {
   BufferReader r(frame);
   auto tag = r.GetU16();
-  if (!tag.ok()) return OpClass::kMutation;
+  if (!tag.ok()) return obs::OpClass::kMutation;
   const uint16_t flags = *tag;
   const uint16_t type = static_cast<uint16_t>(
       flags & ~(kMsgFlagSession | kMsgFlagTrace | kMsgFlagDeadline));
-  if (type != kMsgBatch) return ClassifyType(type);
+  if (type != kMsgBatch) return ClassOf(type);
   // Batch envelope: skip the length field and any optional headers, then
   // light-parse to the first sub-op's type tag.
-  if (!r.GetU32().ok()) return OpClass::kMutation;
+  if (!r.GetU32().ok()) return obs::OpClass::kMutation;
   if ((flags & kMsgFlagSession) != 0 &&
       !r.GetRaw(Message::kSessionHeaderSize).ok()) {
-    return OpClass::kMutation;
+    return obs::OpClass::kMutation;
   }
   if ((flags & kMsgFlagTrace) != 0 &&
       !r.GetRaw(Message::kTraceHeaderSize).ok()) {
-    return OpClass::kMutation;
+    return obs::OpClass::kMutation;
   }
   if ((flags & kMsgFlagDeadline) != 0 &&
       !r.GetRaw(Message::kDeadlineHeaderSize).ok()) {
-    return OpClass::kMutation;
+    return obs::OpClass::kMutation;
   }
-  if (!r.GetVarint().ok()) return OpClass::kMutation;  // op count
-  if (!r.GetVarint().ok()) return OpClass::kMutation;  // first op seq
+  if (!r.GetVarint().ok()) return obs::OpClass::kMutation;  // op count
+  if (!r.GetVarint().ok()) return obs::OpClass::kMutation;  // first op seq
   auto op_type = r.GetU16();
-  if (!op_type.ok()) return OpClass::kMutation;
+  if (!op_type.ok()) return obs::OpClass::kMutation;
   // MultiCall rounds are homogeneous (a Store round or a MultiSearch
   // round), so the first sub-op stands for the envelope.
-  return ClassifyType(*op_type);
+  return ClassOf(*op_type);
 }
 
 Status WithRetryAfter(Status status, uint32_t retry_after_ms) {
@@ -137,7 +108,7 @@ void QueueAdmissionController::OnQueueWait(uint64_t wait_ns) {
                       std::memory_order_relaxed);
 }
 
-AdmissionDecision QueueAdmissionController::Shed(OpClass op,
+AdmissionDecision QueueAdmissionController::Shed(obs::OpClass op,
                                                  const char* reason,
                                                  double overload) {
   (void)op;
@@ -153,11 +124,11 @@ AdmissionDecision QueueAdmissionController::Shed(OpClass op,
   return d;
 }
 
-AdmissionDecision QueueAdmissionController::Admit(OpClass op,
+AdmissionDecision QueueAdmissionController::Admit(obs::OpClass op,
                                                   size_t queue_depth) {
-  if (op == OpClass::kControl) return AdmissionDecision{};
+  if (op == obs::OpClass::kControl) return AdmissionDecision{};
   if (options_.max_queue_depth > 0) {
-    const size_t limit = op == OpClass::kMutation
+    const size_t limit = op == obs::OpClass::kMutation
                              ? options_.mutation_queue_depth
                              : options_.max_queue_depth;
     if (queue_depth >= limit) {
@@ -168,12 +139,12 @@ AdmissionDecision QueueAdmissionController::Admit(OpClass op,
   }
   if (options_.max_queue_wait_ms > 0.0) {
     const double wait_ms = wait_ewma_ms();
-    const double limit = op == OpClass::kMutation
+    const double limit = op == obs::OpClass::kMutation
                              ? options_.mutation_queue_wait_ms
                              : options_.max_queue_wait_ms;
     if (wait_ms >= limit) return Shed(op, "queue_wait", wait_ms / limit);
   }
-  if (op == OpClass::kMutation && options_.memory_pressure &&
+  if (op == obs::OpClass::kMutation && options_.memory_pressure &&
       options_.memory_pressure()) {
     return Shed(op, "memory", 2.0);
   }

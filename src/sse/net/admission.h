@@ -6,30 +6,21 @@
 #include <functional>
 #include <memory>
 
+#include "sse/obs/slo.h"
 #include "sse/util/bytes.h"
 #include "sse/util/status.h"
 
 namespace sse::net {
 
-/// Coarse request class for admission priority. Searches are the cheap,
-/// latency-sensitive traffic an overloaded server should keep answering;
-/// mutations burn WAL fsyncs and index growth and are what a brownout
-/// sheds first; control traffic (stats scrapes, replication shipping,
-/// promotion) is never shed — starving the health probes or the WAL
-/// stream during overload would turn a brownout into an outage.
-enum class OpClass : uint8_t { kSearch, kMutation, kControl };
-
-/// Classifies a *raw request frame* without a full decode: strips the
-/// header-flag bits from the leading type tag and, for a batch envelope,
-/// light-parses just far enough to read the first sub-op's type (MultiCall
-/// envelopes are homogeneous rounds, so the first op is representative).
-/// Unknown types classify as kMutation — the conservative direction, and
-/// the same default repl::FailoverChannel uses for routing.
-/// The mutation set is the normative wire protocol's (docs/PROTOCOL.md):
-/// the Scheme 1/2/3 update requests, Scheme 2's reinit request and the
-/// baselines' store (CGKO: build) requests, each type for which its
-/// server's IsMutating holds.
-OpClass ClassifyFrame(BytesView frame);
+/// Classifies a *raw request frame* without a full decode, by the
+/// message-type table (net/message_types.h): strips the header-flag bits
+/// from the leading type tag and, for a batch envelope, light-parses just
+/// far enough to read the first sub-op's type (MultiCall envelopes are
+/// homogeneous rounds, so the first op is representative). Search and
+/// control rows give their class. Everything else is kMutation, the
+/// conservative (shed-first) direction: mutation rows, reply rows, types
+/// with no row and truncated frames.
+obs::OpClass ClassifyFrame(BytesView frame);
 
 /// Attaches a machine-readable retry-after hint to a shed/overload status.
 /// The hint rides inside the status *message* as a trailing
@@ -64,7 +55,7 @@ class AdmissionController {
 
   /// Admit or shed one request. `queue_depth` is the dispatch queue's
   /// occupancy at arrival.
-  virtual AdmissionDecision Admit(OpClass op, size_t queue_depth) = 0;
+  virtual AdmissionDecision Admit(obs::OpClass op, size_t queue_depth) = 0;
 
   /// Feedback: the measured queue wait of a request that reached a
   /// worker, so wait-based policies see the latency their admits bought.
@@ -104,7 +95,7 @@ class QueueAdmissionController : public AdmissionController {
 
   explicit QueueAdmissionController(Options options);
 
-  AdmissionDecision Admit(OpClass op, size_t queue_depth) override;
+  AdmissionDecision Admit(obs::OpClass op, size_t queue_depth) override;
   void OnQueueWait(uint64_t wait_ns) override;
 
   /// Current queue-wait EWMA in ms (for tests and the stats summary).
@@ -115,7 +106,8 @@ class QueueAdmissionController : public AdmissionController {
   }
 
  private:
-  AdmissionDecision Shed(OpClass op, const char* reason, double overload);
+  AdmissionDecision Shed(obs::OpClass op, const char* reason,
+                         double overload);
 
   Options options_;
   std::atomic<uint64_t> wait_ewma_us_{0};  // fixed-point EWMA, microseconds

@@ -1,6 +1,9 @@
 #include "sse/net/message.h"
 
+#include <iterator>
+
 #include "sse/net/frame.h"
+#include "sse/net/message_types.h"
 #include "sse/util/crc32.h"
 #include "sse/util/serde.h"
 
@@ -126,61 +129,15 @@ bool Message::PeekSession(BytesView data, uint64_t* client_id, uint64_t* seq) {
 }
 
 std::string MessageTypeName(uint16_t type) {
-  switch (type) {
-    case kMsgError:
-      return "Error";
-    case kMsgBatch:
-      return "Batch";
-    case kMsgBatchReply:
-      return "BatchReply";
-    case kMsgStats:
-      return "Stats";
-    case kMsgStatsReply:
-      return "StatsReply";
-    case kMsgReplAppend:
-      return "ReplAppend";
-    case kMsgReplAck:
-      return "ReplAck";
-    case kMsgReplSnapshot:
-      return "ReplSnapshot";
-    case kMsgReplPromote:
-      return "ReplPromote";
-    default:
-      break;
+  if (const MessageTypeInfo* row = FindMessageType(type)) {
+    return std::string(row->name);
   }
-  // Names of the scheme-specific messages. Kept here (rather than in the
-  // core headers that define the constants) so transcripts and benches can
-  // label any message without a dependency cycle; the layouts are fixed by
-  // the wire protocol.
-  static constexpr const char* kScheme1Names[] = {
-      nullptr,        "NonceRequest", "NonceReply",       "UpdateRequest",
-      "UpdateAck",    "SearchRequest", "SearchNonceReply", "SearchFinish",
-      "SearchResult"};
-  static constexpr const char* kScheme2Names[] = {
-      nullptr,        "UpdateRequest", "UpdateAck",     "SearchRequest",
-      "SearchResult", "FetchAllRequest", "FetchAllReply", "ReinitRequest",
-      "ReinitAck"};
-  static constexpr const char* kScheme3Names[] = {
-      nullptr,        "UpdateRequest", "UpdateAck", "SearchRequest",
-      "SearchResult", "ProbeRequest"};
-  const uint16_t range = type & 0xff00;
-  const int sub = type & 0xff;
-  std::string prefix;
-  if (range == kMsgRangeScheme1) {
-    prefix = "Scheme1.";
-    if (sub >= 1 && sub <= 8) return prefix + kScheme1Names[sub];
-  } else if (range == kMsgRangeScheme2) {
-    prefix = "Scheme2.";
-    if (sub >= 1 && sub <= 8) return prefix + kScheme2Names[sub];
-  } else if (range == kMsgRangeScheme3) {
-    prefix = "Scheme3.";
-    if (sub >= 1 && sub <= 5) return prefix + kScheme3Names[sub];
-  } else if (range == kMsgRangeBaseline) {
-    prefix = "Baseline.";
-  } else {
-    prefix = "Unknown.";
-  }
-  return prefix + std::to_string(sub);
+  // A type with no row is named by its range and low byte.
+  static constexpr const char* kRangePrefix[] = {
+      "Unknown.", "Scheme1.", "Scheme2.", "Baseline.", "Scheme3."};
+  const size_t range = type >> 8;
+  return (range < std::size(kRangePrefix) ? kRangePrefix[range] : "Unknown.") +
+         std::to_string(type & 0xff);
 }
 
 Message MakeErrorMessage(const Status& status) {

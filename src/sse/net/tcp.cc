@@ -20,21 +20,6 @@ namespace sse::net {
 
 namespace {
 
-/// Maps the admission-layer op class onto the SLO taxonomy. The two enums
-/// are deliberately distinct (obs/ is a leaf library; net/ depends on it,
-/// not the other way around) but line up one-to-one.
-obs::SloClass SloClassOf(OpClass op) {
-  switch (op) {
-    case OpClass::kSearch:
-      return obs::SloClass::kSearch;
-    case OpClass::kMutation:
-      return obs::SloClass::kMutation;
-    case OpClass::kControl:
-      return obs::SloClass::kControl;
-  }
-  return obs::SloClass::kControl;
-}
-
 /// Process-wide net-layer counters, looked up once. Cheap to bump (one
 /// relaxed fetch_add) and aggregated across every channel and server in
 /// the process — per-instance numbers stay in ChannelStats.
@@ -317,19 +302,19 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   uint64_t seq = 0;
   const bool has_session = Message::PeekSession(frame, &client_id, &seq);
   const bool slo_on = obs::SloRecordingEnabled();
-  OpClass op = OpClass::kControl;
+  obs::OpClass op = obs::OpClass::kControl;
   if (options_.admission != nullptr || options_.max_dispatch_queue > 0 ||
       slo_on) {
     op = ClassifyFrame(frame);
   }
-  if (options_.admission != nullptr && op != OpClass::kControl) {
+  if (options_.admission != nullptr && op != obs::OpClass::kControl) {
     const AdmissionDecision verdict = options_.admission->Admit(op, queue_depth);
     if (!verdict.admit) {
       AdmissionCounters::Get().shed->Add();
-      if (op == OpClass::kMutation) {
+      if (op == obs::OpClass::kMutation) {
         AdmissionCounters::Get().shed_mutations->Add();
       }
-      if (slo_on) obs::SloTracker::Global().Record(SloClassOf(op), 0, false);
+      if (slo_on) obs::SloTracker::Global().Record(op, 0, false);
       NoteShed(verdict.reason);
       ShedFrame(conn, has_session, client_id, seq,
                 WithRetryAfter(
@@ -355,8 +340,7 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
         if (slo_on) {
           // Latency is measured from frame *arrival* (queue wait included):
           // that is what the caller experiences, and what the SLO promises.
-          obs::SloTracker::Global().Record(SloClassOf(op),
-                                           SteadyNowNs() - enqueued_ns,
+          obs::SloTracker::Global().Record(op, SteadyNowNs() - enqueued_ns,
                                            reply.type != kMsgError);
         }
         conn->SendFrame(reply.EncodeFrame());
@@ -370,10 +354,10 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
     // retryable verdict so the client backs off instead of timing out.
     AdmissionCounters::Get().shed->Add();
     AdmissionCounters::Get().queue_full->Add();
-    if (op == OpClass::kMutation) {
+    if (op == obs::OpClass::kMutation) {
       AdmissionCounters::Get().shed_mutations->Add();
     }
-    if (slo_on) obs::SloTracker::Global().Record(SloClassOf(op), 0, false);
+    if (slo_on) obs::SloTracker::Global().Record(op, 0, false);
     NoteShed("dispatch queue full");
     ShedFrame(conn, has_session, client_id, seq,
               WithRetryAfter(

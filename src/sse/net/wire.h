@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sse/net/message.h"
+#include "sse/net/message_types.h"
 #include "sse/util/bytes.h"
 #include "sse/util/result.h"
 #include "sse/util/serde.h"
@@ -296,11 +297,17 @@ Result<M> Decode(const Message& msg) {
 
 }  // namespace sse::net::wire
 
-/// Declares a message inside its struct: the type constant `kType`, the
-/// field list `kFields` (pointers to members, in wire order) and the
-/// ToMessage()/FromMessage() pair the codec builds from them.
+/// Declares a message inside its struct: the type constant `kType`, which
+/// must have a row in net/message_types.h, the field list `kFields`
+/// (pointers to members, in wire order) and the ToMessage()/FromMessage()
+/// pair the codec builds from them. A type with no row fails the
+/// static_assert by dereferencing nullptr; comparing the row with nullptr
+/// instead is not a constant expression in GCC's -fsanitize=undefined
+/// builds.
 #define SSE_WIRE_MESSAGE(Type, type_constant, ...)                         \
   static constexpr uint16_t kType = type_constant;                         \
+  static_assert(::sse::net::FindMessageType(kType)->type == kType,         \
+                "a message type needs a row in net/message_types.h");      \
   static constexpr auto kFields = std::tuple{__VA_ARGS__};                 \
   ::sse::net::Message ToMessage() const {                                  \
     return ::sse::net::wire::Encode(*this);                                \

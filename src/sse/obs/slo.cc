@@ -32,13 +32,13 @@ void SetSloRecordingEnabled(bool enabled) {
   g_slo_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-const char* SloClassName(SloClass c) {
+const char* OpClassName(OpClass c) {
   switch (c) {
-    case SloClass::kSearch:
+    case OpClass::kSearch:
       return "search";
-    case SloClass::kMutation:
+    case OpClass::kMutation:
       return "mutation";
-    case SloClass::kControl:
+    case OpClass::kControl:
       return "control";
   }
   return "unknown";
@@ -53,7 +53,7 @@ SloTracker::SloTracker(SloOptions options) : options_(options) {
        options_.bucket_seconds - 1) /
       options_.bucket_seconds;
   options_.buckets = std::max<size_t>(options_.buckets, need + 1);
-  buckets_ = std::vector<Bucket>(kSloClasses * options_.buckets);
+  buckets_ = std::vector<Bucket>(kOpClasses * options_.buckets);
 }
 
 bool SloTracker::ConfigureGlobal(const SloOptions& options) {
@@ -79,11 +79,11 @@ SloTracker& SloTracker::Global() {
   return *tracker;
 }
 
-void SloTracker::Record(SloClass c, uint64_t latency_ns, bool ok) {
+void SloTracker::Record(OpClass c, uint64_t latency_ns, bool ok) {
   RecordAt(c, latency_ns, ok, NowSeconds());
 }
 
-void SloTracker::RecordAt(SloClass c, uint64_t latency_ns, bool ok,
+void SloTracker::RecordAt(OpClass c, uint64_t latency_ns, bool ok,
                           int64_t now_s) {
   const int64_t epoch = now_s / options_.bucket_seconds;
   const size_t slot = static_cast<size_t>(c) * options_.buckets +
@@ -118,7 +118,7 @@ void SloTracker::RecordAt(SloClass c, uint64_t latency_ns, bool ok,
   }
 }
 
-SloTracker::Window SloTracker::WindowAt(SloClass c, uint32_t window_s,
+SloTracker::Window SloTracker::WindowAt(OpClass c, uint32_t window_s,
                                         int64_t now_s) const {
   Window w;
   const int64_t now_epoch = now_s / options_.bucket_seconds;
@@ -145,7 +145,7 @@ SloTracker::Window SloTracker::WindowAt(SloClass c, uint32_t window_s,
   return w;
 }
 
-double SloTracker::BurnRate(SloClass c, const Window& w) const {
+double SloTracker::BurnRate(OpClass c, const Window& w) const {
   const double budget = 1.0 - kSloObjective[static_cast<size_t>(c)];
   return (1.0 - w.attainment()) / budget;
 }
@@ -156,8 +156,8 @@ SloTracker::Report SloTracker::Snapshot() const {
 
 SloTracker::Report SloTracker::SnapshotAt(int64_t now_s) const {
   Report report;
-  for (size_t i = 0; i < kSloClasses; ++i) {
-    const SloClass c = static_cast<SloClass>(i);
+  for (size_t i = 0; i < kOpClasses; ++i) {
+    const OpClass c = static_cast<OpClass>(i);
     ClassReport& r = report.classes[i];
     r.fast = WindowAt(c, options_.fast_window_s, now_s);
     r.slow = WindowAt(c, options_.slow_window_s, now_s);
@@ -172,9 +172,9 @@ SloTracker::Report SloTracker::SnapshotAt(int64_t now_s) const {
 std::vector<MetricsRegistry::Registration> SloTracker::RegisterGauges(
     MetricsRegistry& registry) {
   std::vector<MetricsRegistry::Registration> regs;
-  for (size_t i = 0; i < kSloClasses; ++i) {
-    const SloClass c = static_cast<SloClass>(i);
-    const std::string base = std::string("sse_slo_") + SloClassName(c);
+  for (size_t i = 0; i < kOpClasses; ++i) {
+    const OpClass c = static_cast<OpClass>(i);
+    const std::string base = std::string("sse_slo_") + OpClassName(c);
     regs.push_back(registry.RegisterGauge(
         base + "_availability",
         [this, c] {
@@ -210,13 +210,13 @@ std::vector<MetricsRegistry::Registration> SloTracker::RegisterGauges(
 std::string SloTracker::Summary(bool include_idle) const {
   const Report report = Snapshot();
   std::string out;
-  for (size_t i = 0; i < kSloClasses; ++i) {
+  for (size_t i = 0; i < kOpClasses; ++i) {
     const ClassReport& r = report.classes[i];
     if (!include_idle && r.slow.total == 0) continue;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "%s att=%.4f/%.4f burn=%.2f/%.2f n=%llu%s",
-                  SloClassName(static_cast<SloClass>(i)),
+                  OpClassName(static_cast<OpClass>(i)),
                   r.fast.attainment(), r.slow.attainment(), r.fast_burn,
                   r.slow_burn,
                   static_cast<unsigned long long>(r.fast.total),

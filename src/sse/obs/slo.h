@@ -11,14 +11,17 @@
 
 namespace sse::obs {
 
-/// Op classes the SLO layer tracks. The values mirror net::OpClass
-/// (search / mutation / control) but are redeclared here so obs stays a
-/// leaf: the serving layer maps its classification into this enum at the
-/// record site instead of obs depending on net.
-enum class SloClass : uint8_t { kSearch = 0, kMutation = 1, kControl = 2 };
-inline constexpr size_t kSloClasses = 3;
+/// Request classes: the admission priority and the SLO taxonomy.
+/// net::ClassifyFrame derives a request's class from the message-type
+/// table (net/message_types.h). Searches are the cheap, latency-sensitive
+/// traffic an overloaded server should keep answering; mutations burn WAL
+/// fsyncs and index growth and are what a brownout sheds first; control
+/// traffic (stats scrapes, replication shipping, promotion) is never shed.
+/// The enum lives here, below the serving layer that records into it.
+enum class OpClass : uint8_t { kSearch = 0, kMutation = 1, kControl = 2 };
+inline constexpr size_t kOpClasses = 3;
 
-const char* SloClassName(SloClass c);
+const char* OpClassName(OpClass c);
 
 /// Per-class service objectives: the target fraction of good requests per
 /// window (search, mutation, control). A request is *good* when it
@@ -26,14 +29,14 @@ const char* SloClassName(SloClass c);
 /// is the standard multi-window SRE signal: (1 - attainment) /
 /// (1 - objective) — 1.0 means the error budget burns exactly as fast as
 /// it accrues, >>1 means an alert-worthy incident in progress.
-inline constexpr std::array<double, kSloClasses> kSloObjective = {0.999, 0.995,
-                                                                  0.999};
+inline constexpr std::array<double, kOpClasses> kSloObjective = {0.999, 0.995,
+                                                                 0.999};
 
 struct SloOptions {
   /// Latency threshold per class in microseconds; a slower success still
   /// spends error budget. 0 disables the latency criterion for the class.
-  std::array<uint64_t, kSloClasses> latency_threshold_us = {10'000, 50'000,
-                                                            250'000};
+  std::array<uint64_t, kOpClasses> latency_threshold_us = {10'000, 50'000,
+                                                           250'000};
   /// Ring geometry: `buckets` buckets of `bucket_seconds` each bound the
   /// longest window a snapshot can ask for.
   uint32_t bucket_seconds = 1;
@@ -78,9 +81,9 @@ class SloTracker {
   /// Records one finished request. `ok` is the application verdict (an
   /// error reply or a shed counts against availability); latency is the
   /// server-side cost including queue wait.
-  void Record(SloClass c, uint64_t latency_ns, bool ok);
+  void Record(OpClass c, uint64_t latency_ns, bool ok);
   /// Test seam: record at an explicit epoch second.
-  void RecordAt(SloClass c, uint64_t latency_ns, bool ok, int64_t now_s);
+  void RecordAt(OpClass c, uint64_t latency_ns, bool ok, int64_t now_s);
 
   /// One window's aggregate. Empty windows report perfect attainment —
   /// no traffic spends no budget.
@@ -116,21 +119,21 @@ class SloTracker {
     bool slow_ok = true;
   };
   struct Report {
-    std::array<ClassReport, kSloClasses> classes;
-    const ClassReport& of(SloClass c) const {
+    std::array<ClassReport, kOpClasses> classes;
+    const ClassReport& of(OpClass c) const {
       return classes[static_cast<size_t>(c)];
     }
   };
 
   /// Aggregate of the trailing `window_s` seconds ending at `now_s`.
-  Window WindowAt(SloClass c, uint32_t window_s, int64_t now_s) const;
+  Window WindowAt(OpClass c, uint32_t window_s, int64_t now_s) const;
 
   /// Fast+slow windows, burn rates and verdicts for every class.
   Report Snapshot() const;
   Report SnapshotAt(int64_t now_s) const;
 
   /// Burn rate of `w` against the class objective.
-  double BurnRate(SloClass c, const Window& w) const;
+  double BurnRate(OpClass c, const Window& w) const;
 
   /// Registers the sse_slo_* gauge family into `registry`; keep the
   /// registrations alive as long as scrapes should see this tracker.
@@ -156,7 +159,7 @@ class SloTracker {
   };
 
   SloOptions options_;
-  /// kSloClasses rings of options_.buckets each, flattened.
+  /// kOpClasses rings of options_.buckets each, flattened.
   std::vector<Bucket> buckets_;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "sse/net/admission.h"
+#include "sse/net/message_types.h"
 #include "sse/obs/events.h"
 #include "sse/obs/metrics_registry.h"
 #include "sse/obs/stats_rpc.h"
@@ -198,9 +199,8 @@ void FailoverChannel::RecordOutcome(Node* node, const Status& status) {
 
 FailoverChannel::Node* FailoverChannel::Route(const net::Message& request,
                                               Status* why) {
-  const bool mutating =
-      options_.is_mutating ? options_.is_mutating(request) : true;
-  if (!mutating && options_.read_from_followers && !nodes_.empty()) {
+  if (options_.read_from_followers && !nodes_.empty() &&
+      net::IsKind(request.type, net::MessageKind::kSearch)) {
     // Stale-tolerant read: any reachable endpoint will do; spread them.
     for (size_t step = 0; step < nodes_.size(); ++step) {
       Node* node = &nodes_[(read_rr_ + step) % nodes_.size()];

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,7 +26,7 @@ bool FindMetricValue(const std::string& prometheus_text,
 /// node set. Mutations go to the current primary — discovered by probing
 /// endpoints with the stats RPC and reading the node-injected
 /// `sse_repl_is_primary` gauge — and the learned role is cached until it
-/// stops working. Non-mutating calls can optionally fan out to followers
+/// stops working. Searches can optionally fan out to followers
 /// (explicitly stale reads).
 ///
 /// This layer performs exactly ONE routing attempt per call: failures
@@ -43,13 +42,12 @@ class FailoverChannel : public net::Channel {
   struct Options {
     /// Transport knobs for every per-endpoint TcpChannel.
     net::TcpChannel::Options channel;
-    /// Serve non-mutating requests from any reachable endpoint (follower
-    /// read views are stale by up to the replication lag). Off = every
+    /// Serve requests whose type the message-type table classes as
+    /// search (net/message_types.h) from any reachable endpoint (follower
+    /// read views are stale by up to the replication lag). Everything
+    /// else, unknown types included, goes to the primary. Off = every
     /// call routes to the primary.
     bool read_from_followers = false;
-    /// Classifies requests for routing. Unset = treat everything as
-    /// mutating (safe: all traffic goes to the primary).
-    std::function<bool(const net::Message&)> is_mutating;
     /// Redial gate per endpoint after a failed dial.
     uint64_t backoff_initial_ms = 100;
     uint64_t backoff_max_ms = 2000;

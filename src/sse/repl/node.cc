@@ -181,10 +181,9 @@ Result<net::Message> ReplNode::Handle(const net::Message& request) {
     }
     return durable_->Handle(request);
   }
-  // Followers answer non-mutating requests from their read view.
-  if (receiver_ != nullptr && !receiver_->IsMutating(request.type)) {
-    return receiver_->HandleRead(request);
-  }
+  // Followers answer non-mutating requests from their read view and
+  // refuse the rest as not primary.
+  if (receiver_ != nullptr) return receiver_->HandleRead(request);
   return Status::Unavailable(
       "not primary: this node is a replication follower");
 }

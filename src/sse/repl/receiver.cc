@@ -203,11 +203,6 @@ Result<net::Message> ReplReceiver::HandleRead(const net::Message& request) {
   return reply;
 }
 
-bool ReplReceiver::IsMutating(uint16_t msg_type) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return view_->IsMutating(msg_type);
-}
-
 Status ReplReceiver::Checkpoint() {
   std::lock_guard<std::mutex> lock(mutex_);
   return CheckpointLocked();

@@ -78,9 +78,6 @@ class ReplReceiver {
   /// Mutating requests are refused with a retryable "not primary".
   Result<net::Message> HandleRead(const net::Message& request);
 
-  /// Classification passthrough for the routing layer.
-  bool IsMutating(uint16_t msg_type) const;
-
   /// Snapshots the view + reply cache and compacts the local WAL, exactly
   /// like DurableServer::Checkpoint — the blob formats are identical.
   Status Checkpoint();

@@ -134,6 +134,37 @@ TEST(DurableServerTest, RejectedMutationDoesNotPoisonRecovery) {
   EXPECT_EQ(inner.document_count(), 1u);
 }
 
+TEST(DurableServerTest, ForeignMutationRefusedWithoutWalRecord) {
+  // A server classes every mutation row of the message-type table as a
+  // mutation, another system's too. It still refuses such a request, so
+  // nothing reaches the WAL and the state stays as it was.
+  TempDir dir;
+  const SchemeOptions options = FastTestConfig().scheme;
+  Scheme1Server inner(options);
+  auto durable = DurableServer::Open(dir.path(), &inner);
+  SSE_ASSERT_OK_RESULT(durable);
+  net::InProcessChannel channel(durable->get());
+  const Result<Bytes> before = inner.SerializeState();
+  SSE_ASSERT_OK_RESULT(before);
+  uint64_t seq = 0;
+  for (const net::MessageTypeInfo& row : net::kMessageTypes) {
+    if (row.kind != net::MessageKind::kMutation ||
+        row.type == kMsgS1UpdateRequest || row.type == net::kMsgBatch) {
+      continue;
+    }
+    SCOPED_TRACE(std::string(row.name));
+    EXPECT_TRUE(inner.IsMutating(row.type));
+    net::Message foreign{row.type, Bytes{0x00}};
+    foreign.StampSession(/*client=*/9, ++seq);
+    auto reply = channel.Call(foreign);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kProtocolError);
+  }
+  EXPECT_GT(seq, 0u);
+  EXPECT_EQ((*durable)->wal_records(), 0u);
+  EXPECT_EQ(inner.SerializeState().value(), *before);
+}
+
 TEST(DurableServerTest, CorruptedWalDetectedOnRecovery) {
   TempDir dir;
   DeterministicRandom rng(7);

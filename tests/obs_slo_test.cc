@@ -17,7 +17,7 @@
 namespace sse {
 namespace {
 
-using obs::SloClass;
+using obs::OpClass;
 using obs::SloOptions;
 using obs::SloTracker;
 
@@ -32,11 +32,11 @@ SloOptions SmallRing() {
 
 TEST(SloTrackerTest, EmptyWindowIsPerfect) {
   SloTracker tracker(SmallRing());
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, /*now_s=*/1000);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, /*now_s=*/1000);
   EXPECT_EQ(w.total, 0u);
   EXPECT_DOUBLE_EQ(w.availability(), 1.0);
   EXPECT_DOUBLE_EQ(w.attainment(), 1.0);
-  EXPECT_DOUBLE_EQ(tracker.BurnRate(SloClass::kSearch, w), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.BurnRate(OpClass::kSearch, w), 0.0);
 }
 
 TEST(SloTrackerTest, CountsErrorsAndSlowSuccessesSeparately) {
@@ -46,12 +46,12 @@ TEST(SloTrackerTest, CountsErrorsAndSlowSuccessesSeparately) {
   const int64_t now = 5000;
   // 7 good, 2 slow successes, 1 error.
   for (int i = 0; i < 7; ++i) {
-    tracker.RecordAt(SloClass::kSearch, 100'000, true, now);
+    tracker.RecordAt(OpClass::kSearch, 100'000, true, now);
   }
-  tracker.RecordAt(SloClass::kSearch, 5'000'000, true, now);
-  tracker.RecordAt(SloClass::kSearch, 2'000'000, true, now);
-  tracker.RecordAt(SloClass::kSearch, 100'000, false, now);
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, now);
+  tracker.RecordAt(OpClass::kSearch, 5'000'000, true, now);
+  tracker.RecordAt(OpClass::kSearch, 2'000'000, true, now);
+  tracker.RecordAt(OpClass::kSearch, 100'000, false, now);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, now);
   EXPECT_EQ(w.total, 10u);
   EXPECT_EQ(w.errors, 1u);
   EXPECT_EQ(w.slow, 2u);
@@ -64,8 +64,8 @@ TEST(SloTrackerTest, ZeroThresholdDisablesLatencyCriterion) {
   SloOptions opts = SmallRing();
   opts.latency_threshold_us[0] = 0;
   SloTracker tracker(opts);
-  tracker.RecordAt(SloClass::kSearch, 60'000'000'000ull, true, 100);
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, 100);
+  tracker.RecordAt(OpClass::kSearch, 60'000'000'000ull, true, 100);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, 100);
   EXPECT_EQ(w.slow, 0u);
   EXPECT_DOUBLE_EQ(w.attainment(), 1.0);
 }
@@ -75,24 +75,24 @@ TEST(SloTrackerTest, BurnRateAgainstObjective) {
   const int64_t now = 200;
   // 10% bad -> burn = 0.10 / 0.001 = 100.
   for (int i = 0; i < 90; ++i) {
-    tracker.RecordAt(SloClass::kSearch, 0, true, now);
+    tracker.RecordAt(OpClass::kSearch, 0, true, now);
   }
   for (int i = 0; i < 10; ++i) {
-    tracker.RecordAt(SloClass::kSearch, 0, false, now);
+    tracker.RecordAt(OpClass::kSearch, 0, false, now);
   }
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, now);
-  EXPECT_NEAR(tracker.BurnRate(SloClass::kSearch, w), 100.0, 1e-9);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, now);
+  EXPECT_NEAR(tracker.BurnRate(OpClass::kSearch, w), 100.0, 1e-9);
 }
 
 TEST(SloTrackerTest, IdleGapsAreExcludedFromWindows) {
   SloTracker tracker(SmallRing());
-  tracker.RecordAt(SloClass::kMutation, 0, false, /*now_s=*/100);
+  tracker.RecordAt(OpClass::kMutation, 0, false, /*now_s=*/100);
   // Four seconds later the sample is still inside the 8 s window...
-  auto w = tracker.WindowAt(SloClass::kMutation, 8, 104);
+  auto w = tracker.WindowAt(OpClass::kMutation, 8, 104);
   EXPECT_EQ(w.total, 1u);
   // ...but well past the window it is gone, without any explicit decay
   // pass having run (epoch mismatch, not zeroing, excludes it).
-  w = tracker.WindowAt(SloClass::kMutation, 8, 130);
+  w = tracker.WindowAt(OpClass::kMutation, 8, 130);
   EXPECT_EQ(w.total, 0u);
   EXPECT_DOUBLE_EQ(w.attainment(), 1.0);
 }
@@ -101,12 +101,12 @@ TEST(SloTrackerTest, RingWrapReclaimsAndZeroesSlots) {
   SloOptions opts = SmallRing();  // 16 buckets
   SloTracker tracker(opts);
   const int64_t t0 = 1000;
-  tracker.RecordAt(SloClass::kSearch, 0, false, t0);
+  tracker.RecordAt(OpClass::kSearch, 0, false, t0);
   // A full ring later the same physical slot is re-claimed for the new
   // epoch; the old error must not leak into the new window.
   const int64_t t1 = t0 + 16;
-  tracker.RecordAt(SloClass::kSearch, 0, true, t1);
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, t1);
+  tracker.RecordAt(OpClass::kSearch, 0, true, t1);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, t1);
   EXPECT_EQ(w.total, 1u);
   EXPECT_EQ(w.errors, 0u);
 }
@@ -115,19 +115,19 @@ TEST(SloTrackerTest, WindowLongerThanRingIsClamped) {
   SloTracker tracker(SmallRing());
   const int64_t now = 50;
   for (int64_t s = now - 15; s <= now; ++s) {
-    tracker.RecordAt(SloClass::kControl, 0, true, s);
+    tracker.RecordAt(OpClass::kControl, 0, true, s);
   }
   // Asking for an hour only sums the 16 live buckets once each.
-  const auto w = tracker.WindowAt(SloClass::kControl, 3600, now);
+  const auto w = tracker.WindowAt(OpClass::kControl, 3600, now);
   EXPECT_EQ(w.total, 16u);
 }
 
 TEST(SloTrackerTest, ClassesAreIndependent) {
   SloTracker tracker(SmallRing());
-  tracker.RecordAt(SloClass::kSearch, 0, false, 100);
-  EXPECT_EQ(tracker.WindowAt(SloClass::kSearch, 4, 100).errors, 1u);
-  EXPECT_EQ(tracker.WindowAt(SloClass::kMutation, 4, 100).total, 0u);
-  EXPECT_EQ(tracker.WindowAt(SloClass::kControl, 4, 100).total, 0u);
+  tracker.RecordAt(OpClass::kSearch, 0, false, 100);
+  EXPECT_EQ(tracker.WindowAt(OpClass::kSearch, 4, 100).errors, 1u);
+  EXPECT_EQ(tracker.WindowAt(OpClass::kMutation, 4, 100).total, 0u);
+  EXPECT_EQ(tracker.WindowAt(OpClass::kControl, 4, 100).total, 0u);
 }
 
 TEST(SloTrackerTest, SnapshotVerdictsAndWindows) {
@@ -135,15 +135,15 @@ TEST(SloTrackerTest, SnapshotVerdictsAndWindows) {
   const int64_t now = 300;
   // Old traffic inside the slow (8 s) window only: all good.
   for (int i = 0; i < 4000; ++i) {
-    tracker.RecordAt(SloClass::kSearch, 0, true, now - 6);
+    tracker.RecordAt(OpClass::kSearch, 0, true, now - 6);
   }
   // Recent traffic inside the fast (4 s) window: one bad in fifty.
-  tracker.RecordAt(SloClass::kSearch, 0, false, now);
+  tracker.RecordAt(OpClass::kSearch, 0, false, now);
   for (int i = 0; i < 49; ++i) {
-    tracker.RecordAt(SloClass::kSearch, 0, true, now);
+    tracker.RecordAt(OpClass::kSearch, 0, true, now);
   }
   const auto report = tracker.SnapshotAt(now);
-  const auto& r = report.of(SloClass::kSearch);
+  const auto& r = report.of(OpClass::kSearch);
   EXPECT_EQ(r.fast.total, 50u);
   EXPECT_EQ(r.slow.total, 4050u);
   // Fast window: 1/50 bad, attainment 0.98 < 0.999 -> violated, burn 20x.
@@ -175,12 +175,12 @@ TEST(SloTrackerTest, ConcurrentRecordersLoseNothingWithinAnEpoch) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&tracker, now, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        tracker.RecordAt(SloClass::kSearch, 0, (t + i) % 10 != 0, now);
+        tracker.RecordAt(OpClass::kSearch, 0, (t + i) % 10 != 0, now);
       }
     });
   }
   for (auto& th : threads) th.join();
-  const auto w = tracker.WindowAt(SloClass::kSearch, 4, now);
+  const auto w = tracker.WindowAt(OpClass::kSearch, 4, now);
   EXPECT_EQ(w.total, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(w.errors, static_cast<uint64_t>(kThreads * kPerThread / 10));
 }
@@ -195,7 +195,7 @@ TEST(SloTrackerTest, ConcurrentRotationStaysSane) {
   std::thread reader([&] {
     while (!stop.load()) {
       const auto report = tracker.SnapshotAt(900);
-      const auto& w = report.of(SloClass::kSearch).fast;
+      const auto& w = report.of(OpClass::kSearch).fast;
       EXPECT_GE(w.availability(), 0.0);
       EXPECT_LE(w.availability(), 1.0);
       EXPECT_GE(w.attainment(), 0.0);
@@ -206,7 +206,7 @@ TEST(SloTrackerTest, ConcurrentRotationStaysSane) {
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&tracker, t] {
       for (int i = 0; i < 20000; ++i) {
-        tracker.RecordAt(SloClass::kSearch, 1000, i % 7 != 0,
+        tracker.RecordAt(OpClass::kSearch, 1000, i % 7 != 0,
                          890 + (i % 16) + t);
       }
     });
@@ -220,7 +220,7 @@ TEST(SloTrackerTest, RegistersGaugeFamily) {
   obs::MetricsRegistry registry;
   SloTracker tracker(SmallRing());
   auto regs = tracker.RegisterGauges(registry);
-  tracker.Record(SloClass::kSearch, 0, true);
+  tracker.Record(OpClass::kSearch, 0, true);
   const std::string text = registry.RenderPrometheus();
   EXPECT_NE(text.find("sse_slo_search_attainment"), std::string::npos);
   EXPECT_NE(text.find("sse_slo_mutation_burn_fast"), std::string::npos);
@@ -231,7 +231,7 @@ TEST(SloTrackerTest, SummarySkipsIdleAndFlagsViolations) {
   SloTracker tracker(SmallRing());  // search objective 0.999
   EXPECT_EQ(tracker.Summary(), "(no traffic)");
   for (int i = 0; i < 10; ++i) {
-    tracker.Record(SloClass::kSearch, 0, i != 0);  // 10% errors
+    tracker.Record(OpClass::kSearch, 0, i != 0);  // 10% errors
   }
   const std::string line = tracker.Summary();
   EXPECT_NE(line.find("search"), std::string::npos);

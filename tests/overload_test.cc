@@ -18,17 +18,12 @@
 #include <thread>
 #include <vector>
 
-#include "sse/baselines/cgko_sse1.h"
-#include "sse/baselines/goh_zidx.h"
-#include "sse/baselines/swp.h"
 #include "sse/core/durable_server.h"
 #include "sse/core/persistable.h"
 #include "sse/core/registry.h"
 #include "sse/core/scheme1_messages.h"
 #include "sse/core/scheme2_client.h"
 #include "sse/core/scheme2_messages.h"
-#include "sse/core/scheme3_messages.h"
-#include "sse/engine/scheme_shard.h"
 #include "sse/net/admission.h"
 #include "sse/net/batch.h"
 #include "sse/net/deadline.h"
@@ -50,7 +45,6 @@ using net::AdmissionDecision;
 using net::ClassifyFrame;
 using net::Deadline;
 using net::Message;
-using net::OpClass;
 using net::QueueAdmissionController;
 using net::RetryAfterHintMs;
 using net::RetryingChannel;
@@ -58,6 +52,7 @@ using net::RetryOptions;
 using net::ScopedDeadline;
 using net::WithRetryAfter;
 using net::WorkerPool;
+using obs::OpClass;
 using sse::testing::FastTestConfig;
 using sse::testing::TempDir;
 using sse::testing::TestMasterKey;
@@ -186,8 +181,10 @@ TEST(AdmissionTest, ClassifiesFramesByWireType) {
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgStats)), OpClass::kControl);
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgReplAppend)), OpClass::kControl);
   EXPECT_EQ(ClassifyFrame(frame_of(net::kMsgReplPromote)), OpClass::kControl);
-  // Unknown types classify as mutations — the conservative (shed-first)
-  // direction; a truncated frame likewise.
+  // Reply types and unknown types classify as mutations — the
+  // conservative (shed-first) direction; a truncated frame likewise.
+  EXPECT_EQ(ClassifyFrame(frame_of(core::kMsgS2SearchResult)),
+            OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(frame_of(0x7777)), OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(Bytes{0x01}), OpClass::kMutation);
 
@@ -207,47 +204,6 @@ TEST(AdmissionTest, ClassifiesFramesByWireType) {
             OpClass::kMutation);
   EXPECT_EQ(ClassifyFrame(batch_of(core::kMsgS2SearchRequest)),
             OpClass::kSearch);
-}
-
-TEST(AdmissionTest, MutationClassMatchesEveryServer) {
-  // Every request type of the six systems: admission classifies a type as
-  // a mutation (shed first) exactly when the scheme's classic server says
-  // it mutates, and an engine-capable scheme's adapter agrees with it.
-  const std::map<SystemKind, std::vector<uint16_t>> requests = {
-      {SystemKind::kScheme1,
-       {core::kMsgS1NonceRequest, core::kMsgS1UpdateRequest,
-        core::kMsgS1SearchRequest, core::kMsgS1SearchFinish}},
-      {SystemKind::kScheme2,
-       {core::kMsgS2UpdateRequest, core::kMsgS2SearchRequest,
-        core::kMsgS2FetchAllRequest, core::kMsgS2ReinitRequest}},
-      {SystemKind::kSwp, {baselines::kMsgSwpStore, baselines::kMsgSwpSearch}},
-      {SystemKind::kGohZidx,
-       {baselines::kMsgGohStore, baselines::kMsgGohSearch}},
-      {SystemKind::kCgkoSse1,
-       {baselines::kMsgCgkoBuild, baselines::kMsgCgkoSearch}},
-      {SystemKind::kScheme3,
-       {core::kMsgS3UpdateRequest, core::kMsgS3SearchRequest,
-        core::kMsgS3ProbeRequest}},
-  };
-  ASSERT_EQ(requests.size(), core::AllSchemes().size());
-  const core::SystemConfig config = FastTestConfig();
-  for (const core::SchemeDescriptor& scheme : core::AllSchemes()) {
-    SCOPED_TRACE(std::string(scheme.name));
-    auto server = scheme.make_server(config);
-    SSE_ASSERT_OK_RESULT(server);
-    std::unique_ptr<engine::SchemeAdapter> adapter;
-    if (scheme.traits.engine_capable) adapter = scheme.make_adapter(config);
-    for (uint16_t type : requests.at(scheme.kind)) {
-      SCOPED_TRACE(net::MessageTypeName(type));
-      const bool mutating = (*server)->IsMutating(type);
-      EXPECT_EQ(ClassifyFrame(Message{type, Bytes{0xAA}}.Encode()) ==
-                    OpClass::kMutation,
-                mutating);
-      if (adapter != nullptr) {
-        EXPECT_EQ(adapter->IsMutating(type), mutating);
-      }
-    }
-  }
 }
 
 TEST(AdmissionTest, RetryAfterHintRoundTripsThroughErrorMessages) {
@@ -827,11 +783,7 @@ TEST(FailoverBreakerTest, ShedOpensBreakerForRetryAfterWithoutDemotion) {
   auto server = net::TcpServer::Start(&handler, 0, sopts);
   SSE_ASSERT_OK_RESULT(server);
 
-  repl::FailoverChannel::Options fopts;
-  fopts.is_mutating = [](const Message& m) {
-    return m.type == XorCellsHandler::kOpSet;
-  };
-  repl::FailoverChannel channel({{"127.0.0.1", (*server)->port()}}, fopts);
+  repl::FailoverChannel channel({{"127.0.0.1", (*server)->port()}});
 
   // A shed reply opens the breaker for exactly the server's hint.
   handler.set_mode(ModalPrimaryHandler::Mode::kShed);
@@ -872,7 +824,6 @@ TEST(FailoverBreakerTest, ConsecutiveRetryableFailuresOpenBreaker) {
   SSE_ASSERT_OK_RESULT(server);
 
   repl::FailoverChannel::Options fopts;
-  fopts.is_mutating = [](const Message&) { return true; };
   fopts.breaker_failure_threshold = 3;
   fopts.breaker_open_ms = 60'000;  // must not half-open during the test
   repl::FailoverChannel channel({{"127.0.0.1", (*server)->port()}}, fopts);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sse/core/persistable.h"
+#include "sse/core/scheme2_messages.h"
 #include "sse/net/retry.h"
 #include "sse/net/tcp.h"
 #include "sse/obs/stats_rpc.h"
@@ -39,15 +40,20 @@ namespace {
 using net::TcpServer;
 using sse::testing::TempDir;
 
-// Toy protocol in an unused type range: kOpSet XORs a value into a keyed
-// cell (mutating, NOT idempotent), kOpGet reads a cell back.
+// Toy protocol: kOpSet XORs a value into a keyed cell (mutating, NOT
+// idempotent), kOpGet reads a cell back. kOpGet borrows Scheme 2's search
+// type, which the message-type table classes as a search, so the failover
+// router may send it to a follower; the other types are test-only.
 constexpr uint16_t kOpSet = 0x0700;
 constexpr uint16_t kOpSetAck = 0x0701;
-constexpr uint16_t kOpGet = 0x0702;
+constexpr uint16_t kOpGet = core::kMsgS2SearchRequest;
 constexpr uint16_t kOpGetReply = 0x0703;
 
 class XorRegisterHandler : public core::PersistableHandler {
  public:
+  /// Counts the reads it answers into `*reads`, if set.
+  explicit XorRegisterHandler(std::atomic<int>* reads) : reads_(reads) {}
+
   Result<net::Message> Handle(const net::Message& request) override {
     if (request.type == kOpSet) {
       if (request.payload.size() != 2) {
@@ -60,6 +66,7 @@ class XorRegisterHandler : public core::PersistableHandler {
       if (request.payload.size() != 1) {
         return Status::InvalidArgument("get wants key");
       }
+      if (reads_ != nullptr) reads_->fetch_add(1);
       return net::Message{kOpGetReply, Bytes{cells_[request.payload[0]]}};
     }
     return Status::InvalidArgument("unknown op");
@@ -86,11 +93,12 @@ class XorRegisterHandler : public core::PersistableHandler {
   }
 
  private:
+  std::atomic<int>* reads_;
   std::map<uint8_t, uint8_t> cells_;
 };
 
-ReplNode::HandlerFactory XorFactory() {
-  return [] { return std::make_unique<XorRegisterHandler>(); };
+ReplNode::HandlerFactory XorFactory(std::atomic<int>* reads = nullptr) {
+  return [reads] { return std::make_unique<XorRegisterHandler>(reads); };
 }
 
 net::Message SetOp(uint8_t key, uint8_t value) {
@@ -109,24 +117,38 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms) {
   return cond();
 }
 
-/// Grabs an ephemeral port the kernel considers free right now (bind(0) +
-/// close). SO_REUSEADDR on the server's listener makes the later rebind
-/// reliable; the window for another process to steal it is negligible in
-/// the test sandbox.
-uint16_t ReservePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
+/// Holds an ephemeral loopback port, bound but not listening, so that no
+/// other socket on the host takes it before a test's server binds it.
+/// Both binds set SO_REUSEADDR, and neither socket listens at the same
+/// time as the other, so the server's bind succeeds while this one holds.
+class PortReservation {
+ public:
+  PortReservation() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    const int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(
+        ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+        0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~PortReservation() { ::close(fd_); }
+  PortReservation(const PortReservation&) = delete;
+  PortReservation& operator=(const PortReservation&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  int fd_;
+  uint16_t port_ = 0;
+};
 
 TcpServer::Options NodeServerOptions() {
   net::TcpServer::Options opts;
@@ -152,11 +174,14 @@ struct TestNode {
   TempDir dir;
   std::unique_ptr<ReplNode> node;
   std::unique_ptr<TcpServer> server;
+  /// Reads this node's handlers answered.
+  std::atomic<int> reads{0};
 
   uint16_t port() const { return server->port(); }
 
   void Start(ReplNode::Options options, uint16_t port = 0) {
-    auto node_or = ReplNode::Open(dir.path(), XorFactory(), std::move(options));
+    auto node_or =
+        ReplNode::Open(dir.path(), XorFactory(&reads), std::move(options));
     SSE_ASSERT_OK(node_or.status());
     node = std::move(node_or).value();
     auto server_or = TcpServer::Start(node.get(), port, NodeServerOptions());
@@ -241,11 +266,15 @@ TEST(ReplNodeTest, PrimaryShipsToFollowerWhichServesStaleReads) {
   EXPECT_TRUE(refused.status().IsRetryable());
   EXPECT_NE(refused.status().message().find("not primary"), std::string::npos);
 
-  // The sender sees the follower connected and fully acked.
-  const auto statuses = primary.node->sender()->followers();
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_TRUE(statuses[0].connected);
-  EXPECT_EQ(statuses[0].next_seq, primary_next);
+  // The sender sees the follower connected and fully acked once it has
+  // read the follower's last ack, which can trail the follower's cursor.
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        const auto statuses = primary.node->sender()->followers();
+        return statuses.size() == 1 && statuses[0].connected &&
+               statuses[0].next_seq == primary_next;
+      },
+      5000));
 
   primary.StopAll();
   follower.StopAll();
@@ -310,7 +339,8 @@ TEST(ReplNodeTest, FollowerCatchesUpAfterRestartAndMissedWrites) {
 
 TEST(ReplNodeTest, FollowerBehindCompactionIsCaughtUpBySnapshot) {
   // The follower endpoint exists but nothing listens there yet.
-  const uint16_t follower_port = ReservePort();
+  const PortReservation reservation;
+  const uint16_t follower_port = reservation.port();
 
   TestNode primary;
   {
@@ -591,9 +621,16 @@ TEST(ReplNodeTest, WaitOneBlocksForFollowerAckAndDegradesWhenAlone) {
   {
     ReplNode::Options opts = PrimaryOptions({{"127.0.0.1", follower.port()}});
     opts.sender.ack_mode = ReplSender::AckMode::kWaitOne;
-    opts.sender.ack_timeout_ms = 150;
+    opts.sender.ack_timeout_ms = 500;
     primary.Start(std::move(opts));
   }
+  // The first write must not race the sender's dial to the follower.
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        const auto statuses = primary.node->sender()->followers();
+        return statuses.size() == 1 && statuses[0].connected;
+      },
+      5000));
 
   auto channel = net::TcpChannel::Connect(primary.port());
   SSE_ASSERT_OK(channel.status());
@@ -629,9 +666,7 @@ TEST(FailoverChannelTest, RoutesMutationsToPrimaryAndReadsAnywhere) {
   std::vector<ReplSender::Endpoint> endpoints = {
       {"127.0.0.1", follower.port()}, {"127.0.0.1", primary.port()}};
 
-  FailoverChannel::Options opts;
-  opts.is_mutating = [](const net::Message& m) { return m.type == kOpSet; };
-  FailoverChannel mutate_channel(endpoints, opts);
+  FailoverChannel mutate_channel(endpoints);
   auto reply = mutate_channel.Call(SetOp(5, 0x5A));
   SSE_ASSERT_OK(reply.status());
   EXPECT_EQ(reply->type, kOpSetAck);
@@ -640,6 +675,8 @@ TEST(FailoverChannelTest, RoutesMutationsToPrimaryAndReadsAnywhere) {
   auto read = mutate_channel.Call(GetOp(5));
   SSE_ASSERT_OK(read.status());
   EXPECT_EQ(read->payload, Bytes{0x5A});
+  EXPECT_EQ(primary.reads.load(), 1);
+  EXPECT_EQ(follower.reads.load(), 0);
 
   ASSERT_TRUE(WaitFor(
       [&] {
@@ -650,7 +687,7 @@ TEST(FailoverChannelTest, RoutesMutationsToPrimaryAndReadsAnywhere) {
 
   // With stale reads opted in, reads succeed from whichever endpoint the
   // round-robin lands on — including the follower.
-  FailoverChannel::Options stale_opts = opts;
+  FailoverChannel::Options stale_opts;
   stale_opts.read_from_followers = true;
   FailoverChannel stale_channel(endpoints, stale_opts);
   for (int i = 0; i < 4; ++i) {
@@ -658,6 +695,11 @@ TEST(FailoverChannelTest, RoutesMutationsToPrimaryAndReadsAnywhere) {
     SSE_ASSERT_OK(stale_read.status());
     EXPECT_EQ(stale_read->payload, Bytes{0x5A});
   }
+  EXPECT_GE(follower.reads.load(), 1);
+  EXPECT_EQ(follower.reads.load() + primary.reads.load(), 5);
+  // A type with no search row goes to the primary even with stale reads
+  // on: the follower would refuse it.
+  SSE_ASSERT_OK(stale_channel.Call(SetOp(6, 0x01)).status());
 
   primary.StopAll();
   follower.StopAll();
@@ -746,7 +788,6 @@ TEST(FailoverChannelTest, MultiCallWindowSurvivesMidFlightEndpointFailover) {
 
   // Endpoint A first, so the router starts there deterministically.
   FailoverChannel::Options fopts;
-  fopts.is_mutating = [](const net::Message& m) { return m.type == kOpSet; };
   fopts.backoff_initial_ms = 5;
   FailoverChannel failover(
       {{"127.0.0.1", (*server_a)->port()}, {"127.0.0.1", (*server_b)->port()}},

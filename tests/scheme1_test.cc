@@ -265,6 +265,71 @@ TEST_F(Scheme1Test, WrongSizeBitmapRejected) {
   EXPECT_FALSE(reply.ok());
 }
 
+// A refused update changes nothing: DurableServer journals only the
+// updates that succeed, so a partly applied one would be lost on restart.
+S1UpdateEntry TestEntry(uint8_t token, size_t delta_bytes, bool is_new) {
+  S1UpdateEntry entry;
+  entry.token = Bytes(32, token);
+  entry.masked_delta = Bytes(delta_bytes, 0x5a);
+  entry.new_enc_nonce = Bytes(10, token);
+  entry.is_new = is_new;
+  return entry;
+}
+
+const size_t kBitmapBytes = (FastTestConfig().scheme.max_documents + 7) / 8;
+
+/// Sends `req`, which the server must refuse, and checks that its state
+/// did not change.
+void ExpectRefusedUnchanged(SseSystem& sys, const S1UpdateRequest& req) {
+  const Result<Bytes> before = sys.server->SerializeState();
+  SSE_ASSERT_OK_RESULT(before);
+  auto reply = sys.channel->Call(req.ToMessage());
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(sys.server->SerializeState().value(), *before);
+}
+
+class Scheme1WholeUpdateTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(Scheme1WholeUpdateTest, ShortDeltaInLaterEntryAppliesNothing) {
+  SystemConfig config = FastTestConfig();
+  config.engine_shards = GetParam();
+  DeterministicRandom rng(55);
+  SseSystem sys = MakeTestSystem(SystemKind::kScheme1, &rng, config);
+  SSE_ASSERT_OK(sys.client->Store({Document::Make(1, "one", {"kept"})}));
+  S1UpdateRequest req;
+  req.entries = {TestEntry(1, kBitmapBytes, true),
+                 TestEntry(2, kBitmapBytes, true),
+                 TestEntry(3, kBitmapBytes - 1, true)};
+  req.documents = {WireDocument{7, Bytes{1, 2, 3}}};
+  ExpectRefusedUnchanged(sys, req);
+}
+
+INSTANTIATE_TEST_SUITE_P(ClassicAndEngine, Scheme1WholeUpdateTest,
+                         ::testing::Values(size_t{0}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 0 ? std::string("Classic")
+                                                  : std::string("Engine4");
+                         });
+
+// On the classic server only: an engine routes the entries to their
+// tokens' shards, and a shard that accepts its part keeps it.
+TEST_F(Scheme1Test, WrongIsNewInLaterEntryAppliesNothing) {
+  SSE_ASSERT_OK(client()->Store({Document::Make(1, "one", {"kept"})}));
+  S1UpdateRequest req;
+  req.entries = {TestEntry(1, kBitmapBytes, true),
+                 TestEntry(2, kBitmapBytes, /*is_new=*/false)};
+  ExpectRefusedUnchanged(sys_, req);
+  // A token an earlier entry of the same update adds counts as present.
+  req.entries = {TestEntry(1, kBitmapBytes, true),
+                 TestEntry(1, kBitmapBytes, true)};
+  ExpectRefusedUnchanged(sys_, req);
+  req.entries = {TestEntry(1, kBitmapBytes, true),
+                 TestEntry(1, kBitmapBytes, /*is_new=*/false)};
+  SSE_ASSERT_OK_RESULT(sys_.channel->Call(req.ToMessage()));
+  EXPECT_EQ(server()->unique_keywords(), 2u);
+}
+
 TEST_F(Scheme1Test, LargeBatchRoundTrip) {
   std::vector<Document> docs;
   for (uint64_t i = 0; i < 200; ++i) {
